@@ -24,6 +24,7 @@ from .conjugacy import class_key, core_chain, core_decomposition, sg_classes
 from .engine import ambient, mat_set
 from .errors import (
     CapExceeded,
+    DimMismatch,
     InternalError,
     MatSemiError,
     VerificationFailed,
@@ -171,6 +172,13 @@ def _flag_of(args, field, flag_text, sig_text):
     return standard_flag(field, _sig(sig_text))
 
 
+def _square_matrix(field, n, text):
+    a = parse_matrix(field, text)
+    if a.rows != n or a.cols != n:
+        raise DimMismatch(f"--matrix is {a.rows}x{a.cols}, but --n is {n}")
+    return a
+
+
 def _elements(field, n, text):
     return mat_set(field, n, [parse_matrix(field, t) for t in text.split()])
 
@@ -215,7 +223,7 @@ def _do_classes(args, field):
 
 
 def _do_core(args, field):
-    a = parse_matrix(field, args.matrix)
+    a = _square_matrix(field, args.n, args.matrix)
     dec = core_decomposition(a)
     return {
         "matrix": format_matrix(a),
@@ -229,7 +237,7 @@ def _do_core(args, field):
 
 
 def _do_chain(args, field):
-    a = parse_matrix(field, args.matrix)
+    a = _square_matrix(field, args.n, args.matrix)
     ch = core_chain(a)
     return {
         "matrix": format_matrix(a),

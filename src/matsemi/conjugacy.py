@@ -24,30 +24,41 @@ from .gf import (
     invariant_factors,
     mat_image,
     mat_kernel,
-    mat_pow,
     mat_rank,
     projection_idempotent,
     similar,
     standard_complement,
+    zero_matrix,
     zero_subspace,
 )
 
 WITNESS_SCAN_CAP = 512
 
 
-def stability_index(a: Matrix) -> int:
-    """Least t >= 0 with rank(a^t) = rank(a^{t+1}); 0 iff a is invertible."""
+@lru_cache(maxsize=None)
+def _trivial_parts(f: FieldSpec, n: int):
+    """Shared (F^n, 0, I, zero matrix) for the closed-form cores."""
+    return full_space(f, n), zero_subspace(f, n), identity_matrix(f, n), zero_matrix(f, n)
+
+
+def _stable_power(a: Matrix) -> tuple[int, Matrix, int]:
+    """(t, a^t, rank(a^t)) for the stability index t of a."""
     if not a.is_square():
         raise DimMismatch("stability index needs a square matrix")
-    prev = a.rows  # rank of a^0 = I
+    prev, prev_power = a.rows, _trivial_parts(a.field, a.rows)[2]  # rank of a^0 = I
     power = a
     for t in range(1, a.rows + 2):
         r = mat_rank(power)
         if r == prev:
-            return t - 1
-        prev = r
+            return t - 1, prev_power, r
+        prev, prev_power = r, power
         power = power * a
     raise InternalError("rank sequence failed to stabilize")  # pragma: no cover
+
+
+def stability_index(a: Matrix) -> int:
+    """Least t >= 0 with rank(a^t) = rank(a^{t+1}); 0 iff a is invertible."""
+    return _stable_power(a)[0]
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,17 @@ class CoreDecomposition:
 
 @lru_cache(maxsize=None)
 def core_decomposition(a: Matrix) -> CoreDecomposition:
-    t = stability_index(a)
-    at = mat_pow(a, t)
-    image = mat_image(at)
-    kernel = mat_kernel(at)
-    e = projection_idempotent(image, kernel)
-    c = e * a * e
+    t, at, rank = _stable_power(a)
+    full, zero, one, nil = _trivial_parts(a.field, a.rows)
+    if t == 0:  # invertible: the stable image is everything, the core is a
+        image, kernel, e, c = full, zero, one, a
+    elif rank == 0:  # nilpotent: the stable image is 0, so is the core
+        image, kernel, e, c = zero, full, nil, nil
+    else:
+        image = mat_image(at)
+        kernel = mat_kernel(at)
+        e = projection_idempotent(image, kernel)
+        c = e * a * e
     # the stable part is carried bijectively, so ranks must agree
     if mat_rank(c) != image.dim:  # pragma: no cover
         raise InternalError("core lost rank")
@@ -103,12 +119,14 @@ def _image_projectors(a: Matrix, t: int) -> list[Matrix]:
     """Projections e_0..e_{t+1}, e_i onto Im(a^i); kernel complement once
     stable, deterministic pivot completion before that."""
     f, n = a.field, a.rows
+    powers = [_trivial_parts(f, n)[2]]
+    for _ in range(t + 1):
+        powers.append(powers[-1] * a)
     out = []
-    for i in range(t + 2):
-        ai = mat_pow(a, i)
+    for i, ai in enumerate(powers):
         img = mat_image(ai)
         if img.dim == n:
-            out.append(identity_matrix(f, n))
+            out.append(powers[0])
             continue
         if i >= t:
             comp = mat_kernel(ai)

@@ -708,7 +708,7 @@ def enumerate_subspaces(field: FieldSpec, ambient: int, d: int, cap: int = ENUM_
 
 
 # ---------------------------------------------------------------------------
-# similarity via invariant factors of xI - A
+# similarity via invariant factors of xI - A, read off a Krylov relation matrix
 
 # Polynomials over GF(q) below are tuples of scalar codes, low degree first,
 # with no trailing zeros; () is the zero polynomial.
@@ -778,24 +778,84 @@ def _pmonic(f, a):
     return tuple(mul[il][x] for x in a)
 
 
+def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
+    """Relation matrix of F^n as an F[x]-module with x acting as a.
+
+    Krylov blocks v_i, a v_i, ..., a^{d_i - 1} v_i are grown from the
+    standard basis vectors in order, skipping those already spanned.  Each
+    new vector is eliminated against the vectors found so far, tracking its
+    coefficients on them; the first dependent power a^{d_i} v_i gives
+    column i: x^{d_i} minus the polynomial of its coefficients on block i on
+    the diagonal, minus those on the earlier blocks above it.  The s x s
+    result is upper triangular with det of degree n, and its Smith form
+    carries the nontrivial invariant factors of xI - a; s = 1 iff a is
+    cyclic.
+    """
+    f, n = a.field, a.rows
+    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
+    arows = [a.codes[i * n : (i + 1) * n] for i in range(n)]
+    reduced = []  # (pivot, echelon vector, its coefficients on the Krylov vectors)
+    blocks = []  # (index of the first Krylov vector, degree, coefficients of a^degree v)
+    found = 0
+    for j in range(n):
+        if found == n:
+            break
+        v = [0] * n
+        v[j] = 1
+        start = found
+        while True:
+            w = list(v)
+            dep = [0] * n
+            for p, row, coef in reduced:
+                c = w[p]
+                if c:
+                    nc = neg[c]
+                    w = [add[x][mul[nc][y]] for x, y in zip(w, row)]
+                    dep = [add[x][mul[c][y]] for x, y in zip(dep, coef)]
+            p = next((i for i, x in enumerate(w) if x), None)
+            if p is None:
+                break  # v = sum of dep[k] times Krylov vector k
+            s = inv[w[p]]
+            coef = [mul[s][neg[x]] for x in dep]
+            coef[found] = s
+            reduced.append((p, [mul[s][x] for x in w], coef))
+            found += 1
+            nxt = []
+            for r in arows:
+                acc = 0
+                for x, y in zip(r, v):
+                    if x and y:
+                        acc = add[acc][mul[x][y]]
+                nxt.append(acc)
+            v = nxt
+        if found > start:
+            blocks.append((start, found - start, dep))
+    rel = []
+    for b, (start_b, deg_b, _) in enumerate(blocks):
+        row = []
+        for i, (_, deg_i, dep_i) in enumerate(blocks):
+            coeffs = [neg[dep_i[start_b + l]] for l in range(deg_b)] if b <= i else []
+            if b == i:
+                coeffs.append(1)
+            row.append(_pnorm(coeffs))
+        rel.append(row)
+    return rel
+
+
 @lru_cache(maxsize=None)
 def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Nontrivial invariant factors of xI - a, monic, in divisibility order.
 
     This is a complete similarity invariant over any field, so it doubles as
-    the canonical class key for unit conjugacy.
+    the canonical class key for unit conjugacy.  The Smith form runs on the
+    s x s Krylov relation matrix of a (see _krylov_relations), which has the
+    same nontrivial invariants as xI - a and is 1 x 1 for cyclic a.
     """
     if not a.is_square():
         raise DimMismatch("similarity needs square matrices")
-    f, n = a.field, a.rows
-    neg = f.neg
-    m = [
-        [
-            _pnorm([neg[a.codes[i * n + j]], 1] if i == j else [neg[a.codes[i * n + j]]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    f = a.field
+    m = _krylov_relations(a)
+    n = len(m)  # s, the number of Krylov blocks
 
     def deg(p):
         return len(p) - 1 if p else -1

@@ -46,6 +46,16 @@ class TestExitCodes:
         assert code == 2
         assert text.startswith("error NotPrime")
 
+    def test_core_matrix_must_be_n_by_n(self):
+        text, code = run_command(["core", "--field", "2", "--n", "3", "--matrix", "1,0;0,1"])
+        assert code == 2
+        assert text.startswith("error DimMismatch")
+
+    def test_chain_matrix_must_be_n_by_n(self):
+        text, code = run_command(["chain", "--field", "2", "--n", "3", "--matrix", "1,0;0,1"])
+        assert code == 2
+        assert text.startswith("error DimMismatch")
+
     def test_cap_exceeded_is_three(self):
         # sig (1,2) over F2 yields exactly 2^(1*2) = 4 elements; cap 4 fits
         text, code = run_command(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,20 +10,24 @@ from matsemi import (
     core,
     core_chain,
     core_decomposition,
+    enumerate_matrices,
     field_make,
     identity_matrix,
     invariant_factors,
     mat_image,
+    mat_kernel,
     mat_pow,
     mat_rank,
     matrix,
     primary_conjugation_witness,
+    projection_idempotent,
     semigroup_conjugate,
     sg_classes,
     similar,
     stability_index,
     unit_matrix,
 )
+from matsemi.cli import run_command
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -68,6 +74,68 @@ class TestCore:
         assert core(e).is_zero()
         # key of the 3x3 zero matrix: x, x, x
         assert class_key(e) == ((0, 1),) * 3
+
+
+def _core_report(field, n, matrix_text, t, image, kernel, projector, core_text, key):
+    return {
+        "tool": "matsemi",
+        "version": "0.1.0",
+        "command": "core",
+        "params": {"field": field, "n": n, "matrix": matrix_text},
+        "result": {
+            "matrix": matrix_text,
+            "stability_index": t,
+            "image": image,
+            "kernel": kernel,
+            "projector": projector,
+            "core": core_text,
+            "class_key": key,
+        },
+        "caps": {"max_elems": None},
+        "timing_ms": None,
+    }
+
+
+class TestClosedFormCores:
+    """Invertible and nilpotent matrices take closed-form cores; each must
+    equal the projector route e a e with e onto Im(a^t) along ker(a^t)."""
+
+    @pytest.mark.parametrize("f,n,units,nilpotents", [(F3, 2, 48, 9), (F2, 3, 168, 64)])
+    def test_match_the_projector_route(self, f, n, units, nilpotents):
+        seen = {"unit": [], "nilpotent": []}
+        for a in enumerate_matrices(f, n, n):
+            t = stability_index(a)
+            at = mat_pow(a, t)
+            if t == 0:
+                kind = "unit"
+            elif at.is_zero():
+                kind = "nilpotent"
+            else:
+                continue
+            image, kernel = mat_image(at), mat_kernel(at)
+            e = projection_idempotent(image, kernel)
+            dec = core_decomposition(a)
+            assert (dec.t, dec.image, dec.kernel, dec.projector, dec.core) == (t, image, kernel, e, e * a * e)
+            seen[kind].append(dec)
+        # |GL(n, q)| units and q^(n(n-1)) nilpotents (Fine-Herstein)
+        assert (len(seen["unit"]), len(seen["nilpotent"])) == (units, nilpotents)
+        for decs in seen.values():
+            for attr in ("image", "kernel", "projector"):
+                assert len({id(getattr(d, attr)) for d in decs}) == 1
+
+    def test_frozen_invertible_report(self):
+        text, code = run_command(["core", "--field", "3", "--n", "2", "--matrix", "1,2;0,1", "--format", "json"])
+        assert code == 0
+        want = _core_report("3", 2, "1,2;0,1", 0, "1,0;0,1", "-", "1,0;0,1", "1,2;0,1", ["x^2+x+1"])
+        assert text == json.dumps(want, indent=2) + "\n"
+
+    def test_frozen_nilpotent_report(self):
+        argv = ["core", "--field", "2", "--n", "3", "--matrix", "0,1,1;0,0,1;0,0,0", "--format", "json"]
+        text, code = run_command(argv)
+        assert code == 0
+        zero = "0,0,0;0,0,0;0,0,0"
+        want = _core_report("2", 3, "0,1,1;0,0,1;0,0,0", 3, "-", "1,0,0;0,1,0;0,0,1", zero, zero, ["x", "x", "x"])
+        assert text == json.dumps(want, indent=2) + "\n"
 
 
 class TestChain:

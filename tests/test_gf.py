@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from matsemi import (
     zero_matrix,
     zero_subspace,
 )
+from matsemi.gf import _padd, _pdivmod, _pmonic, _pmul, _pneg, _pnorm
 
 FIELDS = [field_make(2), field_make(3), field_make(5), field_make(2, 2), field_make(3, 2)]
 
@@ -172,6 +175,88 @@ class TestSimilarity:
         assert format_poly((0, 0, 1)) == "x^2"
         assert format_poly((1, 1)) == "x+1"
         assert format_poly(()) == "0"
+
+
+def _smith_of_xI_minus_a(a):
+    """Nontrivial invariant factors from the Smith form of xI - a itself.
+
+    This is the direct n x n construction, kept here as a route independent
+    of the Krylov relation matrix that invariant_factors reduces.
+    """
+    f, n = a.field, a.rows
+    neg = f.neg
+    m = [
+        [_pnorm(([neg[a.codes[i * n + j]], 1]) if i == j else [neg[a.codes[i * n + j]]]) for j in range(n)]
+        for i in range(n)
+    ]
+
+    def minus_multiple(x, q, y):
+        return _padd(f, x, _pneg(f, _pmul(f, q, y)))
+
+    diagonal = []
+    for t in range(n):
+        while True:
+            _, i0, j0 = min((len(m[i][j]), i, j) for i in range(t, n) for j in range(t, n) if m[i][j])
+            m[t], m[i0] = m[i0], m[t]
+            for row in m:
+                row[t], row[j0] = row[j0], row[t]
+            piv = m[t][t]
+            for i in range(t + 1, n):
+                q, _ = _pdivmod(f, m[i][t], piv)
+                m[i] = [minus_multiple(x, q, y) for x, y in zip(m[i], m[t])]
+            for j in range(t + 1, n):
+                q, _ = _pdivmod(f, m[t][j], piv)
+                for row in m:
+                    row[j] = minus_multiple(row[j], q, row[t])
+            if any(m[i][t] for i in range(t + 1, n)) or any(m[t][j] for j in range(t + 1, n)):
+                continue  # a remainder of lower degree is left: pivot on it
+            bad = next(
+                (i for i in range(t + 1, n) for j in range(t + 1, n) if _pdivmod(f, m[i][j], piv)[1]),
+                None,
+            )
+            if bad is None:
+                break
+            m[t] = [_padd(f, x, y) for x, y in zip(m[t], m[bad])]
+        diagonal.append(_pmonic(f, m[t][t]))
+    return tuple(d for d in diagonal if len(d) >= 2)
+
+
+def _poly_at(p, a):
+    """p(a) by Horner's rule."""
+    f, n = a.field, a.rows
+    out = zero_matrix(f, n)
+    for c in reversed(p):
+        out = out * a + identity_matrix(f, n).scale(f.scalar(c))
+    return out
+
+
+def _oracle_matrices():
+    """Every matrix of three small ambients and 500 seeded ones of four more."""
+    for p, k, n in ((2, 2, 2), (2, 1, 3), (5, 1, 2)):
+        yield from enumerate_matrices(field_make(p, k), n, n)
+    for p, k, n in ((3, 1, 3), (2, 1, 4), (2, 2, 3), (2, 1, 5)):
+        f = field_make(p, k)
+        rng = random.Random(f"{f.q}:{n}")
+        for _ in range(500):
+            yield Matrix(f, n, n, tuple(rng.randrange(f.q) for _ in range(n * n)))
+
+
+class TestInvariantFactorOracle:
+    def test_krylov_route_matches_smith_of_xI_minus_a(self):
+        count = 0
+        for a in _oracle_matrices():
+            assert invariant_factors(a) == _smith_of_xI_minus_a(a), format_matrix(a)
+            count += 1
+        assert count == 256 + 512 + 625 + 4 * 500
+
+    def test_closed_form_facts(self):
+        for a in _oracle_matrices():
+            f, n = a.field, a.rows
+            fac = invariant_factors(a)
+            assert sum(len(c) - 1 for c in fac) == n
+            for lo, hi in zip(fac, fac[1:]):
+                assert _pdivmod(f, hi, lo)[1] == ()
+            assert _poly_at(fac[-1], a).is_zero()
 
 
 class TestSubspace:
