@@ -23,6 +23,7 @@ from . import __version__
 from .conjugacy import class_key, core_chain, core_decomposition, sg_classes
 from .engine import ambient, mat_set
 from .errors import (
+    BadSignature,
     CapExceeded,
     DimMismatch,
     InternalError,
@@ -161,7 +162,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _sig(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise BadSignature(f"signature must be comma-separated integers, got {text!r}") from None
 
 
 def _flag_of(args, field, flag_text, sig_text):
@@ -169,7 +173,10 @@ def _flag_of(args, field, flag_text, sig_text):
         raise ValueError("give exactly one of --flag and --sig")
     if flag_text is not None:
         return parse_flag(field, args.n, flag_text)
-    return standard_flag(field, _sig(sig_text))
+    sig = _sig(sig_text)
+    if sum(sig) != args.n:
+        raise BadSignature(f"signature {sig} does not sum to --n {args.n}")
+    return standard_flag(field, sig)
 
 
 def _square_matrix(field, n, text):

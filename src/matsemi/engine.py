@@ -178,14 +178,14 @@ def _verify_associativity(grid_np: np.ndarray, m: int, exhaustive_cap: int = 512
     if m == 0:
         return
     if m <= exhaustive_cap:
-        # chunk over the first axis to bound memory at ~m^2 ints per slab
-        for a0 in range(0, m, 64):
-            a1 = min(a0 + 64, m)
-            left = grid_np[grid_np[a0:a1]]  # (a, b, c) -> (ab)c
-            right = grid_np[a0:a1][:, grid_np]  # (a, b, c) -> a(bc)
+        # one left factor at a time: two m x m int arrays per step
+        for a in range(m):
+            row = grid_np[a]
+            left = grid_np[row]  # (b, c) -> (ab)c
+            right = row[grid_np]  # (b, c) -> a(bc)
             if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)[0]
-                raise InternalError(f"associativity failed at triple {tuple(bad)}")
+                b, c = np.argwhere(left != right)[0]
+                raise InternalError(f"associativity failed at triple {(a, int(b), int(c))}")
     else:
         rng = random.Random(0xA550C)
         for _ in range(100_000):

@@ -209,9 +209,14 @@ def nilpotency_degree(s) -> int | None:
 def power_image_flag(s) -> Flag:
     """Flag of spans of power images: V_{k-i} spans the images of all
     i-fold products, where k is the nilpotency degree (must be >= 2)."""
+    table, k = _nil_table(s)
+    return _power_image_flag(s, table, k)
+
+
+def _power_image_flag(s, table, k) -> Flag:
+    """power_image_flag on the table and degree the caller already built."""
     from .engine import power_sets
 
-    table, k = _nil_table(s)
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
@@ -237,12 +242,17 @@ def is_k_maximal(s) -> bool:
     Fixed-point test: s must equal the full semigroup of its power-image
     flag.
     """
-    k = _nil_table(s)[1]
+    table, k = _nil_table(s)
+    return _is_k_maximal(s, table, k)
+
+
+def _is_k_maximal(s, table, k) -> bool:
+    """is_k_maximal on the table and degree the caller already built."""
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 has no flag test")
-    return s.as_set() == flag_semigroup(power_image_flag(s)).as_set()
+    return s.as_set() == flag_semigroup(_power_image_flag(s, table, k)).as_set()
 
 
 def consolidates(f: Flag, f2: Flag) -> bool:
@@ -318,27 +328,48 @@ def flag_transporter(f: Flag, f2: Flag) -> Matrix:
 # flag inventories (small ambients)
 
 
+def _flag_key(fl: Flag):
+    return (fl.length, tuple(s.basis for s in fl.interior))
+
+
 def all_flags(field: FieldSpec, n: int, cap: int = ENUM_CAP) -> list[Flag]:
     """Every flag of F^n (all lengths, including the length-1 flag)."""
     flags: list[Flag] = []
-
-    def extend(chain: tuple[Subspace, ...], dim: int):
-        flags.append(flag_make(field, n, chain))
-        for d in range(dim + 1, n):
-            for s in enumerate_subspaces(field, n, d, cap=cap):
-                if not chain or s.contains(chain[-1]):
-                    extend(chain + (s,), d)
-
-    extend((), 0)
-    flags.sort(key=lambda fl: (fl.length, tuple(s.basis for s in fl.interior)))
+    # one signature per composition of n: cut or not after each of 1..n-1
+    for cuts in itertools.product((False, True), repeat=max(n - 1, 0)):
+        ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [n]
+        sig = [hi - lo for lo, hi in zip([0] + ends, ends) if hi > lo]
+        flags.extend(flags_with_signature(field, n, sig, cap=cap))
+    flags.sort(key=_flag_key)
     return flags
 
 
 def flags_with_signature(field: FieldSpec, n: int, sig, cap: int = ENUM_CAP) -> list[Flag]:
+    """Every flag of F^n with the given signature, sorted like all_flags.
+
+    Only the prescribed partial dimensions d_1, d_1 + d_2, ... are walked:
+    each level keeps the subspaces of its dimension containing the one
+    chosen at the level below.
+    """
     sig = tuple(sig)
     if sum(sig) != n or any(d < 1 for d in sig):
         raise SignatureMismatch(f"signature {sig} does not fit ambient {n}")
-    return [fl for fl in all_flags(field, n, cap=cap) if fl.signature == sig]
+    levels = [
+        enumerate_subspaces(field, n, d, cap=cap) for d in itertools.accumulate(sig[:-1])
+    ]
+    flags: list[Flag] = []
+
+    def extend(chain: tuple[Subspace, ...]):
+        if len(chain) == len(levels):
+            flags.append(flag_make(field, n, chain))
+            return
+        for s in levels[len(chain)]:
+            if not chain or s.contains(chain[-1]):
+                extend(chain + (s,))
+
+    extend(())
+    flags.sort(key=_flag_key)
+    return flags
 
 
 def standard_flag(field: FieldSpec, sig) -> Flag:

@@ -37,7 +37,7 @@ from .errors import (
     SignatureMismatch,
     ZeroElement,
 )
-from .flags import PHI_CAP, Flag, flag_basis, flag_semigroup, flag_transporter, is_k_maximal
+from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_transporter
 from .gf import Matrix, mat_inverse, mat_kernel, mat_image, mat_rank
 
 # K cells are indexed by (prec depth, ll depth); only these pairs are defined.
@@ -222,7 +222,7 @@ def nil_context(flag: Flag, cap: int = PHI_CAP) -> NilContext:
     nd = table_nd(table)
     if nd != flag.length:  # pragma: no cover
         raise InvariantViolation(f"nilpotency degree {nd} != flag length {flag.length}")
-    if not is_k_maximal(t):  # pragma: no cover
+    if not _is_k_maximal(t, table, nd):  # pragma: no cover
         raise InvariantViolation("flag semigroup is not maximal for its degree")
     return NilContext(flag, t, table)
 

@@ -56,6 +56,25 @@ class TestExitCodes:
         assert code == 2
         assert text.startswith("error DimMismatch")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nil", "fingerprint", "--field", "2", "--n", "4", "--sig", "1,1"],
+            ["flags", "phi", "--field", "2", "--n", "4", "--sig", "1,2"],
+        ],
+        ids=["nil-fingerprint", "flags-phi"],
+    )
+    def test_sig_must_sum_to_n(self, argv):
+        text, code = run_command(argv)
+        assert code == 2
+        assert text.startswith("error BadSignature")
+
+    @pytest.mark.parametrize("sig", ["1,x", ""], ids=["not-int", "empty"])
+    def test_sig_must_be_integers(self, sig):
+        text, code = run_command(["flags", "phi", "--field", "2", "--n", "3", "--sig", sig])
+        assert code == 2
+        assert text.startswith("error BadSignature")
+
     def test_cap_exceeded_is_three(self):
         # sig (1,2) over F2 yields exactly 2^(1*2) = 4 elements; cap 4 fits
         text, code = run_command(

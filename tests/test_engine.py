@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
+from matsemi.engine import _verify_associativity
+from matsemi.errors import InternalError
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -281,3 +285,23 @@ def test_product_grid_matches_direct_products():
     for i in range(4):
         for j in range(4):
             assert elems4[grid4[i][j]] == elems4[i] * elems4[j]
+
+
+class TestAssociativityCheck:
+    def test_associative_grids_pass(self):
+        for m in (100, 600):  # exhaustive and sampled branches
+            a = np.arange(m, dtype=np.int32)
+            _verify_associativity((a[:, None] + a[None, :]) % m, m)
+
+    def test_witness_is_the_first_failing_triple(self):
+        grid = np.zeros((100, 100), dtype=np.int32)
+        grid[70, 0] = 5  # 70(0 0) = 70 0 = 5, but (70 0)0 = 5 0 = 0
+        with pytest.raises(InternalError, match=re.escape("at triple (70, 0, 0)")):
+            _verify_associativity(grid, 100)
+
+    def test_sampled_branch_raises(self):
+        m = 600  # above the exhaustive cap: random triples are checked
+        a = np.arange(m, dtype=np.int32)
+        grid = (a[:, None] - a[None, :]) % m  # (a-b)-c != a-(b-c) unless 2c = 0
+        with pytest.raises(InternalError, match="associativity failed"):
+            _verify_associativity(grid, m)

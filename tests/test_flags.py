@@ -10,6 +10,7 @@ from matsemi import (
     SignatureMismatch,
     all_flags,
     consolidates,
+    enumerate_subspaces,
     field_make,
     flag_basis,
     flag_make,
@@ -17,6 +18,7 @@ from matsemi import (
     flag_transporter,
     flags_with_signature,
     format_flag,
+    gaussian_binomial,
     is_k_maximal,
     lowers_flag,
     mat_inverse,
@@ -189,3 +191,52 @@ def test_flags_with_signature_counts():
     assert len(flags_with_signature(F2, 3, (2, 1))) == 7
     assert len(flags_with_signature(F2, 3, (1, 1, 1))) == 21
     assert len(flags_with_signature(F3, 2, (1, 1))) == 4
+
+
+def _oracle_all_flags(field, n):
+    """Every flag of F^n by the all-lengths recursion: each chain met on the
+    way is itself a flag, extended by every larger subspace containing its
+    top."""
+    flags = []
+
+    def extend(chain, dim):
+        flags.append(flag_make(field, n, chain))
+        for d in range(dim + 1, n):
+            for s in enumerate_subspaces(field, n, d):
+                if not chain or s.contains(chain[-1]):
+                    extend(chain + (s,), d)
+
+    extend((), 0)
+    flags.sort(key=lambda fl: (fl.length, tuple(s.basis for s in fl.interior)))
+    return flags
+
+
+def _q_multinomial(sig, q):
+    """Flags of signature sig: choose V_i inside V_{i+1}, top level first."""
+    out, total = 1, 0
+    for d in sig:
+        total += d
+        out *= gaussian_binomial(total, d, q)
+    return out
+
+
+class TestFlagOracle:
+    @pytest.mark.parametrize(
+        "field, n",
+        [(F2, 1), (F2, 2), (F2, 3), (F2, 4), (F3, 3), (field_make(2, 2), 3), (field_make(5), 2)],
+        ids=["2-1", "2-2", "2-3", "2-4", "3-3", "4-3", "5-2"],
+    )
+    def test_matches_the_all_lengths_recursion(self, field, n):
+        oracle = _oracle_all_flags(field, n)
+        assert all_flags(field, n) == oracle
+        sigs = {fl.signature for fl in oracle}
+        assert len(sigs) == 2 ** (n - 1)  # one per composition of n
+        for sig in sigs:
+            group = flags_with_signature(field, n, sig)
+            assert group == [fl for fl in oracle if fl.signature == sig]
+            assert len(group) == _q_multinomial(sig, field.q)
+
+    def test_q_multinomial_counts(self):
+        for sig in ((1, 3), (2, 2), (3, 1)):
+            assert len(flags_with_signature(F3, 4, sig)) == _q_multinomial(sig, 3)
+        assert [_q_multinomial(s, 3) for s in ((1, 3), (2, 2), (3, 1))] == [40, 130, 40]

@@ -27,6 +27,7 @@ from matsemi import (
     u_stat,
     unit_matrix,
 )
+from matsemi import engine, flags, nilclass
 from matsemi.errors import BadSignature
 from matsemi.nilclass import K_PAIRS
 
@@ -325,3 +326,33 @@ class TestIso:
 def test_context_requires_length_two():
     with pytest.raises(PreconditionViolated):
         nil_context(standard_flag(F2, (3,)))
+
+
+class TestOneTablePerContext:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = engine.build_table
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for mod in (engine, nilclass, flags):
+            if getattr(mod, "build_table", None) is real:
+                monkeypatch.setattr(mod, "build_table", counting)
+        return calls
+
+    @pytest.mark.parametrize("sig", [(1, 2), (2, 1), (1, 1, 1), (1, 1, 2)])
+    def test_nil_context_builds_one_table(self, builds, sig):
+        ctx = nil_context.__wrapped__(standard_flag(F2, sig))
+        assert builds == [ctx.t]
+
+    @pytest.mark.parametrize("sig", [(1, 2), (1, 1, 1), (1, 2, 1)])
+    def test_public_flag_tests_build_one_table(self, builds, sig):
+        s = flags.flag_semigroup(standard_flag(F2, sig))
+        assert flags.is_k_maximal(s)
+        assert builds == [s]
+        builds.clear()
+        assert flags.power_image_flag(s) == standard_flag(F2, sig)
+        assert builds == [s]
