@@ -2,8 +2,8 @@
 
 Every subcommand assembles one report (a nested dict with fixed key order)
 and renders it as json, csv, or text.  json and csv are deterministic down
-to the byte — identical across --threads settings, with timing_ms pinned to
-null; the text format is for humans and carries real wall times.
+to the byte, with timing_ms pinned to null; the text format is for humans
+and carries real wall times.
 
 csv rows are `path,value` with the value as the unsplit tail of the line,
 so values may themselves contain commas (matrix text does); parse with
@@ -32,12 +32,12 @@ from .errors import (
 )
 from .flags import (
     PHI_CAP,
+    _is_k_maximal,
+    _nil_table,
+    _power_image_flag,
     flag_semigroup,
     format_flag,
-    is_k_maximal,
-    nilpotency_degree,
     parse_flag,
-    power_image_flag,
     standard_flag,
 )
 from .flags import consolidates as flag_consolidates
@@ -79,7 +79,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--field", required=True, help="field size p or p^k")
             p.add_argument("--n", required=True, type=int, help="ambient matrix dimension")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--max-elems", type=int, default=None, dest="max_elems")
         p.add_argument("--out", default=None)
 
@@ -205,7 +204,7 @@ def _polys(key) -> list[str]:
 
 
 def _do_classes(args, field):
-    part = sg_classes(field, args.n, method="theorem", threads=args.threads)
+    part = sg_classes(field, args.n, method="theorem")
     cls = part.classes()
     amb = ambient(field, args.n)
     result = {
@@ -215,7 +214,7 @@ def _do_classes(args, field):
         "classes": [[format_matrix(amb.mats[x]) for x in c] for c in cls],
     }
     if args.check == "brute":
-        brute = sg_classes(field, args.n, method="brute", threads=args.threads).classes()
+        brute = sg_classes(field, args.n, method="brute").classes()
         if brute != cls:
             raise VerificationFailed(
                 "structural and brute conjugacy partitions differ",
@@ -271,10 +270,11 @@ def _do_flags_phi(args, field):
 
 def _do_flags_psi(args, field):
     s = _elements(field, args.n, args.elements)
-    fl = power_image_flag(s)
+    table, k = _nil_table(s)
+    fl = _power_image_flag(s, table, k)
     return {
         "elements": len(s),
-        "nilpotency_degree": nilpotency_degree(s),
+        "nilpotency_degree": k,
         "flag": format_flag(fl),
         "signature": list(fl.signature),
     }
@@ -282,10 +282,11 @@ def _do_flags_psi(args, field):
 
 def _do_flags_maximal(args, field):
     s = _elements(field, args.n, args.elements)
+    table, k = _nil_table(s)
     return {
         "elements": len(s),
-        "nilpotency_degree": nilpotency_degree(s),
-        "maximal": is_k_maximal(s),
+        "nilpotency_degree": k,
+        "maximal": _is_k_maximal(s, table, k),
     }
 
 
@@ -401,7 +402,7 @@ def _do_ideal_gen(args, field):
 def _do_verify(args):
     from .verify import run
 
-    rep = run(profile=args.profile, threads=args.threads)
+    rep = run(profile=args.profile)
     return {
         "profile": rep.profile,
         "passed": rep.passed,

@@ -11,9 +11,10 @@ v u = next.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, InvariantViolation
 from .gf import (
@@ -200,21 +201,13 @@ def primary_conjugation_witness(a: Matrix, b: Matrix, cap: int = WITNESS_SCAN_CA
 # conjugacy classes of the full semigroup
 
 
-def _brute_pairs(grid, rows):
-    pairs = set()
-    for x in rows:
-        rx = grid[x]
-        for y in range(len(rx)):
-            pairs.add((int(rx[y]), int(grid[y][x])))
-    return pairs
-
-
-def sg_classes(field: FieldSpec, n: int, method: str = "theorem", threads: int = 1):
+def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
     """Partition of the full n x n semigroup into conjugacy classes.
 
     method "theorem" groups elements by the similarity key of their cores;
     method "brute" takes the transitive closure of the primary relation
-    {(x y, y x)} over the multiplication grid.  Both return the same
+    {(x y, y x)} over the multiplication grid, marking the unordered id
+    pairs in an m*m bitmap 64 grid rows at a time.  Both return the same
     Partition over ambient element ids.
     """
     from .engine import Partition, ambient, equiv_closure
@@ -222,22 +215,10 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem", threads: int =
     amb = ambient(field, n)
     m = amb.m
     if method == "theorem":
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunk = (m + threads - 1) // threads
-
-            def keys_of(lo):
-                return [invariant_factors(core(amb.mats[x])) for x in range(lo, min(lo + chunk, m))]
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(keys_of, range(0, m, chunk)))
-            keys = [k for part in parts for k in part]
-        else:
-            keys = [invariant_factors(core(a)) for a in amb.mats]
         first: dict = {}
         part = Partition(m)
-        for x, k in enumerate(keys):
+        for x, a in enumerate(amb.mats):
+            k = invariant_factors(core(a))
             if k in first:
                 part.union(first[k], x)
             else:
@@ -245,17 +226,13 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem", threads: int =
         return part
     if method == "brute":
         grid = amb.grid
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunk = (m + threads - 1) // threads
-            spans = [range(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                sets = list(ex.map(lambda rows: _brute_pairs(grid, rows), spans))
-            pairs = set().union(*sets)
-        else:
-            pairs = _brute_pairs(grid, range(m))
-        return equiv_closure(m, sorted(pairs))
+        seen = np.zeros(m * m, dtype=bool)
+        for lo in range(0, m, 64):
+            xy = grid[lo : lo + 64].astype(np.int64)  # rows x, columns y
+            yx = grid[:, lo : lo + 64].T.astype(np.int64)
+            seen[np.minimum(xy, yx) * m + np.maximum(xy, yx)] = True
+        keys = np.flatnonzero(seen)
+        return equiv_closure(m, np.stack([keys // m, keys % m], axis=1))
     raise InvariantViolation(f"unknown method {method!r}")
 
 

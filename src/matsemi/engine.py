@@ -4,20 +4,19 @@ Everything here works on interned element ids: a MatSet fixes the canonical
 element order (rank, then entry codes), build_table turns a closed MatSet
 into a multiplication grid, and the remaining utilities (closures,
 union-find partitions, subsemigroup scans, table isomorphism, preorder
-depths) operate on grids only.  Prime fields get a numpy fast path for the
-product grids; extension fields fall back to pure Python.
+depths) operate on grids only.  Product grids and closures multiply integer
+code arrays with gf.batch_mul, one kernel for every GF(q).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, NotClosed
-from .gf import FieldSpec, Matrix, mat_rank, mat_sort_key
+from .gf import FieldSpec, Matrix, batch_mul, code_keys, codes_array, mat_rank, mat_sort_key
 
 CLOSURE_CAP = 1 << 20
 SUBSEMIGROUP_CAP = 16
@@ -66,68 +65,32 @@ def mat_set(field: FieldSpec, dim: int, mats) -> MatSet:
 # product grids
 
 
-def _codes_array(elements) -> np.ndarray:
-    return np.array([m.codes for m in elements], dtype=np.int64)
-
-
-def _grid_prime(elements, p: int, dim: int):
-    """All pairwise products by id for a prime field, or the first escaping
-    pair.  Returns (grid, None) or (None, (a_id, b_id, product_matrix))."""
-    m = len(elements)
-    arr = _codes_array(elements).reshape(m, dim, dim)
-    keys = np.array(
-        [sum(c * (p ** i) for i, c in enumerate(mm.codes)) for mm in elements], dtype=np.int64
-    )
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    qpow = np.array([p ** i for i in range(dim * dim)], dtype=np.int64)
-    grid = np.empty((m, m), dtype=np.int32)
-    f = elements[0].field
-    for a in range(m):
-        prod = (arr[a] @ arr) % p  # (m, dim, dim)
-        pkeys = prod.reshape(m, dim * dim) @ qpow
-        pos = np.searchsorted(sorted_keys, pkeys)
-        pos_clip = np.minimum(pos, m - 1)
-        ok = sorted_keys[pos_clip] == pkeys
-        if not ok.all():
-            b = int(np.nonzero(~ok)[0][0])
-            bad = Matrix(f, dim, dim, tuple(int(x) for x in prod[b].reshape(-1)))
-            return None, (a, b, bad)
-        grid[a] = order[pos_clip]
-    return grid, None
-
-
-def _grid_generic(elements):
-    index = {m.codes: i for i, m in enumerate(elements)}
-    m = len(elements)
-    grid = [[0] * m for _ in range(m)]
-    for a, ma in enumerate(elements):
-        row = grid[a]
-        for b, mb in enumerate(elements):
-            prod = ma * mb
-            pid = index.get(prod.codes)
-            if pid is None:
-                return None, (a, b, prod)
-            row[b] = pid
-    return np.array(grid, dtype=np.int32), None
-
-
 def product_grid(elements) -> np.ndarray:
-    """id x id -> id multiplication grid; NotClosed with witness otherwise."""
-    if not elements:
+    """id x id -> id multiplication grid; NotClosed with witness otherwise.
+
+    One row at a time: the products of a with every element, looked up by
+    code key among the sorted keys of the elements.
+    """
+    m = len(elements)
+    if not m:
         return np.zeros((0, 0), dtype=np.int32)
     f = elements[0].field
-    dim = elements[0].rows
-    if f.k == 1:
-        grid, escape = _grid_prime(elements, f.p, dim)
-    else:
-        grid, escape = _grid_generic(elements)
-    if escape is not None:
-        a, b, prod = escape
-        raise NotClosed(
-            "set not closed under multiplication",
-            witness=(elements[a], elements[b], prod),
-        )
+    arr = codes_array(elements)
+    keys = code_keys(f, arr)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    grid = np.empty((m, m), dtype=np.int32)
+    for a in range(m):
+        pkeys = code_keys(f, batch_mul(f, arr[a], arr))
+        pos = np.minimum(np.searchsorted(sorted_keys, pkeys), m - 1)
+        ok = sorted_keys[pos] == pkeys
+        if not ok.all():
+            b = int(np.argmin(ok))
+            raise NotClosed(
+                "set not closed under multiplication",
+                witness=(elements[a], elements[b], elements[a] * elements[b]),
+            )
+        grid[a] = order[pos]
     return grid
 
 
@@ -269,58 +232,34 @@ def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
 
 
 def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
-    """Multiplicative closure of seed, canonical order, capped."""
+    """Multiplicative closure of seed, canonical order, capped.
+
+    Elements are taken in the order found; each is multiplied on both sides
+    by itself and every element found before it, and the products not yet
+    known are appended.
+    """
     if len(seed) == 0:
         return seed
     f, dim = seed.field, seed.dim
-    if f.k == 1:
-        return _closure_prime(seed, cap)
-    known = {m.codes: m for m in seed.elements}
-    frontier = list(seed.elements)
-    while frontier:
-        new = {}
-        all_mats = list(known.values())
-        for a in frontier:
-            for b in all_mats:
-                for prod in (a * b, b * a):
-                    if prod.codes not in known and prod.codes not in new:
-                        new[prod.codes] = prod
-        if len(known) + len(new) > cap:
+    found = codes_array(seed.elements)
+    known = code_keys(f, found)
+    count = len(found)
+    i = 0
+    while i < count:
+        done = found[: i + 1]
+        prods = np.concatenate([batch_mul(f, found[i], done), batch_mul(f, done, found[i])])
+        pkeys = code_keys(f, prods)
+        fresh = ~np.isin(pkeys, known)
+        new_keys, first = np.unique(pkeys[fresh], return_index=True)
+        total = count + len(new_keys)
+        if total > cap:
             raise CapExceeded(f"closure exceeds cap {cap}")
-        known.update(new)
-        frontier = list(new.values())
-    return mat_set(f, dim, known.values())
-
-
-def _closure_prime(seed: MatSet, cap: int) -> MatSet:
-    f, dim, p = seed.field, seed.dim, seed.field.p
-    qpow = np.array([p ** i for i in range(dim * dim)], dtype=np.int64)
-
-    def keys_of(arr):
-        return arr.reshape(len(arr), dim * dim) @ qpow
-
-    all_arr = _codes_array(seed.elements).reshape(-1, dim, dim)
-    known = {int(k) for k in keys_of(all_arr)}
-    frontier = all_arr
-    while len(frontier):
-        prods = np.einsum("aij,bjk->abik", frontier, all_arr) % p
-        prods2 = np.einsum("aij,bjk->abik", all_arr, frontier) % p
-        stack = np.concatenate(
-            [prods.reshape(-1, dim, dim), prods2.reshape(-1, dim, dim)]
-        )
-        pkeys = keys_of(stack)
-        fresh_keys, first_idx = np.unique(pkeys, return_index=True)
-        mask = np.array([int(k) not in known for k in fresh_keys])
-        fresh = stack[first_idx[mask]]
-        if len(known) + len(fresh) > cap:
-            raise CapExceeded(f"closure exceeds cap {cap}")
-        if not len(fresh):
-            break
-        for k in fresh_keys[mask]:
-            known.add(int(k))
-        all_arr = np.concatenate([all_arr, fresh])
-        frontier = fresh
-    mats = [Matrix(f, dim, dim, tuple(int(x) for x in row.reshape(-1))) for row in all_arr]
+        if total > len(found):
+            found = np.resize(found, (2 * total, dim, dim))
+        found[count:total] = prods[fresh][first]
+        known = np.concatenate([known, new_keys])
+        count, i = total, i + 1
+    mats = (Matrix(f, dim, dim, tuple(row)) for row in found[:count].reshape(count, -1).tolist())
     return mat_set(f, dim, mats)
 
 
@@ -358,11 +297,14 @@ def closure_ids(grid, seed, abort_ids=None):
 
 
 class Partition:
-    """Union-find over ids 0..m-1 with canonical least-id representatives."""
+    """Union-find over ids 0..m-1 with canonical least-id representatives.
 
-    def __init__(self, m: int):
+    parent, when given, maps every id to the least id of its class.
+    """
+
+    def __init__(self, m: int, parent=None):
         self.m = m
-        self._parent = list(range(m))
+        self._parent = list(range(m)) if parent is None else list(parent)
 
     def find(self, x: int) -> int:
         p = self._parent
@@ -388,10 +330,6 @@ class Partition:
             groups.setdefault(self.find(x), []).append(x)
         return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
-    @property
-    def num_classes(self) -> int:
-        return len({self.find(x) for x in range(self.m)})
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.classes() == other.classes()
 
@@ -400,11 +338,25 @@ class Partition:
 
 
 def equiv_closure(m: int, pairs) -> Partition:
-    """Smallest equivalence relation containing the given id pairs."""
-    part = Partition(m)
-    for a, b in pairs:
-        part.union(a, b)
-    return part
+    """Smallest equivalence relation containing the given id pairs.
+
+    Least-id label propagation: each round lowers both ends of every pair to
+    the smaller of their labels, then points each label at its own label,
+    until nothing moves.  The fixed point labels every id by the least id
+    of its component.
+    """
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    a, b = edges[:, 0], edges[:, 1]
+    label = np.arange(m)
+    while True:
+        low = np.minimum(label[a], label[b])
+        nxt = label.copy()
+        np.minimum.at(nxt, a, low)
+        np.minimum.at(nxt, b, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return Partition(m, label.tolist())
+        label = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +620,7 @@ def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Ambient:
 
     s = mat_set(field, n, enumerate_matrices(field, n, n, cap=cap))
     grid = product_grid(s.elements)
+    grid.flags.writeable = False  # shared by every caller through the cache
     index = {m.codes: i for i, m in enumerate(s.elements)}
     zero_id = index[(0,) * (n * n)]
     from .gf import identity_matrix

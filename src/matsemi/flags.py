@@ -21,7 +21,6 @@ from .errors import (
     InvariantViolation,
     NotAChain,
     NotNilpotent,
-    PreconditionViolated,
     SignatureMismatch,
 )
 from .gf import (
@@ -32,7 +31,6 @@ from .gf import (
     enumerate_subspaces,
     format_subspace,
     full_space,
-    identity_matrix,
     mat_image,
     mat_inverse,
     parse_subspace,
@@ -263,45 +261,6 @@ def consolidates(f: Flag, f2: Flag) -> bool:
         raise DimMismatch("flags of different ambient spaces")
     have = set(f.chain)
     return all(s in have for s in f2.chain)
-
-
-def connecting_map(f: Flag, v: tuple[int, ...], w: tuple[int, ...]) -> Matrix:
-    """A flag-lowering matrix sending v to w and killing a complement of v.
-
-    Requires v in V_i \\ V_{i-1} and w in V_{i-1} \\ V_{i-2} for some
-    i >= 2.  Built by completing v to an adapted basis and annihilating the
-    other basis vectors, so the result lies in the flag's semigroup.
-    """
-    n = f.ambient
-    iv = f.stratum_of(tuple(v))
-    iw = f.stratum_of(tuple(w))
-    if iv < 2 or iw != iv - 1:
-        raise PreconditionViolated(
-            f"need strata (i, i-1) with i >= 2, got v in stratum {iv}, w in stratum {iw}"
-        )
-    # complete v to an adapted basis: v first within its stratum's sweep
-    cols: list[tuple[int, ...]] = []
-    span = zero_subspace(f.field, n)
-    v = tuple(v)
-    for idx, s in enumerate(f.chain[1:], start=1):
-        candidates = itertools.chain([v] if idx == iv else [], s.vectors())
-        for vec in candidates:
-            if not any(vec) or span.contains_vector(vec):
-                continue
-            cols.append(vec)
-            span = span.sum_(subspace(f.field, n, [vec]))
-            if span.dim == s.dim:
-                break
-    p_mat = Matrix(f.field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
-    j0 = cols.index(v)
-    codes = [0] * (n * n)
-    for i in range(n):
-        codes[i * n + j0] = w[i]
-    a = Matrix(f.field, n, n, tuple(codes)) * mat_inverse(p_mat)
-    img = a * Matrix(f.field, n, 1, v)
-    if tuple(img.codes) != tuple(w) or not lowers_flag(a, f):  # pragma: no cover
-        raise InternalError("connecting map construction failed")
-    return a
 
 
 def flag_transporter(f: Flag, f2: Flag) -> Matrix:

@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass, field as _dfield
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     AmbientMismatch,
     CapExceeded,
@@ -125,14 +127,6 @@ class FieldSpec:
             raise InvariantViolation(f"scalar code {code} outside [0,{self.q})")
         return Scalar(self, code)
 
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
-
 
 def _digits(code, p, k):
     out = []
@@ -218,6 +212,47 @@ def parse_field(text: str, q_cap: int = Q_CAP) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
+# batched matrix arithmetic on integer code arrays
+
+
+def codes_array(mats) -> np.ndarray:
+    """(len, n, n) int64 array of the entry codes of square matrices."""
+    mats = tuple(mats)
+    n = mats[0].rows if mats else 0
+    return np.array([a.codes for a in mats], dtype=np.int64).reshape(len(mats), n, n)
+
+
+@lru_cache(maxsize=None)
+def _key_weights(q: int, nn: int) -> np.ndarray:
+    if q**nn > 1 << 63:
+        raise CapExceeded(f"{nn} entries over F_{q} overflow int64 keys")
+    return q ** np.arange(nn, dtype=np.int64)
+
+
+def code_keys(f: FieldSpec, arr: np.ndarray) -> np.ndarray:
+    """One base-q integer per matrix of a (..., n, n) code array, the
+    row-major codes as digits, least significant first."""
+    nn = arr.shape[-2] * arr.shape[-1]
+    return arr.reshape(*arr.shape[:-2], nn) @ _key_weights(f.q, nn)
+
+
+@lru_cache(maxsize=None)
+def _np_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(f.mul, dtype=np.int64), np.array(f.add, dtype=np.int64)
+
+
+def batch_mul(f: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast matrix product a @ b of code arrays over f."""
+    if f.k == 1:
+        return (a @ b) % f.p
+    mul, add = _np_tables(f)
+    out = mul[a[..., :, 0, None], b[..., None, 0, :]]
+    for l in range(1, a.shape[-1]):
+        out = add[out, mul[a[..., :, l, None], b[..., None, l, :]]]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # scalars
 
 
@@ -252,10 +287,6 @@ class Scalar:
 
     def __bool__(self):
         return self.code != 0
-
-
-def format_scalar(s: Scalar) -> str:
-    return str(s.code)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +355,6 @@ class Matrix:
         mul = self.field.mul
         return Matrix(self.field, self.rows, self.cols, tuple(mul[s.code][c] for c in self.codes))
 
-    def transpose(self) -> "Matrix":
-        c = self.codes
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            tuple(c[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     # -- accessors ---------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
@@ -344,10 +366,6 @@ class Matrix:
     def col_codes(self, j: int) -> tuple[int, ...]:
         return tuple(self.codes[i * self.cols + j] for i in range(self.rows))
 
-    @property
-    def entries(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.field, c) for c in self.codes)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.codes)
 
@@ -358,20 +376,6 @@ class Matrix:
 
     def rank(self) -> int:
         return mat_rank(self)
-
-    def rref(self) -> "Matrix":
-        rows, _ = _rref(self.field, [list(self.row_codes(i)) for i in range(self.rows)])
-        rows = rows + [[0] * self.cols] * (self.rows - len(rows))
-        return Matrix(self.field, self.rows, self.cols, tuple(c for r in rows for c in r))
-
-    def kernel(self) -> "Subspace":
-        return mat_kernel(self)
-
-    def image(self) -> "Subspace":
-        return mat_image(self)
-
-    def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
         return mat_inverse(self)
@@ -582,10 +586,6 @@ class Subspace:
                 if c:
                     v = [add[x][mul[c][y]] for x, y in zip(v, row)]
             yield tuple(v)
-
-    def basis_matrix(self) -> Matrix:
-        """Basis rows as a dim x ambient matrix (zero-row-free)."""
-        return Matrix(self.field, self.dim, self.ambient, tuple(c for r in self.basis for c in r))
 
 
 def subspace(field: FieldSpec, ambient: int, rows) -> Subspace:

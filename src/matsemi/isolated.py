@@ -10,7 +10,6 @@ both by construction and by brute subset scans.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np

@@ -16,7 +16,7 @@ from functools import lru_cache
 from time import perf_counter
 
 from .conjugacy import class_key, core, core_chain, sg_classes
-from .engine import ambient, closure_ids, mat_set, table_iso
+from .engine import ambient, closure_ids, table_iso
 from .errors import MatSemiError, PreconditionViolated
 from .flags import (
     all_flags,
@@ -35,7 +35,7 @@ from .gf import (
     mat_rank,
     similar,
 )
-from .isolated import enumerate_isolated, ideal, ideal_generated_by_stratum
+from .isolated import enumerate_isolated, ideal_generated_by_stratum
 from .nilclass import (
     annihilator_census,
     depth_sets,
@@ -96,13 +96,13 @@ def _battery():
 # criteria
 
 
-def criterion_01(pairs=CLASS_PAIRS, threads: int = 1) -> CriterionResult:
+def criterion_01(pairs=CLASS_PAIRS) -> CriterionResult:
     t0 = perf_counter()
     details, witness = [], None
     for n, q in pairs:
         f = field_make(*_pk(q))
-        left = sg_classes(f, n, method="theorem", threads=threads).classes()
-        right = sg_classes(f, n, method="brute", threads=threads).classes()
+        left = sg_classes(f, n, method="theorem").classes()
+        right = sg_classes(f, n, method="brute").classes()
         details.append((f"classes_n{n}_q{q}", len(left)))
         if left != right and witness is None:
             bad = next(c for c, d in zip(left, right) if c != d)
@@ -445,42 +445,38 @@ DETERMINISM_COMMANDS = (
 
 
 def criterion_13() -> CriterionResult:
+    """Each command renders twice in json and csv; the second run sees warm
+    caches, and its bytes must equal the first's."""
     from .cli import run_command
 
     t0 = perf_counter()
     witness = None
     compared = 0
     for argv in DETERMINISM_COMMANDS:
-        outs = []
-        for threads in ("1", "8"):
-            for fmt in ("json", "csv"):
-                text, code = run_command([*argv, "--format", fmt, "--threads", threads])
-                if code != 0:
-                    witness = f"{' '.join(argv)} --format {fmt}: exit {code}"
-                    break
-                outs.append((fmt, text))
+        for fmt in ("json", "csv"):
+            (text, code), again = (run_command([*argv, "--format", fmt]) for _ in range(2))
+            if code != 0:
+                witness = f"{' '.join(argv)} --format {fmt}: exit {code}"
+            elif again != (text, code):
+                witness = f"{' '.join(argv)} --format {fmt}: reports differ between two runs"
             if witness:
                 break
         if witness:
             break
-        first, second = outs[:2], outs[2:]
-        if first != second:
-            witness = f"{' '.join(argv)}: reports differ between 1 and 8 threads"
-            break
         compared += 1
     details = [("commands", compared), ("byte_identical", witness is None)]
-    return _result("13", "reports are thread-independent", t0, details, witness)
+    return _result("13", "reports are byte-reproducible", t0, details, witness)
 
 
 # ---------------------------------------------------------------------------
 # full-profile extras
 
 
-def extra_classes_q5(threads: int = 1) -> CriterionResult:
+def extra_classes_q5() -> CriterionResult:
     t0 = perf_counter()
     f5 = field_make(5)
-    left = sg_classes(f5, 2, method="theorem", threads=threads).classes()
-    right = sg_classes(f5, 2, method="brute", threads=threads).classes()
+    left = sg_classes(f5, 2, method="theorem").classes()
+    right = sg_classes(f5, 2, method="brute").classes()
     witness = None if left == right else "structural and brute partitions differ on M(2,F5)"
     details = [("classes_n2_q5", len(left)), ("agree", witness is None)]
     return _result("14", "conjugacy oracle at q=5", t0, details, witness)
@@ -555,7 +551,7 @@ _REGISTRY = (
     ("10", "annihilator census of the width-one middle context", criterion_10),
     ("11", "rank strata generate the ideals", criterion_11),
     ("12", "isolated subsemigroup classification", criterion_12),
-    ("13", "reports are thread-independent", criterion_13),
+    ("13", "reports are byte-reproducible", criterion_13),
 )
 
 _EXTRAS = (
@@ -564,7 +560,7 @@ _EXTRAS = (
 )
 
 
-def run(profile: str = "quick", threads: int = 1) -> VerifyReport:
+def run(profile: str = "quick") -> VerifyReport:
     if profile not in ("quick", "full"):
         raise PreconditionViolated(f"unknown profile {profile!r}")
     plan = list(_REGISTRY)
@@ -573,8 +569,6 @@ def run(profile: str = "quick", threads: int = 1) -> VerifyReport:
     results = []
     for key, title, fn in plan:
         kwargs = {}
-        if key in ("01", "14"):
-            kwargs["threads"] = threads
         if key == "01":
             kwargs["pairs"] = CLASS_PAIRS if profile == "full" else CLASS_PAIRS_QUICK
         t0 = perf_counter()

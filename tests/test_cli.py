@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, determinism, report round-trips."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import matsemi
+from matsemi import engine, flags, nilclass
 from matsemi.cli import run_command
 from matsemi.engine import ambient
 from matsemi.errors import VerificationFailed
@@ -75,6 +78,10 @@ class TestExitCodes:
         assert code == 2
         assert text.startswith("error BadSignature")
 
+    def test_threads_option_is_gone(self):
+        _, code = run_command(["classes", "--field", "2", "--n", "2", "--threads", "2"])
+        assert code == 2
+
     def test_cap_exceeded_is_three(self):
         # sig (1,2) over F2 yields exactly 2^(1*2) = 4 elements; cap 4 fits
         text, code = run_command(
@@ -85,20 +92,24 @@ class TestExitCodes:
 
 
 class TestFaultInjection:
-    def test_poisoned_product_grid_fails_brute_check(self, f2):
-        # Corrupt one cached product so the pair-relation route disagrees
-        # with the class-key route; the check must surface it, not mask it.
+    def test_poisoned_product_grid_fails_brute_check(self, f2, monkeypatch):
+        # Corrupt one product in the cached ambient so the pair-relation
+        # route disagrees with the class-key route; the check must surface
+        # it, not mask it.  The cached grid is read-only, so the poisoned
+        # copy replaces the whole cache entry.
         amb = ambient(f2, 2)
         e12 = amb.index[unit_matrix(f2, 2, 0, 1).codes]
         e21 = amb.index[unit_matrix(f2, 2, 1, 0).codes]
-        old = int(amb.grid[e12, e21])
-        amb.grid[e12, e21] = amb.identity_id
-        try:
+        poisoned = amb.grid.copy()
+        poisoned[e12, e21] = amb.identity_id
+        key = (f2, 2)
+        assert engine._AMBIENT_CACHE[key] is amb
+        with monkeypatch.context() as mp:
+            mp.setitem(engine._AMBIENT_CACHE, key, dataclasses.replace(amb, grid=poisoned))
             text, code = run_command(
                 ["classes", "--field", "2", "--n", "2", "--check", "brute"]
             )
-        finally:
-            amb.grid[e12, e21] = old
+        assert engine._AMBIENT_CACHE[key] is amb
         assert code == 1
         assert text.startswith("error VerificationFailed")
         assert "brute_count = 4" in text and "theorem_count = 5" in text
@@ -108,6 +119,43 @@ class TestFaultInjection:
         )
         assert code2 == 0
         assert json.loads(text2)["result"]["agrees"] is True
+
+
+UPPER8 = " ".join(f"0,{a},{b};0,0,{c};0,0,0" for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+
+class TestOneTablePerRun:
+    # report sha256s recorded before these commands shared one table
+    @pytest.mark.parametrize(
+        "sub,elements,sha256",
+        [
+            ("psi", UPPER8, "af5c29620ad67206e66b0666356598e83391d8caae354d92797092b0a5727f83"),
+            ("maximal", UPPER8, "2844b21a0f415f24aedd13ba69d92b0a5b7f5939bb626e9bcf7c10aa85984567"),
+            (
+                "maximal",
+                "0,0,0;0,0,0;0,0,0 0,0,1;0,0,0;0,0,0",
+                "65bdd0046188b03b99f78d05b368f7c9765d91cf5a77807fa3bc603f175fba5c",
+            ),
+        ],
+        ids=["psi", "maximal", "not-maximal"],
+    )
+    def test_flag_commands_build_one_table(self, monkeypatch, sub, elements, sha256):
+        calls = []
+        real = engine.build_table
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for mod in (engine, flags, nilclass):
+            if getattr(mod, "build_table", None) is real:
+                monkeypatch.setattr(mod, "build_table", counting)
+        text, code = run_command(
+            ["flags", sub, "--field", "2", "--n", "3", "--elements", elements, "--format", "json"]
+        )
+        assert code == 0, text
+        assert len(calls) == 1
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestRoundTrips:
@@ -190,18 +238,15 @@ CHEAP = [
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", CHEAP, ids=lambda a: a[0] + "-" + a[-1])
-    def test_threads_do_not_change_bytes(self, argv):
-        outs = []
-        for threads in ("1", "8"):
-            cp = subprocess.run(
-                [sys.executable, "-m", "matsemi.cli"]
-                + argv
-                + ["--format", "json", "--threads", threads],
-                capture_output=True,
-            )
-            assert cp.returncode == 0, cp.stderr.decode()
-            outs.append(cp.stdout)
-        assert outs[0] == outs[1]
+    def test_subprocess_matches_in_process(self, argv):
+        cp = subprocess.run(
+            [sys.executable, "-m", "matsemi.cli"] + argv + ["--format", "json"],
+            capture_output=True,
+        )
+        assert cp.returncode == 0, cp.stderr.decode()
+        text, code = run_command(argv + ["--format", "json"])
+        assert code == 0
+        assert cp.stdout == text.encode()
 
     def test_console_script_installed(self, tmp_path):
         # The `matsemi` a shell user runs is the wrapper that an installer

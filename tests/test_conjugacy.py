@@ -192,12 +192,6 @@ class TestClasses:
     def test_theorem_equals_brute(self, f, n):
         assert sg_classes(f, n, "theorem").classes() == sg_classes(f, n, "brute").classes()
 
-    def test_threads_do_not_change_the_partition(self):
-        one = sg_classes(F2, 2, "brute", threads=1).classes()
-        eight = sg_classes(F2, 2, "brute", threads=8).classes()
-        assert one == eight
-        assert sg_classes(F3, 2, "theorem", threads=8).classes() == sg_classes(F3, 2, "theorem").classes()
-
     def test_classes_are_key_level_sets(self):
         amb = ambient(F2, 2)
         part = sg_classes(F2, 2)

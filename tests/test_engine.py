@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from matsemi import (
     CapExceeded,
+    Matrix,
     NotClosed,
     ambient,
     build_table,
@@ -27,12 +29,39 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
-from matsemi.engine import _verify_associativity
+from matsemi.engine import Partition, _verify_associativity
 from matsemi.errors import InternalError
 
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
+F8 = field_make(2, 3)
+
+
+def _oracle_closure(seed):
+    """Round-by-round frontier closure on Matrix products (the former
+    extension-field route of engine.closure)."""
+    known = {m.codes: m for m in seed.elements}
+    frontier = list(seed.elements)
+    while frontier:
+        new = {}
+        all_mats = list(known.values())
+        for a in frontier:
+            for b in all_mats:
+                for prod in (a * b, b * a):
+                    if prod.codes not in known and prod.codes not in new:
+                        new[prod.codes] = prod
+        known.update(new)
+        frontier = list(new.values())
+    return mat_set(seed.field, seed.dim, known.values())
+
+
+def _draw(rng, f, n, rank_one=False):
+    if rank_one:  # a column times a row
+        u = [rng.randrange(f.q) for _ in range(n)]
+        v = [rng.randrange(f.q) for _ in range(n)]
+        return Matrix(f, n, 1, tuple(u)) * Matrix(f, 1, n, tuple(v))
+    return Matrix(f, n, n, tuple(rng.randrange(f.q) for _ in range(n * n)))
 
 
 @st.composite
@@ -72,6 +101,24 @@ class TestClosure:
         powers = {mat_pow(a, k) for k in range(1, 20)}
         assert c.as_set() == powers
 
+    @pytest.mark.parametrize(
+        "f,n,kinds",
+        [
+            (F4, 2, (False, False)),
+            (F3, 2, (False, False)),
+            (F3, 3, (True, True, False)),
+            (F8, 2, (False,)),
+            (F8, 3, (True, True)),
+            (F4, 3, (True, True, True)),
+        ],
+        ids=["F4-2-two", "F3-2-two", "F3-3-rank1", "F8-2-one", "F8-3-rank1", "F4-3-rank1"],
+    )
+    def test_matches_the_frontier_oracle(self, f, n, kinds):
+        rng = random.Random(f"closure:{f.q}:{n}:{len(kinds)}")
+        for _ in range(3):
+            seed = mat_set(f, n, [_draw(rng, f, n, rank_one) for rank_one in kinds])
+            assert closure(seed) == _oracle_closure(seed)
+
 
 class TestTable:
     def test_grid_matches_matrix_products(self):
@@ -85,6 +132,18 @@ class TestTable:
         s = mat_set(F2, 2, [unit_matrix(F2, 2, 0, 1), unit_matrix(F2, 2, 1, 0)])
         with pytest.raises(NotClosed):
             build_table(s)
+
+    def test_witness_is_the_first_escaping_pair(self):
+        rng = random.Random("product_grid:4")
+        for _ in range(20):
+            s = mat_set(F4, 2, [_draw(rng, F4, 2) for _ in range(6)])
+            members = s.as_set()
+            escape = next(
+                (a, b, a * b) for a in s.elements for b in s.elements if a * b not in members
+            )
+            with pytest.raises(NotClosed) as exc:
+                product_grid(s.elements)
+            assert exc.value.witness == escape
 
     def test_nilpotency_degree(self):
         from matsemi import nilpotency_degree
@@ -195,6 +254,21 @@ class TestEquivClosure:
             comps.append(tuple(sorted(comp)))
         assert part.classes() == tuple(sorted(comps))
 
+    def test_matches_union_find(self):
+        rng = random.Random("equiv_closure")
+        cases = [(1, []), (5, []), (1, [(0, 0)])]
+        for _ in range(40):
+            m = rng.randrange(1, 60)
+            pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randrange(2 * m))]
+            cases.append((m, pairs))
+        for m, pairs in cases:
+            oracle = Partition(m)
+            for a, b in pairs:
+                oracle.union(a, b)
+            part = equiv_closure(m, pairs)
+            assert part.classes() == oracle.classes()
+            assert all(part.find(x) == c[0] for c in oracle.classes() for x in c)
+
 
 class TestPreorderDepths:
     def test_chain(self):
@@ -245,6 +319,11 @@ class TestAmbient:
                 assert amb.mats[amb.grid[x, y]] == amb.mats[x] * amb.mats[y]
         for x in range(amb.m):
             assert amb.nilpotent[x] == (mat_pow(amb.mats[x], 2).is_zero())
+
+    def test_cached_grid_is_read_only(self):
+        amb = ambient(F2, 2)
+        with pytest.raises(ValueError):
+            amb.grid[0, 0] = 1
 
     def test_power_closure(self):
         amb = ambient(F2, 2)

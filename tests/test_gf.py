@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,18 @@ from matsemi import (
     zero_matrix,
     zero_subspace,
 )
-from matsemi.gf import _padd, _pdivmod, _pmonic, _pmul, _pneg, _pnorm
+from matsemi.errors import CapExceeded
+from matsemi.gf import (
+    _padd,
+    _pdivmod,
+    _pmonic,
+    _pmul,
+    _pneg,
+    _pnorm,
+    batch_mul,
+    code_keys,
+    codes_array,
+)
 
 FIELDS = [field_make(2), field_make(3), field_make(5), field_make(2, 2), field_make(3, 2)]
 
@@ -257,6 +269,39 @@ class TestInvariantFactorOracle:
             for lo, hi in zip(fac, fac[1:]):
                 assert _pdivmod(f, hi, lo)[1] == ()
             assert _poly_at(fac[-1], a).is_zero()
+
+
+class TestCodeArrayKernel:
+    def test_every_pair_of_m2_f4(self):
+        f = field_make(2, 2)
+        ms = list(enumerate_matrices(f, 2, 2))
+        arr = codes_array(ms)
+        got = batch_mul(f, arr[:, None], arr[None, :])  # broadcast to all pairs
+        want = codes_array([a * b for a in ms for b in ms]).reshape(256, 256, 2, 2)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p,k,n", [(2, 3, 2), (3, 2, 3), (2, 2, 3), (5, 1, 3)])
+    def test_seeded_pairs(self, p, k, n):
+        f = field_make(p, k)
+        rng = random.Random(f"batch_mul:{f.q}:{n}")
+
+        def draw():
+            return Matrix(f, n, n, tuple(rng.randrange(f.q) for _ in range(n * n)))
+
+        xs = [draw() for _ in range(2000)]
+        ys = [draw() for _ in range(2000)]
+        got = batch_mul(f, codes_array(xs), codes_array(ys))
+        assert np.array_equal(got, codes_array([x * y for x, y in zip(xs, ys)]))
+
+    def test_keys_are_base_q_digits(self):
+        f = field_make(2, 2)
+        ms = list(enumerate_matrices(f, 2, 2))
+        keys = code_keys(f, codes_array(ms))
+        assert sorted(keys.tolist()) == list(range(256))
+        assert keys[1] == 4**3  # (0, 0, 0, 1): the last code is the top digit
+        assert code_keys(field_make(2), np.zeros((1, 7, 7), dtype=np.int64)).tolist() == [0]
+        with pytest.raises(CapExceeded):
+            code_keys(field_make(2), np.zeros((1, 8, 8), dtype=np.int64))
 
 
 class TestSubspace:
