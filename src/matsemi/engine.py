@@ -297,14 +297,11 @@ def closure_ids(grid, seed, abort_ids=None):
 
 
 class Partition:
-    """Union-find over ids 0..m-1 with canonical least-id representatives.
+    """Union-find over ids 0..m-1 with canonical least-id representatives."""
 
-    parent, when given, maps every id to the least id of its class.
-    """
-
-    def __init__(self, m: int, parent=None):
+    def __init__(self, m: int):
         self.m = m
-        self._parent = list(range(m)) if parent is None else list(parent)
+        self._parent = list(range(m))
 
     def find(self, x: int) -> int:
         p = self._parent
@@ -355,8 +352,12 @@ def equiv_closure(m: int, pairs) -> Partition:
         np.minimum.at(nxt, b, low)
         nxt = nxt[nxt]
         if np.array_equal(nxt, label):
-            return Partition(m, label.tolist())
+            break
         label = nxt
+    part = Partition(m)
+    for x, root in enumerate(label.tolist()):
+        part.union(x, root)
+    return part
 
 
 # ---------------------------------------------------------------------------

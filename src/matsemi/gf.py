@@ -223,17 +223,26 @@ def codes_array(mats) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _key_weights(q: int, nn: int) -> np.ndarray:
-    if q**nn > 1 << 63:
-        raise CapExceeded(f"{nn} entries over F_{q} overflow int64 keys")
-    return q ** np.arange(nn, dtype=np.int64)
+def _key_weights(q: int, nn: int) -> np.ndarray | None:
+    """Base-q digit weights of nn codes; None when q^nn overflows int64."""
+    return q ** np.arange(nn, dtype=np.int64) if q**nn <= 1 << 63 else None
 
 
 def code_keys(f: FieldSpec, arr: np.ndarray) -> np.ndarray:
-    """One base-q integer per matrix of a (..., n, n) code array, the
-    row-major codes as digits, least significant first."""
+    """One sortable key per matrix of a (..., n, n) code array; equal keys
+    mean equal matrices.
+
+    The key is the base-q integer of the row-major codes when q^(n*n)
+    fits in int64, and otherwise the codes as raw bytes (a void scalar).
+    Both sort, search and compare with numpy; the integer form is faster.
+    """
     nn = arr.shape[-2] * arr.shape[-1]
-    return arr.reshape(*arr.shape[:-2], nn) @ _key_weights(f.q, nn)
+    flat = arr.reshape(*arr.shape[:-2], nn)
+    weights = _key_weights(f.q, nn)
+    if weights is not None:
+        return flat @ weights
+    rows = np.ascontiguousarray(flat, dtype=np.min_scalar_type(f.q - 1))
+    return rows.view(np.dtype((np.void, rows.itemsize * nn))).reshape(arr.shape[:-2])
 
 
 @lru_cache(maxsize=None)

@@ -158,6 +158,28 @@ class TestOneTablePerRun:
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+class TestKeysPastInt64:
+    # q^(n*n) > 2^63; sha256s are of the reports from before code keys were added
+    @pytest.mark.parametrize(
+        "field,n,sha256",
+        [
+            ("2^4", 4, "3acf7084a2d3c234f639ce1a7af80f7589ad340ac2128dbf1c9994bfc3273c4a"),
+            ("2^3", 5, "db21e1063b665aa157398f9624abfc6598bc94d60624694ea932c77c5a3ee151"),
+        ],
+        ids=["F16-4", "F8-5"],
+    )
+    def test_flags_psi_reports_are_unchanged(self, field, n, sha256):
+        zero = [[0] * n for _ in range(n)]
+        e1n = [[int(i == 0 and j == n - 1) for j in range(n)] for i in range(n)]
+        elements = " ".join(";".join(",".join(map(str, r)) for r in m) for m in (zero, e1n))
+        text, code = run_command(
+            ["flags", "psi", "--field", field, "--n", str(n), "--elements", elements]
+            + ["--format", "json"]
+        )
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 class TestRoundTrips:
     def test_core_report_texts_parse_back(self, f2):
         rep = _run_json(

@@ -110,8 +110,19 @@ class TestClosure:
             (F8, 2, (False,)),
             (F8, 3, (True, True)),
             (F4, 3, (True, True, True)),
+            (F4, 6, (True, True)),
+            (field_make(7), 5, (True, True)),
         ],
-        ids=["F4-2-two", "F3-2-two", "F3-3-rank1", "F8-2-one", "F8-3-rank1", "F4-3-rank1"],
+        ids=[
+            "F4-2-two",
+            "F3-2-two",
+            "F3-3-rank1",
+            "F8-2-one",
+            "F8-3-rank1",
+            "F4-3-rank1",
+            "F4-6-rank1",
+            "F7-5-rank1",
+        ],
     )
     def test_matches_the_frontier_oracle(self, f, n, kinds):
         rng = random.Random(f"closure:{f.q}:{n}:{len(kinds)}")
@@ -132,6 +143,17 @@ class TestTable:
         s = mat_set(F2, 2, [unit_matrix(F2, 2, 0, 1), unit_matrix(F2, 2, 1, 0)])
         with pytest.raises(NotClosed):
             build_table(s)
+
+    @pytest.mark.parametrize("f,n", [(F4, 6), (field_make(7), 5)], ids=["F4-6", "F7-5"])
+    def test_grid_past_int64_keys_matches_matrix_products(self, f, n):
+        # q^(n*n) > 2^63, so the grid looks products up by byte keys
+        rng = random.Random(f"wide_grid:{f.q}:{n}")
+        s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True) for _ in range(3)]))
+        assert len(s) > 10
+        grid = product_grid(s.elements)
+        for i, a in enumerate(s.elements):
+            for j, b in enumerate(s.elements):
+                assert s.elements[grid[i, j]] == a * b
 
     def test_witness_is_the_first_escaping_pair(self):
         rng = random.Random("product_grid:4")

@@ -37,7 +37,6 @@ from matsemi import (
     zero_matrix,
     zero_subspace,
 )
-from matsemi.errors import CapExceeded
 from matsemi.gf import (
     _padd,
     _pdivmod,
@@ -300,8 +299,20 @@ class TestCodeArrayKernel:
         assert sorted(keys.tolist()) == list(range(256))
         assert keys[1] == 4**3  # (0, 0, 0, 1): the last code is the top digit
         assert code_keys(field_make(2), np.zeros((1, 7, 7), dtype=np.int64)).tolist() == [0]
-        with pytest.raises(CapExceeded):
-            code_keys(field_make(2), np.zeros((1, 8, 8), dtype=np.int64))
+
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 6), (2, 4, 4), (7, 1, 5), (2, 1, 8)])
+    def test_keys_past_int64_still_identify_matrices(self, p, k, n):
+        # q^(n*n) > 2^63: the keys are raw code bytes, equal iff the codes are
+        f = field_make(p, k)
+        rng = random.Random(f"wide_keys:{f.q}:{n}")
+        rows = [tuple(rng.randrange(f.q) for _ in range(n * n)) for _ in range(200)]
+        rows += rows[:50] + [(f.q - 1,) * (n * n), (0,) * (n * n)]
+        keys = code_keys(f, np.array(rows, dtype=np.int64).reshape(-1, n, n))
+        assert keys.shape == (len(rows),)
+        assert len(np.unique(keys)) == len(set(rows))
+        order = np.argsort(keys, kind="stable")
+        pos = np.searchsorted(keys[order], keys)
+        assert [rows[i] for i in order[pos]] == rows
 
 
 class TestSubspace:
