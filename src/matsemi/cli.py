@@ -23,8 +23,10 @@ from . import __version__
 from .conjugacy import class_key, core_chain, core_decomposition, sg_classes
 from .engine import ambient, mat_set
 from .errors import (
+    BadDimension,
     BadSignature,
     CapExceeded,
+    ConflictingOptions,
     DimMismatch,
     InternalError,
     MatSemiError,
@@ -160,6 +162,16 @@ def _parser() -> argparse.ArgumentParser:
 # helpers
 
 
+def _field_of(args):
+    """Check the dimensions and parse --field: where arguments become
+    domain objects.  Returns None for commands without a field."""
+    for key in ("n", "n1", "n2"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            raise BadDimension(f"--{key} must be at least 1, got {value}")
+    return parse_field(args.field) if hasattr(args, "field") else None
+
+
 def _sig(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -169,7 +181,7 @@ def _sig(text: str) -> tuple[int, ...]:
 
 def _flag_of(args, field, flag_text, sig_text):
     if (flag_text is None) == (sig_text is None):
-        raise ValueError("give exactly one of --flag and --sig")
+        raise ConflictingOptions("give exactly one of --flag and --sig")
     if flag_text is not None:
         return parse_flag(field, args.n, flag_text)
     sig = _sig(sig_text)
@@ -326,7 +338,7 @@ def _do_nil_fingerprint(args, field):
 
 def _do_nil_iso_decide(args):
     if args.infinite == (args.q is not None):
-        raise ValueError("give exactly one of --q and --infinite")
+        raise ConflictingOptions("give exactly one of --q and --infinite")
     decision = iso_decide(args.q, args.n1, _sig(args.sig1), args.n2, _sig(args.sig2))
     return {
         "q": args.q,
@@ -502,9 +514,7 @@ def run_command(argv) -> tuple[str, int]:
     t0 = perf_counter()
     code = 0
     try:
-        field = None
-        if hasattr(args, "field"):
-            field = parse_field(args.field)
+        field = _field_of(args)
         cmd = _command_name(args)
         if cmd == "classes":
             result = _do_classes(args, field)

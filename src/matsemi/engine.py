@@ -16,7 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, NotClosed
-from .gf import FieldSpec, Matrix, batch_mul, code_keys, codes_array, mat_rank, mat_sort_key
+from .gf import (
+    FieldSpec,
+    Matrix,
+    batch_mul,
+    code_keys,
+    codes_array,
+    mat_image,
+    mat_kernel,
+    mat_rank,
+    mat_sort_key,
+)
 
 CLOSURE_CAP = 1 << 20
 SUBSEMIGROUP_CAP = 16
@@ -565,7 +575,8 @@ class Ambient:
 
     _ranks: tuple | None = None
     _nilpotent: tuple | None = None
-    _power_sets: list | None = None
+    _powers: np.ndarray | None = None
+    _subspace_ids: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -581,29 +592,63 @@ class Ambient:
     def nilpotent(self) -> tuple[bool, ...]:
         """Per-id flag: does some power hit zero (equivalently the n-th)."""
         if self._nilpotent is None:
-            out = []
-            for x in range(self.m):
-                cur = x
-                for _ in range(self.n - 1):
-                    cur = int(self.grid[cur, x])
-                out.append(cur == self.zero_id)
-            self._nilpotent = tuple(out)
+            self._nilpotent = tuple((self.powers[self.n - 1] == self.zero_id).tolist())
         return self._nilpotent
+
+    @property
+    def powers(self) -> np.ndarray:
+        """Read-only (L, m) array: row j holds x^(j+1) for every id x.
+
+        L is the first length at which every power sequence has cycled, so
+        column x lists exactly the distinct powers of x.  L >= n, since the
+        nilpotent n x n Jordan block has n distinct powers, so row n - 1
+        holds every x^n.
+        """
+        if self._powers is None:
+            ids = np.arange(self.m)
+            rows = [ids]
+            cycled = np.zeros(self.m, dtype=bool)
+            while True:
+                nxt = self.grid[rows[-1], ids]  # x^k * x
+                cycled |= (np.stack(rows) == nxt).any(axis=0)
+                if cycled.all():
+                    break
+                rows.append(nxt)
+            powers = np.stack(rows).astype(np.int32)
+            powers.flags.writeable = False
+            self._powers = powers
+        return self._powers
 
     def power_closure(self, x: int) -> frozenset[int]:
         """{x, x^2, x^3, ...} until the power sequence cycles."""
-        if self._power_sets is None:
-            self._power_sets = [None] * self.m
-        cached = self._power_sets[x]
-        if cached is None:
-            seen = set()
-            cur = x
-            while cur not in seen:
-                seen.add(cur)
-                cur = int(self.grid[cur, x])
-            cached = frozenset(seen)
-            self._power_sets[x] = cached
-        return cached
+        return frozenset(self.powers[:, x].tolist())
+
+    def _subspaces(self) -> tuple:
+        """(subspace -> id, image id per matrix, kernel id per matrix)."""
+        if self._subspace_ids is None:
+            index: dict = {}
+            image = [index.setdefault(mat_image(a), len(index)) for a in self.mats]
+            kernel = [index.setdefault(mat_kernel(a), len(index)) for a in self.mats]
+            arrays = np.array(image, dtype=np.int32), np.array(kernel, dtype=np.int32)
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._subspace_ids = (index, *arrays)
+        return self._subspace_ids
+
+    @property
+    def subspace_index(self) -> dict:
+        """Subspace -> integer subspace id; every subspace of F_q^n has one."""
+        return self._subspaces()[0]
+
+    @property
+    def image_ids(self) -> np.ndarray:
+        """Read-only per-id subspace id of each matrix's image."""
+        return self._subspaces()[1]
+
+    @property
+    def kernel_ids(self) -> np.ndarray:
+        """Read-only per-id subspace id of each matrix's kernel."""
+        return self._subspaces()[2]
 
 
 _AMBIENT_CACHE: dict = {}

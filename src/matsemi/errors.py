@@ -72,6 +72,14 @@ class BadSignature(MatSemiError):
     pass
 
 
+class BadDimension(MatSemiError):
+    """A matrix dimension below 1."""
+
+
+class ConflictingOptions(MatSemiError):
+    """Exactly one of two alternative inputs was required."""
+
+
 class NotInContext(MatSemiError):
     pass
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as _dfield
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -43,15 +44,16 @@ ENUM_CAP = 1 << 20
 # prime-field polynomial helpers (coefficient lists, low degree first)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with p prime and p^k = q, or None when q is not a prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)  # least prime factor
+    k, rest = 1, q // p
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    return (p, k) if rest == 1 else None
 
 
 def _poly_deg(c):
@@ -148,8 +150,10 @@ def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
     """Build GF(p^k).  Raises NotPrime / CapExceeded on bad input."""
     if not isinstance(p, int) or not isinstance(k, int) or k < 1:
         raise NotPrime(f"bad field parameters p={p!r}, k={k!r}")
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    pk = prime_power(p)
+    if pk != (p, 1):
+        hint = f"; the field of size {p**k} is {pk[0]}^{pk[1] * k}" if pk else ""
+        raise NotPrime(f"{p} is not prime{hint}")
     q = p**k
     if q > q_cap:
         raise CapExceeded(f"field size {q} exceeds cap {q_cap}")

@@ -6,6 +6,11 @@ x in S or y in S.  At desk scale the full classification — the whole
 semigroup, its group of units, the ideal of singular matrices, and the
 image/kernel-constrained families S(A-family, B-family) — can be checked
 both by construction and by brute subset scans.
+
+Everything runs on ids of the cached ambient: a set is a boolean member
+mask, closedness is read off the ambient grid, isolation off the ambient's
+powers array, and S(A, B) is found from the per-id image and kernel
+subspace ids.  theorem_list mode rebuilds no product grid.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .engine import (
     closure,
     enumerate_subsemigroups,
     mat_set,
-    product_grid,
 )
 from .errors import (
     AmbientMismatch,
@@ -33,6 +37,7 @@ from .errors import (
     FieldMismatch,
     InternalError,
     InvariantViolation,
+    NotClosed,
     VerificationFailed,
 )
 from .gf import (
@@ -49,6 +54,7 @@ from .gf import (
 )
 
 EXHAUSTIVE_SCAN_CAP = 16  # q^(n*n) bound for the full subset scan
+PAIR_SCAN_BLOCK = 16  # grid rows per step of the completely-isolated scan
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +168,31 @@ def pair_family(a_family, b_family) -> SubspacePairFamily:
     return SubspacePairFamily(a_family=a_family, b_family=b_family)
 
 
+def _s_ab_ids(amb: Ambient, fam: SubspacePairFamily) -> np.ndarray:
+    """Ambient ids, ascending, of the matrices of S(A-family, B-family)."""
+    index = amb.subspace_index
+    a_ids = [index[a] for a in fam.a_family]
+    b_ids = [index[b] for b in fam.b_family]
+    ids = np.flatnonzero(np.isin(amb.image_ids, a_ids) & np.isin(amb.kernel_ids, b_ids))
+    if not len(ids):  # pragma: no cover - valid families always admit members
+        raise InternalError("family semigroup came out empty")
+    return ids
+
+
+def _subset(amb: Ambient, ids) -> MatSet:
+    """The MatSet of ascending ambient ids (ambient order is canonical)."""
+    return MatSet(amb.field, amb.n, tuple(amb.mats[i] for i in ids.tolist()))
+
+
 def s_ab_make(fam: SubspacePairFamily) -> MatSet:
     """All matrices with image in the A-family and kernel in the B-family.
 
-    Multiplicative closedness is asserted by building the product grid, not
-    assumed.
+    Multiplicative closedness is checked on the ambient grid, not assumed.
     """
-    field = fam.a_family[0].field
-    n = fam.a_family[0].ambient
-    amb = ambient(field, n)
-    a_set, b_set = set(fam.a_family), set(fam.b_family)
-    members = [
-        m for m in amb.mats if mat_image(m) in a_set and mat_kernel(m) in b_set
-    ]
-    if not members:  # pragma: no cover - valid families always admit members
-        raise InternalError("family semigroup came out empty")
-    s = mat_set(field, n, members)
-    product_grid(s.elements)  # raises NotClosed with a witness if it escapes
-    return s
+    amb = ambient(fam.a_family[0].field, fam.a_family[0].ambient)
+    ids = _s_ab_ids(amb, fam)
+    _closed_mask(amb, ids)  # raises NotClosed with a witness if it escapes
+    return _subset(amb, ids)
 
 
 def product_kernel_image_law(s: MatSet) -> bool:
@@ -196,31 +209,55 @@ def product_kernel_image_law(s: MatSet) -> bool:
 # isolation predicates
 
 
-def _member_ids(s: MatSet, amb: Ambient) -> frozenset[int]:
-    product_grid(s.elements)  # closedness is part of the predicate contract
-    return frozenset(amb.index[m.codes] for m in s.elements)
+def _closed_mask(amb: Ambient, ids) -> np.ndarray:
+    """Member mask of the ambient ids `ids`; NotClosed unless they are closed.
+
+    The witness is the first escaping pair (a, b) in row-major order of
+    `ids`, as product_grid reports it for the same elements.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    mask = np.zeros(amb.m, dtype=bool)
+    mask[ids] = True
+    inside = mask[amb.grid[np.ix_(ids, ids)]]
+    if not inside.all():
+        a, b = divmod(int(np.argmin(inside)), len(ids))
+        x, y = amb.mats[ids[a]], amb.mats[ids[b]]
+        raise NotClosed("set not closed under multiplication", witness=(x, y, x * y))
+    return mask
 
 
-def is_isolated(s: MatSet) -> bool:
-    """No element outside s has any power inside s."""
+def _member_mask(s: MatSet) -> tuple[Ambient, np.ndarray]:
     amb = ambient(s.field, s.dim)
-    ids = _member_ids(s, amb)
-    for x in range(amb.m):
-        if x in ids:
-            continue
-        if not amb.power_closure(x).isdisjoint(ids):
+    return amb, _closed_mask(amb, [amb.index[m.codes] for m in s.elements])
+
+
+def _isolated(amb: Ambient, mask: np.ndarray) -> bool:
+    """No id outside the mask has a power inside it."""
+    return not bool((mask[amb.powers].any(axis=0) & ~mask).any())
+
+
+def _completely_isolated(amb: Ambient, mask: np.ndarray) -> bool:
+    """No product of two ids outside the mask lands inside it.
+
+    The grid rows of the outside ids are scanned PAIR_SCAN_BLOCK at a time,
+    stopping at the first block with such a product.
+    """
+    outside = np.flatnonzero(~mask)
+    for i in range(0, len(outside), PAIR_SCAN_BLOCK):
+        rows = amb.grid[outside[i : i + PAIR_SCAN_BLOCK]]
+        if (mask[rows] & ~mask).any():
             return False
     return True
 
 
+def is_isolated(s: MatSet) -> bool:
+    """No element outside s has any power inside s."""
+    return _isolated(*_member_mask(s))
+
+
 def is_completely_isolated(s: MatSet) -> bool:
     """Every factorization of a member has a member factor (full pair scan)."""
-    amb = ambient(s.field, s.dim)
-    ids = _member_ids(s, amb)
-    mask = np.zeros(amb.m, dtype=bool)
-    mask[list(ids)] = True
-    viol = mask[amb.grid] & ~mask[:, None] & ~mask[None, :]
-    return not bool(viol.any())
+    return _completely_isolated(*_member_mask(s))
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +294,36 @@ def _all_pair_families(field: FieldSpec, n: int):
     return out
 
 
-def _record(kind, s, a_fam=None, b_fam=None) -> IsolatedRecord:
-    if not is_isolated(s):
+def _record(amb: Ambient, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
+    """Record for the closed set of ascending ambient ids; one mask serves
+    the closedness check and both predicates."""
+    mask = _closed_mask(amb, ids)
+    if not _isolated(amb, mask):
         raise VerificationFailed(
             f"predicted isolated subsemigroup of kind {kind} fails the power scan",
-            evidence={"kind": kind, "size": len(s)},
+            evidence={"kind": kind, "size": len(ids)},
         )
     return IsolatedRecord(
         kind=kind,
-        s=s,
+        s=_subset(amb, ids),
         a_family=a_fam,
         b_family=b_fam,
         isolated=True,
-        completely_isolated=is_completely_isolated(s),
+        completely_isolated=_completely_isolated(amb, mask),
     )
 
 
 def _theorem_records(field: FieldSpec, n: int) -> list[IsolatedRecord]:
     amb = ambient(field, n)
-    whole = mat_set(field, n, amb.mats)
-    units = mat_set(field, n, [m for m, r in zip(amb.mats, amb.ranks) if r == n])
+    ranks = np.asarray(amb.ranks)
     records = [
-        _record("M", whole),
-        _record("GL", units),
-        _record("I", ideal(field, n, n - 1)),
+        _record(amb, "M", np.arange(amb.m)),
+        _record(amb, "GL", np.flatnonzero(ranks == n)),
+        _record(amb, "I", np.flatnonzero(ranks <= n - 1)),
     ]
     for fam in _all_pair_families(field, n):
-        records.append(_record("SAB", s_ab_make(fam), fam.a_family, fam.b_family))
+        ids = _s_ab_ids(amb, fam)
+        records.append(_record(amb, "SAB", ids, fam.a_family, fam.b_family))
     return records
 
 
@@ -311,10 +351,11 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
     by_set = {r.s.as_set(): r for r in predicted}
     found: list[IsolatedRecord] = []
     for ids in enumerate_subsemigroups(table):
-        mats = [amb.mats[i] for i in sorted(ids)]
-        if any(not amb.power_closure(x).isdisjoint(ids) for x in range(amb.m) if x not in ids):
+        mask = np.zeros(amb.m, dtype=bool)
+        mask[list(ids)] = True
+        if not _isolated(amb, mask):
             continue
-        s = mat_set(field, n, mats)
+        s = _subset(amb, np.flatnonzero(mask))
         hit = by_set.get(s.as_set())
         if hit is not None:
             found.append(hit)
@@ -326,7 +367,7 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
                     a_family=None,
                     b_family=None,
                     isolated=True,
-                    completely_isolated=is_completely_isolated(s),
+                    completely_isolated=_completely_isolated(amb, mask),
                 )
             )
     found_sets = {r.s.as_set() for r in found}

@@ -33,12 +33,13 @@ from .errors import (
     InternalError,
     InvariantViolation,
     NotInContext,
+    NotPrime,
     PreconditionViolated,
     SignatureMismatch,
     ZeroElement,
 )
 from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_transporter
-from .gf import Matrix, mat_inverse, mat_kernel, mat_image, mat_rank
+from .gf import Matrix, mat_inverse, mat_kernel, mat_image, mat_rank, prime_power
 
 # K cells are indexed by (prec depth, ll depth); only these pairs are defined.
 K_PAIRS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2))
@@ -545,8 +546,8 @@ def iso_decide(q: int | None, n1: int, sig1, n2: int, sig2) -> IsoDecision:
     lengths always answer not-isomorphic.
     """
     sig1, sig2 = _valid_sig(n1, sig1), _valid_sig(n2, sig2)
-    if q is not None and q < 2:
-        raise BadSignature(f"field size must be at least 2, got {q}")
+    if q is not None and prime_power(q) is None:
+        raise NotPrime(f"no field has size {q}: {q} is not a prime power")
     yes, no = IsoDecision.ISOMORPHIC, IsoDecision.NOT_ISOMORPHIC
     if len(sig1) != len(sig2):
         return no

@@ -33,6 +33,7 @@ from .gf import (
     format_matrix,
     invariant_factors,
     mat_rank,
+    prime_power,
     similar,
 )
 from .isolated import enumerate_isolated, ideal_generated_by_stratum
@@ -100,7 +101,7 @@ def criterion_01(pairs=CLASS_PAIRS) -> CriterionResult:
     t0 = perf_counter()
     details, witness = [], None
     for n, q in pairs:
-        f = field_make(*_pk(q))
+        f = field_make(*prime_power(q))
         left = sg_classes(f, n, method="theorem").classes()
         right = sg_classes(f, n, method="brute").classes()
         details.append((f"classes_n{n}_q{q}", len(left)))
@@ -112,19 +113,6 @@ def criterion_01(pairs=CLASS_PAIRS) -> CriterionResult:
             )
     details.append(("agree", witness is None))
     return _result("01", "conjugacy classes: structural method matches brute closure", t0, details, witness)
-
-
-def _pk(q: int) -> tuple[int, int]:
-    """(p, k) with p^k = q, p prime; q is always a true prime power here."""
-    for p in range(2, q + 1):
-        k = 0
-        t = q
-        while t % p == 0:
-            t //= p
-            k += 1
-        if t == 1 and k >= 1:
-            return p, k
-    raise PreconditionViolated(f"{q} is not a prime power")
 
 
 def criterion_02() -> CriterionResult:

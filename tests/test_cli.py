@@ -42,7 +42,7 @@ class TestExitCodes:
             ["flags", "phi", "--field", "2", "--n", "3", "--flag", "1,0,0", "--sig", "1,2"]
         )
         assert code == 2
-        assert text.startswith("error ")
+        assert text.startswith("error ConflictingOptions")
 
     def test_bad_field_is_two(self):
         text, code = run_command(["classes", "--field", "6", "--n", "2"])
@@ -77,6 +77,44 @@ class TestExitCodes:
         text, code = run_command(["flags", "phi", "--field", "2", "--n", "3", "--sig", sig])
         assert code == 2
         assert text.startswith("error BadSignature")
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["classes", "--field", "2", "--n", "0"], "--n"),
+            (["classes", "--field", "2", "--n", "-1"], "--n"),
+            (["isolated", "enum", "--field", "2", "--n", "0"], "--n"),
+            (["nil", "iso-decide", "--q", "2", "--n1", "0", "--sig1", "1", "--n2", "2", "--sig2", "1,1"], "--n1"),
+            (["nil", "iso-decide", "--q", "2", "--n1", "2", "--sig1", "1,1", "--n2", "-1", "--sig2", "1"], "--n2"),
+        ],
+        ids=["classes-n0", "classes-n-1", "isolated-n0", "iso-decide-n1", "iso-decide-n2"],
+    )
+    def test_dimension_below_one_is_two(self, argv, option):
+        text, code = run_command(argv)
+        assert code == 2
+        assert text.startswith(f"error BadDimension: {option} must be at least 1")
+
+    def test_field_of_prime_power_size_points_to_its_spec(self):
+        text, code = run_command(["classes", "--field", "4", "--n", "2"])
+        assert code == 2
+        assert text.startswith("error NotPrime") and "2^2" in text
+
+    def test_iso_decide_q_must_be_a_prime_power(self):
+        argv = ["nil", "iso-decide", "--n1", "2", "--sig1", "1,1", "--n2", "2", "--sig2", "1,1"]
+        text, code = run_command(argv + ["--q", "6"])
+        assert code == 2
+        assert text.startswith("error NotPrime") and "6 is not a prime power" in text
+        for q in (4, 8, 9):
+            rep = _run_json(argv + ["--q", str(q)])
+            assert rep["params"]["q"] == rep["result"]["q"] == q
+            assert rep["result"]["decision"] == "isomorphic"
+
+    @pytest.mark.parametrize("extra", [[], ["--q", "2", "--infinite"]], ids=["neither", "both"])
+    def test_iso_decide_needs_one_of_q_and_infinite(self, extra):
+        argv = ["nil", "iso-decide", "--n1", "2", "--sig1", "1,1", "--n2", "2", "--sig2", "1,1"]
+        text, code = run_command(argv + extra)
+        assert code == 2
+        assert text.startswith("error ConflictingOptions")
 
     def test_threads_option_is_gone(self):
         _, code = run_command(["classes", "--field", "2", "--n", "2", "--threads", "2"])

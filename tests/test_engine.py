@@ -19,6 +19,8 @@ from matsemi import (
     equiv_closure,
     field_make,
     identity_matrix,
+    mat_image,
+    mat_kernel,
     mat_pow,
     mat_set,
     matrix,
@@ -357,6 +359,34 @@ class TestAmbient:
                 expect.add(amb.index[cur.codes])
                 cur = cur * amb.mats[x]
             assert pc == expect
+
+    def test_cached_id_arrays_are_read_only(self):
+        amb = ambient(F2, 2)
+        for arr in (amb.powers, amb.image_ids, amb.kernel_ids):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("p,n", [(5, 2), (2, 3)], ids=["M2F5", "M3F2"])
+    def test_powers_match_the_per_id_loops(self, p, n):
+        amb = ambient(field_make(p), n)
+        for x in range(amb.m):
+            seen, cur = set(), x
+            while cur not in seen:
+                seen.add(cur)
+                cur = int(amb.grid[cur, x])
+            assert amb.power_closure(x) == seen
+            cur = x
+            for _ in range(n - 1):
+                cur = int(amb.grid[cur, x])
+            assert amb.nilpotent[x] == (cur == amb.zero_id)
+
+    def test_subspace_ids(self):
+        amb = ambient(F3, 2)
+        spaces = {i: s for s, i in amb.subspace_index.items()}
+        assert len(spaces) == 1 + 4 + 1  # every subspace of F_3^2
+        for x, a in enumerate(amb.mats):
+            assert spaces[int(amb.image_ids[x])] == mat_image(a)
+            assert spaces[int(amb.kernel_ids[x])] == mat_kernel(a)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -47,6 +47,7 @@ from matsemi.gf import (
     batch_mul,
     code_keys,
     codes_array,
+    prime_power,
 )
 
 FIELDS = [field_make(2), field_make(3), field_make(5), field_make(2, 2), field_make(3, 2)]
@@ -88,8 +89,21 @@ class TestField:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             field_make(6)
-        with pytest.raises(NotPrime):
+        with pytest.raises(NotPrime, match=r"the field of size 4 is 2\^2"):
             parse_field("4")  # 4 means p=4, not GF(4); that is 2^2
+        with pytest.raises(NotPrime, match=r"the field of size 81 is 3\^4"):
+            parse_field("9^2")
+
+    def test_prime_power(self):
+        primes = [p for p in range(2, 130) if all(p % d for d in range(2, p))]
+        found = {q: prime_power(q) for q in range(-2, 130)}
+        for q, pk in found.items():
+            if pk is None:
+                assert all(p**k != q for p in primes for k in range(1, 8))
+            else:
+                p, k = pk
+                assert p in primes and k >= 1 and p**k == q
+        assert found[64] == (2, 6) and found[121] == (11, 2) and found[6] is None
 
     def test_field_roundtrip(self):
         for f in FIELDS:

@@ -1,16 +1,23 @@
 """Isolated and completely isolated subsemigroups of M(n, F)."""
 
+import random
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
-from matsemi.engine import mat_set
+from matsemi import engine, isolated
+from matsemi.engine import ambient, closure, mat_set, product_grid
 from matsemi.errors import (
     BadK,
     ContainmentViolation,
     EmptyFamily,
     InvariantViolation,
+    NotClosed,
 )
-from matsemi.gf import matrix, parse_subspace, unit_matrix
+from matsemi.gf import field_make, mat_image, mat_kernel, matrix, parse_subspace, unit_matrix
 from matsemi.isolated import (
+    _all_pair_families,
     enumerate_isolated,
     ideal,
     ideal_absorption_check,
@@ -121,12 +128,138 @@ class TestIsolationPredicates:
         bad = mat_set(f2, 2, [matrix(f2, [[0, 0], [0, 0]]), unit_matrix(f2, 2, 0, 1)])
         assert not is_isolated(bad)
 
+    def test_power_past_the_square_lands_inside(self, f4):
+        # The H-class of e = E11 in M(2, F_4) is {e, we, w^2 e}, cyclic of
+        # order 3: (we)^3 = e, but neither we nor (we)^2 = w^2 e is e.
+        s = mat_set(f4, 2, [unit_matrix(f4, 2, 0, 0)])
+        assert not is_isolated(s)
+        assert not _oracle_is_isolated(s)
+
     def test_singleton_sab_is_isolated_not_completely(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
         s = s_ab_make(pair_family([e1], [e2]))
         assert is_isolated(s)
         assert not is_completely_isolated(s)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the element-by-element routes the ambient-id predicates replaced
+
+
+def _oracle_s_ab(fam):
+    """Rescan every ambient matrix through its image and kernel."""
+    field, n = fam.a_family[0].field, fam.a_family[0].ambient
+    a_set, b_set = set(fam.a_family), set(fam.b_family)
+    members = [
+        m for m in ambient(field, n).mats if mat_image(m) in a_set and mat_kernel(m) in b_set
+    ]
+    s = mat_set(field, n, members)
+    product_grid(s.elements)
+    return s
+
+
+@lru_cache(maxsize=None)
+def _oracle_power_closures(field, n):
+    amb = ambient(field, n)
+    out = []
+    for x in range(amb.m):
+        seen, cur = set(), x
+        while cur not in seen:
+            seen.add(cur)
+            cur = int(amb.grid[cur, x])
+        out.append(frozenset(seen))
+    return out
+
+
+def _oracle_ids(s):
+    product_grid(s.elements)  # NotClosed for a set that is not closed
+    amb = ambient(s.field, s.dim)
+    return amb, frozenset(amb.index[m.codes] for m in s.elements)
+
+
+def _oracle_is_isolated(s):
+    amb, ids = _oracle_ids(s)
+    closures = _oracle_power_closures(s.field, s.dim)
+    return all(closures[x].isdisjoint(ids) for x in range(amb.m) if x not in ids)
+
+
+def _oracle_is_completely_isolated(s):
+    amb, ids = _oracle_ids(s)
+    mask = np.zeros(amb.m, dtype=bool)
+    mask[list(ids)] = True
+    viol = mask[amb.grid] & ~mask[:, None] & ~mask[None, :]
+    return not bool(viol.any())
+
+
+def _random_sets(field, n, seed, count, max_gens):
+    """Seeded generator sets; every other one is drawn from one S(A, B)
+    family rather than from the whole ambient."""
+    mats = ambient(field, n).mats
+    fams = _all_pair_families(field, n)
+    rng = random.Random(f"{seed}:{field.q}:{n}")
+    for i in range(count):
+        pool = mats if i % 2 == 0 else _oracle_s_ab(rng.choice(fams)).elements
+        gens = rng.sample(pool, min(len(pool), rng.randint(1, max_gens)))
+        yield mat_set(field, n, gens)
+
+
+class TestPredicateOracles:
+    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2)], ids=["F3", "F4"])
+    def test_every_pair_family_of_m2(self, p, k):
+        field = field_make(p, k)
+        fams = _all_pair_families(field, 2)
+        assert len(fams) == 3 ** (field.q + 1) - 2 ** (field.q + 2) + 1
+        for fam in fams:
+            s = s_ab_make(fam)
+            assert s == _oracle_s_ab(fam)
+            assert is_isolated(s) is _oracle_is_isolated(s) is True
+            assert is_completely_isolated(s) is _oracle_is_completely_isolated(s) is False
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)], ids=["M2F3", "M3F2"])
+    def test_seeded_closures(self, p, n):
+        field = field_make(p)
+        outcomes = set()
+        for gens in _random_sets(field, n, 7, 60, 3):
+            s = closure(gens)
+            iso, ci = is_isolated(s), is_completely_isolated(s)
+            assert iso is _oracle_is_isolated(s)
+            assert ci is _oracle_is_completely_isolated(s)
+            outcomes.add((iso, ci))
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)], ids=["M2F3", "M3F2"])
+    def test_seeded_sets_that_are_not_closed(self, p, n):
+        field = field_make(p)
+        checked = 0
+        for s in _random_sets(field, n, 11, 40, 4):
+            try:
+                product_grid(s.elements)
+                continue
+            except NotClosed as exc:
+                want = exc.witness
+            for predicate in (is_isolated, is_completely_isolated):
+                with pytest.raises(NotClosed) as got:
+                    predicate(s)
+                assert got.value.witness == want
+            checked += 1
+        assert checked >= 20
+
+    def test_theorem_list_builds_no_grid(self, monkeypatch):
+        f5 = field_make(5)
+        amb = ambient(f5, 2)  # warm: the ambient grid itself is built once
+        calls = []
+        real = engine.product_grid
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "product_grid", counting)
+        monkeypatch.setattr(isolated, "product_grid", counting, raising=False)
+        recs = enumerate_isolated(f5, 2, "theorem_list")
+        assert len(recs) == 605 and ambient(f5, 2) is amb
+        assert calls == []
 
 
 class TestEnumeration:

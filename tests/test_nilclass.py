@@ -28,7 +28,7 @@ from matsemi import (
     unit_matrix,
 )
 from matsemi import engine, flags, nilclass
-from matsemi.errors import BadSignature
+from matsemi.errors import BadSignature, NotPrime
 from matsemi.nilclass import K_PAIRS
 
 F2 = field_make(2)
@@ -299,6 +299,11 @@ class TestIso:
     def test_decide_rejects_bad_signature(self):
         with pytest.raises(BadSignature):
             iso_decide(2, 4, (0, 4), 4, (1, 3))
+
+    @pytest.mark.parametrize("q", [1, 6, 12, 100])
+    def test_decide_rejects_field_sizes_without_a_field(self, q):
+        with pytest.raises(NotPrime, match="not a prime power"):
+            iso_decide(q, 2, (1, 1), 2, (1, 1))
 
     def test_construct_pair(self):
         flags = [f for f in all_flags(F2, 3) if f.length == 3]
