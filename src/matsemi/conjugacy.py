@@ -7,6 +7,12 @@ n x n matrix by the projection onto Im(A^t) along ker(A^t).  core_chain
 produces an explicit sequence of primary conjugations A -> ... -> core(A),
 each step carrying a verified witness pair (u, v) with u v = current and
 v u = next.
+
+The class key needs no core.  F^n = Im(A^t) ⊕ ker(A^t) splits A as C ⊕ N
+with C invertible of size r = rank(A^t) and N nilpotent, and the core is
+similar to C ⊕ 0.  So the invariant factors of the core are those of A with
+every power of x taken out of them and one x put back into each of the last
+n - r of the n factors (class_key).
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .gf import (
     mat_kernel,
     mat_rank,
     projection_idempotent,
-    similar,
     standard_complement,
     zero_matrix,
     zero_subspace,
@@ -167,12 +172,13 @@ def core_chain(a: Matrix) -> ConjugacyChain:
 
 
 def semigroup_conjugate(a: Matrix, b: Matrix) -> bool:
-    """Conjugacy in the multiplicative semigroup: cores are similar."""
+    """Conjugacy in the multiplicative semigroup: cores are similar, i.e.
+    the class keys agree."""
     if a.field != b.field:
         raise FieldMismatch("conjugacy needs a common field")
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise DimMismatch("conjugacy needs square matrices of equal size")
-    return similar(core(a), core(b))
+    return class_key(a) == class_key(b)
 
 
 def primary_conjugation_witness(a: Matrix, b: Matrix, cap: int = WITNESS_SCAN_CAP):
@@ -218,7 +224,7 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
         first: dict = {}
         part = Partition(m)
         for x, a in enumerate(amb.mats):
-            k = invariant_factors(core(a))
+            k = class_key(a)
             if k in first:
                 part.union(first[k], x)
             else:
@@ -237,5 +243,22 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
 
 
 def class_key(a: Matrix):
-    """Canonical conjugacy-class key: invariant factors of the core."""
-    return invariant_factors(core(a))
+    """Canonical conjugacy-class key: the invariant factors of the core,
+    read off those of a without building the core.
+
+    Write the invariant factors of a, padded with 1s in front to n of them,
+    as d_j = x^{e_j} u_j (j = 1..n) with u_j(0) != 0.  a is similar to
+    C ⊕ N with C invertible and N nilpotent, so the u_j are the invariant
+    factors of C, whose size is r = sum(deg u_j), and the x^{e_j} those of
+    N.  The core is similar to C ⊕ 0, and the zero block adds one
+    elementary divisor x for each of its n - r dimensions.  The core's
+    invariant factors are therefore c_j = u_j x^{[j > r]}, a divisibility
+    chain since both the u_j and the indicators are.  On coefficient tuples
+    (low degree first): strip the leading zeros, prepend one 0 at the last
+    n - r positions and drop the units.
+    """
+    facs = invariant_factors(a)
+    u = [(1,)] * (a.rows - len(facs)) + [d[next(i for i, c in enumerate(d) if c) :] for d in facs]
+    r = sum(len(p) - 1 for p in u)
+    key = ((0,) * (j >= r) + p for j, p in enumerate(u))
+    return tuple(c for c in key if len(c) >= 2)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as _dfield
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -41,19 +40,57 @@ ENUM_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers (coefficient lists, low degree first)
+# primes and prime powers
+
+# deterministic Miller-Rabin with these bases is exact below 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_CAP = 1 << 64
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of 0 <= n < PRIME_CAP by deterministic Miller-Rabin."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, k) with p prime and p^k = q, or None when q is not a prime power."""
+    """(p, k) with p prime and p^k = q, or None when q is not a prime power.
+
+    Each exponent k < bit_length(q) is tried: the rounded k-th root of q is
+    exact whenever q is a k-th power, and an exact root is tested by
+    _is_prime.  Below PRIME_CAP that is at most 63 roots and tests; larger
+    q, where the test is no longer exact, raise CapExceeded.
+    """
     if q < 2:
         return None
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)  # least prime factor
-    k, rest = 1, q // p
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    return (p, k) if rest == 1 else None
+    if q >= PRIME_CAP:
+        raise CapExceeded(f"{q} exceeds the prime-power cap 2^64")
+    for k in range(1, q.bit_length()):
+        p = q if k == 1 else round(q ** (1 / k))
+        if p**k == q and _is_prime(p):
+            return p, k
+    return None
+
+
+# ---------------------------------------------------------------------------
+# prime-field polynomial helpers (coefficient lists, low degree first)
 
 
 def _poly_deg(c):
@@ -151,12 +188,15 @@ def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
     if not isinstance(p, int) or not isinstance(k, int) or k < 1:
         raise NotPrime(f"bad field parameters p={p!r}, k={k!r}")
     pk = prime_power(p)
+    # a field has p^k >= 2^k, so k > bit_length(q_cap) is past the cap and
+    # p^k is not built (k may have thousands of digits); up to 64 it is cheap
+    q = p**k if k <= max(64, q_cap.bit_length()) else None
+    size = f"{p}^{k}" if q is None else q
     if pk != (p, 1):
-        hint = f"; the field of size {p**k} is {pk[0]}^{pk[1] * k}" if pk else ""
+        hint = f"; the field of size {size} is {pk[0]}^{pk[1] * k}" if pk else ""
         raise NotPrime(f"{p} is not prime{hint}")
-    q = p**k
-    if q > q_cap:
-        raise CapExceeded(f"field size {q} exceeds cap {q_cap}")
+    if q is None or q > q_cap:
+        raise CapExceeded(f"field size {size} exceeds cap {q_cap}")
 
     if k == 1:
         modulus = ()

@@ -481,10 +481,7 @@ def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> 
     t0 = perf_counter()
     f2 = field_make(2)
     mats = list(enumerate_matrices(f2, 4, 4))
-    keys = {}
-    for a in mats:
-        keys.setdefault(class_key(a), 0)
-        keys[class_key(a)] += 1
+    keys = {class_key(a) for a in mats}
     witness = None
     rng = random.Random(20260814)
     for _ in range(sample_pairs):

@@ -109,6 +109,30 @@ class TestExitCodes:
             assert rep["params"]["q"] == rep["result"]["q"] == q
             assert rep["result"]["decision"] == "isomorphic"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classes", "--field", "1000000000000000003", "--n", "1"],
+            ["classes", "--field", "1000000000000000000000000000057", "--n", "1"],
+            ["nil", "iso-decide", "--q", "1000000000000000000000000000057", "--n1", "1", "--sig1", "1", "--n2", "1", "--sig2", "1"],
+        ],
+        ids=["prime-1e18", "prime-1e30", "iso-decide-q-1e30"],
+    )
+    def test_huge_field_size_is_refused_in_bounded_time(self, argv):
+        # primality by trial division up to sqrt(p) did not end on these;
+        # a subprocess with a timeout keeps a regression from hanging the suite
+        cp = subprocess.run([sys.executable, "-m", "matsemi.cli", *argv], capture_output=True, timeout=30)
+        assert cp.returncode == 3
+        assert cp.stderr.decode().startswith("error CapExceeded")
+
+    def test_huge_exponent_is_refused_without_building_the_size(self):
+        text, code = run_command(["classes", "--field", "2^100000", "--n", "1"])
+        assert code == 3
+        assert text.startswith("error CapExceeded: field size 2^100000 exceeds cap 64")
+        text, code = run_command(["classes", "--field", "4^100000", "--n", "1"])
+        assert code == 2
+        assert text.startswith("error NotPrime: 4 is not prime; the field of size 4^100000 is 2^200000")
+
     @pytest.mark.parametrize("extra", [[], ["--q", "2", "--infinite"]], ids=["neither", "both"])
     def test_iso_decide_needs_one_of_q_and_infinite(self, extra):
         argv = ["nil", "iso-decide", "--n1", "2", "--sig1", "1,1", "--n2", "2", "--sig2", "1,1"]

@@ -31,12 +31,14 @@ from matsemi.cli import run_command
 
 F2 = field_make(2)
 F3 = field_make(3)
+F4 = field_make(2, 2)
+F5 = field_make(5)
 
 
 @st.composite
-def square(draw, fields=(F2, F3), n_max=3):
+def square(draw, fields=(F2, F3), n_max=3, n_min=1):
     f = draw(st.sampled_from(fields))
-    n = draw(st.integers(1, n_max))
+    n = draw(st.integers(n_min, n_max))
     codes = draw(st.lists(st.integers(0, f.q - 1), min_size=n * n, max_size=n * n))
     return matrix(f, [codes[i * n : (i + 1) * n] for i in range(n)])
 
@@ -136,6 +138,44 @@ class TestClosedFormCores:
         zero = "0,0,0;0,0,0;0,0,0"
         want = _core_report("2", 3, "0,1,1;0,0,1;0,0,0", 3, "-", "1,0,0;0,1,0;0,0,1", zero, zero, ["x", "x", "x"])
         assert text == json.dumps(want, indent=2) + "\n"
+
+
+LARGE = st.sampled_from([(F3, 4), (F5, 3), (F4, 3)])  # M(4,F_3), M(3,F_5), M(3,F_2^2)
+
+
+class TestKeyReadOff:
+    """class_key reads the core's invariant factors off those of a; the
+    core route invariant_factors(core(a)) is the oracle."""
+
+    @pytest.mark.parametrize("f,n", [(F4, 2), (F2, 3), (F5, 2)], ids=["M2F4", "M3F2", "M2F5"])
+    def test_every_element(self, f, n):
+        for a in enumerate_matrices(f, n, n):
+            assert class_key(a) == invariant_factors(core(a))
+
+    @given(LARGE.flatmap(lambda fn: square(fields=fn[:1], n_min=fn[1], n_max=fn[1])))
+    @settings(max_examples=150)
+    def test_random_elements(self, a):
+        assert class_key(a) == invariant_factors(core(a))
+
+    @given(LARGE.flatmap(lambda fn: st.tuples(*[square(fields=fn[:1], n_min=fn[1], n_max=fn[1])] * 2)))
+    @settings(max_examples=80)
+    def test_conjugate_iff_cores_similar(self, xy):
+        x, y = xy
+        for a, b in ((x, y), (x * y, y * x)):
+            assert semigroup_conjugate(a, b) == similar(core(a), core(b))
+
+    def test_builds_no_core(self):
+        before = core_decomposition.cache_info().misses
+        keys = {class_key(a) for a in enumerate_matrices(F3, 2, 2)}
+        assert len(keys) == 11  # the class count of M(2, F_3)
+        assert core_decomposition.cache_info().misses == before
+
+    def test_x_parts_move_to_the_last_factors(self):
+        # a = J_2(0) ⊕ (1) over F_2 has the one factor x^2 (x + 1); its core
+        # 0 ⊕ 0 ⊕ 1 has x, x (x + 1)
+        a = matrix(F2, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        assert invariant_factors(a) == ((0, 0, 1, 1),)
+        assert class_key(a) == ((0, 1), (0, 1, 1)) == invariant_factors(core(a))
 
 
 class TestChain:

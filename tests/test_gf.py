@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matsemi import (
+    CapExceeded,
     FieldSpec,
     NotInvertible,
     Matrix,
@@ -38,6 +39,7 @@ from matsemi import (
     zero_subspace,
 )
 from matsemi.gf import (
+    PRIME_CAP,
     _padd,
     _pdivmod,
     _pmonic,
@@ -104,6 +106,19 @@ class TestField:
                 p, k = pk
                 assert p in primes and k >= 1 and p**k == q
         assert found[64] == (2, 6) and found[121] == (11, 2) and found[6] is None
+
+    def test_prime_power_near_the_cap(self):
+        # the largest prime below 2^64, a Mersenne prime, a square of a prime
+        # above 2^31, and a composite that is a strong probable prime to the
+        # bases 2..23 (so only the bases 29..37 expose it)
+        assert prime_power(PRIME_CAP - 59) == (PRIME_CAP - 59, 1)
+        assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+        assert prime_power(4294967291**2) == (4294967291, 2)
+        assert prime_power(2**63) == (2, 63)
+        assert prime_power(3825123056546413051) is None
+        assert prime_power(PRIME_CAP - 1) is None
+        with pytest.raises(CapExceeded, match="prime-power cap"):
+            prime_power(PRIME_CAP)
 
     def test_field_roundtrip(self):
         for f in FIELDS:
