@@ -75,32 +75,45 @@ def mat_set(field: FieldSpec, dim: int, mats) -> MatSet:
 # product grids
 
 
+class KeyIndex:
+    """The matrices of a code array, found again by code key."""
+
+    def __init__(self, f: FieldSpec, arr: np.ndarray):
+        self.field = f
+        keys = code_keys(f, arr)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def find(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, found) for each matrix of arr; an id means nothing where
+        found is false."""
+        keys = code_keys(self.field, arr)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.order[pos], self.keys[pos] == keys
+
+
 def product_grid(elements) -> np.ndarray:
     """id x id -> id multiplication grid; NotClosed with witness otherwise.
 
     One row at a time: the products of a with every element, looked up by
-    code key among the sorted keys of the elements.
+    code key among the keys of the elements.
     """
     m = len(elements)
     if not m:
         return np.zeros((0, 0), dtype=np.int32)
     f = elements[0].field
     arr = codes_array(elements)
-    keys = code_keys(f, arr)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    index = KeyIndex(f, arr)
     grid = np.empty((m, m), dtype=np.int32)
     for a in range(m):
-        pkeys = code_keys(f, batch_mul(f, arr[a], arr))
-        pos = np.minimum(np.searchsorted(sorted_keys, pkeys), m - 1)
-        ok = sorted_keys[pos] == pkeys
+        ids, ok = index.find(batch_mul(f, arr[a], arr))
         if not ok.all():
             b = int(np.argmin(ok))
             raise NotClosed(
                 "set not closed under multiplication",
                 witness=(elements[a], elements[b], elements[a] * elements[b]),
             )
-        grid[a] = order[pos]
+        grid[a] = ids
     return grid
 
 
@@ -113,49 +126,37 @@ class SemigroupTable:
     """Finite multiplication table over interned ids 0..m-1.
 
     elements[i] is the matrix behind id i; when an identity was adjoined the
-    last id has elements entry None.  grid rows are plain lists for fast
-    scalar lookups; grid_np is the same data as numpy.
+    last id has elements entry None.  grid is a read-only int32 (m, m)
+    array; loops that read single entries take one grid.tolist() first.
     """
 
     m: int
-    grid: list[list[int]]
+    grid: np.ndarray
     elements: tuple
     zero_id: int | None
     identity_id: int | None
     adjoined_identity: bool
 
-    _np: np.ndarray | None = None
 
-    @property
-    def grid_np(self) -> np.ndarray:
-        if self._np is None:
-            self._np = np.array(self.grid, dtype=np.int32)
-        return self._np
-
-    def mul(self, a: int, b: int) -> int:
-        return self.grid[a][b]
-
-
-def _detect_zero_identity(grid, m):
-    zero_id = identity_id = None
-    for e in range(m):
-        row = grid[e]
-        if all(row[x] == e for x in range(m)) and all(grid[x][e] == e for x in range(m)):
-            zero_id = e
-        if all(row[x] == x for x in range(m)) and all(grid[x][e] == x for x in range(m)):
-            identity_id = e
-    return zero_id, identity_id
+def _detect_zero_identity(grid: np.ndarray):
+    """(zero id, identity id) of a grid, each None when absent."""
+    ids = np.arange(len(grid))
+    is_row_id = grid == ids[:, None]  # entry equals the id of its row
+    is_col_id = grid == ids[None, :]  # entry equals the id of its column
+    zero = np.flatnonzero(is_row_id.all(1) & is_col_id.all(0))
+    ident = np.flatnonzero(is_col_id.all(1) & is_row_id.all(0))
+    return (int(zero[0]) if len(zero) else None, int(ident[0]) if len(ident) else None)
 
 
-def _verify_associativity(grid_np: np.ndarray, m: int, exhaustive_cap: int = 512):
+def _verify_associativity(grid: np.ndarray, m: int, exhaustive_cap: int = 512):
     if m == 0:
         return
     if m <= exhaustive_cap:
         # one left factor at a time: two m x m int arrays per step
         for a in range(m):
-            row = grid_np[a]
-            left = grid_np[row]  # (b, c) -> (ab)c
-            right = row[grid_np]  # (b, c) -> a(bc)
+            row = grid[a]
+            left = grid[row]  # (b, c) -> (ab)c
+            right = row[grid]  # (b, c) -> a(bc)
             if not np.array_equal(left, right):
                 b, c = np.argwhere(left != right)[0]
                 raise InternalError(f"associativity failed at triple {(a, int(b), int(c))}")
@@ -163,7 +164,7 @@ def _verify_associativity(grid_np: np.ndarray, m: int, exhaustive_cap: int = 512
         rng = random.Random(0xA550C)
         for _ in range(100_000):
             a, b, c = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-            if grid_np[grid_np[a, b], c] != grid_np[a, grid_np[b, c]]:
+            if grid[grid[a, b], c] != grid[a, grid[b, c]]:
                 raise InternalError(f"associativity failed at triple {(a, b, c)}")
 
 
@@ -173,21 +174,21 @@ def build_table(s: MatSet, adjoin_identity: bool = False) -> SemigroupTable:
     Ids follow the MatSet order.  With adjoin_identity=True and no existing
     identity element, a fresh id m is appended acting as two-sided identity.
     """
-    grid_np = product_grid(s.elements)
+    grid = product_grid(s.elements)
     m = len(s.elements)
-    grid = [list(map(int, grid_np[a])) for a in range(m)]
-    zero_id, identity_id = _detect_zero_identity(grid, m)
+    zero_id, identity_id = _detect_zero_identity(grid)
     elements = tuple(s.elements)
     adjoined = False
     if adjoin_identity and identity_id is None:
-        for row, x in zip(grid, range(m)):
-            row.append(x)
-        grid.append(list(range(m)) + [m])
+        ids = np.arange(m + 1, dtype=np.int32)
+        grid = np.block([[grid, ids[:m, None]], [ids[None, :]]])
         elements = elements + (None,)
         identity_id = m
         m += 1
         adjoined = True
-    table = SemigroupTable(
+    grid.flags.writeable = False
+    _verify_associativity(grid, m)
+    return SemigroupTable(
         m=m,
         grid=grid,
         elements=elements,
@@ -195,46 +196,52 @@ def build_table(s: MatSet, adjoin_identity: bool = False) -> SemigroupTable:
         identity_id=identity_id,
         adjoined_identity=adjoined,
     )
-    _verify_associativity(table.grid_np, m)
-    return table
+
+
+def _product_mask(grid: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Member mask of {a*b : a in left, b in right}, both given as id masks."""
+    out = np.zeros(len(grid), dtype=bool)
+    out[grid[np.ix_(left, right)]] = True
+    return out
+
+
+def mask_nd(grid: np.ndarray, base: np.ndarray, zero_id: int) -> int | None:
+    """Nilpotency degree of the closed id set `base` (a member mask), or None.
+
+    Powers S^i = S^{i-1} * S shrink as i grows; they reach {0} or stop
+    changing.
+    """
+    cur, k = base, 1
+    while not (cur[zero_id] and cur.sum() == 1):
+        nxt = _product_mask(grid, cur, base)
+        if np.array_equal(nxt, cur):
+            return None
+        cur, k = nxt, k + 1
+    return k
+
+
+def _table_base(table: SemigroupTable) -> np.ndarray:
+    """Member mask of the table's semigroup (an adjoined identity excluded)."""
+    base = np.ones(table.m, dtype=bool)
+    if table.adjoined_identity:
+        base[table.identity_id] = False
+    return base
 
 
 def table_nd(table: SemigroupTable) -> int | None:
-    """Nilpotency degree of the table's semigroup, or None when not nilpotent.
-
-    Power sets S^i = S^{i-1} * S, stopping at {0} or at stabilization.
-    """
-    ids = frozenset(range(table.m))
-    if table.adjoined_identity:
-        ids = ids - {table.identity_id}
+    """Nilpotency degree of the table's semigroup, or None when not nilpotent."""
     if table.zero_id is None:
         return None
-    zero = frozenset({table.zero_id})
-    grid = table.grid
-    cur = ids
-    seen = {cur}
-    for step in range(1, len(ids) + 2):
-        if cur == zero:
-            return step
-        nxt = frozenset(grid[a][b] for a in cur for b in ids)
-        if nxt in seen:
-            return None
-        seen.add(nxt)
-        cur = nxt
-    return None  # pragma: no cover
+    return mask_nd(table.grid, _table_base(table), table.zero_id)
 
 
 def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
     """[S^1, S^2, ..., S^upto] as id sets (identity excluded if adjoined)."""
-    ids = frozenset(range(table.m))
-    if table.adjoined_identity:
-        ids = ids - {table.identity_id}
-    grid = table.grid
-    out = [ids]
-    for _ in range(upto - 1):
-        prev = out[-1]
-        out.append(frozenset(grid[a][b] for a in prev for b in ids))
-    return out
+    base = _table_base(table)
+    masks = [base]
+    while len(masks) < upto:
+        masks.append(_product_mask(table.grid, masks[-1], base))
+    return [frozenset(np.flatnonzero(mask).tolist()) for mask in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,7 @@ def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
     m = table.m
     if m > SUBSEMIGROUP_CAP:
         raise CapExceeded(f"table size {m} exceeds subsemigroup scan cap {SUBSEMIGROUP_CAP}")
-    grid = table.grid
+    grid = table.grid.tolist()
     out = [frozenset()] if include_empty else []
     for mask in range(1, 1 << m):
         bits = [i for i in range(m) if mask >> i & 1]
@@ -404,8 +411,8 @@ def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
 
 def _color_refine(table: SemigroupTable):
     m = table.m
-    grid = table.grid
-    products = {grid[a][b] for a in range(m) for b in range(m)}
+    grid = table.grid.tolist()
+    products = set(table.grid.ravel().tolist())
 
     def power_chain(x):
         seen = {}
@@ -467,7 +474,7 @@ def table_iso(u: SemigroupTable, w: SemigroupTable):
         by_color_w.setdefault(c, []).append(y)
     # rarest colors first: fewer candidates near the root of the search
     order = sorted(range(m), key=lambda x: (len(by_color_w.get(cu[x], ())), cu[x], x))
-    gu, gw = u.grid, w.grid
+    gu, gw = u.grid.tolist(), w.grid.tolist()
 
     fwd: dict[int, int] = {}
     rev: dict[int, int] = {}

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     BadSignature,
     CapExceeded,
@@ -28,11 +30,14 @@ from .gf import (
     FieldSpec,
     Matrix,
     Subspace,
+    batch_mul,
+    codes_array,
     enumerate_subspaces,
     format_subspace,
     full_space,
     mat_image,
     mat_inverse,
+    mat_kernel,
     parse_subspace,
     subspace,
     zero_subspace,
@@ -102,19 +107,45 @@ def parse_flag(field: FieldSpec, ambient: int, text: str) -> Flag:
     return flag_make(field, ambient, [parse_subspace(field, ambient, p) for p in parts])
 
 
+@lru_cache(maxsize=1024)
+def _parity_checks(f: Flag) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One pair (H, B) per step V_{i-1} < V_i of the flag.
+
+    The columns of B span V_i; the rows of H span the annihilator of
+    V_{i-1}, so H v = 0 exactly when v lies in V_{i-1}.  Both come from the
+    chain's own bases, never from flag_basis.
+    """
+    n = f.ambient
+    pairs = []
+    for below, above in zip(f.chain, f.chain[1:]):
+        rows = Matrix(f.field, below.dim, n, tuple(c for row in below.basis for c in row))
+        h = np.array(mat_kernel(rows).basis, dtype=np.int64).reshape(-1, n)
+        b = np.array(above.basis, dtype=np.int64).T
+        for arr in (h, b):
+            arr.flags.writeable = False
+        pairs.append((h, b))
+    return tuple(pairs)
+
+
+def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
+    """Which matrices of the (len, n, n) code array arr lower the flag.
+
+    A lowers F exactly when H_{i-1} A B_i = 0 for every step (see
+    _parity_checks): the image of V_i under A is then inside V_{i-1}.
+    """
+    ok = np.ones(len(arr), dtype=bool)
+    for h, b in _parity_checks(f):
+        ok &= ~batch_mul(f.field, batch_mul(f.field, h, arr), b).any(axis=(1, 2))
+    return ok
+
+
 def lowers_flag(a: Matrix, f: Flag) -> bool:
     """Does a push every V_i into V_{i-1}?"""
     if a.field != f.field:
         raise FieldMismatch("matrix over a different field")
     if a.rows != f.ambient or a.cols != f.ambient:
         raise DimMismatch("matrix does not act on the flag's ambient space")
-    for i in range(1, len(f.chain)):
-        below = f.chain[i - 1]
-        for row in f.chain[i].basis:
-            img = a * Matrix(a.field, f.ambient, 1, row)
-            if not below.contains_vector(tuple(img.codes)):
-                return False
-    return True
+    return bool(lowering_mask(f, codes_array([a]))[0])
 
 
 @lru_cache(maxsize=None)
@@ -152,29 +183,28 @@ def flag_semigroup(f: Flag, cap: int = PHI_CAP):
     total = f.field.q ** exp
     if total > cap:
         raise CapExceeded(f"flag semigroup has {total} elements, cap {cap}")
-    p_mat = flag_basis(f)
-    p_inv = mat_inverse(p_mat)
     n = f.ambient
     # free positions (row, col) in stratum coordinates: row stratum < col stratum
     offs = [0]
     for d in sig:
         offs.append(offs[-1] + d)
     free = [
-        (r, c)
+        r * n + c
         for ci in range(k)
         for ri in range(ci)
         for r in range(offs[ri], offs[ri + 1])
         for c in range(offs[ci], offs[ci + 1])
     ]
+    # row t holds the base-q digits of t, the last free position fastest
     q = f.field.q
-    out = []
-    for combo in itertools.product(range(q), repeat=len(free)):
-        codes = [0] * (n * n)
-        for (r, c), val in zip(free, combo):
-            codes[r * n + c] = val
-        b = Matrix(f.field, n, n, tuple(codes))
-        out.append(p_mat * b * p_inv)
-    s = mat_set(f.field, n, out)
+    blocks = np.zeros((total, n * n), dtype=np.int64)
+    weights = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+    blocks[:, free] = np.arange(total, dtype=np.int64)[:, None] // weights % q
+    p_mat = flag_basis(f)
+    p, p_inv = codes_array([p_mat]), codes_array([mat_inverse(p_mat)])
+    conj = batch_mul(f.field, batch_mul(f.field, p, blocks.reshape(total, n, n)), p_inv)
+    mats = (Matrix(f.field, n, n, tuple(row)) for row in conj.reshape(total, -1).tolist())
+    s = mat_set(f.field, n, mats)
     if len(s) != total:  # pragma: no cover
         raise InternalError("flag semigroup enumeration produced duplicates")
     return s

@@ -895,7 +895,10 @@ def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
     return rel
 
 
-@lru_cache(maxsize=None)
+# Bounded: a class-key sweep meets almost every matrix once, so an unbounded
+# cache stores nearly every key and is rarely hit; the repeats of a query
+# stream fall within the last thousand calls.
+@lru_cache(maxsize=1024)
 def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Nontrivial invariant factors of xI - a, monic, in divisibility order.
 

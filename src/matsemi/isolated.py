@@ -171,9 +171,11 @@ def pair_family(a_family, b_family) -> SubspacePairFamily:
 def _s_ab_ids(amb: Ambient, fam: SubspacePairFamily) -> np.ndarray:
     """Ambient ids, ascending, of the matrices of S(A-family, B-family)."""
     index = amb.subspace_index
-    a_ids = [index[a] for a in fam.a_family]
-    b_ids = [index[b] for b in fam.b_family]
-    ids = np.flatnonzero(np.isin(amb.image_ids, a_ids) & np.isin(amb.kernel_ids, b_ids))
+    in_a = np.zeros(len(index), dtype=bool)
+    in_a[[index[a] for a in fam.a_family]] = True
+    in_b = np.zeros(len(index), dtype=bool)
+    in_b[[index[b] for b in fam.b_family]] = True
+    ids = np.flatnonzero(in_a[amb.image_ids] & in_b[amb.kernel_ids])
     if not len(ids):  # pragma: no cover - valid families always admit members
         raise InternalError("family semigroup came out empty")
     return ids
@@ -275,16 +277,23 @@ class IsolatedRecord:
 
 
 def _all_pair_families(field: FieldSpec, n: int):
-    """Every valid (A-family, B-family) pair, canonically ordered."""
+    """Every valid (A-family, B-family) pair, canonically ordered.
+
+    Hyperplanes and lines come sorted, and each family keeps that order and
+    only lines outside all of its hyperplanes, so the families are built
+    without pair_family's sort and checks.
+    """
     hyper = list(enumerate_subspaces(field, n, n - 1))
     lines = list(enumerate_subspaces(field, n, 1))
+    inside = [[a.contains(ln) for ln in lines] for a in hyper]
     out = []
     for abits in range(1, 1 << len(hyper)):
-        a_fam = [hyper[i] for i in range(len(hyper)) if abits >> i & 1]
-        ok_lines = [ln for ln in lines if not any(a.contains(ln) for a in a_fam)]
+        chosen = [i for i in range(len(hyper)) if abits >> i & 1]
+        a_fam = tuple(hyper[i] for i in chosen)
+        ok_lines = [ln for j, ln in enumerate(lines) if not any(inside[i][j] for i in chosen)]
         for bbits in range(1, 1 << len(ok_lines)):
-            b_fam = [ok_lines[i] for i in range(len(ok_lines)) if bbits >> i & 1]
-            out.append(pair_family(a_fam, b_fam))
+            b_fam = tuple(ok_lines[i] for i in range(len(ok_lines)) if bbits >> i & 1)
+            out.append(SubspacePairFamily(a_family=a_fam, b_family=b_fam))
     out.sort(
         key=lambda fam: (
             tuple(subspace_sort_key(a) for a in fam.a_family),

@@ -3,9 +3,14 @@
 A context bundles a flag F with T = flag_semigroup(F) and its product
 table.  On top of it sit two annihilator preorders with their depth
 grading, the partition of elements into K cells, the super rank, and the
-fingerprint used to separate non-isomorphic contexts.  Each subspace
-criterion has a product-level ground truth on the table; the two routes
-are kept separate so tests can compare them instead of trusting either.
+fingerprint used to separate non-isomorphic contexts.
+
+Each preorder is an m x m boolean matrix, entry [a, b] true when a precedes
+b, and each has two routes.  The product route reads the zero pattern of
+the table (grid == zero); the subspace route compares the kernels or
+images of the elements against the flag and never reads the table.  Each
+route's matrix is one containment test between the rows of membership
+matrices, and tests compare the routes instead of trusting either.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .engine import (
+    KeyIndex,
     MatSet,
     SemigroupTable,
     build_table,
@@ -39,7 +45,16 @@ from .errors import (
     ZeroElement,
 )
 from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_transporter
-from .gf import Matrix, mat_inverse, mat_kernel, mat_image, mat_rank, prime_power
+from .gf import (
+    Matrix,
+    batch_mul,
+    codes_array,
+    mat_image,
+    mat_inverse,
+    mat_kernel,
+    mat_rank,
+    prime_power,
+)
 
 # K cells are indexed by (prec depth, ll depth); only these pairs are defined.
 K_PAIRS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2))
@@ -60,19 +75,21 @@ class NilContext:
         self.index = {mat: i for i, mat in enumerate(t.elements)}
         self._order_depths_checked = False
 
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """(m, n, n) code array of the elements, in id order."""
+        return codes_array(self.t.elements)
+
+    @cached_property
+    def key_index(self) -> KeyIndex:
+        return KeyIndex(self.t.field, self.codes)
+
     # -- per-element caches ------------------------------------------------
 
     @cached_property
-    def right_zero_masks(self) -> list[int]:
-        """mask[x] has bit c set iff x*c = 0."""
-        g = self.table.grid_np
-        return [_bits(g[x] == 0) for x in range(self.m)]
-
-    @cached_property
-    def left_zero_masks(self) -> list[int]:
-        """mask[x] has bit c set iff c*x = 0."""
-        g = self.table.grid_np
-        return [_bits(g[:, x] == 0) for x in range(self.m)]
+    def zero_products(self) -> np.ndarray:
+        """m x m bool: [x, c] is true when x*c = 0."""
+        return self.table.grid == self.table.zero_id
 
     @cached_property
     def kernel_band(self) -> list[frozenset[tuple[int, ...]]]:
@@ -85,6 +102,31 @@ class NilContext:
         """All vectors of Im(x) + V_1, per element."""
         v1 = self.flag.chain[1]
         return [frozenset(mat_image(mat).sum_(v1).vectors()) for mat in self.t]
+
+    # -- preorders as m x m bool matrices, [a, b] true when a precedes b ---
+
+    @cached_property
+    def prec_products(self) -> np.ndarray:
+        """a*c = 0 implies b*c = 0: row a of zero_products inside row b."""
+        return _contained(self.zero_products, self.zero_products)
+
+    @cached_property
+    def prec_kernels(self) -> np.ndarray:
+        """ker(a) ∩ V_{r-1} inside ker(b) ∩ V_{r-1}; reads no grid."""
+        band = _membership(self.kernel_band)
+        return _contained(band, band)
+
+    @cached_property
+    def ll_products(self) -> np.ndarray:
+        """c*a = 0 implies c*b = 0: column a of zero_products inside column b."""
+        cols = self.zero_products.T
+        return _contained(cols, cols)
+
+    @cached_property
+    def ll_images(self) -> np.ndarray:
+        """Im(b) + V_1 inside Im(a) + V_1; reads no grid."""
+        band = _membership(self.image_band)
+        return _contained(band, band).T
 
     @cached_property
     def depth_prec(self) -> list[int]:
@@ -107,23 +149,24 @@ class NilContext:
 
     @cached_property
     def tat_sets(self) -> list[frozenset[int]]:
-        """tat_sets[x] = {c*x*d : c, d in T} as ids."""
-        g = self.table.grid_np
-        out = []
-        for x in range(self.m):
-            left = g[:, x]
-            out.append(frozenset(int(v) for v in np.unique(g[left])))
-        return out
+        """tat_sets[x] = {c*x*d : c, d in T} as ids.
+
+        left[x, y] is true when y is in Tx and right[y, z] when z is in yT,
+        so TxT is row x of their boolean product.
+        """
+        g, ids = self.table.grid, np.arange(self.m)[:, None]
+        left = np.zeros((self.m, self.m), dtype=bool)
+        left[ids, g.T] = True
+        right = np.zeros((self.m, self.m), dtype=bool)
+        right[ids, g] = True
+        reach = _meets(left, right.T)
+        return [frozenset(np.flatnonzero(row).tolist()) for row in reach]
 
     def one_hull(self, x: int) -> frozenset[int]:
         """ids of T^1 x T^1 = {x} | Tx | xT | TxT."""
-        g = self.table.grid_np
-        return (
-            frozenset({x})
-            | frozenset(int(v) for v in g[:, x])
-            | frozenset(int(v) for v in g[x])
-            | self.tat_sets[x]
-        )
+        g = self.table.grid
+        sides = frozenset(g[:, x].tolist()) | frozenset(g[x].tolist())
+        return frozenset({x}) | sides | self.tat_sets[x]
 
     @cached_property
     def k_ids(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -169,7 +212,7 @@ class NilContext:
         product is 0), the achievable pairs (word has a super-rank-1
         factor, word has a super-rank-2 factor).
         """
-        g = self.table.grid
+        g = self.table.grid.tolist()
         indec = [x for x in range(self.m) if x not in self.decomposable_ids]
         base = {
             y: (self.indec_super_rank[y] == 1, self.indec_super_rank[y] == 2)
@@ -204,11 +247,34 @@ class NilContext:
         return out
 
 
-def _bits(bools) -> int:
-    out = 0
-    for i in np.nonzero(bools)[0]:
-        out |= 1 << int(i)
+def _membership(sets) -> np.ndarray:
+    """len(sets) x (members of their union) bool: [i, v] when v is in sets[i]."""
+    index: dict = {}
+    cols = [[index.setdefault(v, len(index)) for v in s] for s in sets]
+    out = np.zeros((len(sets), len(index)), dtype=bool)
+    for i, row in enumerate(cols):
+        out[i, row] = True
     return out
+
+
+def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] true when rows a[i] and b[j] of two bool matrices share a
+    column: the boolean product of a and b transposed.
+
+    Rows are packed eight columns to a byte and a is taken one row at a
+    time, so no temporary is larger than b packed; no float product, so no
+    BLAS buffers are allocated.
+    """
+    pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
+    out = np.empty((len(a), len(b)), dtype=bool)
+    for i, row in enumerate(pa):
+        out[i] = (row & pb).any(axis=1)
+    return out
+
+
+def _contained(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] true when row i of the bool matrix a lies inside row j of b."""
+    return ~_meets(a, ~b)
 
 
 @lru_cache(maxsize=None)
@@ -247,10 +313,9 @@ def prec(ctx: NilContext, a: Matrix, b: Matrix, method: str = "products") -> boo
     """
     ia, ib = _id_of(ctx, a), _id_of(ctx, b)
     if method == "products":
-        za, zb = ctx.right_zero_masks[ia], ctx.right_zero_masks[ib]
-        return za & ~zb == 0
+        return bool(ctx.prec_products[ia, ib])
     if method == "kernels":
-        return ctx.kernel_band[ia] <= ctx.kernel_band[ib]
+        return bool(ctx.prec_kernels[ia, ib])
     raise ValueError(f"unknown prec method {method!r}")
 
 
@@ -262,10 +327,9 @@ def ll(ctx: NilContext, a: Matrix, b: Matrix, method: str = "products") -> bool:
     """
     ia, ib = _id_of(ctx, a), _id_of(ctx, b)
     if method == "products":
-        wa, wb = ctx.left_zero_masks[ia], ctx.left_zero_masks[ib]
-        return wa & ~wb == 0
+        return bool(ctx.ll_products[ia, ib])
     if method == "images":
-        return ctx.image_band[ib] <= ctx.image_band[ia]
+        return bool(ctx.ll_images[ia, ib])
     raise ValueError(f"unknown ll method {method!r}")
 
 
@@ -274,9 +338,8 @@ def _check_order_depths(ctx: NilContext) -> None:
     # quotient; cheap enough to re-derive once for small contexts.
     if ctx._order_depths_checked or ctx.m > ORDER_DEPTH_CHECK_CAP:
         return
-    rz, lz = ctx.right_zero_masks, ctx.left_zero_masks
-    got_prec = preorder_depths(ctx.m, lambda x, y: rz[x] & ~rz[y] == 0)
-    got_ll = preorder_depths(ctx.m, lambda x, y: lz[x] & ~lz[y] == 0)
+    got_prec = preorder_depths(ctx.m, ctx.prec_products.tolist())
+    got_ll = preorder_depths(ctx.m, ctx.ll_products.tolist())
     if got_prec != ctx.depth_prec or got_ll != ctx.depth_ll:  # pragma: no cover
         raise InternalError("dimension depths disagree with order-theoretic depths")
     ctx._order_depths_checked = True
@@ -364,7 +427,7 @@ def sandwich_witness(ctx: NilContext, a: Matrix, target_rank: int) -> Matrix | N
 
 
 def _sandwich_equal(ctx: NilContext, xa: int, xb: int) -> bool:
-    g = ctx.table.grid_np
+    g = ctx.table.grid
     if not np.array_equal(g[xa], g[xb]):  # c = 1 cases: a*d vs b*d
         return False
     ca, cb = g[:, xa], g[:, xb]
@@ -405,7 +468,7 @@ class Fingerprint:
 
 def _sandwich_set(ctx: NilContext, left_exp: int, x: int, right_exp: int) -> frozenset[int]:
     """ids of T^left_exp * x * T^right_exp, exponent 0 meaning the identity."""
-    g = ctx.table.grid_np
+    g = ctx.table.grid
     cur = np.array([x], dtype=np.int64)
     if left_exp:
         left = np.fromiter(sorted(ctx.power_ids[left_exp - 1]), dtype=np.int64)
@@ -439,7 +502,7 @@ def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:
         for b in sorted(ctx.power_ids[ctx.r - s - 1])
         if any(y != zero for y in _sandwich_set(ctx, s - 1, b, 0))
     ]
-    g = ctx.table.grid
+    g = ctx.table.grid.tolist()
     full = (1 << len(targets)) - 1
     masks = []
     for c in gens:
@@ -458,24 +521,23 @@ def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:
     return None, ()
 
 
+def _annihilators(ctx: NilContext) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the left annihilators (x*T = 0) and right ones (T*x = 0)."""
+    zp = ctx.zero_products
+    return zp.all(1), zp.all(0)
+
+
 def fingerprint(ctx: NilContext) -> Fingerprint:
     power_sizes = tuple(len(p) for p in ctx.power_ids)
     if any(a <= b for a, b in zip(power_sizes, power_sizes[1:])) or power_sizes[-1] != 1:
         raise InvariantViolation(f"power sizes {power_sizes} do not shrink to 1")
-    full = (1 << ctx.m) - 1
-    right_ann = sum(1 for x in range(ctx.m) if ctx.left_zero_masks[x] == full)
-    left_ann = sum(1 for x in range(ctx.m) if ctx.right_zero_masks[x] == full)
-    two_sided = sum(
-        1
-        for x in range(ctx.m)
-        if ctx.left_zero_masks[x] == full and ctx.right_zero_masks[x] == full
-    )
+    left, right = _annihilators(ctx)
     return Fingerprint(
         size=ctx.m,
         power_sizes=power_sizes,
-        right_ann=right_ann,
-        left_ann=left_ann,
-        two_sided_ann=two_sided,
+        right_ann=int(right.sum()),
+        left_ann=int(left.sum()),
+        two_sided_ann=int((left & right).sum()),
         decomposable_count=len(ctx.decomposable_ids),
         k_sizes=tuple(len(ctx.k_ids[pair]) for pair in K_PAIRS),
         u_stats=tuple(u_stat(ctx, s)[0] for s in range(2, ctx.r)),
@@ -494,16 +556,12 @@ def annihilator_census(ctx: NilContext) -> tuple[tuple[str, object], ...]:
         raise PreconditionViolated("annihilator census applies to length-3 contexts")
     i1, i2, i3 = ctx.sig
     q = ctx.t.field.q
-    full = (1 << ctx.m) - 1
-    two_sided = [
-        x
-        for x in range(ctx.m)
-        if ctx.left_zero_masks[x] == full and ctx.right_zero_masks[x] == full
-    ]
+    left, right = _annihilators(ctx)
+    two_sided = np.flatnonzero(left & right).tolist()
     dec_in_ann = sum(1 for x in two_sided if x in ctx.decomposable_ids)
     rank_le_one = 1 + (q**i1 - 1) * (q**i3 - 1) // (q - 1)
     shortcut = q ** (i1 + i3 - 1)
-    right_brute = sum(1 for x in range(ctx.m) if ctx.left_zero_masks[x] == full)
+    right_brute = int(right.sum())
     right_form = q ** (i1 * (i2 + i3))
     return (
         ("sig", ctx.sig),
@@ -596,20 +654,15 @@ def iso_construct(ctx1: NilContext, ctx2: NilContext) -> IsoMap:
     if f1.signature != f2.signature:
         raise SignatureMismatch(f"signatures {f1.signature} vs {f2.signature}")
     g = flag_transporter(f1, f2)
-    gi = mat_inverse(g)
-    perm: list[int] = []
-    pairs: list[tuple[Matrix, Matrix]] = []
-    for a in ctx1.t:
-        b = g * a * gi
-        y = ctx2.index.get(b)
-        if y is None:  # pragma: no cover
-            raise InternalError("transport left the target semigroup")
-        perm.append(y)
-        pairs.append((a, b))
-    if ctx1.m != ctx2.m or len(set(perm)) != ctx2.m:  # pragma: no cover
+    f = f1.field
+    moved = batch_mul(f, batch_mul(f, codes_array([g]), ctx1.codes), codes_array([mat_inverse(g)]))
+    perm, found = ctx2.key_index.find(moved)
+    if not found.all():  # pragma: no cover
+        raise InternalError("transport left the target semigroup")
+    if ctx1.m != ctx2.m or len(set(perm.tolist())) != ctx2.m:  # pragma: no cover
         raise InternalError("transport is not a bijection")
-    pm = np.array(perm, dtype=np.int64)
-    g1, g2 = ctx1.table.grid_np, ctx2.table.grid_np
-    if not np.array_equal(pm[g1], g2[np.ix_(pm, pm)]):  # pragma: no cover
+    g1, g2 = ctx1.table.grid, ctx2.table.grid
+    if not np.array_equal(perm[g1], g2[np.ix_(perm, perm)]):  # pragma: no cover
         raise InternalError("transport does not preserve products")
-    return IsoMap(g=g, pairs=tuple(pairs))
+    targets = ctx2.t.elements
+    return IsoMap(g=g, pairs=tuple(zip(ctx1.t.elements, (targets[y] for y in perm.tolist()))))

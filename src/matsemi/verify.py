@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 
+import numpy as np
+
 from .conjugacy import class_key, core, core_chain, sg_classes
-from .engine import ambient, closure_ids, table_iso
+from .engine import ambient, closure_ids, mask_nd, table_iso
 from .errors import MatSemiError, PreconditionViolated
 from .flags import (
     all_flags,
@@ -24,10 +26,11 @@ from .flags import (
     flag_semigroup,
     flags_with_signature,
     format_flag,
-    lowers_flag,
+    lowering_mask,
     standard_flag,
 )
 from .gf import (
+    codes_array,
     enumerate_matrices,
     field_make,
     format_matrix,
@@ -42,9 +45,7 @@ from .nilclass import (
     depth_sets,
     fingerprint,
     iso_construct,
-    ll,
     nil_context,
-    prec,
     super_rank,
     u_stat,
 )
@@ -149,7 +150,7 @@ def criterion_03() -> CriterionResult:
             f = field_make(q)
             full = None
             if n <= 3:
-                full = list(enumerate_matrices(f, n, n))
+                full = codes_array(enumerate_matrices(f, n, n))
             for m in range(1, n):
                 for fl in flags_with_signature(f, n, (m, n - m)):
                     s = flag_semigroup(fl)
@@ -158,11 +159,11 @@ def criterion_03() -> CriterionResult:
                     if len(s) != expect:
                         witness = f"{format_flag(fl)} over F_{q}: {len(s)} != {expect}"
                         break
-                    if any(not lowers_flag(a, fl) for a in s):
+                    if not lowering_mask(fl, codes_array(s.elements)).all():
                         witness = f"{format_flag(fl)} over F_{q}: enumerated element fails the predicate"
                         break
                     if full is not None:
-                        scan = sum(1 for a in full if lowers_flag(a, fl))
+                        scan = int(lowering_mask(fl, full).sum())
                         if scan != expect:
                             witness = f"{format_flag(fl)} over F_{q}: ambient scan {scan} != {expect}"
                             break
@@ -174,23 +175,6 @@ def criterion_03() -> CriterionResult:
             break
     details = [("flags_checked", checked), ("size_law", witness is None)]
     return _result("03", "flag semigroup size law", t0, details, witness)
-
-
-def _subset_nd(grid, zero_id, ids):
-    """Nilpotency degree of a closed id set inside an ambient grid, or None."""
-    base = sorted(int(x) for x in ids)
-    cur = frozenset(base)
-    target = frozenset((zero_id,))
-    seen = set()
-    k = 1
-    while True:
-        if cur == target:
-            return k
-        if cur in seen:
-            return None
-        seen.add(cur)
-        cur = frozenset(int(grid[a, b]) for a in base for b in cur)
-        k += 1
 
 
 def criterion_04() -> CriterionResult:
@@ -212,7 +196,9 @@ def criterion_04() -> CriterionResult:
             ids, aborted = closure_ids(amb.grid, member | {x}, abort_ids=non_nil)
             if aborted:
                 continue
-            nd = _subset_nd(amb.grid, amb.zero_id, ids)
+            mask = np.zeros(amb.m, dtype=bool)
+            mask[list(ids)] = True
+            nd = mask_nd(amb.grid, mask, amb.zero_id)
             if nd is not None and nd <= fl.length:
                 witness = (
                     f"{format_flag(fl)} + {format_matrix(amb.mats[x])}: closure stays "
@@ -245,25 +231,24 @@ def criterion_05() -> CriterionResult:
 
 
 def criterion_06() -> CriterionResult:
+    """Each context's product-route preorder matrices against its subspace
+    ones; a split names the first differing pair in row-major order, prec
+    before ll at that pair."""
     t0 = perf_counter()
     witness = None
     pairs = 0
     battery = _battery()
     for ctx in battery:
-        mats = ctx.t.elements
-        for a in mats:
-            for b in mats:
-                pairs += 1
-                if prec(ctx, a, b, method="products") != prec(ctx, a, b, method="kernels"):
-                    witness = f"prec routes split on sig {ctx.sig}: {format_matrix(a)} vs {format_matrix(b)}"
-                    break
-                if ll(ctx, a, b, method="products") != ll(ctx, a, b, method="images"):
-                    witness = f"ll routes split on sig {ctx.sig}: {format_matrix(a)} vs {format_matrix(b)}"
-                    break
-            if witness:
-                break
-        if witness:
+        split_prec = ctx.prec_products != ctx.prec_kernels
+        split = split_prec | (ctx.ll_products != ctx.ll_images)
+        if split.any():
+            first = int(np.argmax(split))
+            a, b = (ctx.t.elements[i] for i in divmod(first, ctx.m))
+            which = "prec" if split_prec.flat[first] else "ll"
+            witness = f"{which} routes split on sig {ctx.sig}: {format_matrix(a)} vs {format_matrix(b)}"
+            pairs += first + 1
             break
+        pairs += ctx.m * ctx.m
         # depth_sets cross-checks dimension depths against order depths
         depth_sets(ctx, "prec", 0)
         depth_sets(ctx, "ll", 0)

@@ -21,6 +21,7 @@ from matsemi import (
     identity_matrix,
     mat_image,
     mat_kernel,
+    mask_nd,
     mat_pow,
     mat_set,
     matrix,
@@ -198,6 +199,69 @@ class TestTable:
         assert t.adjoined_identity and t.m == 3
         one = t.identity_id
         assert all(t.grid[one][x] == x == t.grid[x][one] for x in range(t.m))
+
+
+def _oracle_zero_identity(grid, m):
+    """(zero id, identity id) by scanning every row and column."""
+    zero_id = identity_id = None
+    for e in range(m):
+        row = grid[e]
+        if all(row[x] == e for x in range(m)) and all(grid[x][e] == e for x in range(m)):
+            zero_id = e
+        if all(row[x] == x for x in range(m)) and all(grid[x][e] == x for x in range(m)):
+            identity_id = e
+    return zero_id, identity_id
+
+
+def _oracle_power_sets(grid, ids, upto):
+    """[S, S^2, ...] as frozensets, S^i = S^(i-1) * S."""
+    out = [ids]
+    for _ in range(upto - 1):
+        out.append(frozenset(grid[a][b] for a in out[-1] for b in ids))
+    return out
+
+
+def _oracle_nd(grid, ids, zero_id):
+    """Nilpotency degree by power sets, None once a power set repeats."""
+    cur, seen = ids, {ids}
+    for step in range(1, len(ids) + 2):
+        if cur == frozenset({zero_id}):
+            return step
+        cur = frozenset(grid[a][b] for a in cur for b in ids)
+        if cur in seen:
+            return None
+        seen.add(cur)
+    return None
+
+
+class TestPowerMasks:
+    """table_nd, power_sets and mask_nd against frozenset power sets."""
+
+    @pytest.mark.parametrize("adjoin", [False, True], ids=["plain", "adjoined"])
+    def test_match_frozenset_definitions(self, adjoin):
+        rng = random.Random(f"power_masks:{adjoin}")
+        for f, n in ((F2, 2), (F2, 3), (F3, 2), (F4, 2)):
+            for kinds in ((True,), (True, True), (False,), (True, False)):
+                s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one) for rank_one in kinds]))
+                t = build_table(s, adjoin_identity=adjoin)
+                grid = t.grid.tolist()
+                assert (t.zero_id, t.identity_id) == _oracle_zero_identity(grid, t.m)
+                ids = frozenset(range(t.m)) - ({t.identity_id} if t.adjoined_identity else set())
+                assert power_sets(t, 4) == _oracle_power_sets(grid, ids, 4)
+                want = None if t.zero_id is None else _oracle_nd(grid, ids, t.zero_id)
+                assert table_nd(t) == want
+
+    def test_mask_nd_on_ambient_subsets(self):
+        amb = ambient(F2, 3)
+        grid = amb.grid.tolist()
+        nil = [x for x in range(amb.m) if amb.nilpotent[x]]
+        rng = random.Random("mask_nd")
+        for _ in range(40):
+            seed = {amb.zero_id, *rng.sample(nil, rng.randrange(1, 4))}
+            ids, _ = closure_ids(amb.grid, seed)
+            mask = np.zeros(amb.m, dtype=bool)
+            mask[list(ids)] = True
+            assert mask_nd(amb.grid, mask, amb.zero_id) == _oracle_nd(grid, frozenset(ids), amb.zero_id)
 
 
 class TestSubsemigroups:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +7,13 @@ from hypothesis import strategies as st
 from matsemi import (
     BadSignature,
     CapExceeded,
+    Matrix,
     NotAChain,
     NotNilpotent,
     SignatureMismatch,
     all_flags,
     consolidates,
+    enumerate_matrices,
     enumerate_subspaces,
     field_make,
     flag_basis,
@@ -20,6 +24,7 @@ from matsemi import (
     format_flag,
     gaussian_binomial,
     is_k_maximal,
+    lowering_mask,
     lowers_flag,
     mat_inverse,
     mat_set,
@@ -32,6 +37,7 @@ from matsemi import (
     subspace,
     unit_matrix,
 )
+from matsemi.gf import codes_array
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -240,3 +246,52 @@ class TestFlagOracle:
         for sig in ((1, 3), (2, 2), (3, 1)):
             assert len(flags_with_signature(F3, 4, sig)) == _q_multinomial(sig, 3)
         assert [_q_multinomial(s, 3) for s in ((1, 3), (2, 2), (3, 1))] == [40, 130, 40]
+
+
+def _oracle_lowers_flag(a, f):
+    """Chain containment: the image of each basis vector of V_i lies in V_{i-1}."""
+    for i in range(1, len(f.chain)):
+        below = f.chain[i - 1]
+        for row in f.chain[i].basis:
+            img = a * matrix(a.field, [[c] for c in row])
+            if not below.contains_vector(img.col_codes(0)):
+                return False
+    return True
+
+
+def _oracle_flag_semigroup(f):
+    """P B P^-1 for every block strictly upper B, one Matrix product at a time."""
+    n, sig = f.ambient, f.signature
+    offs = [sum(sig[:i]) for i in range(len(sig) + 1)]
+    free = [
+        (r, c)
+        for ci in range(len(sig))
+        for ri in range(ci)
+        for r in range(offs[ri], offs[ri + 1])
+        for c in range(offs[ci], offs[ci + 1])
+    ]
+    p = flag_basis(f)
+    p_inv = mat_inverse(p)
+    out = []
+    for vals in itertools.product(range(f.field.q), repeat=len(free)):
+        codes = [0] * (n * n)
+        for (r, c), v in zip(free, vals):
+            codes[r * n + c] = v
+        out.append(p * Matrix(f.field, n, n, tuple(codes)) * p_inv)
+    return mat_set(f.field, n, out)
+
+
+class TestBatchedFlagLayer:
+    @pytest.mark.parametrize("field", [F2, F3, field_make(2, 2)], ids=["2", "3", "4"])
+    def test_flag_semigroup_matches_matrix_conjugation(self, field):
+        for f in all_flags(field, 3):
+            assert flag_semigroup(f) == _oracle_flag_semigroup(f)
+
+    @pytest.mark.parametrize("field, n", [(F2, 3), (field_make(2, 2), 2)], ids=["2-3", "4-2"])
+    def test_parity_check_mask_matches_chain_containment(self, field, n):
+        mats = list(enumerate_matrices(field, n, n))
+        codes = codes_array(mats)
+        for f in all_flags(field, n):
+            want = [_oracle_lowers_flag(a, f) for a in mats]
+            assert lowering_mask(f, codes).tolist() == want
+            assert [lowers_flag(a, f) for a in mats] == want

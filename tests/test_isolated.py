@@ -211,6 +211,7 @@ class TestPredicateOracles:
         fams = _all_pair_families(field, 2)
         assert len(fams) == 3 ** (field.q + 1) - 2 ** (field.q + 2) + 1
         for fam in fams:
+            assert fam == pair_family(fam.a_family, fam.b_family)  # built valid and sorted
             s = s_ab_make(fam)
             assert s == _oracle_s_ab(fam)
             assert is_isolated(s) is _oracle_is_isolated(s) is True

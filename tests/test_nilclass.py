@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,9 @@ from matsemi import (
     k_set,
     ll,
     matrix,
+    mat_image,
+    mat_inverse,
+    mat_kernel,
     mat_rank,
     nil_context,
     prec,
@@ -361,3 +365,64 @@ class TestOneTablePerContext:
         builds.clear()
         assert flags.power_image_flag(s) == standard_flag(F2, sig)
         assert builds == [s]
+
+
+@pytest.fixture(scope="module")
+def ctx121_f3(f3):
+    return nil_context(standard_flag(f3, (1, 2, 1)))
+
+
+def _oracle_routes(ctx):
+    """The four preorders pair by pair from their definitions: zero sets
+    read off the grid for the product routes, subspace containment for the
+    kernel and image routes."""
+    g = ctx.table.grid.tolist()
+    zero = ctx.table.zero_id
+    right = [{c for c in range(ctx.m) if g[x][c] == zero} for x in range(ctx.m)]
+    left = [{c for c in range(ctx.m) if g[c][x] == zero} for x in range(ctx.m)]
+    band, v1 = ctx.flag.chain[-2], ctx.flag.chain[1]
+    kernels = [mat_kernel(a).intersect(band) for a in ctx.t]
+    images = [mat_image(a).sum_(v1) for a in ctx.t]
+    pairs = [(a, b) for a in range(ctx.m) for b in range(ctx.m)]
+    return {
+        "prec_products": [right[a] <= right[b] for a, b in pairs],
+        "prec_kernels": [kernels[b].contains(kernels[a]) for a, b in pairs],
+        "ll_products": [left[a] <= left[b] for a, b in pairs],
+        "ll_images": [images[a].contains(images[b]) for a, b in pairs],
+    }
+
+
+class TestRouteMatrices:
+    def test_battery_of_f2_cubed(self):
+        for f in all_flags(F2, 3):
+            if f.length < 2:
+                continue
+            ctx = nil_context(f)
+            for name, want in _oracle_routes(ctx).items():
+                assert getattr(ctx, name).ravel().tolist() == want, (f, name)
+            a, b = ctx.t.elements[1], ctx.t.elements[-1]
+            assert prec(ctx, a, b, "kernels") == bool(ctx.prec_kernels[1, -1])
+            assert ll(ctx, a, b, "images") == bool(ctx.ll_images[1, -1])
+
+    def test_121_over_f3(self, ctx121_f3):
+        ctx = ctx121_f3
+        assert ctx.m == 243
+        for name, want in _oracle_routes(ctx).items():
+            assert getattr(ctx, name).ravel().tolist() == want, name
+
+    def test_tat_sets_match_unique_definition(self, ctx121_f3):
+        g = ctx121_f3.table.grid
+        for x in range(ctx121_f3.m):
+            assert ctx121_f3.tat_sets[x] == frozenset(np.unique(g[g[:, x]]).tolist())
+
+
+def test_iso_construct_is_matrix_conjugation(f3):
+    group = flags.flags_with_signature(f3, 3, (1, 1, 1))
+    for c1, c2 in ((group[0], group[-1]), (group[3], group[7])):
+        ctx1, ctx2 = nil_context(c1), nil_context(c2)
+        iso = iso_construct(ctx1, ctx2)
+        gi = mat_inverse(iso.g)
+        assert iso.g == flags.flag_transporter(c1, c2)
+        assert [b for _, b in iso.pairs] == [iso.g * a * gi for a in ctx1.t]
+        assert [a for a, _ in iso.pairs] == list(ctx1.t)
+        assert sorted(iso.as_dict().values(), key=ctx2.index.get) == list(ctx2.t)
