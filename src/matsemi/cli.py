@@ -76,12 +76,15 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="matsemi", description="exact matrix-semigroup structure over small finite fields")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, field=True):
+    def common(p, field=True, max_elems=False):
         if field:
             p.add_argument("--field", required=True, help="field size p or p^k")
             p.add_argument("--n", required=True, type=int, help="ambient matrix dimension")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--max-elems", type=int, default=None, dest="max_elems")
+        if max_elems:  # read only by the commands that build flag semigroups
+            p.add_argument(
+                "--max-elems", type=int, default=None, dest="max_elems", help="element cap for the flag semigroup"
+            )
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("classes", help="conjugacy classes of the full semigroup")
@@ -99,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("flags", help="flags and their nilpotent semigroups")
     fsub = pf.add_subparsers(dest="sub", required=True)
     p = fsub.add_parser("phi", help="all matrices lowering a flag")
-    common(p)
+    common(p, max_elems=True)
     p.add_argument("--flag", default=None)
     p.add_argument("--sig", default=None, help="take the coordinate flag of this signature")
     p = fsub.add_parser("psi", help="power-image flag of a closed nilpotent set")
@@ -109,14 +112,14 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--elements", required=True)
     p = fsub.add_parser("consolidation", help="flag refinement vs semigroup containment")
-    common(p)
+    common(p, max_elems=True)
     p.add_argument("--flag", required=True)
     p.add_argument("--flag2", required=True)
 
     pn = sub.add_parser("nil", help="structure of one flag semigroup")
     nsub = pn.add_subparsers(dest="sub", required=True)
     p = nsub.add_parser("fingerprint", help="isomorphism-invariant fingerprint")
-    common(p)
+    common(p, max_elems=True)
     p.add_argument("--flag", default=None)
     p.add_argument("--sig", default=None)
     p = nsub.add_parser("iso-decide", help="classify two signatures up to isomorphism")
@@ -128,7 +131,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", required=True, type=int)
     p.add_argument("--sig2", required=True)
     p = nsub.add_parser("iso-construct", help="conjugating isomorphism for equal signatures")
-    common(p)
+    common(p, max_elems=True)
     p.add_argument("--flag1", default=None)
     p.add_argument("--sig1", default=None)
     p.add_argument("--flag2", default=None)
@@ -558,7 +561,7 @@ def run_command(argv) -> tuple[str, int]:
         "command": cmd,
         "params": _params(args, field),
         "result": result,
-        "caps": {"max_elems": args.max_elems},
+        "caps": {"max_elems": getattr(args, "max_elems", None)},
         "timing_ms": None,
     }
     text = _render(report, args.format, (perf_counter() - t0) * 1000.0)

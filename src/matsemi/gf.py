@@ -775,11 +775,16 @@ def _pnorm(c):
 
 
 def _padd(f, a, b):
+    if len(a) < len(b):
+        a, b = b, a
     add = f.add
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _pnorm([add[x][y] for x, y in zip(a, b)])
+    out = list(a)
+    for i, y in enumerate(b):
+        if y:
+            out[i] = add[out[i]][y]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _pneg(f, a):
@@ -794,31 +799,39 @@ def _pmul(f, a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = add[out[i + j]][mul[x][y]]
-    return _pnorm(out)
+            mx = mul[x]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][mx[y]]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _pdivmod(f, num, den):
     if not den:
         raise DivisionByZero("polynomial division by zero")
-    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
     num = list(num)
+    while num and not num[-1]:
+        num.pop()
     dd = len(den) - 1
-    ilead = inv[den[-1]]
-    quo = [0] * max(len(num) - dd, 1)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        c = mul[num[-1]][ilead]
-        pos = len(num) - 1 - dd
-        quo[pos] = c
-        nc = neg[c]
-        for i, dcoef in enumerate(den):
-            num[pos + i] = add[num[pos + i]][mul[nc][dcoef]]
-    return _pnorm(quo), _pnorm(num)
+    if len(num) <= dd:
+        return (), tuple(num)
+    mul, add, neg = f.mul, f.add, f.neg
+    ilead = f.inv[den[-1]]
+    low = den[:-1]
+    quo = [0] * (len(num) - dd)
+    for pos in range(len(quo) - 1, -1, -1):
+        c = num[pos + dd]
+        if c:
+            c = mul[c][ilead]
+            quo[pos] = c
+            mc = mul[neg[c]]
+            for i, y in enumerate(low, pos):
+                num[i] = add[num[i]][mc[y]]
+    rem = num[:dd]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quo), tuple(rem)
 
 
 def _pmonic(f, a):
@@ -831,24 +844,37 @@ def _pmonic(f, a):
     return tuple(mul[il][x] for x in a)
 
 
+def _pgcd(f, a, b):
+    """Monic gcd of two polynomials, () when both are zero."""
+    while b:
+        a, b = b, _pdivmod(f, a, b)[1]
+    return _pmonic(f, a)
+
+
 def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
     """Relation matrix of F^n as an F[x]-module with x acting as a.
 
     Krylov blocks v_i, a v_i, ..., a^{d_i - 1} v_i are grown from the
     standard basis vectors in order, skipping those already spanned.  Each
-    new vector is eliminated against the vectors found so far, tracking its
-    coefficients on them; the first dependent power a^{d_i} v_i gives
-    column i: x^{d_i} minus the polynomial of its coefficients on block i on
-    the diagonal, minus those on the earlier blocks above it.  The s x s
-    result is upper triangular with det of degree n, and its Smith form
-    carries the nontrivial invariant factors of xI - a; s = 1 iff a is
-    cyclic.
+    power u = a^l v_i, with k Krylov vectors found before it, enters as the
+    augmented row [u | e_k] and is reduced in one pass against the rows
+    kept so far, each of which is [echelon vector | its coefficients on the
+    Krylov vectors].  A row that keeps a nonzero left half is scaled to a
+    unit pivot and kept as Krylov vector k.  The first dependent power
+    a^{d_i} v_i reduces to [0 | c]: then c, read as polynomials block by
+    block, is column i of the relation matrix, x^{d_i} minus the
+    polynomial of its coefficients on block i on the diagonal and minus
+    those on the earlier blocks above it.  The s x s result is upper
+    triangular with det of degree n, and its Smith form carries the
+    nontrivial invariant factors of xI - a; s = 1 iff a is cyclic.
     """
     f, n = a.field, a.rows
     mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
-    arows = [a.codes[i * n : (i + 1) * n] for i in range(n)]
-    reduced = []  # (pivot, echelon vector, its coefficients on the Krylov vectors)
-    blocks = []  # (index of the first Krylov vector, degree, coefficients of a^degree v)
+    codes = a.codes
+    acols = [codes[j::n] for j in range(n)]
+    pad = [0] * (n + 1)
+    reduced = []  # (pivot, [echelon vector | coefficients on the Krylov vectors])
+    blocks = []  # (first Krylov index, end index, relation column c)
     found = 0
     for j in range(n):
         if found == n:
@@ -857,42 +883,98 @@ def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
         v[j] = 1
         start = found
         while True:
-            w = list(v)
-            dep = [0] * n
-            for p, row, coef in reduced:
-                c = w[p]
+            row = v + pad
+            row[n + found] = 1
+            for p, r in reduced:
+                c = row[p]
                 if c:
-                    nc = neg[c]
-                    w = [add[x][mul[nc][y]] for x, y in zip(w, row)]
-                    dep = [add[x][mul[c][y]] for x, y in zip(dep, coef)]
-            p = next((i for i, x in enumerate(w) if x), None)
-            if p is None:
-                break  # v = sum of dep[k] times Krylov vector k
-            s = inv[w[p]]
-            coef = [mul[s][neg[x]] for x in dep]
-            coef[found] = s
-            reduced.append((p, [mul[s][x] for x in w], coef))
+                    mc = mul[neg[c]]
+                    row = [add[x][mc[y]] for x, y in zip(row, r)]
+            for p in range(n):
+                if row[p]:
+                    break
+            else:
+                break  # [0 | c]: a^{d_i} v_i is dependent
+            c = row[p]
+            if c != 1:
+                mc = mul[inv[c]]
+                row = [mc[x] for x in row]
+            reduced.append((p, row))
             found += 1
-            nxt = []
-            for r in arows:
-                acc = 0
-                for x, y in zip(r, v):
-                    if x and y:
-                        acc = add[acc][mul[x][y]]
-                nxt.append(acc)
+            nxt = [0] * n
+            for k, x in enumerate(v):
+                if x:
+                    mx = mul[x]
+                    nxt = [add[y][mx[z]] for y, z in zip(nxt, acols[k])]
             v = nxt
         if found > start:
-            blocks.append((start, found - start, dep))
-    rel = []
-    for b, (start_b, deg_b, _) in enumerate(blocks):
-        row = []
-        for i, (_, deg_i, dep_i) in enumerate(blocks):
-            coeffs = [neg[dep_i[start_b + l]] for l in range(deg_b)] if b <= i else []
-            if b == i:
-                coeffs.append(1)
-            row.append(_pnorm(coeffs))
-        rel.append(row)
-    return rel
+            blocks.append((start, found, row[n:]))
+    return [
+        [
+            () if b > i else tuple(rel[start : end + 1]) if b == i else _pnorm(rel[start:end])
+            for i, (_, _, rel) in enumerate(blocks)
+        ]
+        for b, (start, end, _) in enumerate(blocks)
+    ]
+
+
+def _smith_factors(f, m) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial invariant factors of a square polynomial matrix m (a list
+    of lists, reduced in place), monic, in divisibility order.
+
+    Pivot on a nonzero entry of least degree in the trailing block, clear
+    its row and column by division, and move on once it divides the whole
+    trailing block; a row or column remainder, or an entry it does not
+    divide (whose row is added to the pivot row), starts the step again on
+    an entry of smaller degree.
+    """
+    s = len(m)
+    for t in range(s):
+        while True:
+            best, bl = None, 0
+            for i in range(t, s):
+                row = m[i]
+                for j in range(t, s):
+                    e = row[j]
+                    if e and (best is None or len(e) < bl):
+                        best, bl = (i, j), len(e)
+            if best is None:
+                break  # the trailing block is zero
+            bi, bj = best
+            if bi != t:
+                m[bi], m[t] = m[t], m[bi]
+            if bj != t:
+                for row in m:
+                    row[bj], row[t] = row[t], row[bj]
+            piv, prow = m[t][t], m[t]
+            dirty = False
+            for i in range(t + 1, s):
+                row = m[i]
+                if row[t]:
+                    q, r = _pdivmod(f, row[t], piv)
+                    if q:
+                        nq = _pneg(f, q)
+                        m[i] = [_padd(f, x, _pmul(f, nq, y)) for x, y in zip(row, prow)]
+                    dirty = dirty or bool(r)
+            for j in range(t + 1, s):
+                if prow[j]:
+                    q, r = _pdivmod(f, prow[j], piv)
+                    if q:
+                        nq = _pneg(f, q)
+                        for row in m:
+                            row[j] = _padd(f, row[j], _pmul(f, nq, row[t]))
+                    dirty = dirty or bool(r)
+            if dirty:
+                continue  # a remainder of lower degree is left: pivot on it
+            offender = next(
+                (i for i in range(t + 1, s) for j in range(t + 1, s) if m[i][j] and _pdivmod(f, m[i][j], piv)[1]),
+                None,
+            )
+            if offender is None:
+                break
+            m[t] = [_padd(f, x, y) for x, y in zip(m[t], m[offender])]
+    factors = (_pmonic(f, m[i][i]) for i in range(s))
+    return tuple(p for p in factors if len(p) >= 2)  # drop degree-0 units
 
 
 # Bounded: a class-key sweep meets almost every matrix once, so an unbounded
@@ -903,72 +985,40 @@ def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Nontrivial invariant factors of xI - a, monic, in divisibility order.
 
     This is a complete similarity invariant over any field, so it doubles as
-    the canonical class key for unit conjugacy.  The Smith form runs on the
-    s x s Krylov relation matrix of a (see _krylov_relations), which has the
-    same nontrivial invariants as xI - a and is 1 x 1 for cyclic a.
+    the canonical class key for unit conjugacy.  They are read off the
+    s x s Krylov relation matrix R of a (see _krylov_relations), which has
+    the same nontrivial invariants as xI - a; its augmented rows
+    [echelon vector | Krylov coefficients] give each relation column with
+    one reduction per Krylov vector.
+
+    s = 1 (a cyclic): R = (r11), the characteristic polynomial.
+
+    s = 2: R = [[r11, r12], [0, r22]] with r11, r22 monic.  The Smith form
+    diag(d1, d2) of R has d1 = D1, the monic gcd of the 1 x 1 minors, and
+    d1 d2 = D2, the monic determinant, because the determinantal divisors
+    D_k (monic gcd of the k x k minors) are invariant under unimodular row
+    and column operations and equal d1 ... dk on a Smith form.  So
+    d1 = gcd(r11, r12, r22) and d2 = r11 r22 / d1, an exact division of
+    monic polynomials.
+
+    s >= 3: the general Smith loop (_smith_factors).
     """
     if not a.is_square():
         raise DimMismatch("similarity needs square matrices")
-    f = a.field
     m = _krylov_relations(a)
-    n = len(m)  # s, the number of Krylov blocks
-
-    def deg(p):
-        return len(p) - 1 if p else -1
-
-    for t in range(n):
-        while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if m[i][j] and (best is None or deg(m[i][j]) < deg(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break  # submatrix is zero
-            bi, bj = best
-            if bi != t:
-                m[bi], m[t] = m[t], m[bi]
-            if bj != t:
-                for row in m:
-                    row[bj], row[t] = row[t], row[bj]
-            dirty = False
-            for i in range(t + 1, n):
-                if m[i][t]:
-                    q, r = _pdivmod(f, m[i][t], m[t][t])
-                    if q:
-                        nq = _pneg(f, q)
-                        m[i] = [_padd(f, m[i][j], _pmul(f, nq, m[t][j])) for j in range(n)]
-                    if r:
-                        dirty = True
-            for j in range(t + 1, n):
-                if m[t][j]:
-                    q, r = _pdivmod(f, m[t][j], m[t][t])
-                    if q:
-                        nq = _pneg(f, q)
-                        for i in range(n):
-                            m[i][j] = _padd(f, m[i][j], _pmul(f, nq, m[i][t]))
-                    if r:
-                        dirty = True
-            if dirty:
-                continue
-            if any(m[i][t] for i in range(t + 1, n)) or any(m[t][j] for j in range(t + 1, n)):
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if m[i][j]:
-                        _, r = _pdivmod(f, m[i][j], m[t][t])
-                        if r:
-                            offender = i
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[t] = [_padd(f, m[t][j], m[offender][j]) for j in range(n)]
-
-    factors = [_pmonic(f, m[i][i]) for i in range(n)]
-    return tuple(p for p in factors if len(p) >= 2)  # drop degree-0 units
+    if len(m) == 1:
+        return (m[0][0],)
+    f = a.field
+    if len(m) == 2:
+        (r11, r12), (_, r22) = m
+        d1 = _pgcd(f, r22, r12)
+        if len(d1) > 1:
+            d1 = _pgcd(f, r11, d1)
+        d2 = _pmul(f, r11, r22)
+        if len(d1) == 1:
+            return (d2,)
+        return d1, _pdivmod(f, d2, d1)[0]
+    return _smith_factors(f, m)
 
 
 def similar(a: Matrix, b: Matrix) -> bool:

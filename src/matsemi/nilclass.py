@@ -26,6 +26,7 @@ from .engine import (
     KeyIndex,
     MatSet,
     SemigroupTable,
+    _product_mask,
     build_table,
     mat_set,
     power_sets,
@@ -469,14 +470,18 @@ class Fingerprint:
 def _sandwich_set(ctx: NilContext, left_exp: int, x: int, right_exp: int) -> frozenset[int]:
     """ids of T^left_exp * x * T^right_exp, exponent 0 meaning the identity."""
     g = ctx.table.grid
-    cur = np.array([x], dtype=np.int64)
+
+    def mask(ids):
+        out = np.zeros(len(g), dtype=bool)
+        out[list(ids)] = True
+        return out
+
+    cur = mask((x,))
     if left_exp:
-        left = np.fromiter(sorted(ctx.power_ids[left_exp - 1]), dtype=np.int64)
-        cur = np.unique(g[np.ix_(left, cur)])
+        cur = _product_mask(g, mask(ctx.power_ids[left_exp - 1]), cur)
     if right_exp:
-        right = np.fromiter(sorted(ctx.power_ids[right_exp - 1]), dtype=np.int64)
-        cur = np.unique(g[np.ix_(cur, right)])
-    return frozenset(int(v) for v in cur)
+        cur = _product_mask(g, cur, mask(ctx.power_ids[right_exp - 1]))
+    return frozenset(np.flatnonzero(cur).tolist())
 
 
 def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:

@@ -152,6 +152,45 @@ class TestExitCodes:
         assert code == 3
         assert text.startswith("error CapExceeded")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flags", "phi", "--field", "2", "--n", "3", "--sig", "1,2"],
+            ["flags", "consolidation", "--field", "2", "--n", "3", "--flag", "1,0,0", "--flag2", "1,0,0|1,0,0;0,1,0"],
+            ["nil", "fingerprint", "--field", "2", "--n", "3", "--sig", "1,2"],
+            ["nil", "iso-construct", "--field", "2", "--n", "3", "--sig1", "1,2", "--sig2", "1,2"],
+        ],
+        ids=lambda a: "-".join(a[:2]),
+    )
+    def test_max_elems_caps_the_flag_semigroup(self, argv):
+        text, code = run_command(argv + ["--max-elems", "3"])
+        assert code == 3
+        assert text.startswith("error CapExceeded: flag semigroup has")
+        assert _run_json(argv + ["--max-elems", "100"])["caps"] == {"max_elems": 100}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classes", "--field", "7", "--n", "2"],
+            ["core", "--field", "2", "--n", "2", "--matrix", "0,1;0,0"],
+            ["chain", "--field", "2", "--n", "2", "--matrix", "0,1;0,0"],
+            ["flags", "psi", "--field", "2", "--n", "2", "--elements", "0,1;0,0"],
+            ["flags", "maximal", "--field", "2", "--n", "2", "--elements", "0,1;0,0"],
+            ["nil", "iso-decide", "--q", "2", "--n1", "2", "--sig1", "1,1", "--n2", "2", "--sig2", "1,1"],
+            ["isolated", "enum", "--field", "2", "--n", "2"],
+            ["isolated", "check", "--field", "2", "--n", "2"],
+            ["ideal", "gen", "--field", "2", "--n", "2", "--k", "1"],
+            ["verify", "all"],
+        ],
+        ids=lambda a: "-".join(a[:2]),
+    )
+    def test_max_elems_is_a_usage_error_where_nothing_reads_it(self, argv):
+        # classes --field 7 --n 2 --max-elems 10 used to run on all 2401
+        # elements; an option that is accepted and ignored is now refused
+        assert run_command(argv + ["--max-elems", "10"]) == ("", 2)
+        if argv[0] in ("core", "chain"):
+            assert _run_json(argv)["caps"] == {"max_elems": None}
+
 
 class TestFaultInjection:
     def test_poisoned_product_grid_fails_brute_check(self, f2, monkeypatch):

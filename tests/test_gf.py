@@ -40,12 +40,8 @@ from matsemi import (
 )
 from matsemi.gf import (
     PRIME_CAP,
-    _padd,
-    _pdivmod,
-    _pmonic,
-    _pmul,
-    _pneg,
-    _pnorm,
+    _krylov_relations,
+    _smith_factors,
     batch_mul,
     code_keys,
     codes_array,
@@ -217,6 +213,51 @@ class TestSimilarity:
         assert format_poly(()) == "0"
 
 
+# Polynomial arithmetic for the oracles below, on the field tables alone and
+# written apart from gf's helpers, so that a fault in those cannot pass both
+# routes.  Polynomials are coefficient tuples, low degree first, no trailing
+# zeros.
+
+
+def _o_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _o_sub_mul(f, x, q, y):
+    """x - q*y."""
+    out = list(x) + [0] * max(0, len(q) + len(y) - 1 - len(x))
+    for i, a in enumerate(q):
+        for j, b in enumerate(y):
+            out[i + j] = f.add[out[i + j]][f.neg[f.mul[a][b]]]
+    return _o_trim(out)
+
+
+def _o_divmod(f, x, y):
+    """Quotient and remainder of x by y != 0, one leading term at a time."""
+    quo = [0] * max(len(x) - len(y) + 1, 0)
+    r = _o_trim(x)
+    while len(r) >= len(y):
+        shift = len(r) - len(y)
+        quo[shift] = f.mul[r[-1]][f.inv[y[-1]]]
+        r = _o_sub_mul(f, r, (0,) * shift + (quo[shift],), y)
+    return _o_trim(quo), r
+
+
+def _o_monic(f, x):
+    return tuple(f.mul[f.inv[x[-1]]][c] for c in x)
+
+
+def _o_mul(f, x, y):
+    out = [0] * max(len(x) + len(y) - 1, 0)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = f.add[out[i + j]][f.mul[a][b]]
+    return _o_trim(out)
+
+
 def _smith_of_xI_minus_a(a):
     """Nontrivial invariant factors from the Smith form of xI - a itself.
 
@@ -226,12 +267,9 @@ def _smith_of_xI_minus_a(a):
     f, n = a.field, a.rows
     neg = f.neg
     m = [
-        [_pnorm(([neg[a.codes[i * n + j]], 1]) if i == j else [neg[a.codes[i * n + j]]]) for j in range(n)]
+        [_o_trim([neg[a.codes[i * n + j]], 1] if i == j else [neg[a.codes[i * n + j]]]) for j in range(n)]
         for i in range(n)
     ]
-
-    def minus_multiple(x, q, y):
-        return _padd(f, x, _pneg(f, _pmul(f, q, y)))
 
     diagonal = []
     for t in range(n):
@@ -242,22 +280,22 @@ def _smith_of_xI_minus_a(a):
                 row[t], row[j0] = row[j0], row[t]
             piv = m[t][t]
             for i in range(t + 1, n):
-                q, _ = _pdivmod(f, m[i][t], piv)
-                m[i] = [minus_multiple(x, q, y) for x, y in zip(m[i], m[t])]
+                q, _ = _o_divmod(f, m[i][t], piv)
+                m[i] = [_o_sub_mul(f, x, q, y) for x, y in zip(m[i], m[t])]
             for j in range(t + 1, n):
-                q, _ = _pdivmod(f, m[t][j], piv)
+                q, _ = _o_divmod(f, m[t][j], piv)
                 for row in m:
-                    row[j] = minus_multiple(row[j], q, row[t])
+                    row[j] = _o_sub_mul(f, row[j], q, row[t])
             if any(m[i][t] for i in range(t + 1, n)) or any(m[t][j] for j in range(t + 1, n)):
                 continue  # a remainder of lower degree is left: pivot on it
             bad = next(
-                (i for i in range(t + 1, n) for j in range(t + 1, n) if _pdivmod(f, m[i][j], piv)[1]),
+                (i for i in range(t + 1, n) for j in range(t + 1, n) if _o_divmod(f, m[i][j], piv)[1]),
                 None,
             )
             if bad is None:
                 break
-            m[t] = [_padd(f, x, y) for x, y in zip(m[t], m[bad])]
-        diagonal.append(_pmonic(f, m[t][t]))
+            m[t] = [_o_sub_mul(f, x, (neg[1],), y) for x, y in zip(m[t], m[bad])]  # x + y
+        diagonal.append(_o_monic(f, m[t][t]))
     return tuple(d for d in diagonal if len(d) >= 2)
 
 
@@ -295,8 +333,123 @@ class TestInvariantFactorOracle:
             fac = invariant_factors(a)
             assert sum(len(c) - 1 for c in fac) == n
             for lo, hi in zip(fac, fac[1:]):
-                assert _pdivmod(f, hi, lo)[1] == ()
+                assert _o_divmod(f, hi, lo)[1] == ()
             assert _poly_at(fac[-1], a).is_zero()
+
+
+def _partition_lengths(n, largest=None):
+    """Number of parts of every partition of n."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield 0
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partition_lengths(n - part, part):
+            yield rest + 1
+
+
+def _companion(f, p):
+    """Companion matrix of a monic p: ones below the diagonal, -p's low
+    coefficients in the last column."""
+    d = len(p) - 1
+    codes = [0] * (d * d)
+    for i in range(d):
+        if i:
+            codes[i * d + i - 1] = 1
+        codes[i * d + d - 1] = f.neg[p[i]]
+    return codes
+
+
+def _rational_form(f, chain):
+    """Block diagonal sum of the companions of a divisibility chain, whose
+    invariant factors are the chain itself."""
+    n = sum(len(p) - 1 for p in chain)
+    codes = [0] * (n * n)
+    at = 0
+    for p in chain:
+        d = len(p) - 1
+        block = _companion(f, p)
+        for i in range(d):
+            codes[(at + i) * n + at : (at + i) * n + at + d] = block[i * d : (i + 1) * d]
+        at += d
+    return Matrix(f, n, n, tuple(codes))
+
+
+def _structured_chains(f):
+    """Divisibility chains of at least three factors (and a few of two) up
+    to n = 5: scalar matrices, diag(c, c, d), nilpotent Jordan sums, and
+    companions of irreducible quadratics repeated."""
+
+    def lin(c):
+        return (f.neg[c], 1)  # x - c
+
+    chains = []
+    for c in range(f.q):
+        for n in range(3, 6):
+            chains.append([lin(c)] * n)  # cI_n
+        for d in range(f.q):
+            if d != c:
+                chains.append([lin(c), _o_mul(f, lin(c), lin(d))])  # diag(c, c, d)
+                chains.append([lin(c), lin(c), _o_mul(f, lin(c), lin(d))])
+                chains.append([lin(c), _o_mul(f, lin(c), lin(d)), _o_mul(f, lin(c), lin(d))])
+    for parts in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 3), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 1, 1)):
+        chains.append([(0,) * k + (1,) for k in parts])  # Jordan blocks J_k at 0
+    irreducible = [
+        (c0, c1, 1)
+        for c0 in range(1, f.q)
+        for c1 in range(f.q)
+        if all(f.add[f.add[c0][f.mul[c1][r]]][f.mul[r][r]] for r in range(f.q))
+    ]
+    for p in irreducible[:2]:
+        chains.append([p, p])  # C + C
+        for c in (0, 1):
+            chains.append([p, _o_mul(f, p, lin(c))])  # C + C + (c)
+            chains.append([lin(c), lin(c), _o_mul(f, lin(c), p)])  # cI_2 + C + (c)
+    return chains
+
+
+class TestInvariantFactorKernel:
+    @pytest.mark.parametrize(
+        "q,n",
+        [(q, n) for n in (1, 2) for q in (2, 3, 4, 5, 7, 8)] + [(2, 3), (3, 3)],
+    )
+    def test_class_count(self, q, n):
+        # similarity classes of M(n, F_q): sum over partitions of n of
+        # q^(number of parts), from prod 1/(1 - q x^i); q, q^2+q, q^3+q^2+q
+        f = field_make(*prime_power(q))
+        keys = {invariant_factors(a) for a in enumerate_matrices(f, n, n)}
+        assert len(keys) == sum(q**parts for parts in _partition_lengths(n))
+
+    @pytest.mark.parametrize("f", [field_make(2), field_make(3), field_make(2, 2)], ids=format_field)
+    def test_structured_chains(self, f):
+        rng = random.Random(f"chains:{f.q}")
+        blocks_seen = set()
+        for chain in _structured_chains(f):
+            a = _rational_form(f, chain)
+            n = a.rows
+            assert n <= 5
+            while True:
+                g = Matrix(f, n, n, tuple(rng.randrange(f.q) for _ in range(n * n)))
+                if mat_rank(g) == n:
+                    break
+            # each companion block of the rational form is one Krylov block;
+            # a conjugate may split into more blocks, with unit factors
+            s = len(_krylov_relations(a))
+            assert s == len(chain)
+            blocks_seen.add(s)
+            for b in (a, mat_inverse(g) * a * g):
+                assert invariant_factors(b) == tuple(chain), format_matrix(b)
+        assert blocks_seen == {2, 3, 4, 5}
+
+    def test_two_block_closed_form_matches_the_smith_loop(self):
+        f = field_make(3)
+        two_block = 0
+        for a in enumerate_matrices(f, 3, 3):
+            m = _krylov_relations(a)
+            if len(m) == 2:
+                assert invariant_factors(a) == _smith_factors(f, m), format_matrix(a)
+                two_block += 1
+        assert two_block == 7290
 
 
 class TestCodeArrayKernel:

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,7 @@ from matsemi import (
     unit_matrix,
 )
 from matsemi import engine, flags, nilclass
+from matsemi.cli import run_command
 from matsemi.errors import BadSignature, NotPrime
 from matsemi.nilclass import K_PAIRS
 
@@ -259,6 +264,60 @@ class TestUStat:
             u_stat(ctx112, 1)
         with pytest.raises(PreconditionViolated):
             u_stat(ctx112, 3)
+
+    def test_sandwich_sets_are_the_products(self, ctx121, ctx_complete4):
+        for ctx in (ctx121, ctx_complete4):
+            g = ctx.table.grid.tolist()
+            for left in range(ctx.r):
+                for right in range(ctx.r - left):
+                    ls = ctx.power_ids[left - 1] if left else None
+                    rs = ctx.power_ids[right - 1] if right else None
+                    for x in range(ctx.m):
+                        xs = {g[a][x] for a in ls} if ls else {x}
+                        want = {g[y][b] for y in xs for b in rs} if rs else xs
+                        assert nilclass._sandwich_set(ctx, left, x, right) == want
+
+
+def test_fingerprint_does_not_import_numpy_ma():
+    # np.unique pulled in numpy.ma (about 20 ms and 1.7 MB) on every
+    # fingerprint with a middle position; the sandwich sets are masks now
+    argv = ["nil", "fingerprint", "--field", "3", "--n", "4", "--sig", "1,2,1", "--format", "json"]
+    script = (
+        "import sys\n"
+        "from matsemi.cli import run_command\n"
+        f"text, code = run_command({argv!r})\n"
+        "sys.stdout.write(text)\n"
+        "sys.stderr.write(str('numpy.ma' in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr.decode()
+    assert cp.stderr == b"False"
+    text, code = run_command(argv)
+    assert code == 0 and cp.stdout == text.encode()
+    result = json.loads(text)["result"]
+    assert result["fingerprint"] == {
+        "size": 243,
+        "power_1": 243,
+        "power_2": 3,
+        "power_3": 1,
+        "right_ann": 27,
+        "left_ann": 27,
+        "two_sided_ann": 3,
+        "decomposable_count": 3,
+        "k_1_0": 24,
+        "k_0_1": 24,
+        "k_1_1": 0,
+        "k_2_0": 0,
+        "k_0_2": 0,
+        "k_2_1": 0,
+        "k_1_2": 0,
+        "k_2_2": 0,
+        "u_2": 2,
+    }
+    assert result["u_certificates"] == {
+        "u_2": ["0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0", "0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0"]
+    }
 
 
 class TestCensus:
