@@ -5,7 +5,10 @@ element order (rank, then entry codes), build_table turns a closed MatSet
 into a multiplication grid, and the remaining utilities (closures,
 union-find partitions, subsemigroup scans, table isomorphism, preorder
 depths) operate on grids only.  Product grids and closures multiply integer
-code arrays with gf.batch_mul, one kernel for every GF(q).
+code arrays with gf.batch_mul, one kernel for every GF(q).  A product grid
+multiplies only the elements' distinct rows with every element and joins
+the row keys of each product into its code key; the subsemigroup scan
+tests every subset mask at once against per-element subset-image tables.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from .gf import (
     batch_mul,
     code_keys,
     codes_array,
+    join_row_keys,
     mat_image,
     mat_kernel,
     mat_rank,
     mat_sort_key,
+    row_keys,
 )
 
 CLOSURE_CAP = 1 << 20
@@ -76,44 +81,73 @@ def mat_set(field: FieldSpec, dim: int, mats) -> MatSet:
 
 
 class KeyIndex:
-    """The matrices of a code array, found again by code key."""
+    """The matrices of a code array, found again by code key.
+
+    When the keys are exactly 0..m-1 (a full ambient M(n, F_q), in any
+    order), a key's id is one gather from the inverse permutation;
+    otherwise it is a binary search among the sorted keys.  Either way a
+    key that is not among them is reported as not found.
+    """
 
     def __init__(self, f: FieldSpec, arr: np.ndarray):
         self.field = f
         keys = code_keys(f, arr)
-        self.order = np.argsort(keys, kind="stable")
+        self.order = np.argsort(keys, kind="stable").astype(np.int32)
         self.keys = keys[self.order]
+        self.dense = keys.dtype.kind == "i" and np.array_equal(self.keys, np.arange(len(keys)))
 
     def find(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ids, found) for each matrix of arr; an id means nothing where
         found is false."""
-        keys = code_keys(self.field, arr)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.find_keys(code_keys(self.field, arr))
+
+    def find_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, found) for code keys, as find gives them for matrices."""
+        last = len(self.keys) - 1
+        if self.dense:
+            return self.order.take(keys, mode="clip"), keys <= last
+        pos = np.searchsorted(self.keys, keys).clip(max=last)
         return self.order[pos], self.keys[pos] == keys
+
+
+GRID_BLOCK = 8192  # products per block of product_grid
 
 
 def product_grid(elements) -> np.ndarray:
     """id x id -> id multiplication grid; NotClosed with witness otherwise.
 
-    One row at a time: the products of a with every element, looked up by
-    code key among the keys of the elements.
+    Row i of a*b is (row i of a)*b, so batch_mul of the elements' distinct
+    rows with every element gives a (rows, m) table of row keys.  The code
+    keys of a block of about GRID_BLOCK products are then n gathers from
+    that table joined into one key each, looked up among the keys of the
+    elements.  Both the table and the grid are filled a block at a time.
+    The witness is the first escaping pair in row-major order.
     """
     m = len(elements)
     if not m:
         return np.zeros((0, 0), dtype=np.int32)
     f = elements[0].field
     arr = codes_array(elements)
+    n = arr.shape[-1]
     index = KeyIndex(f, arr)
+    rows, first, row_ids = np.unique(row_keys(f, arr).ravel(), return_index=True, return_inverse=True)
+    row_ids = row_ids.reshape(m, n)  # row_ids[a, i]: which distinct row is row i of a
+    distinct = arr.reshape(m * n, 1, 1, n)[first]
+    step = max(1, GRID_BLOCK // m)
+    table = np.empty((len(rows), m), dtype=rows.dtype)  # table[r, b]: key of (row r)*b
+    for lo in range(0, len(rows), step):
+        table[lo : lo + step] = row_keys(f, batch_mul(f, distinct[lo : lo + step], arr))[..., 0]
     grid = np.empty((m, m), dtype=np.int32)
-    for a in range(m):
-        ids, ok = index.find(batch_mul(f, arr[a], arr))
+    for lo in range(0, m, step):
+        keys = join_row_keys(f, [table[row_ids[lo : lo + step, i]] for i in range(n)])
+        ids, ok = index.find_keys(keys)
         if not ok.all():
-            b = int(np.argmin(ok))
+            a, b = divmod(lo * m + int(np.argmin(ok)), m)
             raise NotClosed(
                 "set not closed under multiplication",
                 witness=(elements[a], elements[b], elements[a] * elements[b]),
             )
-        grid[a] = ids
+        grid[lo : lo + step] = ids
     return grid
 
 
@@ -382,25 +416,26 @@ def equiv_closure(m: int, pairs) -> Partition:
 
 
 def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
-    """All multiplicatively closed id subsets, canonical order. m <= 16."""
+    """All multiplicatively closed id subsets, canonical order. m <= 16.
+
+    Subsets are bit masks.  For each element i, the image of every mask M,
+    the mask of {i*j : j in M}, is built by doubling over the bits of M;
+    M is closed when its image lies inside M for every i in M.
+    """
     m = table.m
     if m > SUBSEMIGROUP_CAP:
         raise CapExceeded(f"table size {m} exceeds subsemigroup scan cap {SUBSEMIGROUP_CAP}")
-    grid = table.grid.tolist()
-    out = [frozenset()] if include_empty else []
-    for mask in range(1, 1 << m):
-        bits = [i for i in range(m) if mask >> i & 1]
-        ok = True
-        for i in bits:
-            row = grid[i]
-            for j in bits:
-                if not mask >> row[j] & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(bits))
+    dtype = np.min_scalar_type((1 << m) - 1)
+    masks = np.arange(1 << m, dtype=dtype)
+    image = np.zeros(1 << m, dtype=dtype)  # image[M]: the mask of {i*j : j in M}
+    closed = np.ones(1 << m, dtype=bool)
+    for i, row in enumerate(table.grid.tolist()):
+        for b, x in enumerate(row):
+            image[1 << b : 2 << b] = image[: 1 << b] | (1 << x)
+        closed &= (((masks >> i) & 1) == 0) | ((image & ~masks) == 0)
+    start = 0 if include_empty else 1
+    found = (np.flatnonzero(closed[start:]) + start).tolist()
+    out = [frozenset(i for i in range(m) if mask >> i & 1) for mask in found]
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out
 

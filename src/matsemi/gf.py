@@ -272,21 +272,47 @@ def _key_weights(q: int, nn: int) -> np.ndarray | None:
     return q ** np.arange(nn, dtype=np.int64) if q**nn <= 1 << 63 else None
 
 
+def _byte_keys(digits: np.ndarray, base: int) -> np.ndarray:
+    """One raw-byte key (a void scalar) per vector along the last axis of
+    digits below `base`; digits that are byte keys already are put side
+    by side."""
+    if digits.dtype.kind != "V":
+        digits = digits.astype(np.min_scalar_type(base - 1))
+    rows = np.ascontiguousarray(digits)
+    return rows.view(np.dtype((np.void, rows.itemsize * digits.shape[-1]))).reshape(digits.shape[:-1])
+
+
+def row_keys(f: FieldSpec, arr: np.ndarray) -> np.ndarray:
+    """One key per row of a (..., n) code array: its base-q integer when
+    q^n fits in int64, and otherwise its codes as raw bytes."""
+    weights = _key_weights(f.q, arr.shape[-1])
+    return arr @ weights if weights is not None else _byte_keys(arr, f.q)
+
+
+def join_row_keys(f: FieldSpec, parts) -> np.ndarray:
+    """The code key of each matrix from the keys of its rows: parts[i] is
+    an array of row-i keys, all parts of one shape."""
+    base = f.q ** len(parts)
+    if base ** len(parts) > 1 << 63:
+        return _byte_keys(np.stack(parts, axis=-1), base)
+    out = parts[-1].copy()
+    for part in parts[-2::-1]:  # Horner's rule in base q^n
+        out *= base
+        out += part
+    return out
+
+
 def code_keys(f: FieldSpec, arr: np.ndarray) -> np.ndarray:
     """One sortable key per matrix of a (..., n, n) code array; equal keys
     mean equal matrices.
 
-    The key is the base-q integer of the row-major codes when q^(n*n)
-    fits in int64, and otherwise the codes as raw bytes (a void scalar).
-    Both sort, search and compare with numpy; the integer form is faster.
+    The key is built from the row keys: the base-q integer of the row-major
+    codes when q^(n*n) fits in int64, and otherwise the row keys as raw
+    bytes (a void scalar).  Both sort, search and compare with numpy; the
+    integer form is faster.
     """
-    nn = arr.shape[-2] * arr.shape[-1]
-    flat = arr.reshape(*arr.shape[:-2], nn)
-    weights = _key_weights(f.q, nn)
-    if weights is not None:
-        return flat @ weights
-    rows = np.ascontiguousarray(flat, dtype=np.min_scalar_type(f.q - 1))
-    return rows.view(np.dtype((np.void, rows.itemsize * nn))).reshape(arr.shape[:-2])
+    rows = row_keys(f, arr)
+    return join_row_keys(f, [rows[..., i] for i in range(arr.shape[-1])])
 
 
 @lru_cache(maxsize=None)

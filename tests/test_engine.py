@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from matsemi import (
     enumerate_subsemigroups,
     equiv_closure,
     field_make,
+    flag_semigroup,
+    flags_with_signature,
     identity_matrix,
     mat_image,
     mat_kernel,
@@ -32,13 +35,16 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
-from matsemi.engine import Partition, _verify_associativity
+from matsemi.engine import GRID_BLOCK, KeyIndex, Partition, _verify_associativity
 from matsemi.errors import InternalError
+from matsemi.gf import batch_mul, code_keys, codes_array, row_keys
 
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
+F5 = field_make(5)
 F8 = field_make(2, 3)
+BY_Q = {2: F2, 3: F3, 4: F4, 5: F5, 7: field_make(7), 8: F8}
 
 
 def _oracle_closure(seed):
@@ -264,6 +270,18 @@ class TestPowerMasks:
             assert mask_nd(amb.grid, mask, amb.zero_id) == _oracle_nd(grid, frozenset(ids), amb.zero_id)
 
 
+def _oracle_subsemigroups(table, include_empty):
+    """Every mask tested pair by pair (the former subset scan)."""
+    m, grid = table.m, table.grid.tolist()
+    out = [frozenset()] if include_empty else []
+    for mask in range(1, 1 << m):
+        bits = [i for i in range(m) if mask >> i & 1]
+        if all(mask >> grid[i][j] & 1 for i in bits for j in bits):
+            out.append(frozenset(bits))
+    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return out
+
+
 class TestSubsemigroups:
     def test_tiny_enumeration_by_hand(self):
         z = matrix(F2, [[0, 0], [0, 0]])
@@ -288,6 +306,25 @@ class TestSubsemigroups:
         t = build_table(mat_set(F3, 2, amb.mats))
         with pytest.raises(CapExceeded):
             enumerate_subsemigroups(t)
+
+    @pytest.mark.parametrize("include_empty", [False, True])
+    def test_matches_the_mask_oracle(self, include_empty):
+        tables = [build_table(mat_set(F2, 2, ambient(F2, 2).mats))]
+        for q in (2, 3, 4, 5, 7, 8):
+            f = BY_Q[q]
+            tables.append(build_table(mat_set(f, 1, enumerate_matrices(f, 1, 1))))
+        # small semigroups without an identity, each with one adjoined
+        nil = mat_set(F2, 2, [matrix(F2, [[0, 0], [0, 0]]), unit_matrix(F2, 2, 0, 1)])
+        rng = random.Random("subsemigroups")
+        seeds = [nil, _flag_set(F2, (1, 1, 1)), _flag_set(F3, (1, 2))]
+        seeds += [closure(mat_set(F3, 2, [_draw(rng, F3, 2, rank_one=True) for _ in range(2)])) for _ in range(4)]
+        for seed in seeds:
+            t = build_table(seed, adjoin_identity=True)
+            assert t.adjoined_identity and t.m <= 16
+            tables.append(t)
+        for t in tables:
+            assert enumerate_subsemigroups(t, include_empty) == _oracle_subsemigroups(t, include_empty)
+        assert len(enumerate_subsemigroups(tables[0], include_empty)) == 233 + include_empty
 
 
 class TestTableIso:
@@ -467,19 +504,116 @@ class TestAmbient:
         assert not aborted and ids == {amb.zero_id, e12}
 
 
+def _oracle_grid(elements):
+    """(grid, None), or (None, (a, b)) for the first pair in row-major order
+    whose product escapes: one row of products at a time, each product
+    looked up by its codes (the former product_grid route)."""
+    f, n, m = elements[0].field, elements[0].rows, len(elements)
+    arr = codes_array(elements)
+    index = {a.codes: i for i, a in enumerate(elements)}
+    grid = np.empty((m, m), dtype=np.int32)
+    for a in range(m):
+        ids = [index.get(tuple(codes)) for codes in batch_mul(f, arr[a], arr).reshape(m, n * n).tolist()]
+        if None in ids:
+            return None, (a, ids.index(None))
+        grid[a] = ids
+    return grid, None
+
+
+def _flag_set(f, sig):
+    """The flag semigroup of the last flag of a signature (not the standard one)."""
+    return flag_semigroup(flags_with_signature(f, sum(sig), sig)[-1])
+
+
 def test_product_grid_matches_direct_products():
-    # prime field takes the vectorized route; verify it entry by entry
-    elements = tuple(enumerate_matrices(F3, 2, 2))
-    grid = product_grid(elements)
-    for i in (0, 5, 19, 44, 80):
-        for j in (1, 7, 13, 61):
-            assert elements[grid[i][j]] == elements[i] * elements[j]
-    # extension field takes the dict route; same contract
-    elems4 = tuple(enumerate_matrices(F4, 1, 1))
-    grid4 = product_grid(elems4)
-    for i in range(4):
-        for j in range(4):
-            assert elems4[grid4[i][j]] == elems4[i] * elems4[j]
+    # every entry of three small grids, each product taken as a Matrix product
+    for f, n in ((F3, 2), (F4, 1), (F2, 2)):
+        elements = tuple(enumerate_matrices(f, n, n))
+        grid = product_grid(elements)
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                assert elements[grid[i][j]] == a * b
+
+
+class TestProductGridOracle:
+    @pytest.mark.parametrize(
+        "q,n",
+        [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3)],
+    )
+    def test_full_ambient(self, q, n):
+        f = BY_Q[q]
+        s = mat_set(f, n, enumerate_matrices(f, n, n))
+        assert KeyIndex(f, codes_array(s.elements)).dense  # keys are exactly 0..m-1
+        expect, escape = _oracle_grid(s.elements)
+        assert escape is None
+        assert np.array_equal(product_grid(s.elements), expect)
+
+    @pytest.mark.parametrize(
+        "f,sig",
+        [(F2, (1, 1, 1)), (F2, (2, 2)), (F2, (1, 2, 1)), (F3, (1, 1, 1)), (F3, (2, 1, 1))],
+        ids=["F2-111", "F2-22", "F2-121", "F3-111", "F3-211"],
+    )
+    def test_flag_semigroups(self, f, sig):
+        s = _flag_set(f, sig)
+        assert not KeyIndex(f, codes_array(s.elements)).dense
+        expect, escape = _oracle_grid(s.elements)
+        assert escape is None
+        assert np.array_equal(product_grid(s.elements), expect)
+
+    @pytest.mark.parametrize("f,n", [(F4, 6), (field_make(7), 5)], ids=["F4-6", "F7-5"])
+    def test_byte_keys(self, f, n):
+        # the sets of test_grid_past_int64_keys_matches_matrix_products
+        rng = random.Random(f"wide_grid:{f.q}:{n}")
+        s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True) for _ in range(3)]))
+        assert code_keys(f, codes_array(s.elements)).dtype.kind == "V"
+        expect, escape = _oracle_grid(s.elements)
+        assert escape is None
+        assert np.array_equal(product_grid(s.elements), expect)
+
+    def test_row_keys_past_int64(self):
+        # q^n > 2^63 as well: the row keys themselves are raw bytes
+        f, n = field_make(2, 6), 11
+        rng = random.Random("wide_rows")
+        s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True)]))
+        assert len(s) > 5 and row_keys(f, codes_array(s.elements)).dtype.kind == "V"
+        expect, escape = _oracle_grid(s.elements)
+        assert escape is None
+        assert np.array_equal(product_grid(s.elements), expect)
+
+    def _assert_witness(self, s):
+        _, (a, b) = _oracle_grid(s.elements)
+        x, y = s.elements[a], s.elements[b]
+        with pytest.raises(NotClosed) as exc:
+            product_grid(s.elements)
+        assert exc.value.witness == (x, y, x * y)
+        return a
+
+    def test_witness_past_the_first_block(self):
+        # without the identity, no product of singular matrices can land on
+        # it, so the first escaping pair starts at the first invertible row
+        s = mat_set(F5, 2, [a for a in enumerate_matrices(F5, 2, 2) if a != identity_matrix(F5, 2)])
+        assert self._assert_witness(s) >= GRID_BLOCK // len(s)
+
+    def test_witness_with_keys_exactly_0_to_m_minus_1(self):
+        # keys 0..4, so the lookup is the inverse permutation; E21 E12 = E22
+        # has key 8 and escapes
+        e = {(i, j): unit_matrix(F2, 2, i, j) for i in range(2) for j in range(2)}
+        s = mat_set(F2, 2, [matrix(F2, [[0, 0], [0, 0]]), e[0, 0], e[0, 1], e[0, 0] + e[0, 1], e[1, 0]])
+        assert KeyIndex(F2, codes_array(s.elements)).dense
+        a = self._assert_witness(s)
+        assert s.elements[a] == e[1, 0]
+
+    def test_memory_stays_near_the_grid(self):
+        # blocks of GRID_BLOCK products keep the kernel's own arrays small
+        s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
+        product_grid(s.elements)  # warm the field tables
+        tracemalloc.start()
+        try:
+            grid = product_grid(s.elements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.nbytes + (1 << 20)
 
 
 class TestAssociativityCheck:
