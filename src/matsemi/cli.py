@@ -30,6 +30,7 @@ from .errors import (
     DimMismatch,
     InternalError,
     MatSemiError,
+    OutputNotWritable,
     VerificationFailed,
 )
 from .flags import (
@@ -168,10 +169,10 @@ def _parser() -> argparse.ArgumentParser:
 def _field_of(args):
     """Check the dimensions and parse --field: where arguments become
     domain objects.  Returns None for commands without a field."""
-    for key in ("n", "n1", "n2"):
+    for key in ("n", "n1", "n2", "max_elems"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
-            raise BadDimension(f"--{key} must be at least 1, got {value}")
+            raise BadDimension(f"--{key.replace('_', '-')} must be at least 1, got {value}")
     return parse_field(args.field) if hasattr(args, "field") else None
 
 
@@ -204,10 +205,12 @@ def _elements(field, n, text):
     return mat_set(field, n, [parse_matrix(field, t) for t in text.split()])
 
 
+def _cap(args) -> int:
+    return PHI_CAP if args.max_elems is None else args.max_elems
+
+
 def _ctx(args, field, flag_text, sig_text):
-    fl = _flag_of(args, field, flag_text, sig_text)
-    cap = args.max_elems if args.max_elems is not None else PHI_CAP
-    return nil_context(fl, cap=cap)
+    return nil_context(_flag_of(args, field, flag_text, sig_text), cap=_cap(args))
 
 
 def _polys(key) -> list[str]:
@@ -269,8 +272,7 @@ def _do_chain(args, field):
 
 def _do_flags_phi(args, field):
     fl = _flag_of(args, field, args.flag, args.sig)
-    cap = args.max_elems if args.max_elems is not None else PHI_CAP
-    s = flag_semigroup(fl, cap=cap)
+    s = flag_semigroup(fl, cap=_cap(args))
     result = {
         "flag": format_flag(fl),
         "signature": list(fl.signature),
@@ -308,7 +310,7 @@ def _do_flags_maximal(args, field):
 def _do_flags_consolidation(args, field):
     f1 = parse_flag(field, args.n, args.flag)
     f2 = parse_flag(field, args.n, args.flag2)
-    cap = args.max_elems if args.max_elems is not None else PHI_CAP
+    cap = _cap(args)
     cons = flag_consolidates(f1, f2)
     contain = flag_semigroup(f2, cap=cap).as_set() <= flag_semigroup(f1, cap=cap).as_set()
     if cons != contain:
@@ -339,7 +341,7 @@ def _do_nil_fingerprint(args, field):
     return result
 
 
-def _do_nil_iso_decide(args):
+def _do_nil_iso_decide(args, field):
     if args.infinite == (args.q is not None):
         raise ConflictingOptions("give exactly one of --q and --infinite")
     decision = iso_decide(args.q, args.n1, _sig(args.sig1), args.n2, _sig(args.sig2))
@@ -414,7 +416,7 @@ def _do_ideal_gen(args, field):
     }
 
 
-def _do_verify(args):
+def _do_verify(args, field):
     from .verify import run
 
     rep = run(profile=args.profile)
@@ -431,7 +433,26 @@ def _do_verify(args):
             }
             for r in rep.results
         ],
-    }, (0 if rep.passed else 1)
+    }
+
+
+# command path -> payload builder; every builder takes (args, field)
+_COMMANDS = {
+    "classes": _do_classes,
+    "core": _do_core,
+    "chain": _do_chain,
+    "flags phi": _do_flags_phi,
+    "flags psi": _do_flags_psi,
+    "flags maximal": _do_flags_maximal,
+    "flags consolidation": _do_flags_consolidation,
+    "nil fingerprint": _do_nil_fingerprint,
+    "nil iso-decide": _do_nil_iso_decide,
+    "nil iso-construct": _do_nil_iso_construct,
+    "isolated enum": _do_isolated_enum,
+    "isolated check": _do_isolated_check,
+    "ideal gen": _do_ideal_gen,
+    "verify all": _do_verify,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -515,40 +536,10 @@ def run_command(argv) -> tuple[str, int]:
     except SystemExit as exc:
         return "", int(exc.code or 0)
     t0 = perf_counter()
-    code = 0
     try:
         field = _field_of(args)
         cmd = _command_name(args)
-        if cmd == "classes":
-            result = _do_classes(args, field)
-        elif cmd == "core":
-            result = _do_core(args, field)
-        elif cmd == "chain":
-            result = _do_chain(args, field)
-        elif cmd == "flags phi":
-            result = _do_flags_phi(args, field)
-        elif cmd == "flags psi":
-            result = _do_flags_psi(args, field)
-        elif cmd == "flags maximal":
-            result = _do_flags_maximal(args, field)
-        elif cmd == "flags consolidation":
-            result = _do_flags_consolidation(args, field)
-        elif cmd == "nil fingerprint":
-            result = _do_nil_fingerprint(args, field)
-        elif cmd == "nil iso-decide":
-            result = _do_nil_iso_decide(args)
-        elif cmd == "nil iso-construct":
-            result = _do_nil_iso_construct(args, field)
-        elif cmd == "isolated enum":
-            result = _do_isolated_enum(args, field)
-        elif cmd == "isolated check":
-            result = _do_isolated_check(args, field)
-        elif cmd == "ideal gen":
-            result = _do_ideal_gen(args, field)
-        elif cmd == "verify all":
-            result, code = _do_verify(args)
-        else:  # pragma: no cover
-            return f"error: unknown command {cmd}\n", 2
+        result = _COMMANDS[cmd](args, field)
     except (VerificationFailed, InternalError) as exc:
         return _error_text(exc), 1
     except CapExceeded as exc:
@@ -566,9 +557,12 @@ def run_command(argv) -> tuple[str, int]:
     }
     text = _render(report, args.format, (perf_counter() - t0) * 1000.0)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return text, code
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _error_text(OutputNotWritable(f"cannot write --out: {exc}")), 2
+    return text, (1 if result.get("passed") is False else 0)  # only the battery reports passed
 
 
 def _error_text(exc) -> str:

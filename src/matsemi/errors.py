@@ -76,6 +76,10 @@ class BadDimension(MatSemiError):
     """A matrix dimension below 1."""
 
 
+class OutputNotWritable(MatSemiError):
+    """The --out file could not be written."""
+
+
 class ConflictingOptions(MatSemiError):
     """Exactly one of two alternative inputs was required."""
 

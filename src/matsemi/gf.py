@@ -1,9 +1,11 @@
 """Exact linear algebra over small finite fields GF(p^k).
 
-Scalars are integer codes in [0, q).  The base-p digits of a code, least
-significant first, are the coefficients of the polynomial residue, so code
-arithmetic is table-driven and exact.  For k > 1 the modulus is the
-lexicographically smallest monic irreducible of degree k, comparing
+Scalars are integer codes in [0, q), and code arithmetic is table-driven
+and exact.  For k > 1 the field is GF(p^k) = F_p[x]/(m): the base-p digits
+of a code, least significant first, are the coefficients of its residue,
+and the tables come from the same polynomial helpers (_padd, _pneg, _pmul,
+_pdivmod) that compute invariant factors over every GF(q).  The modulus m
+is the lexicographically smallest monic irreducible of degree k, comparing
 coefficient vectors as base-p integers with the constant term least
 significant; this pins GF(4) to x^2 + x + 1 and makes every run
 reproducible without external tables.
@@ -90,58 +92,107 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers (coefficient lists, low degree first)
+# polynomials over GF(q)
+
+# Polynomials over a field f are tuples of its scalar codes, low degree
+# first, with no trailing zeros; () is the zero polynomial.  f may be any
+# GF(q): the prime field's tables build GF(p^k) = F_p[x]/(m), and the
+# tables of GF(q) give invariant factors over it.
 
 
-def _poly_deg(c):
-    d = len(c) - 1
-    while d >= 0 and c[d] == 0:
-        d -= 1
-    return d
+def _pnorm(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
 
-def _poly_divmod_p(num, den, p):
-    # den must be nonzero; works over F_p with p prime
-    num = list(num)
-    dd = _poly_deg(den)
-    if dd < 0:
+def _padd(f, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    add = f.add
+    out = list(a)
+    for i, y in enumerate(b):
+        if y:
+            out[i] = add[out[i]][y]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pneg(f, a):
+    neg = f.neg
+    return tuple(neg[x] for x in a)
+
+
+def _pmul(f, a, b):
+    if not a or not b:
+        return ()
+    mul, add = f.mul, f.add
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            mx = mul[x]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][mx[y]]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pdivmod(f, num, den):
+    if not den:
         raise DivisionByZero("polynomial division by zero")
-    inv_lead = pow(den[dd], p - 2, p) if den[dd] != 1 else 1
-    nd = _poly_deg(num)
-    quo = [0] * max(nd - dd + 1, 1)
-    while nd >= dd:
-        c = (num[nd] * inv_lead) % p
-        quo[nd - dd] = c
-        for i in range(dd + 1):
-            num[nd - dd + i] = (num[nd - dd + i] - c * den[i]) % p
-        nd = _poly_deg(num)
-    return quo, num
+    num = list(num)
+    while num and not num[-1]:
+        num.pop()
+    dd = len(den) - 1
+    if len(num) <= dd:
+        return (), tuple(num)
+    mul, add, neg = f.mul, f.add, f.neg
+    ilead = f.inv[den[-1]]
+    low = den[:-1]
+    quo = [0] * (len(num) - dd)
+    for pos in range(len(quo) - 1, -1, -1):
+        c = num[pos + dd]
+        if c:
+            c = mul[c][ilead]
+            quo[pos] = c
+            mc = mul[neg[c]]
+            for i, y in enumerate(low, pos):
+                num[i] = add[num[i]][mc[y]]
+    rem = num[:dd]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quo), tuple(rem)
 
 
-def _poly_irreducible_p(coeffs, p):
-    # coeffs: monic, degree k >= 1
-    k = _poly_deg(coeffs)
-    for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            den = list(low) + [1]
-            _, rem = _poly_divmod_p(coeffs, den, p)
-            if _poly_deg(rem) < 0:
-                return False
-    return True
+def _pmonic(f, a):
+    if not a:
+        return a
+    if a[-1] == 1:
+        return a
+    il = f.inv[a[-1]]
+    mul = f.mul
+    return tuple(mul[il][x] for x in a)
 
 
-def _smallest_irreducible(p: int, k: int):
-    # candidates x^k + (low part), low part enumerated as base-p integers
-    for m in range(p**k):
-        low = []
-        t = m
-        for _ in range(k):
-            low.append(t % p)
-            t //= p
-        cand = low + [1]
-        if _poly_irreducible_p(cand, p):
-            return tuple(cand)
-    raise InternalError(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
+def _pgcd(f, a, b):
+    """Monic gcd of two polynomials, () when both are zero."""
+    while b:
+        a, b = b, _pdivmod(f, a, b)[1]
+    return _pmonic(f, a)
+
+
+def _is_irreducible(f, poly) -> bool:
+    """Whether poly over f has degree >= 1 and no monic divisor of degree
+    1 .. deg // 2, by trial division; a reducible poly always has one."""
+    deg = len(poly) - 1
+    return deg >= 1 and all(
+        _pdivmod(f, poly, (*low, 1))[1]
+        for d in range(1, deg // 2 + 1)
+        for low in itertools.product(range(f.q), repeat=d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +218,15 @@ class FieldSpec:
         return Scalar(self, code)
 
 
-def _digits(code, p, k):
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return out
-
-
-def _code_of(digits, p):
-    c = 0
-    for d in reversed(digits):
-        c = c * p + d
-    return c
-
-
 @lru_cache(maxsize=None)
 def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
-    """Build GF(p^k).  Raises NotPrime / CapExceeded on bad input."""
+    """Build GF(p^k).  Raises NotPrime / CapExceeded on bad input.
+
+    For k > 1 the field is F_p[x]/(m), tabulated with the polynomial helpers
+    over F_p: sums by _padd, negatives by _pneg, products by _pmul reduced
+    mod m with _pdivmod.  m is the first x^k + low, low in code order, that
+    _is_irreducible over F_p.
+    """
     if not isinstance(p, int) or not isinstance(k, int) or k < 1:
         raise NotPrime(f"bad field parameters p={p!r}, k={k!r}")
     pk = prime_power(p)
@@ -205,35 +247,17 @@ def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
         neg = tuple((-a) % p for a in range(p))
         inv = tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
     else:
-        modulus = _smallest_irreducible(p, k)
-        digs = [_digits(c, p, k) for c in range(q)]
-        add = tuple(
-            tuple(_code_of([(x + y) % p for x, y in zip(digs[a], digs[b])], p) for b in range(q))
-            for a in range(q)
-        )
-        neg = tuple(_code_of([(-x) % p for x in digs[a]], p) for a in range(q))
-
-        def mul_codes(a, b):
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(digs[a]):
-                if x:
-                    for j, y in enumerate(digs[b]):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            for deg in range(2 * k - 2, k - 1, -1):
-                c = prod[deg]
-                if c:
-                    for i in range(k + 1):
-                        prod[deg - k + i] = (prod[deg - k + i] - c * modulus[i]) % p
-            return _code_of(prod[:k], p)
-
-        mul = tuple(tuple(mul_codes(a, b) for b in range(q)) for a in range(q))
-        inv_list = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv_list[a] = b
-                    break
-        inv = tuple(inv_list)
+        # F_p[x]/(m): code c is the residue whose coefficients are the base-p
+        # digits of c, least significant first
+        fp = field_make(p, 1, q_cap)
+        digits = [t[::-1] for t in itertools.product(range(p), repeat=k)]
+        modulus = next(m for m in ((*t, 1) for t in digits) if _is_irreducible(fp, m))
+        polys = [_pnorm(t) for t in digits]
+        code = {a: c for c, a in enumerate(polys)}
+        add = tuple(tuple(code[_padd(fp, a, b)] for b in polys) for a in polys)
+        mul = tuple(tuple(code[_pdivmod(fp, _pmul(fp, a, b), modulus)[1]] for b in polys) for a in polys)
+        neg = tuple(code[_pneg(fp, a)] for a in polys)
+        inv = (0, *(row.index(1) for row in mul[1:]))
 
     return FieldSpec(p=p, k=k, q=q, modulus=modulus, add=add, mul=mul, neg=neg, inv=inv)
 
@@ -788,93 +812,6 @@ def enumerate_subspaces(field: FieldSpec, ambient: int, d: int, cap: int = ENUM_
 
 # ---------------------------------------------------------------------------
 # similarity via invariant factors of xI - A, read off a Krylov relation matrix
-
-# Polynomials over GF(q) below are tuples of scalar codes, low degree first,
-# with no trailing zeros; () is the zero polynomial.
-
-
-def _pnorm(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(f, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    add = f.add
-    out = list(a)
-    for i, y in enumerate(b):
-        if y:
-            out[i] = add[out[i]][y]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pneg(f, a):
-    neg = f.neg
-    return tuple(neg[x] for x in a)
-
-
-def _pmul(f, a, b):
-    if not a or not b:
-        return ()
-    mul, add = f.mul, f.add
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            mx = mul[x]
-            for j, y in enumerate(b, i):
-                out[j] = add[out[j]][mx[y]]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pdivmod(f, num, den):
-    if not den:
-        raise DivisionByZero("polynomial division by zero")
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dd = len(den) - 1
-    if len(num) <= dd:
-        return (), tuple(num)
-    mul, add, neg = f.mul, f.add, f.neg
-    ilead = f.inv[den[-1]]
-    low = den[:-1]
-    quo = [0] * (len(num) - dd)
-    for pos in range(len(quo) - 1, -1, -1):
-        c = num[pos + dd]
-        if c:
-            c = mul[c][ilead]
-            quo[pos] = c
-            mc = mul[neg[c]]
-            for i, y in enumerate(low, pos):
-                num[i] = add[num[i]][mc[y]]
-    rem = num[:dd]
-    while rem and not rem[-1]:
-        rem.pop()
-    return tuple(quo), tuple(rem)
-
-
-def _pmonic(f, a):
-    if not a:
-        return a
-    if a[-1] == 1:
-        return a
-    il = f.inv[a[-1]]
-    mul = f.mul
-    return tuple(mul[il][x] for x in a)
-
-
-def _pgcd(f, a, b):
-    """Monic gcd of two polynomials, () when both are zero."""
-    while b:
-        a, b = b, _pdivmod(f, a, b)[1]
-    return _pmonic(f, a)
 
 
 def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:

@@ -71,10 +71,10 @@ class CriterionResult:
     elapsed_ms: float
 
 
-def _result(key, title, t0, details, witness=None) -> CriterionResult:
+def _result(key, t0, details, witness=None) -> CriterionResult:
     return CriterionResult(
         key=key,
-        title=title,
+        title=_TITLES[key],
         passed=witness is None,
         details=tuple(details),
         witness=witness,
@@ -113,7 +113,7 @@ def criterion_01(pairs=CLASS_PAIRS) -> CriterionResult:
                 f"first structural class off: {sorted(bad)[:6]}"
             )
     details.append(("agree", witness is None))
-    return _result("01", "conjugacy classes: structural method matches brute closure", t0, details, witness)
+    return _result("01", t0, details, witness)
 
 
 def criterion_02() -> CriterionResult:
@@ -138,7 +138,7 @@ def criterion_02() -> CriterionResult:
         ("nilpotent_count", 4),
         ("nilpotents_with_zero", witness is None),
     ]
-    return _result("02", "M(2,F2) class census", t0, details, witness)
+    return _result("02", t0, details, witness)
 
 
 def criterion_03() -> CriterionResult:
@@ -174,7 +174,7 @@ def criterion_03() -> CriterionResult:
         if witness:
             break
     details = [("flags_checked", checked), ("size_law", witness is None)]
-    return _result("03", "flag semigroup size law", t0, details, witness)
+    return _result("03", t0, details, witness)
 
 
 def criterion_04() -> CriterionResult:
@@ -208,7 +208,7 @@ def criterion_04() -> CriterionResult:
         if witness:
             break
     details = [("flags", len(flags)), ("escapes_checked", escapes), ("all_blocked", witness is None)]
-    return _result("04", "flag semigroups are maximal nilpotent", t0, details, witness)
+    return _result("04", t0, details, witness)
 
 
 def criterion_05() -> CriterionResult:
@@ -227,7 +227,7 @@ def criterion_05() -> CriterionResult:
         if witness:
             break
     details = [("ordered_pairs", pairs), ("biconditional", witness is None)]
-    return _result("05", "consolidation matches containment", t0, details, witness)
+    return _result("05", t0, details, witness)
 
 
 def criterion_06() -> CriterionResult:
@@ -253,7 +253,7 @@ def criterion_06() -> CriterionResult:
         depth_sets(ctx, "prec", 0)
         depth_sets(ctx, "ll", 0)
     details = [("contexts", len(battery)), ("pairs", pairs), ("routes_agree", witness is None)]
-    return _result("06", "divisibility preorders: product and subspace routes agree", t0, details, witness)
+    return _result("06", t0, details, witness)
 
 
 def criterion_07() -> CriterionResult:
@@ -274,7 +274,7 @@ def criterion_07() -> CriterionResult:
         if witness:
             break
     details = [("contexts", len(_battery())), ("decomposables_checked", checked), ("law_holds", witness is None)]
-    return _result("07", "super rank equals rank on decomposables", t0, details, witness)
+    return _result("07", t0, details, witness)
 
 
 def criterion_08() -> CriterionResult:
@@ -291,7 +291,7 @@ def criterion_08() -> CriterionResult:
         if witness:
             break
     details = [("positions_checked", checked), ("all_equal", witness is None)]
-    return _result("08", "covering statistic recovers the signature", t0, details, witness)
+    return _result("08", t0, details, witness)
 
 
 def criterion_09() -> CriterionResult:
@@ -335,7 +335,7 @@ def criterion_09() -> CriterionResult:
         ("iso_pairs_verified", verified),
         ("cross_sig_refusal", bool(refusal)),
     ]
-    return _result("09", "fingerprints separate; equal signatures transport", t0, details, witness)
+    return _result("09", t0, details, witness)
 
 
 def criterion_10() -> CriterionResult:
@@ -358,7 +358,7 @@ def criterion_10() -> CriterionResult:
             witness = f"census {key} = {census[key]}, expected {want}"
             break
     details = [(k, v if not isinstance(v, tuple) else list(v)) for k, v in census.items()]
-    return _result("10", "annihilator census of the width-one middle context", t0, details, witness)
+    return _result("10", t0, details, witness)
 
 
 def criterion_11() -> CriterionResult:
@@ -380,7 +380,7 @@ def criterion_11() -> CriterionResult:
         if witness:
             break
     details.append(("all_match", witness is None))
-    return _result("11", "rank strata generate the ideals", t0, details, witness)
+    return _result("11", t0, details, witness)
 
 
 def criterion_12() -> CriterionResult:
@@ -405,7 +405,7 @@ def criterion_12() -> CriterionResult:
         ("f3_isolated", len(recs3)),
         ("sound", witness is None),
     ]
-    return _result("12", "isolated subsemigroup classification", t0, details, witness)
+    return _result("12", t0, details, witness)
 
 
 DETERMINISM_COMMANDS = (
@@ -438,7 +438,7 @@ def criterion_13() -> CriterionResult:
             break
         compared += 1
     details = [("commands", compared), ("byte_identical", witness is None)]
-    return _result("13", "reports are byte-reproducible", t0, details, witness)
+    return _result("13", t0, details, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def extra_classes_q5() -> CriterionResult:
     right = sg_classes(f5, 2, method="brute").classes()
     witness = None if left == right else "structural and brute partitions differ on M(2,F5)"
     details = [("classes_n2_q5", len(left)), ("agree", witness is None)]
-    return _result("14", "conjugacy oracle at q=5", t0, details, witness)
+    return _result("14", t0, details, witness)
 
 
 def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> CriterionResult:
@@ -491,7 +491,7 @@ def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> 
         ("commute_law", witness is None),
         ("chains_replayed", chains),
     ]
-    return _result("15", "large ambient spot checks (n=4, q=2)", t0, details, witness)
+    return _result("15", t0, details, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +528,8 @@ _EXTRAS = (
     ("14", "conjugacy oracle at q=5", extra_classes_q5),
     ("15", "large ambient spot checks (n=4, q=2)", extra_large_ambient),
 )
+
+_TITLES = {key: title for key, title, _ in _REGISTRY + _EXTRAS}
 
 
 def run(profile: str = "quick") -> VerifyReport:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, report round-trips."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -9,11 +10,12 @@ import subprocess
 import sys
 from importlib.metadata import entry_points
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import matsemi
-from matsemi import engine, flags, nilclass
+from matsemi import cli, engine, flags, nilclass, verify
 from matsemi.cli import run_command
 from matsemi.engine import ambient
 from matsemi.errors import VerificationFailed
@@ -86,8 +88,18 @@ class TestExitCodes:
             (["isolated", "enum", "--field", "2", "--n", "0"], "--n"),
             (["nil", "iso-decide", "--q", "2", "--n1", "0", "--sig1", "1", "--n2", "2", "--sig2", "1,1"], "--n1"),
             (["nil", "iso-decide", "--q", "2", "--n1", "2", "--sig1", "1,1", "--n2", "-1", "--sig2", "1"], "--n2"),
+            (["flags", "phi", "--field", "2", "--n", "3", "--sig", "1,2", "--max-elems", "0"], "--max-elems"),
+            (["nil", "fingerprint", "--field", "2", "--n", "3", "--sig", "1,2", "--max-elems", "-5"], "--max-elems"),
         ],
-        ids=["classes-n0", "classes-n-1", "isolated-n0", "iso-decide-n1", "iso-decide-n2"],
+        ids=[
+            "classes-n0",
+            "classes-n-1",
+            "isolated-n0",
+            "iso-decide-n1",
+            "iso-decide-n2",
+            "phi-max-elems-0",
+            "fingerprint-max-elems-5",
+        ],
     )
     def test_dimension_below_one_is_two(self, argv, option):
         text, code = run_command(argv)
@@ -318,7 +330,39 @@ class TestRoundTrips:
             assert v * u == steps[i + 1]
 
 
+class TestDispatch:
+    def test_every_command_path_has_one_handler(self):
+        def paths(parser, prefix=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from paths(sub, (*prefix, name))
+                    return
+            yield " ".join(prefix)
+
+        found = list(paths(cli._parser()))
+        assert len(found) == len(set(found)) == 14
+        assert set(found) == set(cli._COMMANDS)
+
+    def test_a_failing_battery_exits_one_with_its_report(self, monkeypatch):
+        def forced():
+            return verify._result("02", perf_counter(), [("forced", True)], "forced failure")
+
+        monkeypatch.setattr(verify, "_REGISTRY", (("02", "M(2,F2) class census", forced),))
+        text, code = run_command(["verify", "all", "--format", "json"])
+        assert code == 1
+        (crit,) = json.loads(text)["result"]["criteria"]
+        assert crit["title"] == "M(2,F2) class census" and crit["witness"] == "forced failure"
+
+
 class TestRendering:
+    def test_unwritable_out_is_a_named_error(self, tmp_path):
+        out = tmp_path / "missing" / "rep.json"
+        text, code = run_command(["classes", "--field", "2", "--n", "1", "--out", str(out)])
+        assert code == 2
+        assert text.startswith("error OutputNotWritable: cannot write --out")
+        assert str(out) in text and not out.exists()
+
     def test_out_file_matches_stdout(self, tmp_path):
         out = tmp_path / "rep.json"
         text, code = run_command(

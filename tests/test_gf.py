@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -40,6 +42,7 @@ from matsemi import (
 )
 from matsemi.gf import (
     PRIME_CAP,
+    _is_irreducible,
     _krylov_relations,
     _smith_factors,
     batch_mul,
@@ -49,6 +52,38 @@ from matsemi.gf import (
 )
 
 FIELDS = [field_make(2), field_make(3), field_make(5), field_make(2, 2), field_make(3, 2)]
+
+# q -> (modulus, sha256 of repr((p, k, q, add, mul, neg, inv))) for every
+# field with q <= 64, as the tables were first frozen
+FROZEN_FIELDS = {
+    2: ((), "da0a5e3b94edf3ee9501d4bacabfcd02c42a02a4fcb8c8894c7e7953e46b26d4"),
+    3: ((), "6592c13a252eaef604b87af6e9d0db063535399ffc2e8f2b889362619b6ecdb0"),
+    4: ((1, 1, 1), "49a8ed0b3bceae4e8bccf2bbf74a3b0bd866120ba6d9c61c985a25bd062c7ce0"),
+    5: ((), "bad96bf1ae64de8d516ad8362e9066e7641579b09fcee078020b5427a3c52223"),
+    7: ((), "d4dda1289b444896eafd9741888d7b24280e58caaf3d5f109680ec9242c52743"),
+    8: ((1, 1, 0, 1), "2cf2aa38171bc8ea867c81d3c16160cab8d8399c05787b1a655a2d011a047f46"),
+    9: ((1, 0, 1), "c06e41618f66c88f9b3635cf778558656e7ff4a9f752a010e6de094ba92328ce"),
+    11: ((), "95c4514803749a9e93fdcf2a8bc7936cd81186caa683fe0273fe202d3c15a904"),
+    13: ((), "a2e9b74c12999c41c21e86dd76fce9eacc2fc8d40c1ebc8433f4a7695d7153a4"),
+    16: ((1, 1, 0, 0, 1), "a42e8b9ce357b0c2182e0d05b43c78b3283a8ddeed614ffa022410a957e54572"),
+    17: ((), "a7cd4f8035513d491c5bc48bac680da89b9304ca61dbd0dbda9dae4a9d40c344"),
+    19: ((), "faac84ecabb221763b5124358fd3a0bcafc15f2eaefc2f07fc8e81342b6cb779"),
+    23: ((), "b35efb6fbc60827cadd00fd3f62c82c602d2e07b75e7a6bbfc34469b95d5ec2d"),
+    25: ((2, 0, 1), "4e47e7d0b422cffb06c2bd20ddbdc9743d828b839a793a557e1b98e4bd1edbed"),
+    27: ((1, 2, 0, 1), "ed3e2e0153ee365342b58d69c89a3ad6ca5a84d57f25947f106758680920e7ab"),
+    29: ((), "1bb6368986f765bb6ee03e5a2b600269bf334bf55ca2eac27ea9b58d468142ea"),
+    31: ((), "d81586fc520d264994a5805b11ad399f20842f8e31510666f64baf219f761816"),
+    32: ((1, 0, 1, 0, 0, 1), "db9ac0483c3b2689adc6c83fc4a21119f0fa1ebf6954105a150a8159bd2eeaab"),
+    37: ((), "ca7565b7ba159ebf29aa9ed2a082f02119a0e0261a331dcdfd9c15d51474095a"),
+    41: ((), "52429d4263d9cb31b1edea616bfc85b261c7023cb86b30eda3642f16935ca985"),
+    43: ((), "b5190e010678538114ff0bf4782a08dc4bc1c208f6b68aa118387bfde46d9f62"),
+    47: ((), "4a1c0bf49a140b9f14fd8beca20328776764e2fee019ad0267825eeabc4002f8"),
+    49: ((1, 0, 1), "bc09fbf4de7563b4899d1bd787aad4ea322b75a0137d7885f5851099d2d2ae40"),
+    53: ((), "f2c33fe957f09a50f9af89c1e31339df723a2d0681c83d01f483743c3fa2e29d"),
+    59: ((), "4057bec4195dddf3513edc1e96d083cdd8abaa0354698639723b2ea359725ca3"),
+    61: ((), "f135769aaf8f4a042fb89f5e164921bd543a44fe633a1b63ece4554d82617067"),
+    64: ((1, 1, 0, 0, 0, 0, 1), "c56890dd17a744e0d1bd175806332330993efed331e6f49169017f3734b6dd92"),
+}
 
 
 @st.composite
@@ -119,6 +154,45 @@ class TestField:
     def test_field_roundtrip(self):
         for f in FIELDS:
             assert parse_field(format_field(f)) == f
+
+    @pytest.mark.parametrize("q", sorted(FROZEN_FIELDS))
+    def test_tables_and_modulus_are_frozen(self, q):
+        p, k = prime_power(q)
+        f = field_make(p, k)
+        digest = hashlib.sha256(repr((f.p, f.k, f.q, f.add, f.mul, f.neg, f.inv)).encode()).hexdigest()
+        assert (f.modulus, digest) == FROZEN_FIELDS[q]
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize(
+    "q, d",
+    [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in (1, 2, 3)] + [(q, 4) for q in (2, 3, 4)],
+)
+def test_irreducible_count_is_gauss_formula(q, d):
+    """The monic irreducibles of degree d over F_q number
+    (1/d) sum_{e | d} mu(d/e) q^e (Lidl & Niederreiter, Thm 3.25)."""
+    f = field_make(*prime_power(q))
+    found = sum(_is_irreducible(f, (*low, 1)) for low in itertools.product(range(q), repeat=d))
+    assert found * d == sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
+
+
+def test_is_irreducible_edge_cases():
+    f4 = field_make(2, 2)
+    assert not _is_irreducible(f4, (1,))  # a unit
+    assert _is_irreducible(f4, (2, 1))  # every linear polynomial
+    assert not _is_irreducible(f4, (1, 0, 1))  # (x + 1)^2
+    assert _is_irreducible(f4, (2, 1, 1))  # x^2 + x + w: no root in GF(4)
 
 
 class TestMatrixAlgebra:
