@@ -436,22 +436,23 @@ def _do_verify(args, field):
     }
 
 
-# command path -> payload builder; every builder takes (args, field)
+# command path -> (payload builder, the options its report's params echo
+# after field and n); every builder takes (args, field)
 _COMMANDS = {
-    "classes": _do_classes,
-    "core": _do_core,
-    "chain": _do_chain,
-    "flags phi": _do_flags_phi,
-    "flags psi": _do_flags_psi,
-    "flags maximal": _do_flags_maximal,
-    "flags consolidation": _do_flags_consolidation,
-    "nil fingerprint": _do_nil_fingerprint,
-    "nil iso-decide": _do_nil_iso_decide,
-    "nil iso-construct": _do_nil_iso_construct,
-    "isolated enum": _do_isolated_enum,
-    "isolated check": _do_isolated_check,
-    "ideal gen": _do_ideal_gen,
-    "verify all": _do_verify,
+    "classes": (_do_classes, ("check",)),
+    "core": (_do_core, ("matrix",)),
+    "chain": (_do_chain, ("matrix",)),
+    "flags phi": (_do_flags_phi, ("flag", "sig")),
+    "flags psi": (_do_flags_psi, ("elements",)),
+    "flags maximal": (_do_flags_maximal, ("elements",)),
+    "flags consolidation": (_do_flags_consolidation, ("flag", "flag2")),
+    "nil fingerprint": (_do_nil_fingerprint, ("flag", "sig")),
+    "nil iso-decide": (_do_nil_iso_decide, ("sig1", "sig2", "q", "infinite", "n1", "n2")),
+    "nil iso-construct": (_do_nil_iso_construct, ("flag2", "flag1", "sig1", "sig2")),
+    "isolated enum": (_do_isolated_enum, ("mode",)),
+    "isolated check": (_do_isolated_check, ("elements",)),
+    "ideal gen": (_do_ideal_gen, ("k",)),
+    "verify all": (_do_verify, ("profile",)),
 }
 
 
@@ -464,31 +465,13 @@ def _command_name(args) -> str:
     return f"{args.cmd} {sub}" if sub else args.cmd
 
 
-def _params(args, field) -> dict:
+def _params(args, field, keys) -> dict:
     p = {}
     if field is not None:
         p["field"] = format_field(field)
         p["n"] = args.n
-    for key in (
-        "check",
-        "matrix",
-        "flag",
-        "flag2",
-        "flag1",
-        "sig",
-        "sig1",
-        "sig2",
-        "elements",
-        "mode",
-        "k",
-        "q",
-        "infinite",
-        "n1",
-        "n2",
-        "profile",
-    ):
-        if hasattr(args, key):
-            p[key] = getattr(args, key)
+    for key in keys:
+        p[key] = getattr(args, key)
     return p
 
 
@@ -539,7 +522,8 @@ def run_command(argv) -> tuple[str, int]:
     try:
         field = _field_of(args)
         cmd = _command_name(args)
-        result = _COMMANDS[cmd](args, field)
+        build, keys = _COMMANDS[cmd]
+        result = build(args, field)
     except (VerificationFailed, InternalError) as exc:
         return _error_text(exc), 1
     except CapExceeded as exc:
@@ -550,7 +534,7 @@ def run_command(argv) -> tuple[str, int]:
         "tool": "matsemi",
         "version": __version__,
         "command": cmd,
-        "params": _params(args, field),
+        "params": _params(args, field, keys),
         "result": result,
         "caps": {"max_elems": getattr(args, "max_elems", None)},
         "timing_ms": None,

@@ -7,13 +7,14 @@ union-find partitions, subsemigroup scans, table isomorphism, preorder
 depths) operate on grids only.  Product grids and closures multiply integer
 code arrays with gf.batch_mul, one kernel for every GF(q).  A product grid
 multiplies only the elements' distinct rows with every element and joins
-the row keys of each product into its code key; the subsemigroup scan
-tests every subset mask at once against per-element subset-image tables.
+the row keys of each product into its code key.  build_table checks every
+entry of the grid by columns instead (column j of ab is a times column j of
+b), which also proves the table associative; the subsemigroup scan tests
+every subset mask at once against per-element subset-image tables.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ CLOSURE_CAP = 1 << 20
 SUBSEMIGROUP_CAP = 16
 TABLE_ISO_CAP = 64
 AMBIENT_ELEMS_CAP = 4096
+TABLE_ELEMS_CAP = 4096  # elements of one build_table grid (64 MiB of int32)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,16 @@ class KeyIndex:
 GRID_BLOCK = 8192  # products per block of product_grid
 
 
+def mul_columns(f: FieldSpec, arr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """batch_mul(f, arr, cols) of a (..., r, n) code array with an (n, w)
+    array of columns, each distinct row of arr multiplied once (products
+    of matrix sets repeat rows: there are at most q^n distinct ones)."""
+    n = arr.shape[-1]
+    _, first, ids = np.unique(row_keys(f, arr).ravel(), return_index=True, return_inverse=True)
+    out = batch_mul(f, arr.reshape(-1, n)[first], cols)[ids.ravel()]
+    return out.reshape(*arr.shape[:-1], cols.shape[-1])
+
+
 def product_grid(elements) -> np.ndarray:
     """id x id -> id multiplication grid; NotClosed with witness otherwise.
 
@@ -182,24 +194,58 @@ def _detect_zero_identity(grid: np.ndarray):
     return (int(zero[0]) if len(zero) else None, int(ident[0]) if len(ident) else None)
 
 
-def _verify_associativity(grid: np.ndarray, m: int, exhaustive_cap: int = 512):
-    if m == 0:
+def _wrong_entries(elements, grid: np.ndarray):
+    """Yield (lo, bad) for each block of rows of an (m, m) id grid over
+    elements: bad[i, b] is true when grid[lo + i, b] is not the id of
+    elements[lo + i] * elements[b].
+
+    Column j of ab is a*(column j of b), a route apart from product_grid's
+    table of rows.  A block of about GRID_BLOCK entries at a time, the
+    distinct rows of the block's left factors are multiplied with the
+    distinct columns of all elements (w <= q^n of them), which gives the
+    key of a*c for each left factor a and distinct column c.  An entry is
+    right when the column keys of the element it names equal the keys of a
+    times the columns of b; keys are injective, so n equal columns mean
+    equal matrices.  Each entry is judged on its own value, so a single
+    wrong entry flags only itself.
+    """
+    m = len(elements)
+    if not m:
         return
-    if m <= exhaustive_cap:
-        # one left factor at a time: two m x m int arrays per step
-        for a in range(m):
-            row = grid[a]
-            left = grid[row]  # (b, c) -> (ab)c
-            right = row[grid]  # (b, c) -> a(bc)
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise InternalError(f"associativity failed at triple {(a, int(b), int(c))}")
-    else:
-        rng = random.Random(0xA550C)
-        for _ in range(100_000):
-            a, b, c = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-            if grid[grid[a, b], c] != grid[a, grid[b, c]]:
-                raise InternalError(f"associativity failed at triple {(a, b, c)}")
+    f = elements[0].field
+    arr = codes_array(elements)
+    n = arr.shape[-1]
+    cols = arr.transpose(0, 2, 1)  # cols[b, j]: column j of b
+    keys = row_keys(f, cols)  # keys[b, j]: key of column j of b
+    _, first, col_ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    distinct = cols.reshape(m * n, n)[first].T  # (n, w): the distinct columns side by side
+    keys, col_ids = keys.T.copy(), col_ids.reshape(m, n).T.copy()  # [j, b]: column j of b
+    step = max(1, GRID_BLOCK // m)
+    for lo in range(0, m, step):
+        # table[i, c]: key of (element lo + i) * (distinct column c)
+        table = row_keys(f, mul_columns(f, arr[lo : lo + step], distinct).transpose(0, 2, 1))
+        named = grid[lo : lo + step]
+        bad = keys[0].take(named) != table.take(col_ids[0], axis=1)
+        for j in range(1, n):
+            bad |= keys[j].take(named) != table.take(col_ids[j], axis=1)
+        yield lo, bad
+
+
+def _check_grid(elements, grid: np.ndarray) -> None:
+    """InternalError unless every entry of the grid is the product of its
+    row and column elements; names the first wrong pair in row-major order.
+
+    This implies that the grid is associative: with every entry the true
+    product, grid[grid[a, b], c] and grid[a, grid[b, c]] both name the
+    matrix (ab)c = a(bc), and ids are distinct matrices.  An adjoined
+    identity keeps a table associative, since products with it are its
+    other factor.
+    """
+    m = len(elements)
+    for lo, bad in _wrong_entries(elements, grid):
+        if bad.any():
+            a, b = divmod(lo * m + int(np.argmax(bad)), m)
+            raise InternalError(f"grid entry {(a, b)} is not the product of its elements")
 
 
 def build_table(s: MatSet, adjoin_identity: bool = False) -> SemigroupTable:
@@ -207,9 +253,15 @@ def build_table(s: MatSet, adjoin_identity: bool = False) -> SemigroupTable:
 
     Ids follow the MatSet order.  With adjoin_identity=True and no existing
     identity element, a fresh id m is appended acting as two-sided identity.
+    Sets above TABLE_ELEMS_CAP are refused before any grid is allocated.
+    Every entry of the grid is checked against an independent product
+    route (_check_grid), which also proves the table associative.
     """
-    grid = product_grid(s.elements)
     m = len(s.elements)
+    if m > TABLE_ELEMS_CAP:
+        raise CapExceeded(f"table of {m} elements exceeds cap {TABLE_ELEMS_CAP}")
+    grid = product_grid(s.elements)
+    _check_grid(s.elements, grid)
     zero_id, identity_id = _detect_zero_identity(grid)
     elements = tuple(s.elements)
     adjoined = False
@@ -221,7 +273,6 @@ def build_table(s: MatSet, adjoin_identity: bool = False) -> SemigroupTable:
         m += 1
         adjoined = True
     grid.flags.writeable = False
-    _verify_associativity(grid, m)
     return SemigroupTable(
         m=m,
         grid=grid,

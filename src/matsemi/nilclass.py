@@ -10,7 +10,10 @@ b, and each has two routes.  The product route reads the zero pattern of
 the table (grid == zero); the subspace route compares the kernels or
 images of the elements against the flag and never reads the table.  Each
 route's matrix is one containment test between the rows of membership
-matrices, and tests compare the routes instead of trusting either.
+matrices, and tests compare the routes instead of trusting either.  The
+subspace route's membership matrices (the kernel and image bands) are
+batched products of the element codes with the vectors of one subspace of
+the flag, and the depth grading is read off their row counts.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .engine import (
+    GRID_BLOCK,
     KeyIndex,
     MatSet,
     SemigroupTable,
     _product_mask,
+    mul_columns,
     build_table,
     mat_set,
     power_sets,
@@ -47,10 +52,11 @@ from .errors import (
 )
 from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_transporter
 from .gf import (
+    FieldSpec,
     Matrix,
+    Subspace,
     batch_mul,
     codes_array,
-    mat_image,
     mat_inverse,
     mat_kernel,
     mat_rank,
@@ -64,7 +70,13 @@ ORDER_DEPTH_CHECK_CAP = 64
 
 
 class NilContext:
-    """Flag semigroup with its interned table and memoized invariants."""
+    """Flag semigroup with its interned table and memoized invariants.
+
+    The table's grid is checked entry by entry when it is built.  The
+    kernel and image bands, and the depths read off them, come from the
+    codes of the elements alone; the product routes, cells and super
+    ranks read the grid.
+    """
 
     def __init__(self, flag: Flag, t: MatSet, table: SemigroupTable):
         self.flag = flag
@@ -93,16 +105,23 @@ class NilContext:
         return self.table.grid == self.table.zero_id
 
     @cached_property
-    def kernel_band(self) -> list[frozenset[tuple[int, ...]]]:
-        """All vectors of ker(x) intersected with V_{r-1}, per element."""
-        band = self.flag.chain[-2]
-        return [frozenset(mat_kernel(mat).intersect(band).vectors()) for mat in self.t]
+    def kernel_band(self) -> np.ndarray:
+        """m x |V_{r-1}| bool: [x, v] is true when x*v = 0, for the vectors
+        v of V_{r-1}, so row x is ker(x) ∩ V_{r-1}; reads no grid."""
+        return _null_band(self.codes, self.flag.chain[-2])
 
     @cached_property
-    def image_band(self) -> list[frozenset[tuple[int, ...]]]:
-        """All vectors of Im(x) + V_1, per element."""
-        v1 = self.flag.chain[1]
-        return [frozenset(mat_image(mat).sum_(v1).vectors()) for mat in self.t]
+    def image_band(self) -> np.ndarray:
+        """m x |V_1^⊥| bool: [x, v] is true when v^T x = 0, for the vectors
+        v of the annihilator V_1^⊥ of V_1; reads no grid.
+
+        Row x is ker(x^T) ∩ V_1^⊥, the annihilator of Im(x) + V_1, so it
+        holds q^(n - dim(Im(x) + V_1)) vectors, and a larger Im(x) + V_1
+        has a smaller row.
+        """
+        f, n, v1 = self.t.field, self.flag.ambient, self.flag.chain[1]
+        annihilator = mat_kernel(Matrix(f, v1.dim, n, tuple(c for row in v1.basis for c in row)))
+        return _null_band(self.codes.transpose(0, 2, 1), annihilator)
 
     # -- preorders as m x m bool matrices, [a, b] true when a precedes b ---
 
@@ -114,8 +133,7 @@ class NilContext:
     @cached_property
     def prec_kernels(self) -> np.ndarray:
         """ker(a) ∩ V_{r-1} inside ker(b) ∩ V_{r-1}; reads no grid."""
-        band = _membership(self.kernel_band)
-        return _contained(band, band)
+        return _contained(self.kernel_band, self.kernel_band)
 
     @cached_property
     def ll_products(self) -> np.ndarray:
@@ -125,19 +143,21 @@ class NilContext:
 
     @cached_property
     def ll_images(self) -> np.ndarray:
-        """Im(b) + V_1 inside Im(a) + V_1; reads no grid."""
-        band = _membership(self.image_band)
-        return _contained(band, band).T
+        """Im(b) + V_1 inside Im(a) + V_1, that is, the annihilator of
+        Im(a) + V_1 inside that of Im(b) + V_1; reads no grid."""
+        return _contained(self.image_band, self.image_band)
 
     @cached_property
     def depth_prec(self) -> list[int]:
-        band = self.flag.chain[-2]
-        return [band.dim - mat_kernel(mat).intersect(band).dim for mat in self.t]
+        """dim V_{r-1} - dim(ker x ∩ V_{r-1}); a band row holds q^dim vectors."""
+        return [self.flag.chain[-2].dim - d for d in _dims(self.t.field, self.kernel_band)]
 
     @cached_property
     def depth_ll(self) -> list[int]:
-        v1 = self.flag.chain[1]
-        return [mat_image(mat).dim - mat_image(mat).intersect(v1).dim for mat in self.t]
+        """dim Im x - dim(Im x ∩ V_1), which is dim(Im x + V_1) - dim V_1,
+        or dim V_1^⊥ minus the dimension of the image band's row."""
+        top = self.flag.ambient - self.flag.chain[1].dim
+        return [top - d for d in _dims(self.t.field, self.image_band)]
 
     @cached_property
     def power_ids(self) -> list[frozenset[int]]:
@@ -208,54 +228,50 @@ class NilContext:
     def dec_super_rank(self) -> dict[int, int | None]:
         """Super rank for decomposable nonzero ids.
 
-        reach[x] collects, over all factorizations of x into words of
-        indecomposables (length capped at nd(T) = r, beyond which every
-        product is 0), the achievable pairs (word has a super-rank-1
-        factor, word has a super-rank-2 factor).
+        reach[x, k] is true when x is the product of a word of
+        indecomposables whose flags are k: bit 1 set when the word has a
+        factor of super rank 1, bit 0 when it has one of super rank 2.
+        Each round puts every indecomposable in front of every word reached
+        so far, for each of the four flag values at once, until nothing new
+        is reached; that ends, as every word longer than nd(T) = r is 0.
         """
-        g = self.table.grid.tolist()
-        indec = [x for x in range(self.m) if x not in self.decomposable_ids]
-        base = {
-            y: (self.indec_super_rank[y] == 1, self.indec_super_rank[y] == 2)
-            for y in indec
-        }
-        reach: dict[int, set[tuple[bool, bool]]] = {y: {base[y]} for y in indec}
-        for _ in range(self.r):
-            changed = False
-            for y in indec:
-                fy = base[y]
-                for z, flags in list(reach.items()):
-                    x = g[y][z]
-                    merged = {(fy[0] or h1, fy[1] or h2) for h1, h2 in flags}
-                    cur = reach.setdefault(x, set())
-                    if not merged <= cur:
-                        cur |= merged
-                        changed = True
-            if not changed:
+        g = self.table.grid
+        sr = self.indec_super_rank  # keyed by the indecomposables, in id order
+        indec = np.array(list(sr), dtype=np.intp)
+        flags = np.array([2 * (sr[y] == 1) + (sr[y] == 2) for y in sr], dtype=np.intp)
+        reach = np.zeros((self.m, 4), dtype=bool)
+        reach[indec, flags] = True
+        while True:
+            nxt = reach.copy()
+            for k in range(4):
+                nxt[g[np.ix_(indec, np.flatnonzero(reach[:, k]))], (flags | k)[:, None]] = True
+            if np.array_equal(nxt, reach):
                 break
+            reach = nxt
+        has_one, has_two = reach[:, 2:].any(1).tolist(), reach[:, 1::2].any(1).tolist()
         zero = self.table.zero_id
-        out: dict[int, int | None] = {}
-        for x in self.decomposable_ids:
-            if x == zero:
-                continue
-            flags = reach.get(x, set())
-            if any(h1 for h1, _ in flags):
-                out[x] = 1
-            elif any(h2 for _, h2 in flags):
-                out[x] = 2
-            else:
-                out[x] = None
-        return out
+        return {
+            x: 1 if has_one[x] else 2 if has_two[x] else None
+            for x in self.decomposable_ids
+            if x != zero
+        }
 
 
-def _membership(sets) -> np.ndarray:
-    """len(sets) x (members of their union) bool: [i, v] when v is in sets[i]."""
-    index: dict = {}
-    cols = [[index.setdefault(v, len(index)) for v in s] for s in sets]
-    out = np.zeros((len(sets), len(index)), dtype=bool)
-    for i, row in enumerate(cols):
-        out[i, row] = True
+def _null_band(arr: np.ndarray, space: Subspace) -> np.ndarray:
+    """len(arr) x q^dim bool: [x, v] is true when arr[x] * v = 0, for
+    every vector v of space; about GRID_BLOCK entries at a time."""
+    vecs = np.array(list(space.vectors()), dtype=np.int64).reshape(-1, space.ambient).T  # one per column
+    out = np.empty((len(arr), vecs.shape[1]), dtype=bool)
+    step = max(1, GRID_BLOCK // vecs.shape[1])
+    for lo in range(0, len(arr), step):
+        out[lo : lo + step] = ~mul_columns(space.field, arr[lo : lo + step], vecs).any(axis=1)
     return out
+
+
+def _dims(f: FieldSpec, band: np.ndarray) -> list[int]:
+    """Dimension of the subspace in each row of a band, from its q^dim members."""
+    dim_of = {f.q**d: d for d in range(band.shape[1].bit_length())}  # q^d <= band width
+    return [dim_of[c] for c in band.sum(axis=1).tolist()]
 
 
 def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -136,6 +137,20 @@ class TestExitCodes:
         cp = subprocess.run([sys.executable, "-m", "matsemi.cli", *argv], capture_output=True, timeout=30)
         assert cp.returncode == 3
         assert cp.stderr.decode().startswith("error CapExceeded")
+
+    def test_table_above_the_cap_is_refused_before_its_grid(self):
+        # 2^(3*(1*1 + 1*2 + 1*2)) = 32 768 elements pass PHI_CAP, and their
+        # grid would take 4 GiB; a 1 GiB address-space limit keeps a
+        # regression from taking the machine's memory
+        limit = 1 << 30
+        cp = subprocess.run(
+            [sys.executable, "-m", "matsemi.cli", "nil", "fingerprint", "--field", "2^3", "--n", "4", "--sig", "1,1,2"],
+            capture_output=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert cp.returncode == 3, cp.stderr.decode()
+        assert cp.stderr.decode() == f"error CapExceeded: table of 32768 elements exceeds cap {engine.TABLE_ELEMS_CAP}\n"
 
     def test_huge_exponent_is_refused_without_building_the_size(self):
         text, code = run_command(["classes", "--field", "2^100000", "--n", "1"])
@@ -343,6 +358,23 @@ class TestDispatch:
         found = list(paths(cli._parser()))
         assert len(found) == len(set(found)) == 14
         assert set(found) == set(cli._COMMANDS)
+
+    def test_params_echo_each_commands_own_options(self):
+        # the options a report's params echo, after field and n, are the
+        # command's own: all but the ones every command or cap shares
+        shared = {"help", "field", "n", "format", "out", "max_elems"}
+
+        def commands(parser, prefix=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from commands(sub, (*prefix, name))
+                    return
+            yield " ".join(prefix), parser
+
+        for path, parser in commands(cli._parser()):
+            own = {action.dest for action in parser._actions} - shared
+            assert sorted(cli._COMMANDS[path][1]) == sorted(own), path
 
     def test_a_failing_battery_exits_one_with_its_report(self, monkeypatch):
         def forced():

@@ -26,6 +26,7 @@ from matsemi import (
     mat_kernel,
     mask_nd,
     mat_pow,
+    mat_rank,
     mat_set,
     matrix,
     power_sets,
@@ -35,7 +36,7 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
-from matsemi.engine import GRID_BLOCK, KeyIndex, Partition, _verify_associativity
+from matsemi.engine import GRID_BLOCK, TABLE_ELEMS_CAP, KeyIndex, Partition, _check_grid, _wrong_entries
 from matsemi.errors import InternalError
 from matsemi.gf import batch_mul, code_keys, codes_array, row_keys
 
@@ -156,8 +157,7 @@ class TestTable:
     @pytest.mark.parametrize("f,n", [(F4, 6), (field_make(7), 5)], ids=["F4-6", "F7-5"])
     def test_grid_past_int64_keys_matches_matrix_products(self, f, n):
         # q^(n*n) > 2^63, so the grid looks products up by byte keys
-        rng = random.Random(f"wide_grid:{f.q}:{n}")
-        s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True) for _ in range(3)]))
+        s = _wide_key_set(f, n)
         assert len(s) > 10
         grid = product_grid(s.elements)
         for i, a in enumerate(s.elements):
@@ -535,11 +535,27 @@ def test_product_grid_matches_direct_products():
                 assert elements[grid[i][j]] == a * b
 
 
+FULL_AMBIENTS = [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]
+FLAG_SETS = [(F2, (1, 1, 1)), (F2, (2, 2)), (F2, (1, 2, 1)), (F3, (1, 1, 1)), (F3, (2, 1, 1))]
+FLAG_SET_IDS = ["F2-111", "F2-22", "F2-121", "F3-111", "F3-211"]
+WIDE_KEYS = [(F4, 6), (field_make(7), 5)]
+
+
+def _wide_key_set(f, n):
+    """Closure of three rank-one matrices, with code keys past int64."""
+    rng = random.Random(f"wide_grid:{f.q}:{n}")
+    return closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True) for _ in range(3)]))
+
+
+def _wide_row_set():
+    """Closure of one rank-one matrix of M(11, F_64), with row keys past int64."""
+    f, n = field_make(2, 6), 11
+    rng = random.Random("wide_rows")
+    return closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True)]))
+
+
 class TestProductGridOracle:
-    @pytest.mark.parametrize(
-        "q,n",
-        [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3)],
-    )
+    @pytest.mark.parametrize("q,n", FULL_AMBIENTS)
     def test_full_ambient(self, q, n):
         f = BY_Q[q]
         s = mat_set(f, n, enumerate_matrices(f, n, n))
@@ -548,11 +564,7 @@ class TestProductGridOracle:
         assert escape is None
         assert np.array_equal(product_grid(s.elements), expect)
 
-    @pytest.mark.parametrize(
-        "f,sig",
-        [(F2, (1, 1, 1)), (F2, (2, 2)), (F2, (1, 2, 1)), (F3, (1, 1, 1)), (F3, (2, 1, 1))],
-        ids=["F2-111", "F2-22", "F2-121", "F3-111", "F3-211"],
-    )
+    @pytest.mark.parametrize("f,sig", FLAG_SETS, ids=FLAG_SET_IDS)
     def test_flag_semigroups(self, f, sig):
         s = _flag_set(f, sig)
         assert not KeyIndex(f, codes_array(s.elements)).dense
@@ -560,11 +572,10 @@ class TestProductGridOracle:
         assert escape is None
         assert np.array_equal(product_grid(s.elements), expect)
 
-    @pytest.mark.parametrize("f,n", [(F4, 6), (field_make(7), 5)], ids=["F4-6", "F7-5"])
+    @pytest.mark.parametrize("f,n", WIDE_KEYS, ids=["F4-6", "F7-5"])
     def test_byte_keys(self, f, n):
         # the sets of test_grid_past_int64_keys_matches_matrix_products
-        rng = random.Random(f"wide_grid:{f.q}:{n}")
-        s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True) for _ in range(3)]))
+        s = _wide_key_set(f, n)
         assert code_keys(f, codes_array(s.elements)).dtype.kind == "V"
         expect, escape = _oracle_grid(s.elements)
         assert escape is None
@@ -572,9 +583,8 @@ class TestProductGridOracle:
 
     def test_row_keys_past_int64(self):
         # q^n > 2^63 as well: the row keys themselves are raw bytes
-        f, n = field_make(2, 6), 11
-        rng = random.Random("wide_rows")
-        s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one=True)]))
+        s = _wide_row_set()
+        f = s.field
         assert len(s) > 5 and row_keys(f, codes_array(s.elements)).dtype.kind == "V"
         expect, escape = _oracle_grid(s.elements)
         assert escape is None
@@ -616,6 +626,29 @@ class TestProductGridOracle:
         assert peak < grid.nbytes + (1 << 20)
 
 
+def _verify_associativity(grid: np.ndarray, m: int, exhaustive_cap: int = 512):
+    """The associativity re-check that build_table ran before its grid
+    check: every triple up to exhaustive_cap elements, 100 000 sampled
+    triples above it.  InternalError names the failing triple."""
+    if m == 0:
+        return
+    if m <= exhaustive_cap:
+        # one left factor at a time: two m x m int arrays per step
+        for a in range(m):
+            row = grid[a]
+            left = grid[row]  # (b, c) -> (ab)c
+            right = row[grid]  # (b, c) -> a(bc)
+            if not np.array_equal(left, right):
+                b, c = np.argwhere(left != right)[0]
+                raise InternalError(f"associativity failed at triple {(a, int(b), int(c))}")
+    else:
+        rng = random.Random(0xA550C)
+        for _ in range(100_000):
+            a, b, c = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+            if grid[grid[a, b], c] != grid[a, grid[b, c]]:
+                raise InternalError(f"associativity failed at triple {(a, b, c)}")
+
+
 class TestAssociativityCheck:
     def test_associative_grids_pass(self):
         for m in (100, 600):  # exhaustive and sampled branches
@@ -634,3 +667,134 @@ class TestAssociativityCheck:
         grid = (a[:, None] - a[None, :]) % m  # (a-b)-c != a-(b-c) unless 2c = 0
         with pytest.raises(InternalError, match="associativity failed"):
             _verify_associativity(grid, m)
+
+
+def _grid_sets():
+    """(name, set) for every table that TestProductGridOracle builds."""
+    for q, n in FULL_AMBIENTS:
+        yield f"M({n},F_{q})", mat_set(BY_Q[q], n, enumerate_matrices(BY_Q[q], n, n))
+    for (f, sig), name in zip(FLAG_SETS, FLAG_SET_IDS):
+        yield name, _flag_set(f, sig)
+    for f, n in WIDE_KEYS:
+        yield f"wide-{f.q}-{n}", _wide_key_set(f, n)
+    yield "wide-rows", _wide_row_set()
+
+
+def _sampled_entries(grid, m):
+    """The grid entries that _verify_associativity's sampler reads."""
+    rng = random.Random(0xA550C)
+    seen = set()
+    for _ in range(100_000):
+        a, b, c = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+        seen.update(((a, b), (int(grid[a, b]), c), (b, c), (a, int(grid[b, c]))))
+    return seen
+
+
+class TestGridCheck:
+    def test_agrees_with_the_associativity_oracle(self):
+        for name, s in _grid_sets():
+            t = build_table(s)  # runs _check_grid
+            _verify_associativity(t.grid, t.m)
+            assert np.array_equal(t.grid, product_grid(s.elements)), name
+
+    def test_every_single_entry_corruption_of_m2f2(self):
+        s = mat_set(F2, 2, enumerate_matrices(F2, 2, 2))
+        grid, m = product_grid(s.elements), len(s)
+        for a in range(m):
+            for b in range(m):
+                for wrong in range(m):
+                    if wrong == grid[a, b]:
+                        continue
+                    bad = grid.copy()
+                    bad[a, b] = wrong
+                    with pytest.raises(InternalError, match=re.escape(f"grid entry {(a, b)} ")):
+                        _check_grid(s.elements, bad)
+
+    def test_every_single_entry_corruption_of_m3f2(self):
+        # Each entry is judged on its own value, so a grid with every entry
+        # shifted by k shows which single-entry corruptions are caught: the
+        # shifts k = 1 .. m-1 put every wrong id at every entry once.
+        s = mat_set(F2, 3, enumerate_matrices(F2, 3, 3))
+        grid, m = product_grid(s.elements), len(s)
+        for k in range(1, m):
+            bad = np.concatenate([b for _, b in _wrong_entries(s.elements, (grid + k) % m)])
+            assert bad.shape == (m, m) and bad.all(), k
+        assert not np.concatenate([b for _, b in _wrong_entries(s.elements, grid)]).any()
+        for a, b in ((0, 0), (37, 500), (m - 1, m - 1)):  # one corruption on its own
+            bad = grid.copy()
+            bad[a, b] = (bad[a, b] + 1) % m
+            with pytest.raises(InternalError, match=re.escape(f"grid entry {(a, b)} ")):
+                _check_grid(s.elements, bad)
+
+    def test_caught_where_the_sampler_looks_away(self):
+        # the former check sampled 100 000 triples above 512 elements
+        s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
+        grid, m = product_grid(s.elements), len(s)
+        seen = _sampled_entries(grid, m)
+        a, b = next((a, b) for a in range(m) for b in range(m) if (a, b) not in seen)
+        bad = grid.copy()
+        bad[a, b] = (bad[a, b] + 1) % m
+        _verify_associativity(bad, m)  # the sampler misses it
+        with pytest.raises(InternalError, match=re.escape(f"grid entry {(a, b)} ")):
+            _check_grid(s.elements, bad)
+
+    def test_witness_is_the_first_wrong_pair_past_the_first_block(self):
+        s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
+        grid, m = product_grid(s.elements), len(s)
+        assert 400 >= GRID_BLOCK // m  # row 400 is not in the first block
+        bad = grid.copy()
+        for a, b in ((500, 3), (400, 9), (400, 7), (401, 0)):
+            bad[a, b] = (bad[a, b] + 1) % m
+        with pytest.raises(InternalError, match=re.escape("grid entry (400, 7) ")):
+            _check_grid(s.elements, bad)
+        bad[2, 600] = (bad[2, 600] + 1) % m
+        with pytest.raises(InternalError, match=re.escape("grid entry (2, 600) ")):
+            _check_grid(s.elements, bad)
+
+    def test_adjoined_identity_tables_pass(self):
+        singular = [a for a in enumerate_matrices(F2, 2, 2) if mat_rank(a) < 2]
+        for s in (mat_set(F2, 2, singular), _flag_set(F3, (1, 1, 1)), _flag_set(F2, (1, 2, 1))):
+            t = build_table(s, adjoin_identity=True)
+            assert t.adjoined_identity and t.m == len(s) + 1
+            _verify_associativity(t.grid, t.m)
+            ids = np.arange(t.m)
+            assert np.array_equal(t.grid[t.identity_id], ids)
+            assert np.array_equal(t.grid[:, t.identity_id], ids)
+
+    def test_build_table_checks_the_grid_it_gets(self, monkeypatch):
+        from matsemi import engine
+
+        real = engine.product_grid
+
+        def one_wrong_entry(elements):
+            grid = real(elements)
+            grid[5, 3] = (grid[5, 3] + 1) % len(elements)
+            return grid
+
+        monkeypatch.setattr(engine, "product_grid", one_wrong_entry)
+        with pytest.raises(InternalError, match=re.escape("grid entry (5, 3) ")):
+            build_table(mat_set(F2, 2, enumerate_matrices(F2, 2, 2)))
+
+    def test_refuses_above_the_cap_before_any_grid(self, monkeypatch):
+        from matsemi import engine
+
+        def no_grid(elements):
+            raise AssertionError("grid built above the cap")
+
+        monkeypatch.setattr(engine, "TABLE_ELEMS_CAP", 15)
+        monkeypatch.setattr(engine, "product_grid", no_grid)
+        with pytest.raises(CapExceeded, match="table of 16 elements exceeds cap 15"):
+            build_table(mat_set(F2, 2, enumerate_matrices(F2, 2, 2)))
+        assert TABLE_ELEMS_CAP >= 1024  # the largest table a CLI test builds
+
+    def test_memory_stays_in_blocks(self):
+        s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
+        grid = product_grid(s.elements)
+        _check_grid(s.elements, grid)  # warm the field tables
+        tracemalloc.start()
+        try:
+            _check_grid(s.elements, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.nbytes // 2

@@ -35,7 +35,7 @@ from matsemi import (
     u_stat,
     unit_matrix,
 )
-from matsemi import engine, flags, nilclass
+from matsemi import engine, flags, nilclass, verify
 from matsemi.cli import run_command
 from matsemi.errors import BadSignature, NotPrime
 from matsemi.nilclass import K_PAIRS
@@ -485,3 +485,104 @@ def test_iso_construct_is_matrix_conjugation(f3):
         assert [b for _, b in iso.pairs] == [iso.g * a * gi for a in ctx1.t]
         assert [a for a, _ in iso.pairs] == list(ctx1.t)
         assert sorted(iso.as_dict().values(), key=ctx2.index.get) == list(ctx2.t)
+
+
+F3 = field_make(3)
+F4 = field_make(2, 2)
+
+
+def _suite_contexts(group):
+    """The contexts of one group; together the groups hold every context
+    the suite builds, and more."""
+    if group == "battery":  # criterion 06's forty
+        return list(verify._battery())
+    if group == "F3-121":  # the fingerprint-3-4-1.2.1 benchmark job
+        return [nil_context(standard_flag(F3, (1, 2, 1)))]
+    if group == "F3-121-moved":  # the second flag of iso-construct-3-4
+        return [nil_context(flags.parse_flag(F3, 4, "0,1,0,0|0,1,0,0;0,0,1,0;1,0,0,0"))]
+    if group == "F4-13":  # the fingerprint-4-4-1.3 benchmark job
+        return [nil_context(standard_flag(F4, (1, 3)))]
+    if group == "F3-cubed":  # every flag of F_3^3, most of them not standard
+        return [nil_context(f) for f in all_flags(F3, 3) if f.length >= 2]
+    raise ValueError(group)
+
+
+GROUPS = ["battery", "F3-121", "F3-121-moved", "F4-13", "F3-cubed"]
+
+
+def _oracle_bands(ctx):
+    """prec_kernels, ll_images, depth_prec and depth_ll element by element
+    from subspaces: ker(x) ∩ V_{r-1} and Im(x) + V_1 as vector sets."""
+    band, v1 = ctx.flag.chain[-2], ctx.flag.chain[1]
+    kernels = [frozenset(mat_kernel(a).intersect(band).vectors()) for a in ctx.t]
+    images = [frozenset(mat_image(a).sum_(v1).vectors()) for a in ctx.t]
+    return {
+        "prec_kernels": [[ka <= kb for kb in kernels] for ka in kernels],
+        "ll_images": [[ib <= ia for ib in images] for ia in images],
+        "depth_prec": [band.dim - mat_kernel(a).intersect(band).dim for a in ctx.t],
+        "depth_ll": [mat_image(a).dim - mat_image(a).intersect(v1).dim for a in ctx.t],
+    }
+
+
+def _oracle_dec_super_rank(ctx):
+    """The set-comprehension fixpoint over words of indecomposables."""
+    g = ctx.table.grid.tolist()
+    indec = [x for x in range(ctx.m) if x not in ctx.decomposable_ids]
+    base = {y: (ctx.indec_super_rank[y] == 1, ctx.indec_super_rank[y] == 2) for y in indec}
+    reach = {y: {base[y]} for y in indec}
+    for _ in range(ctx.r):
+        changed = False
+        for y in indec:
+            fy = base[y]
+            for z, found in list(reach.items()):
+                x = g[y][z]
+                merged = {(fy[0] or h1, fy[1] or h2) for h1, h2 in found}
+                cur = reach.setdefault(x, set())
+                if not merged <= cur:
+                    cur |= merged
+                    changed = True
+        if not changed:
+            break
+    out = {}
+    for x in ctx.decomposable_ids:
+        if x == ctx.table.zero_id:
+            continue
+        found = reach.get(x, set())
+        out[x] = 1 if any(h1 for h1, _ in found) else 2 if any(h2 for _, h2 in found) else None
+    return out
+
+
+class TestBatchedBands:
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_bands_match_the_subspace_oracle(self, group):
+        for ctx in _suite_contexts(group):
+            for name, want in _oracle_bands(ctx).items():
+                got = getattr(ctx, name)
+                assert (got.tolist() if isinstance(got, np.ndarray) else got) == want, (ctx.flag, name)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_dec_super_rank_matches_the_set_fixpoint(self, group):
+        for ctx in _suite_contexts(group):
+            assert ctx.dec_super_rank == _oracle_dec_super_rank(ctx), ctx.flag
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dec_super_rank_of_mixed_words(self, n):
+        # a word reaching E13 has a factor with a (1,2) entry and a later
+        # one with a (2,3) entry; ranking the factors with only the first 1
+        # and those with only the second 2 leaves E13 to mixed words
+        ctx = nil_context.__wrapped__(standard_flag(F2, (1,) * n))
+        ranks = {}
+        for x in ctx.indec_super_rank:
+            codes = ctx.t.elements[x].codes
+            e12, e23 = codes[1], codes[n + 2]
+            ranks[x] = 1 if e12 and not e23 else 2 if e23 and not e12 else None
+        ctx.__dict__["indec_super_rank"] = ranks
+        want = _oracle_dec_super_rank(ctx)
+        assert want[ctx.index[E(1, 3, n)]] == 1
+        assert ctx.dec_super_rank == want
+
+    def test_bands_read_no_grid(self):
+        ctx = nil_context.__wrapped__(standard_flag(F3, (1, 2, 1)))
+        ctx.table = None  # any read of the table fails
+        assert ctx.kernel_band.shape == (243, 27) and ctx.image_band.shape == (243, 27)
+        assert len(ctx.depth_prec) == len(ctx.depth_ll) == 243
