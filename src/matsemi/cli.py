@@ -229,7 +229,7 @@ def _do_classes(args, field):
         "method": "theorem",
         "count": len(cls),
         "sizes": sorted(len(c) for c in cls),
-        "classes": [[format_matrix(amb.mats[x]) for x in c] for c in cls],
+        "classes": [[format_matrix(amb.elements[x]) for x in c] for c in cls],
     }
     if args.check == "brute":
         brute = sg_classes(field, args.n, method="brute").classes()
@@ -288,7 +288,7 @@ def _do_flags_phi(args, field):
 def _do_flags_psi(args, field):
     s = _elements(field, args.n, args.elements)
     table, k = _nil_table(s)
-    fl = _power_image_flag(s, table, k)
+    fl = _power_image_flag(table, k)
     return {
         "elements": len(s),
         "nilpotency_degree": k,
@@ -303,7 +303,7 @@ def _do_flags_maximal(args, field):
     return {
         "elements": len(s),
         "nilpotency_degree": k,
-        "maximal": _is_k_maximal(s, table, k),
+        "maximal": _is_k_maximal(table, k),
     }
 
 

@@ -210,11 +210,12 @@ def primary_conjugation_witness(a: Matrix, b: Matrix, cap: int = WITNESS_SCAN_CA
 def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
     """Partition of the full n x n semigroup into conjugacy classes.
 
-    method "theorem" groups elements by the similarity key of their cores;
-    method "brute" takes the transitive closure of the primary relation
-    {(x y, y x)} over the multiplication grid, marking the unordered id
-    pairs in an m*m bitmap 64 grid rows at a time.  Both return the same
-    Partition over ambient element ids.
+    method "theorem" groups elements by the similarity key of their cores,
+    labelling each id by the first id with its key; method "brute" takes
+    the transitive closure of the primary relation {(x y, y x)} over the
+    multiplication grid, marking the unordered id pairs in an m*m bitmap 64
+    grid rows at a time.  Both return the same Partition over ambient
+    element ids.
     """
     from .engine import Partition, ambient, equiv_closure
 
@@ -222,14 +223,7 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
     m = amb.m
     if method == "theorem":
         first: dict = {}
-        part = Partition(m)
-        for x, a in enumerate(amb.mats):
-            k = class_key(a)
-            if k in first:
-                part.union(first[k], x)
-            else:
-                first[k] = x
-        return part
+        return Partition([first.setdefault(class_key(a), x) for x, a in enumerate(amb.elements)])
     if method == "brute":
         grid = amb.grid
         seen = np.zeros(m * m, dtype=bool)

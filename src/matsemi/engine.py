@@ -1,21 +1,26 @@
 """Generic machinery for finite matrix semigroups.
 
 Everything here works on interned element ids: a MatSet fixes the canonical
-element order (rank, then entry codes), build_table turns a closed MatSet
-into a multiplication grid, and the remaining utilities (closures,
-union-find partitions, subsemigroup scans, table isomorphism, preorder
-depths) operate on grids only.  Product grids and closures multiply integer
-code arrays with gf.batch_mul, one kernel for every GF(q).  A product grid
-multiplies only the elements' distinct rows with every element and joins
-the row keys of each product into its code key.  build_table checks every
-entry of the grid by columns instead (column j of ab is a times column j of
-b), which also proves the table associative; the subsemigroup scan tests
-every subset mask at once against per-element subset-image tables.
+element order (rank, then entry codes), and a SemigroupTable is a closed
+MatSet with its multiplication grid and the per-id arrays derived from it
+(ranks, powers, image and kernel subspace ids).  build_table makes one from
+any closed MatSet, and ambient() caches the table of the full M(n, F_q).
+The remaining utilities (closures, least-id label partitions, subsemigroup
+scans, table isomorphism, preorder depths) operate on grids only.
+
+Product grids and closures multiply integer code arrays with gf.batch_mul,
+one kernel for every GF(q).  A product grid multiplies only the elements'
+distinct rows with every element and joins the row keys of each product
+into its code key.  build_table checks every entry of the grid by columns
+instead (column j of ab is a times column j of b), which also proves the
+table associative; the subsemigroup scan tests every subset mask at once
+against per-element subset-image tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +31,8 @@ from .gf import (
     batch_mul,
     code_keys,
     codes_array,
+    enumerate_matrices,
+    identity_matrix,
     join_row_keys,
     mat_image,
     mat_kernel,
@@ -167,21 +174,102 @@ def product_grid(elements) -> np.ndarray:
 # multiplication tables
 
 
-@dataclass
-class SemigroupTable:
-    """Finite multiplication table over interned ids 0..m-1.
+def _read_only(arr) -> np.ndarray:
+    arr = np.asarray(arr)
+    arr.flags.writeable = False
+    return arr
 
-    elements[i] is the matrix behind id i; when an identity was adjoined the
-    last id has elements entry None.  grid is a read-only int32 (m, m)
-    array; loops that read single entries take one grid.tolist() first.
+
+@dataclass(frozen=True, eq=False)
+class SemigroupTable:
+    """A closed MatSet with its multiplication table over ids 0..m-1.
+
+    Id i is s.elements[i], so ids follow the canonical order.  grid is a
+    read-only int32 (m, m) array; loops that read single entries take one
+    grid.tolist() first.  zero_id and identity_id are the absorbing and the
+    identity element of the grid, each None when absent.  The per-id
+    arrays below are derived on first use and are read-only.
     """
 
-    m: int
+    s: MatSet
     grid: np.ndarray
-    elements: tuple
     zero_id: int | None
     identity_id: int | None
-    adjoined_identity: bool
+
+    @property
+    def m(self) -> int:
+        return len(self.s)
+
+    @property
+    def elements(self) -> tuple[Matrix, ...]:
+        return self.s.elements
+
+    def subset(self, ids) -> MatSet:
+        """The MatSet of ascending ids; a subset keeps the canonical order,
+        so nothing is re-sorted."""
+        els = self.elements
+        return MatSet(self.s.field, self.s.dim, tuple(els[i] for i in np.asarray(ids, dtype=np.intp).tolist()))
+
+    @cached_property
+    def index(self) -> dict[Matrix, int]:
+        return {a: i for i, a in enumerate(self.elements)}
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return _read_only(np.array([mat_rank(a) for a in self.elements], dtype=np.int32))
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """(L, m) array: row j holds x^(j+1) for every id x.
+
+        L is the first length at which every power sequence has cycled, so
+        column x lists exactly the distinct powers of x.
+        """
+        ids = np.arange(self.m)
+        rows = [ids]
+        cycled = np.zeros(self.m, dtype=bool)
+        while True:
+            nxt = self.grid[rows[-1], ids]  # x^k * x
+            cycled |= (np.stack(rows) == nxt).any(axis=0)
+            if cycled.all():
+                break
+            rows.append(nxt)
+        return _read_only(np.stack(rows).astype(np.int32))
+
+    @cached_property
+    def nilpotent(self) -> tuple[bool, ...]:
+        """Per-id flag: is some power the zero matrix (id 0 when present,
+        as rank sorts first)."""
+        if not (self.m and self.elements[0].is_zero()):
+            return (False,) * self.m
+        return tuple((self.powers == 0).any(axis=0).tolist())
+
+    def power_closure(self, x: int) -> frozenset[int]:
+        """{x, x^2, x^3, ...} until the power sequence cycles."""
+        return frozenset(self.powers[:, x].tolist())
+
+    @cached_property
+    def _subspaces(self) -> tuple:
+        """(subspace -> id, image id per matrix, kernel id per matrix)."""
+        index: dict = {}
+        image = [index.setdefault(mat_image(a), len(index)) for a in self.elements]
+        kernel = [index.setdefault(mat_kernel(a), len(index)) for a in self.elements]
+        return index, _read_only(np.array(image, dtype=np.int32)), _read_only(np.array(kernel, dtype=np.int32))
+
+    @property
+    def subspace_index(self) -> dict:
+        """Subspace -> integer id, for every image and kernel of an element."""
+        return self._subspaces[0]
+
+    @property
+    def image_ids(self) -> np.ndarray:
+        """Per-id subspace id of each matrix's image."""
+        return self._subspaces[1]
+
+    @property
+    def kernel_ids(self) -> np.ndarray:
+        """Per-id subspace id of each matrix's kernel."""
+        return self._subspaces[2]
 
 
 def _detect_zero_identity(grid: np.ndarray):
@@ -237,9 +325,7 @@ def _check_grid(elements, grid: np.ndarray) -> None:
 
     This implies that the grid is associative: with every entry the true
     product, grid[grid[a, b], c] and grid[a, grid[b, c]] both name the
-    matrix (ab)c = a(bc), and ids are distinct matrices.  An adjoined
-    identity keeps a table associative, since products with it are its
-    other factor.
+    matrix (ab)c = a(bc), and ids are distinct matrices.
     """
     m = len(elements)
     for lo, bad in _wrong_entries(elements, grid):
@@ -248,39 +334,25 @@ def _check_grid(elements, grid: np.ndarray) -> None:
             raise InternalError(f"grid entry {(a, b)} is not the product of its elements")
 
 
-def build_table(s: MatSet, adjoin_identity: bool = False) -> SemigroupTable:
-    """Intern a closed MatSet into a SemigroupTable.
-
-    Ids follow the MatSet order.  With adjoin_identity=True and no existing
-    identity element, a fresh id m is appended acting as two-sided identity.
-    Sets above TABLE_ELEMS_CAP are refused before any grid is allocated.
-    Every entry of the grid is checked against an independent product
-    route (_check_grid), which also proves the table associative.
-    """
-    m = len(s.elements)
+def check_table_size(m: int) -> None:
+    """CapExceeded when a table of m elements is above TABLE_ELEMS_CAP;
+    callers that know m before any element exists refuse here first."""
     if m > TABLE_ELEMS_CAP:
         raise CapExceeded(f"table of {m} elements exceeds cap {TABLE_ELEMS_CAP}")
+
+
+def build_table(s: MatSet) -> SemigroupTable:
+    """Intern a closed MatSet into a SemigroupTable.
+
+    Ids follow the MatSet order.  Sets above TABLE_ELEMS_CAP are refused
+    before any grid is allocated.  Every entry of the grid is checked
+    against an independent product route (_check_grid), which also proves
+    the table associative.
+    """
+    check_table_size(len(s))
     grid = product_grid(s.elements)
     _check_grid(s.elements, grid)
-    zero_id, identity_id = _detect_zero_identity(grid)
-    elements = tuple(s.elements)
-    adjoined = False
-    if adjoin_identity and identity_id is None:
-        ids = np.arange(m + 1, dtype=np.int32)
-        grid = np.block([[grid, ids[:m, None]], [ids[None, :]]])
-        elements = elements + (None,)
-        identity_id = m
-        m += 1
-        adjoined = True
-    grid.flags.writeable = False
-    return SemigroupTable(
-        m=m,
-        grid=grid,
-        elements=elements,
-        zero_id=zero_id,
-        identity_id=identity_id,
-        adjoined_identity=adjoined,
-    )
+    return SemigroupTable(s, _read_only(grid), *_detect_zero_identity(grid))
 
 
 def _product_mask(grid: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -305,24 +377,16 @@ def mask_nd(grid: np.ndarray, base: np.ndarray, zero_id: int) -> int | None:
     return k
 
 
-def _table_base(table: SemigroupTable) -> np.ndarray:
-    """Member mask of the table's semigroup (an adjoined identity excluded)."""
-    base = np.ones(table.m, dtype=bool)
-    if table.adjoined_identity:
-        base[table.identity_id] = False
-    return base
-
-
 def table_nd(table: SemigroupTable) -> int | None:
     """Nilpotency degree of the table's semigroup, or None when not nilpotent."""
     if table.zero_id is None:
         return None
-    return mask_nd(table.grid, _table_base(table), table.zero_id)
+    return mask_nd(table.grid, np.ones(table.m, dtype=bool), table.zero_id)
 
 
 def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
-    """[S^1, S^2, ..., S^upto] as id sets (identity excluded if adjoined)."""
-    base = _table_base(table)
+    """[S^1, S^2, ..., S^upto] as id sets."""
+    base = np.ones(table.m, dtype=bool)
     masks = [base]
     while len(masks) < upto:
         masks.append(_product_mask(table.grid, masks[-1], base))
@@ -395,45 +459,30 @@ def closure_ids(grid, seed, abort_ids=None):
 
 
 # ---------------------------------------------------------------------------
-# partitions (union-find)
+# partitions
 
 
 class Partition:
-    """Union-find over ids 0..m-1 with canonical least-id representatives."""
+    """Partition of ids 0..m-1, each id labelled by the least id of its class."""
 
-    def __init__(self, m: int):
-        self.m = m
-        self._parent = list(range(m))
+    def __init__(self, labels):
+        self.labels = tuple(labels)
 
     def find(self, x: int) -> int:
-        p = self._parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the least id as root so representatives are canonical
-            if ra < rb:
-                self._parent[rb] = ra
-            else:
-                self._parent[ra] = rb
+        return self.labels[x]
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes in order of their least id, each ascending."""
         groups: dict[int, list[int]] = {}
-        for x in range(self.m):
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+        for x, root in enumerate(self.labels):
+            groups.setdefault(root, []).append(x)
+        return tuple(tuple(g) for g in groups.values())
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.classes() == other.classes()
+        return isinstance(other, Partition) and self.labels == other.labels
 
     def __hash__(self):  # pragma: no cover
-        return hash(self.classes())
+        return hash(self.labels)
 
 
 def equiv_closure(m: int, pairs) -> Partition:
@@ -456,14 +505,17 @@ def equiv_closure(m: int, pairs) -> Partition:
         if np.array_equal(nxt, label):
             break
         label = nxt
-    part = Partition(m)
-    for x, root in enumerate(label.tolist()):
-        part.union(x, root)
-    return part
+    return Partition(label.tolist())
 
 
 # ---------------------------------------------------------------------------
 # subsemigroup enumeration (small tables)
+
+
+def check_scan_size(m: int) -> None:
+    """CapExceeded when m elements are too many for the subset scan."""
+    if m > SUBSEMIGROUP_CAP:
+        raise CapExceeded(f"table size {m} exceeds subsemigroup scan cap {SUBSEMIGROUP_CAP}")
 
 
 def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
@@ -474,8 +526,7 @@ def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
     M is closed when its image lies inside M for every i in M.
     """
     m = table.m
-    if m > SUBSEMIGROUP_CAP:
-        raise CapExceeded(f"table size {m} exceeds subsemigroup scan cap {SUBSEMIGROUP_CAP}")
+    check_scan_size(m)
     dtype = np.min_scalar_type((1 << m) - 1)
     masks = np.arange(1 << m, dtype=dtype)
     image = np.zeros(1 << m, dtype=dtype)  # image[M]: the mask of {i*j : j in M}
@@ -654,125 +705,23 @@ def preorder_depths(m: int, leq) -> list[int]:
 # full ambient semigroup M(n, F_q)
 
 
-@dataclass
-class Ambient:
-    """The full multiplicative semigroup of n x n matrices, interned."""
-
-    field: FieldSpec
-    n: int
-    mats: tuple[Matrix, ...]
-    index: dict
-    grid: np.ndarray
-    zero_id: int
-    identity_id: int
-
-    _ranks: tuple | None = None
-    _nilpotent: tuple | None = None
-    _powers: np.ndarray | None = None
-    _subspace_ids: tuple | None = None
-
-    @property
-    def m(self) -> int:
-        return len(self.mats)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        if self._ranks is None:
-            self._ranks = tuple(mat_rank(a) for a in self.mats)
-        return self._ranks
-
-    @property
-    def nilpotent(self) -> tuple[bool, ...]:
-        """Per-id flag: does some power hit zero (equivalently the n-th)."""
-        if self._nilpotent is None:
-            self._nilpotent = tuple((self.powers[self.n - 1] == self.zero_id).tolist())
-        return self._nilpotent
-
-    @property
-    def powers(self) -> np.ndarray:
-        """Read-only (L, m) array: row j holds x^(j+1) for every id x.
-
-        L is the first length at which every power sequence has cycled, so
-        column x lists exactly the distinct powers of x.  L >= n, since the
-        nilpotent n x n Jordan block has n distinct powers, so row n - 1
-        holds every x^n.
-        """
-        if self._powers is None:
-            ids = np.arange(self.m)
-            rows = [ids]
-            cycled = np.zeros(self.m, dtype=bool)
-            while True:
-                nxt = self.grid[rows[-1], ids]  # x^k * x
-                cycled |= (np.stack(rows) == nxt).any(axis=0)
-                if cycled.all():
-                    break
-                rows.append(nxt)
-            powers = np.stack(rows).astype(np.int32)
-            powers.flags.writeable = False
-            self._powers = powers
-        return self._powers
-
-    def power_closure(self, x: int) -> frozenset[int]:
-        """{x, x^2, x^3, ...} until the power sequence cycles."""
-        return frozenset(self.powers[:, x].tolist())
-
-    def _subspaces(self) -> tuple:
-        """(subspace -> id, image id per matrix, kernel id per matrix)."""
-        if self._subspace_ids is None:
-            index: dict = {}
-            image = [index.setdefault(mat_image(a), len(index)) for a in self.mats]
-            kernel = [index.setdefault(mat_kernel(a), len(index)) for a in self.mats]
-            arrays = np.array(image, dtype=np.int32), np.array(kernel, dtype=np.int32)
-            for arr in arrays:
-                arr.flags.writeable = False
-            self._subspace_ids = (index, *arrays)
-        return self._subspace_ids
-
-    @property
-    def subspace_index(self) -> dict:
-        """Subspace -> integer subspace id; every subspace of F_q^n has one."""
-        return self._subspaces()[0]
-
-    @property
-    def image_ids(self) -> np.ndarray:
-        """Read-only per-id subspace id of each matrix's image."""
-        return self._subspaces()[1]
-
-    @property
-    def kernel_ids(self) -> np.ndarray:
-        """Read-only per-id subspace id of each matrix's kernel."""
-        return self._subspaces()[2]
-
-
 _AMBIENT_CACHE: dict = {}
 
 
-def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Ambient:
-    """Build (and cache) the interned full semigroup with its product grid."""
+def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> SemigroupTable:
+    """The table of the full semigroup M(n, F_q), built once and cached.
+
+    Its grid comes from product_grid unchecked: every product of two n x n
+    matrices is one, so the set is closed, and tests compare it with
+    build_table's checked grid.
+    """
     total = field.q ** (n * n)
     if total > cap:
         raise CapExceeded(f"|M({n}, F_{field.q})| = {total} exceeds cap {cap}")
     key = (field, n)
-    if key in _AMBIENT_CACHE:
-        return _AMBIENT_CACHE[key]
-    from .gf import enumerate_matrices
-
-    s = mat_set(field, n, enumerate_matrices(field, n, n, cap=cap))
-    grid = product_grid(s.elements)
-    grid.flags.writeable = False  # shared by every caller through the cache
-    index = {m.codes: i for i, m in enumerate(s.elements)}
-    zero_id = index[(0,) * (n * n)]
-    from .gf import identity_matrix
-
-    identity_id = index[identity_matrix(field, n).codes]
-    amb = Ambient(
-        field=field,
-        n=n,
-        mats=s.elements,
-        index=index,
-        grid=grid,
-        zero_id=zero_id,
-        identity_id=identity_id,
-    )
-    _AMBIENT_CACHE[key] = amb
-    return amb
+    if key not in _AMBIENT_CACHE:
+        s = mat_set(field, n, enumerate_matrices(field, n, n, cap=cap))
+        # the zero matrix sorts first (rank 0)
+        identity_id = s.elements.index(identity_matrix(field, n))
+        _AMBIENT_CACHE[key] = SemigroupTable(s, _read_only(product_grid(s.elements)), 0, identity_id)
+    return _AMBIENT_CACHE[key]

@@ -169,20 +169,26 @@ def flag_basis(f: Flag) -> Matrix:
     return Matrix(f.field, n, n, codes)
 
 
-def flag_semigroup(f: Flag, cap: int = PHI_CAP):
-    """Enumerate every matrix lowering the flag, in canonical order.
-
-    The count is q^(sum of d_i d_j over strata i < j): in an adapted basis
-    these are exactly the block strictly upper triangular matrices.
-    """
-    from .engine import mat_set
-
+def flag_size(f: Flag, cap: int = PHI_CAP) -> int:
+    """|flag_semigroup(f)| = q^(sum of d_i d_j over strata i < j): in an
+    adapted basis its elements are exactly the block strictly upper
+    triangular matrices.  CapExceeded above cap."""
     sig = f.signature
     k = len(sig)
     exp = sum(sig[i] * sig[j] for i in range(k) for j in range(i + 1, k))
     total = f.field.q ** exp
     if total > cap:
         raise CapExceeded(f"flag semigroup has {total} elements, cap {cap}")
+    return total
+
+
+def flag_semigroup(f: Flag, cap: int = PHI_CAP):
+    """Enumerate every matrix lowering the flag, in canonical order."""
+    from .engine import mat_set
+
+    total = flag_size(f, cap)
+    sig = f.signature
+    k = len(sig)
     n = f.ambient
     # free positions (row, col) in stratum coordinates: row stratum < col stratum
     offs = [0]
@@ -237,11 +243,10 @@ def nilpotency_degree(s) -> int | None:
 def power_image_flag(s) -> Flag:
     """Flag of spans of power images: V_{k-i} spans the images of all
     i-fold products, where k is the nilpotency degree (must be >= 2)."""
-    table, k = _nil_table(s)
-    return _power_image_flag(s, table, k)
+    return _power_image_flag(*_nil_table(s))
 
 
-def _power_image_flag(s, table, k) -> Flag:
+def _power_image_flag(table, k) -> Flag:
     """power_image_flag on the table and degree the caller already built."""
     from .engine import power_sets
 
@@ -249,7 +254,7 @@ def _power_image_flag(s, table, k) -> Flag:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 does not determine a flag")
-    f, n = s.field, s.dim
+    f, n = table.s.field, table.s.dim
     powers = power_sets(table, k - 1)
     interior = []
     for i in range(k - 1, 0, -1):  # longest products first: smallest span
@@ -270,17 +275,16 @@ def is_k_maximal(s) -> bool:
     Fixed-point test: s must equal the full semigroup of its power-image
     flag.
     """
-    table, k = _nil_table(s)
-    return _is_k_maximal(s, table, k)
+    return _is_k_maximal(*_nil_table(s))
 
 
-def _is_k_maximal(s, table, k) -> bool:
+def _is_k_maximal(table, k) -> bool:
     """is_k_maximal on the table and degree the caller already built."""
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 has no flag test")
-    return s.as_set() == flag_semigroup(_power_image_flag(s, table, k)).as_set()
+    return table.s.as_set() == flag_semigroup(_power_image_flag(table, k)).as_set()
 
 
 def consolidates(f: Flag, f2: Flag) -> bool:

@@ -7,10 +7,11 @@ semigroup, its group of units, the ideal of singular matrices, and the
 image/kernel-constrained families S(A-family, B-family) — can be checked
 both by construction and by brute subset scans.
 
-Everything runs on ids of the cached ambient: a set is a boolean member
-mask, closedness is read off the ambient grid, isolation off the ambient's
-powers array, and S(A, B) is found from the per-id image and kernel
-subspace ids.  theorem_list mode rebuilds no product grid.
+Everything runs on ids of the cached ambient table: a set is a boolean
+member mask, closedness is read off the ambient grid, isolation off the
+ambient's powers array, and S(A, B) is found from the per-id image and
+kernel subspace ids.  The exhaustive subset scan runs on the same table, so
+no mode builds a second product grid.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    Ambient,
     MatSet,
+    SemigroupTable,
     ambient,
-    build_table,
+    check_scan_size,
     closure,
     enumerate_subsemigroups,
-    mat_set,
 )
 from .errors import (
     AmbientMismatch,
@@ -53,7 +53,6 @@ from .gf import (
     subspace_sort_key,
 )
 
-EXHAUSTIVE_SCAN_CAP = 16  # q^(n*n) bound for the full subset scan
 PAIR_SCAN_BLOCK = 16  # grid rows per step of the completely-isolated scan
 
 
@@ -64,15 +63,13 @@ PAIR_SCAN_BLOCK = 16  # grid rows per step of the completely-isolated scan
 def rank_stratum(field: FieldSpec, n: int, i: int) -> MatSet:
     """All matrices in M(n, F_q) of rank exactly i."""
     amb = ambient(field, n)
-    mats = [m for m, r in zip(amb.mats, amb.ranks) if r == i]
-    return mat_set(field, n, mats)
+    return amb.subset(np.flatnonzero(amb.ranks == i))
 
 
 def ideal(field: FieldSpec, n: int, i: int) -> MatSet:
     """The two-sided ideal of all matrices of rank at most i."""
     amb = ambient(field, n)
-    mats = [m for m, r in zip(amb.mats, amb.ranks) if r <= i]
-    return mat_set(field, n, mats)
+    return amb.subset(np.flatnonzero(amb.ranks <= i))
 
 
 def ideal_generated_by_stratum(field: FieldSpec, n: int, k: int) -> MatSet:
@@ -118,11 +115,8 @@ def idempotent_for(onto: Subspace, along: Subspace) -> IdempotentPair:
 def idempotents(field: FieldSpec, n: int) -> tuple[IdempotentPair, ...]:
     """Every idempotent of M(n, F_q), annotated, in canonical matrix order."""
     amb = ambient(field, n)
-    out = []
-    for x, m in enumerate(amb.mats):
-        if int(amb.grid[x, x]) == x:
-            out.append(IdempotentPair(v1=mat_image(m), v2=mat_kernel(m), e=m))
-    return tuple(out)
+    fixed = np.flatnonzero(amb.grid.diagonal() == np.arange(amb.m))  # x * x = x
+    return tuple(IdempotentPair(v1=mat_image(m), v2=mat_kernel(m), e=m) for m in amb.subset(fixed))
 
 
 def idempotent_count_formula(field: FieldSpec, n: int) -> int:
@@ -168,7 +162,7 @@ def pair_family(a_family, b_family) -> SubspacePairFamily:
     return SubspacePairFamily(a_family=a_family, b_family=b_family)
 
 
-def _s_ab_ids(amb: Ambient, fam: SubspacePairFamily) -> np.ndarray:
+def _s_ab_ids(amb: SemigroupTable, fam: SubspacePairFamily) -> np.ndarray:
     """Ambient ids, ascending, of the matrices of S(A-family, B-family)."""
     index = amb.subspace_index
     in_a = np.zeros(len(index), dtype=bool)
@@ -181,11 +175,6 @@ def _s_ab_ids(amb: Ambient, fam: SubspacePairFamily) -> np.ndarray:
     return ids
 
 
-def _subset(amb: Ambient, ids) -> MatSet:
-    """The MatSet of ascending ambient ids (ambient order is canonical)."""
-    return MatSet(amb.field, amb.n, tuple(amb.mats[i] for i in ids.tolist()))
-
-
 def s_ab_make(fam: SubspacePairFamily) -> MatSet:
     """All matrices with image in the A-family and kernel in the B-family.
 
@@ -194,7 +183,7 @@ def s_ab_make(fam: SubspacePairFamily) -> MatSet:
     amb = ambient(fam.a_family[0].field, fam.a_family[0].ambient)
     ids = _s_ab_ids(amb, fam)
     _closed_mask(amb, ids)  # raises NotClosed with a witness if it escapes
-    return _subset(amb, ids)
+    return amb.subset(ids)
 
 
 def product_kernel_image_law(s: MatSet) -> bool:
@@ -211,7 +200,7 @@ def product_kernel_image_law(s: MatSet) -> bool:
 # isolation predicates
 
 
-def _closed_mask(amb: Ambient, ids) -> np.ndarray:
+def _closed_mask(amb: SemigroupTable, ids) -> np.ndarray:
     """Member mask of the ambient ids `ids`; NotClosed unless they are closed.
 
     The witness is the first escaping pair (a, b) in row-major order of
@@ -223,22 +212,22 @@ def _closed_mask(amb: Ambient, ids) -> np.ndarray:
     inside = mask[amb.grid[np.ix_(ids, ids)]]
     if not inside.all():
         a, b = divmod(int(np.argmin(inside)), len(ids))
-        x, y = amb.mats[ids[a]], amb.mats[ids[b]]
+        x, y = amb.elements[ids[a]], amb.elements[ids[b]]
         raise NotClosed("set not closed under multiplication", witness=(x, y, x * y))
     return mask
 
 
-def _member_mask(s: MatSet) -> tuple[Ambient, np.ndarray]:
+def _member_mask(s: MatSet) -> tuple[SemigroupTable, np.ndarray]:
     amb = ambient(s.field, s.dim)
-    return amb, _closed_mask(amb, [amb.index[m.codes] for m in s.elements])
+    return amb, _closed_mask(amb, [amb.index[m] for m in s.elements])
 
 
-def _isolated(amb: Ambient, mask: np.ndarray) -> bool:
+def _isolated(amb: SemigroupTable, mask: np.ndarray) -> bool:
     """No id outside the mask has a power inside it."""
     return not bool((mask[amb.powers].any(axis=0) & ~mask).any())
 
 
-def _completely_isolated(amb: Ambient, mask: np.ndarray) -> bool:
+def _completely_isolated(amb: SemigroupTable, mask: np.ndarray) -> bool:
     """No product of two ids outside the mask lands inside it.
 
     The grid rows of the outside ids are scanned PAIR_SCAN_BLOCK at a time,
@@ -303,7 +292,7 @@ def _all_pair_families(field: FieldSpec, n: int):
     return out
 
 
-def _record(amb: Ambient, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
+def _record(amb: SemigroupTable, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
     """Record for the closed set of ascending ambient ids; one mask serves
     the closedness check and both predicates."""
     mask = _closed_mask(amb, ids)
@@ -314,7 +303,7 @@ def _record(amb: Ambient, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
         )
     return IsolatedRecord(
         kind=kind,
-        s=_subset(amb, ids),
+        s=amb.subset(ids),
         a_family=a_fam,
         b_family=b_fam,
         isolated=True,
@@ -324,11 +313,10 @@ def _record(amb: Ambient, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
 
 def _theorem_records(field: FieldSpec, n: int) -> list[IsolatedRecord]:
     amb = ambient(field, n)
-    ranks = np.asarray(amb.ranks)
     records = [
         _record(amb, "M", np.arange(amb.m)),
-        _record(amb, "GL", np.flatnonzero(ranks == n)),
-        _record(amb, "I", np.flatnonzero(ranks <= n - 1)),
+        _record(amb, "GL", np.flatnonzero(amb.ranks == n)),
+        _record(amb, "I", np.flatnonzero(amb.ranks <= n - 1)),
     ]
     for fam in _all_pair_families(field, n):
         ids = _s_ab_ids(amb, fam)
@@ -352,19 +340,20 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
     """
     if mode not in ("exhaustive", "theorem_list"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exhaustive":
+        check_scan_size(field.q ** (n * n))  # before the theorem list and the ambient
     predicted = _theorem_records(field, n)
     if mode == "theorem_list":
         return _sort_records(predicted)
     amb = ambient(field, n)
-    table = build_table(mat_set(field, n, amb.mats))
     by_set = {r.s.as_set(): r for r in predicted}
     found: list[IsolatedRecord] = []
-    for ids in enumerate_subsemigroups(table):
+    for ids in enumerate_subsemigroups(amb):
         mask = np.zeros(amb.m, dtype=bool)
         mask[list(ids)] = True
         if not _isolated(amb, mask):
             continue
-        s = _subset(amb, np.flatnonzero(mask))
+        s = amb.subset(np.flatnonzero(mask))
         hit = by_set.get(s.as_set())
         if hit is not None:
             found.append(hit)

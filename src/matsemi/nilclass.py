@@ -31,9 +31,9 @@ from .engine import (
     MatSet,
     SemigroupTable,
     _product_mask,
-    mul_columns,
     build_table,
-    mat_set,
+    check_table_size,
+    mul_columns,
     power_sets,
     preorder_depths,
     table_nd,
@@ -50,7 +50,7 @@ from .errors import (
     SignatureMismatch,
     ZeroElement,
 )
-from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_transporter
+from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_size, flag_transporter
 from .gf import (
     FieldSpec,
     Matrix,
@@ -78,15 +78,18 @@ class NilContext:
     ranks read the grid.
     """
 
-    def __init__(self, flag: Flag, t: MatSet, table: SemigroupTable):
+    def __init__(self, flag: Flag, table: SemigroupTable):
         self.flag = flag
-        self.t = t
+        self.t = table.s
         self.table = table
         self.r = flag.length
         self.sig = flag.signature
-        self.m = len(t)
-        self.index = {mat: i for i, mat in enumerate(t.elements)}
+        self.m = table.m
         self._order_depths_checked = False
+
+    @property
+    def index(self) -> dict[Matrix, int]:
+        return self.table.index
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -299,16 +302,16 @@ def nil_context(flag: Flag, cap: int = PHI_CAP) -> NilContext:
     """Build and validate the context for a flag of length >= 2."""
     if flag.length < 2:
         raise PreconditionViolated("context needs a flag of length >= 2")
-    t = flag_semigroup(flag, cap=cap)
-    table = build_table(t)
+    check_table_size(flag_size(flag, cap))  # |T| follows from the signature: refuse before enumerating
+    table = build_table(flag_semigroup(flag, cap=cap))
     if table.zero_id != 0:  # pragma: no cover - zero sorts first by rank
         raise InternalError("zero element is not id 0")
     nd = table_nd(table)
     if nd != flag.length:  # pragma: no cover
         raise InvariantViolation(f"nilpotency degree {nd} != flag length {flag.length}")
-    if not _is_k_maximal(t, table, nd):  # pragma: no cover
+    if not _is_k_maximal(table, nd):  # pragma: no cover
         raise InvariantViolation("flag semigroup is not maximal for its degree")
-    return NilContext(flag, t, table)
+    return NilContext(flag, table)
 
 
 def _id_of(ctx: NilContext, a: Matrix) -> int:
@@ -373,8 +376,7 @@ def depth_sets(ctx: NilContext, which: str, i: int) -> MatSet:
     if i < 0:
         raise PreconditionViolated("depth index must be >= 0")
     _check_order_depths(ctx)
-    members = [mat for x, mat in enumerate(ctx.t.elements) if depths[x] == i]
-    return mat_set(ctx.t.field, ctx.t.dim, members)
+    return ctx.table.subset(np.flatnonzero(np.asarray(depths) == i))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +392,7 @@ def k_set(ctx: NilContext, u: int, v: int) -> MatSet:
     """The K cell at prec depth u and ll depth v."""
     if (u, v) not in K_PAIRS:
         raise PreconditionViolated(f"no K cell at {(u, v)}")
-    ids = sorted(ctx.k_ids[(u, v)])
-    return mat_set(ctx.t.field, ctx.t.dim, [ctx.t.elements[x] for x in ids])
+    return ctx.table.subset(sorted(ctx.k_ids[(u, v)]))
 
 
 def super_rank(ctx: NilContext, a: Matrix) -> int | None:

@@ -186,7 +186,7 @@ def criterion_04() -> CriterionResult:
     escapes = 0
     flags = all_flags(f2, 3)
     for fl in flags:
-        member = frozenset(amb.index[a.codes] for a in flag_semigroup(fl))
+        member = frozenset(amb.index[a] for a in flag_semigroup(fl))
         for x in range(amb.m):
             if x in member:
                 continue
@@ -201,7 +201,7 @@ def criterion_04() -> CriterionResult:
             nd = mask_nd(amb.grid, mask, amb.zero_id)
             if nd is not None and nd <= fl.length:
                 witness = (
-                    f"{format_flag(fl)} + {format_matrix(amb.mats[x])}: closure stays "
+                    f"{format_flag(fl)} + {format_matrix(amb.elements[x])}: closure stays "
                     f"nilpotent of degree {nd} <= {fl.length}"
                 )
                 break

@@ -152,6 +152,20 @@ class TestExitCodes:
         assert cp.returncode == 3, cp.stderr.decode()
         assert cp.stderr.decode() == f"error CapExceeded: table of 32768 elements exceeds cap {engine.TABLE_ELEMS_CAP}\n"
 
+    def test_isolated_scan_above_its_cap_is_refused_at_once(self):
+        # q^(n^2) = 4096 elements are far above the 16 of the subset scan;
+        # the refusal comes before the theorem list and the ambient grid
+        t0 = perf_counter()
+        cp = subprocess.run(
+            [sys.executable, "-m", "matsemi.cli", "isolated", "enum", "--field", "2^3", "--n", "2"],
+            capture_output=True,
+            timeout=60,
+        )
+        elapsed = perf_counter() - t0
+        assert cp.returncode == 3, cp.stderr.decode()
+        assert cp.stderr.decode() == "error CapExceeded: table size 4096 exceeds subsemigroup scan cap 16\n"
+        assert elapsed < 2.0
+
     def test_huge_exponent_is_refused_without_building_the_size(self):
         text, code = run_command(["classes", "--field", "2^100000", "--n", "1"])
         assert code == 3
@@ -226,8 +240,8 @@ class TestFaultInjection:
         # it, not mask it.  The cached grid is read-only, so the poisoned
         # copy replaces the whole cache entry.
         amb = ambient(f2, 2)
-        e12 = amb.index[unit_matrix(f2, 2, 0, 1).codes]
-        e21 = amb.index[unit_matrix(f2, 2, 1, 0).codes]
+        e12 = amb.index[unit_matrix(f2, 2, 0, 1)]
+        e21 = amb.index[unit_matrix(f2, 2, 1, 0)]
         poisoned = amb.grid.copy()
         poisoned[e12, e21] = amb.identity_id
         key = (f2, 2)

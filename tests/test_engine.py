@@ -36,7 +36,7 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
-from matsemi.engine import GRID_BLOCK, TABLE_ELEMS_CAP, KeyIndex, Partition, _check_grid, _wrong_entries
+from matsemi.engine import GRID_BLOCK, TABLE_ELEMS_CAP, KeyIndex, _check_grid, _wrong_entries
 from matsemi.errors import InternalError
 from matsemi.gf import batch_mul, code_keys, codes_array, row_keys
 
@@ -199,10 +199,11 @@ class TestTable:
         assert len(p[0]) > len(p[1]) > len(p[2]) == 1
 
     def test_adjoined_identity(self):
+        # {0, e12} with the identity matrix adjoined as an element
         e = unit_matrix(F2, 2, 0, 1)
         z = matrix(F2, [[0, 0], [0, 0]])
-        t = build_table(mat_set(F2, 2, [z, e]), adjoin_identity=True)
-        assert t.adjoined_identity and t.m == 3
+        t = build_table(mat_set(F2, 2, [z, e, identity_matrix(F2, 2)]))
+        assert t.m == 3 and t.elements[t.identity_id] == identity_matrix(F2, 2)
         one = t.identity_id
         assert all(t.grid[one][x] == x == t.grid[x][one] for x in range(t.m))
 
@@ -245,14 +246,18 @@ class TestPowerMasks:
 
     @pytest.mark.parametrize("adjoin", [False, True], ids=["plain", "adjoined"])
     def test_match_frozenset_definitions(self, adjoin):
+        # adjoined: the identity matrix is one more generator
         rng = random.Random(f"power_masks:{adjoin}")
         for f, n in ((F2, 2), (F2, 3), (F3, 2), (F4, 2)):
             for kinds in ((True,), (True, True), (False,), (True, False)):
-                s = closure(mat_set(f, n, [_draw(rng, f, n, rank_one) for rank_one in kinds]))
-                t = build_table(s, adjoin_identity=adjoin)
+                gens = [_draw(rng, f, n, rank_one) for rank_one in kinds]
+                s = closure(mat_set(f, n, gens + [identity_matrix(f, n)] * adjoin))
+                t = build_table(s)
                 grid = t.grid.tolist()
                 assert (t.zero_id, t.identity_id) == _oracle_zero_identity(grid, t.m)
-                ids = frozenset(range(t.m)) - ({t.identity_id} if t.adjoined_identity else set())
+                if adjoin:
+                    assert t.identity_id is not None
+                ids = frozenset(range(t.m))
                 assert power_sets(t, 4) == _oracle_power_sets(grid, ids, 4)
                 want = None if t.zero_id is None else _oracle_nd(grid, ids, t.zero_id)
                 assert table_nd(t) == want
@@ -293,7 +298,7 @@ class TestSubsemigroups:
 
     def test_all_closed(self):
         amb = ambient(F2, 2)
-        t = build_table(mat_set(F2, 2, amb.mats))
+        t = build_table(mat_set(F2, 2, amb.elements))
         subs = enumerate_subsemigroups(t)
         for ids in subs:
             for a in ids:
@@ -303,24 +308,26 @@ class TestSubsemigroups:
 
     def test_cap(self):
         amb = ambient(F3, 2)
-        t = build_table(mat_set(F3, 2, amb.mats))
+        t = build_table(mat_set(F3, 2, amb.elements))
         with pytest.raises(CapExceeded):
             enumerate_subsemigroups(t)
 
     @pytest.mark.parametrize("include_empty", [False, True])
     def test_matches_the_mask_oracle(self, include_empty):
-        tables = [build_table(mat_set(F2, 2, ambient(F2, 2).mats))]
+        tables = [build_table(mat_set(F2, 2, ambient(F2, 2).elements))]
         for q in (2, 3, 4, 5, 7, 8):
             f = BY_Q[q]
             tables.append(build_table(mat_set(f, 1, enumerate_matrices(f, 1, 1))))
-        # small semigroups without an identity, each with one adjoined
+        # small semigroups without an identity, each with the identity matrix adjoined
         nil = mat_set(F2, 2, [matrix(F2, [[0, 0], [0, 0]]), unit_matrix(F2, 2, 0, 1)])
         rng = random.Random("subsemigroups")
         seeds = [nil, _flag_set(F2, (1, 1, 1)), _flag_set(F3, (1, 2))]
         seeds += [closure(mat_set(F3, 2, [_draw(rng, F3, 2, rank_one=True) for _ in range(2)])) for _ in range(4)]
         for seed in seeds:
-            t = build_table(seed, adjoin_identity=True)
-            assert t.adjoined_identity and t.m <= 16
+            one = identity_matrix(seed.field, seed.dim)
+            assert one not in seed
+            t = build_table(mat_set(seed.field, seed.dim, [*seed, one]))
+            assert t.identity_id is not None and t.m <= 16
             tables.append(t)
         for t in tables:
             assert enumerate_subsemigroups(t, include_empty) == _oracle_subsemigroups(t, include_empty)
@@ -347,6 +354,31 @@ class TestTableIso:
         e = matrix(F2, [[1, 0], [0, 0]])
         t_idem = build_table(mat_set(F2, 2, [z, e]))
         assert table_iso(t_nil, t_idem) is None
+
+
+class _UnionFind:
+    """Union-find over ids 0..m-1 with least-id roots (the former
+    Partition): the oracle for equiv_closure's label propagation."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self._parent = list(range(m))
+
+    def find(self, x: int) -> int:
+        p = self._parent
+        while p[x] != x:
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        self._parent[max(ra, rb)] = min(ra, rb)
+
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        groups: dict[int, list[int]] = {}
+        for x in range(self.m):
+            groups.setdefault(self.find(x), []).append(x)
+        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
 class TestEquivClosure:
@@ -387,7 +419,7 @@ class TestEquivClosure:
             pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randrange(2 * m))]
             cases.append((m, pairs))
         for m, pairs in cases:
-            oracle = Partition(m)
+            oracle = _UnionFind(m)
             for a, b in pairs:
                 oracle.union(a, b)
             part = equiv_closure(m, pairs)
@@ -441,9 +473,9 @@ class TestAmbient:
         assert amb.m == 16
         for x in (0, 3, 7, 11, 15):
             for y in (1, 2, 5, 14):
-                assert amb.mats[amb.grid[x, y]] == amb.mats[x] * amb.mats[y]
+                assert amb.elements[amb.grid[x, y]] == amb.elements[x] * amb.elements[y]
         for x in range(amb.m):
-            assert amb.nilpotent[x] == (mat_pow(amb.mats[x], 2).is_zero())
+            assert amb.nilpotent[x] == (mat_pow(amb.elements[x], 2).is_zero())
 
     def test_cached_grid_is_read_only(self):
         amb = ambient(F2, 2)
@@ -455,10 +487,10 @@ class TestAmbient:
         for x in range(amb.m):
             pc = amb.power_closure(x)
             expect = set()
-            cur = amb.mats[x]
+            cur = amb.elements[x]
             for _ in range(6):
-                expect.add(amb.index[cur.codes])
-                cur = cur * amb.mats[x]
+                expect.add(amb.index[cur])
+                cur = cur * amb.elements[x]
             assert pc == expect
 
     def test_cached_id_arrays_are_read_only(self):
@@ -485,7 +517,7 @@ class TestAmbient:
         amb = ambient(F3, 2)
         spaces = {i: s for s, i in amb.subspace_index.items()}
         assert len(spaces) == 1 + 4 + 1  # every subspace of F_3^2
-        for x, a in enumerate(amb.mats):
+        for x, a in enumerate(amb.elements):
             assert spaces[int(amb.image_ids[x])] == mat_image(a)
             assert spaces[int(amb.kernel_ids[x])] == mat_kernel(a)
 
@@ -493,10 +525,57 @@ class TestAmbient:
         with pytest.raises(CapExceeded):
             ambient(F3, 3)
 
+    @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)], ids=["M2F2", "M2F3", "M2F4", "M3F2"])
+    def test_equals_the_checked_table(self, q, n):
+        # ambient() skips build_table's grid check; here the checked route
+        # has to give the same table
+        f = BY_Q[q]
+        amb = ambient(f, n)
+        t = build_table(mat_set(f, n, enumerate_matrices(f, n, n)))
+        assert amb.elements == t.elements
+        assert np.array_equal(amb.grid, t.grid)
+        assert (amb.zero_id, amb.identity_id) == (t.zero_id, t.identity_id)
+        for name in ("ranks", "powers", "image_ids", "kernel_ids"):
+            assert np.array_equal(getattr(amb, name), getattr(t, name)), name
+        assert amb.nilpotent == t.nilpotent and amb.subspace_index == t.subspace_index
+
+    def test_subset_equals_mat_set(self):
+        rng = random.Random("subset")
+        for f, n in ((F2, 2), (F3, 2), (F2, 3)):
+            amb = ambient(f, n)
+            for k in (0, 1, 2, 7, amb.m // 2, amb.m):
+                ids = sorted(rng.sample(range(amb.m), k))
+                assert amb.subset(ids) == mat_set(f, n, [amb.elements[i] for i in ids])
+                assert amb.subset(np.array(ids, dtype=np.int64)) == amb.subset(ids)
+
+    @pytest.mark.parametrize("f,sig", [(F2, (1, 1, 1)), (F3, (1, 2, 1)), (F4, (1, 3)), (F2, (1, 1, 2))])
+    def test_flag_table_arrays_match_per_matrix_oracles(self, f, sig):
+        t = build_table(_flag_set(f, sig))
+        n = sum(sig)
+        assert t.ranks.tolist() == [mat_rank(a) for a in t.elements]
+        assert t.nilpotent == (True,) * t.m  # every flag semigroup element is nilpotent
+        for x, a in enumerate(t.elements):
+            powers, cur = [], a
+            while cur not in powers:
+                powers.append(cur)
+                cur = cur * a
+            assert [t.elements[y] for y in t.powers[: len(powers), x].tolist()] == powers
+            assert t.power_closure(x) == {t.index[b] for b in powers}
+            assert t.nilpotent[x] == mat_pow(a, n).is_zero()
+            assert t.index[a] == x
+
+    def test_nilpotent_is_anchored_to_the_zero_matrix(self):
+        # {I, e11}: e11 absorbs, but no power of either is the zero matrix
+        t = build_table(mat_set(F2, 2, [identity_matrix(F2, 2), unit_matrix(F2, 2, 0, 0)]))
+        assert t.zero_id is not None and t.nilpotent == (False, False)
+        z, e = matrix(F2, [[0, 0], [0, 0]]), unit_matrix(F2, 2, 0, 1)
+        t = build_table(mat_set(F2, 2, [z, e, identity_matrix(F2, 2)]))
+        assert t.nilpotent == (True, True, False)
+
     def test_closure_ids_abort(self):
         amb = ambient(F2, 2)
-        e12 = amb.index[unit_matrix(F2, 2, 0, 1).codes]
-        e21 = amb.index[unit_matrix(F2, 2, 1, 0).codes]
+        e12 = amb.index[unit_matrix(F2, 2, 0, 1)]
+        e21 = amb.index[unit_matrix(F2, 2, 1, 0)]
         non_nil = frozenset(x for x in range(amb.m) if not amb.nilpotent[x])
         ids, aborted = closure_ids(amb.grid, {e12, e21}, abort_ids=non_nil)
         assert aborted  # e12 * e21 is idempotent, not nilpotent
@@ -752,10 +831,11 @@ class TestGridCheck:
             _check_grid(s.elements, bad)
 
     def test_adjoined_identity_tables_pass(self):
+        # semigroups without an identity, with the identity matrix adjoined
         singular = [a for a in enumerate_matrices(F2, 2, 2) if mat_rank(a) < 2]
         for s in (mat_set(F2, 2, singular), _flag_set(F3, (1, 1, 1)), _flag_set(F2, (1, 2, 1))):
-            t = build_table(s, adjoin_identity=True)
-            assert t.adjoined_identity and t.m == len(s) + 1
+            t = build_table(mat_set(s.field, s.dim, [*s, identity_matrix(s.field, s.dim)]))
+            assert t.identity_id is not None and t.m == len(s) + 1
             _verify_associativity(t.grid, t.m)
             ids = np.arange(t.m)
             assert np.array_equal(t.grid[t.identity_id], ids)

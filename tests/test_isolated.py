@@ -152,7 +152,7 @@ def _oracle_s_ab(fam):
     field, n = fam.a_family[0].field, fam.a_family[0].ambient
     a_set, b_set = set(fam.a_family), set(fam.b_family)
     members = [
-        m for m in ambient(field, n).mats if mat_image(m) in a_set and mat_kernel(m) in b_set
+        m for m in ambient(field, n).elements if mat_image(m) in a_set and mat_kernel(m) in b_set
     ]
     s = mat_set(field, n, members)
     product_grid(s.elements)
@@ -175,7 +175,7 @@ def _oracle_power_closures(field, n):
 def _oracle_ids(s):
     product_grid(s.elements)  # NotClosed for a set that is not closed
     amb = ambient(s.field, s.dim)
-    return amb, frozenset(amb.index[m.codes] for m in s.elements)
+    return amb, frozenset(amb.index[m] for m in s.elements)
 
 
 def _oracle_is_isolated(s):
@@ -195,7 +195,7 @@ def _oracle_is_completely_isolated(s):
 def _random_sets(field, n, seed, count, max_gens):
     """Seeded generator sets; every other one is drawn from one S(A, B)
     family rather than from the whole ambient."""
-    mats = ambient(field, n).mats
+    mats = ambient(field, n).elements
     fams = _all_pair_families(field, n)
     rng = random.Random(f"{seed}:{field.q}:{n}")
     for i in range(count):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matsemi import (
+    CapExceeded,
     IsoDecision,
     PreconditionViolated,
     SignatureMismatch,
@@ -394,6 +395,21 @@ class TestIso:
 def test_context_requires_length_two():
     with pytest.raises(PreconditionViolated):
         nil_context(standard_flag(F2, (3,)))
+
+
+def test_context_above_the_table_cap_is_refused_before_its_elements(monkeypatch):
+    # |T| = 8^(1*1 + 1*2 + 1*2) = 32 768 follows from the signature alone
+    def no_elements(*args, **kwargs):
+        raise AssertionError("flag semigroup enumerated above the table cap")
+
+    monkeypatch.setattr(nilclass, "flag_semigroup", no_elements)
+    flag = standard_flag(field_make(2, 3), (1, 1, 2))
+    with pytest.raises(CapExceeded) as exc:
+        nil_context.__wrapped__(flag)
+    assert str(exc.value) == f"table of 32768 elements exceeds cap {engine.TABLE_ELEMS_CAP}"
+    # the flag-size cap still comes first
+    with pytest.raises(CapExceeded, match="flag semigroup has 32768 elements, cap 100"):
+        nil_context.__wrapped__(flag, cap=100)
 
 
 class TestOneTablePerContext:
