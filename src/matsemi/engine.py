@@ -186,15 +186,18 @@ class SemigroupTable:
 
     Id i is s.elements[i], so ids follow the canonical order.  grid is a
     read-only int32 (m, m) array; loops that read single entries take one
-    grid.tolist() first.  zero_id and identity_id are the absorbing and the
-    identity element of the grid, each None when absent.  The per-id
-    arrays below are derived on first use and are read-only.
+    grid.tolist() first.  It is prebuilt_grid when one is given (the grid
+    build_table has checked), and otherwise derived from the elements on
+    first use, so a caller that reads only the elements builds none.
+    zero_id and identity_id are the absorbing and the identity element of
+    the grid, each None when absent.  The per-id arrays below are derived
+    on first use and are read-only.
     """
 
     s: MatSet
-    grid: np.ndarray
     zero_id: int | None
     identity_id: int | None
+    prebuilt_grid: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -209,6 +212,12 @@ class SemigroupTable:
         so nothing is re-sorted."""
         els = self.elements
         return MatSet(self.s.field, self.s.dim, tuple(els[i] for i in np.asarray(ids, dtype=np.intp).tolist()))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        if self.prebuilt_grid is not None:
+            return self.prebuilt_grid
+        return _read_only(product_grid(self.elements))
 
     @cached_property
     def index(self) -> dict[Matrix, int]:
@@ -352,7 +361,7 @@ def build_table(s: MatSet) -> SemigroupTable:
     check_table_size(len(s))
     grid = product_grid(s.elements)
     _check_grid(s.elements, grid)
-    return SemigroupTable(s, _read_only(grid), *_detect_zero_identity(grid))
+    return SemigroupTable(s, *_detect_zero_identity(grid), _read_only(grid))
 
 
 def _product_mask(grid: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -711,9 +720,10 @@ _AMBIENT_CACHE: dict = {}
 def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> SemigroupTable:
     """The table of the full semigroup M(n, F_q), built once and cached.
 
-    Its grid comes from product_grid unchecked: every product of two n x n
-    matrices is one, so the set is closed, and tests compare it with
-    build_table's checked grid.
+    Its grid is built on first use, from product_grid unchecked: every
+    product of two n x n matrices is one, so the set is closed, and tests
+    compare it with build_table's checked grid.  The theorem class route
+    reads only the elements and builds no grid.
     """
     total = field.q ** (n * n)
     if total > cap:
@@ -723,5 +733,5 @@ def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Semigroup
         s = mat_set(field, n, enumerate_matrices(field, n, n, cap=cap))
         # the zero matrix sorts first (rank 0)
         identity_id = s.elements.index(identity_matrix(field, n))
-        _AMBIENT_CACHE[key] = SemigroupTable(s, _read_only(product_grid(s.elements)), 0, identity_id)
+        _AMBIENT_CACHE[key] = SemigroupTable(s, 0, identity_id)
     return _AMBIENT_CACHE[key]

@@ -750,16 +750,24 @@ def projection_idempotent(onto: Subspace, along: Subspace) -> Matrix:
     """The idempotent with image `onto` and kernel `along`.
 
     Requires F^n = onto (+) along; raises InvariantViolation otherwise.
+    The idempotent is P D P^-1 with P = [onto | along] (the bases as
+    columns) and D = diag(1, ..., 1, 0, ..., 0) keeping the first dim(onto)
+    of them.  Once the dimensions sum to n, P is invertible exactly when
+    the two subspaces meet only in 0, so its inverse is the complementarity
+    check; P D is P with its last n - dim(onto) columns zeroed.
     """
     if onto.field != along.field or onto.ambient != along.ambient:
         raise AmbientMismatch("projection pieces live in different spaces")
-    f, n = onto.field, onto.ambient
-    if onto.dim + along.dim != n or onto.intersect(along).dim != 0:
+    f, n, d = onto.field, onto.ambient, onto.dim
+    if d + along.dim != n:
         raise InvariantViolation("subspaces are not complementary")
-    cols = list(onto.basis) + list(along.basis)
-    p = Matrix(f, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
-    d = Matrix(f, n, n, tuple(1 if (i == j and i < onto.dim) else 0 for i in range(n) for j in range(n)))
-    return p * d * p.inverse()
+    cols = onto.basis + along.basis
+    try:
+        p_inv = mat_inverse(Matrix(f, n, n, tuple(cols[j][i] for i in range(n) for j in range(n))))
+    except NotInvertible:
+        raise InvariantViolation("subspaces are not complementary") from None
+    pd = Matrix(f, n, n, tuple(cols[j][i] if j < d else 0 for i in range(n) for j in range(n)))
+    return pd * p_inv
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -814,7 +822,7 @@ def enumerate_subspaces(field: FieldSpec, ambient: int, d: int, cap: int = ENUM_
 # similarity via invariant factors of xI - A, read off a Krylov relation matrix
 
 
-def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
+def _krylov_relations(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Relation matrix of F^n as an F[x]-module with x acting as a.
 
     Krylov blocks v_i, a v_i, ..., a^{d_i - 1} v_i are grown from the
@@ -829,7 +837,8 @@ def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
     polynomial of its coefficients on block i on the diagonal and minus
     those on the earlier blocks above it.  The s x s result is upper
     triangular with det of degree n, and its Smith form carries the
-    nontrivial invariant factors of xI - a; s = 1 iff a is cyclic.
+    nontrivial invariant factors of xI - a; s = 1 iff a is cyclic.  It is
+    returned as nested tuples, so it can key a cache.
     """
     f, n = a.field, a.rows
     mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
@@ -872,18 +881,19 @@ def _krylov_relations(a: Matrix) -> list[list[tuple[int, ...]]]:
             v = nxt
         if found > start:
             blocks.append((start, found, row[n:]))
-    return [
-        [
+    return tuple(
+        tuple(
             () if b > i else tuple(rel[start : end + 1]) if b == i else _pnorm(rel[start:end])
             for i, (_, _, rel) in enumerate(blocks)
-        ]
+        )
         for b, (start, end, _) in enumerate(blocks)
-    ]
+    )
 
 
 def _smith_factors(f, m) -> tuple[tuple[int, ...], ...]:
-    """Nontrivial invariant factors of a square polynomial matrix m (a list
-    of lists, reduced in place), monic, in divisibility order.
+    """Nontrivial invariant factors of a square polynomial matrix m (rows of
+    coefficient tuples, left as they are: the loop reduces a copy), monic,
+    in divisibility order.
 
     Pivot on a nonzero entry of least degree in the trailing block, clear
     its row and column by division, and move on once it divides the whole
@@ -891,6 +901,7 @@ def _smith_factors(f, m) -> tuple[tuple[int, ...], ...]:
     divide (whose row is added to the pivot row), starts the step again on
     an entry of smaller degree.
     """
+    m = [list(row) for row in m]
     s = len(m)
     for t in range(s):
         while True:
@@ -940,19 +951,9 @@ def _smith_factors(f, m) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in factors if len(p) >= 2)  # drop degree-0 units
 
 
-# Bounded: a class-key sweep meets almost every matrix once, so an unbounded
-# cache stores nearly every key and is rarely hit; the repeats of a query
-# stream fall within the last thousand calls.
-@lru_cache(maxsize=1024)
-def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Nontrivial invariant factors of xI - a, monic, in divisibility order.
-
-    This is a complete similarity invariant over any field, so it doubles as
-    the canonical class key for unit conjugacy.  They are read off the
-    s x s Krylov relation matrix R of a (see _krylov_relations), which has
-    the same nontrivial invariants as xI - a; its augmented rows
-    [echelon vector | Krylov coefficients] give each relation column with
-    one reduction per Krylov vector.
+def _relation_factors(f, m) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial invariant factors of a Krylov relation matrix m (see
+    _krylov_relations), monic, in divisibility order.
 
     s = 1 (a cyclic): R = (r11), the characteristic polynomial.
 
@@ -966,12 +967,8 @@ def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
 
     s >= 3: the general Smith loop (_smith_factors).
     """
-    if not a.is_square():
-        raise DimMismatch("similarity needs square matrices")
-    m = _krylov_relations(a)
     if len(m) == 1:
         return (m[0][0],)
-    f = a.field
     if len(m) == 2:
         (r11, r12), (_, r22) = m
         d1 = _pgcd(f, r22, r12)
@@ -982,6 +979,26 @@ def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
             return (d2,)
         return d1, _pdivmod(f, d2, d1)[0]
     return _smith_factors(f, m)
+
+
+# Bounded: a sweep meets almost every matrix once, so an unbounded cache
+# stores nearly every matrix and is rarely hit; the repeats of a query
+# stream fall within the last thousand calls.
+@lru_cache(maxsize=1024)
+def invariant_factors(a: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial invariant factors of xI - a, monic, in divisibility order.
+
+    This is a complete similarity invariant over any field, so it doubles as
+    the canonical class key for unit conjugacy.  They are read off the
+    s x s Krylov relation matrix R of a (see _krylov_relations), which has
+    the same nontrivial invariants as xI - a; its augmented rows
+    [echelon vector | Krylov coefficients] give each relation column with
+    one reduction per Krylov vector, and _relation_factors reads the
+    factors off R.
+    """
+    if not a.is_square():
+        raise DimMismatch("similarity needs square matrices")
+    return _relation_factors(a.field, _krylov_relations(a))
 
 
 def similar(a: Matrix, b: Matrix) -> bool:

@@ -247,7 +247,7 @@ class TestFaultInjection:
         key = (f2, 2)
         assert engine._AMBIENT_CACHE[key] is amb
         with monkeypatch.context() as mp:
-            mp.setitem(engine._AMBIENT_CACHE, key, dataclasses.replace(amb, grid=poisoned))
+            mp.setitem(engine._AMBIENT_CACHE, key, dataclasses.replace(amb, prebuilt_grid=poisoned))
             text, code = run_command(
                 ["classes", "--field", "2", "--n", "2", "--check", "brute"]
             )
@@ -297,6 +297,31 @@ class TestOneTablePerRun:
         )
         assert code == 0, text
         assert len(calls) == 1
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+    # report sha256s recorded while the ambient still built its grid eagerly
+    @pytest.mark.parametrize(
+        "check,grids,sha256",
+        [
+            ([], 0, "02e5370a67ed1fd11cad76955335c9f56fd163911661c0779c5fcb0ba277f628"),
+            (["--check", "brute"], 1, "434df0613b2a0be78ad75c0e374739a1dd2342a7833649afee8942c113eb948a"),
+        ],
+        ids=["theorem", "brute"],
+    )
+    def test_classes_build_a_grid_only_for_the_brute_check(self, monkeypatch, check, grids, sha256):
+        calls = []
+        real = engine.product_grid
+
+        def counting(elements):
+            calls.append(len(elements))
+            return real(elements)
+
+        monkeypatch.setattr(engine, "_AMBIENT_CACHE", {})
+        monkeypatch.setattr(engine, "product_grid", counting)
+        text, code = run_command(["classes", "--field", "3", "--n", "2", *check, "--format", "json"])
+        assert code == 0, text
+        assert calls == [81] * grids
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matsemi import (
+    ConjugacyChain,
     ambient,
     class_key,
     core,
@@ -25,9 +26,12 @@ from matsemi import (
     sg_classes,
     similar,
     stability_index,
+    standard_complement,
     unit_matrix,
 )
+from matsemi import conjugacy, gf
 from matsemi.cli import run_command
+from matsemi.gf import _krylov_relations
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -147,10 +151,26 @@ class TestKeyReadOff:
     """class_key reads the core's invariant factors off those of a; the
     core route invariant_factors(core(a)) is the oracle."""
 
-    @pytest.mark.parametrize("f,n", [(F4, 2), (F2, 3), (F5, 2)], ids=["M2F4", "M3F2", "M2F5"])
+    @pytest.mark.parametrize(
+        "f,n", [(F4, 2), (F2, 3), (F5, 2), (F3, 3)], ids=["M2F4", "M3F2", "M2F5", "M3F3"]
+    )
     def test_every_element(self, f, n):
         for a in enumerate_matrices(f, n, n):
             assert class_key(a) == invariant_factors(core(a))
+
+    @pytest.mark.parametrize(
+        "f,n,relations", [(F4, 2, 80), (F2, 3, 120), (F3, 3, 1080)], ids=["M2F4", "M3F2", "M3F3"]
+    )
+    def test_memo_holds_one_key_per_relation_matrix(self, f, n, relations):
+        mats = list(enumerate_matrices(f, n, n))
+        assert len({_krylov_relations(a) for a in mats}) == relations
+        conjugacy._relation_key.cache_clear()
+        keys = [class_key(a) for a in mats]
+        info = conjugacy._relation_key.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (relations, len(mats) - relations, relations)
+        # a second sweep is answered from the memo alone, with the same keys
+        assert [class_key(a) for a in mats] == keys
+        assert conjugacy._relation_key.cache_info().misses == relations
 
     @given(LARGE.flatmap(lambda fn: square(fields=fn[:1], n_min=fn[1], n_max=fn[1])))
     @settings(max_examples=150)
@@ -178,7 +198,48 @@ class TestKeyReadOff:
         assert class_key(a) == ((0, 1), (0, 1, 1)) == invariant_factors(core(a))
 
 
+def _chain_by_powers(a):
+    """core_chain as it was first written, the oracle for the route that
+    reuses core_decomposition: every projector e_0 .. e_{t+1} from the
+    powers of a (along a pivot completion of Im(a^i) for i < t, along
+    ker(a^i) from t on), every step e_i a e_{i-1} as a product."""
+    f, n = a.field, a.rows
+    t = core_decomposition(a).t
+    powers = [identity_matrix(f, n)]
+    for _ in range(t + 1):
+        powers.append(powers[-1] * a)
+    projs = []
+    for i, ai in enumerate(powers):
+        img = mat_image(ai)
+        if img.dim == n:
+            projs.append(powers[0])
+        else:
+            comp = mat_kernel(ai) if i >= t else standard_complement(img)
+            projs.append(projection_idempotent(img, comp))
+    steps = [projs[i] * a * projs[i - 1] for i in range(1, t + 2)]
+    witnesses = [(projs[i + 1], steps[i]) for i in range(len(steps) - 1)]
+    while len(steps) >= 2 and steps[-1] == steps[-2]:
+        steps.pop()
+        witnesses.pop()
+    return ConjugacyChain(source=a, steps=tuple(steps), witnesses=tuple(witnesses))
+
+
 class TestChain:
+    @pytest.mark.parametrize("f,n,longest", [(F2, 3, 3), (F3, 2, 2)], ids=["M3F2", "M2F3"])
+    def test_every_element_matches_the_per_power_route(self, f, n, longest):
+        lengths = set()
+        for a in enumerate_matrices(f, n, n):
+            ch, want = core_chain(a), _chain_by_powers(a)
+            assert (ch.steps, ch.witnesses) == (want.steps, want.witnesses), a
+            lengths.add(len(ch.steps))
+        assert max(lengths) == longest
+
+    @given(square(fields=(F2,), n_min=4, n_max=4))
+    @settings(max_examples=120)
+    def test_sampled_m4f2_matches_the_per_power_route(self, a):
+        ch, want = core_chain(a), _chain_by_powers(a)
+        assert (ch.steps, ch.witnesses) == (want.steps, want.witnesses)
+
     @given(square())
     @settings(max_examples=80)
     def test_chain_replays(self, a):
@@ -194,6 +255,18 @@ class TestChain:
         ch = core_chain(a)
         keys = {class_key(s) for s in ch.steps}
         assert keys == {class_key(a)}
+
+
+class TestCaches:
+    def test_traced_caches_expose_cache_info(self):
+        # the perf harness reads hits and misses of these five
+        for fn in (gf.invariant_factors, gf.mat_rank, gf.mat_kernel, gf.mat_image, conjugacy.core_decomposition):
+            info = fn.cache_info()
+            assert info.hits >= 0 and info.misses >= 0, fn
+
+    def test_conjugacy_caches_are_bounded(self):
+        assert conjugacy.core_decomposition.cache_info().maxsize == 1024
+        assert conjugacy._relation_key.cache_info().maxsize == 8192
 
 
 class TestRelation:

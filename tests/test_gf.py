@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from matsemi import (
     CapExceeded,
     FieldSpec,
+    InvariantViolation,
     NotInvertible,
     Matrix,
     NotPrime,
@@ -525,6 +526,21 @@ class TestInvariantFactorKernel:
                 two_block += 1
         assert two_block == 7290
 
+    def test_smith_loop_leaves_its_input_as_it_is(self):
+        # the relation matrix is nested tuples, and a list copy of it must
+        # come out of the Smith loop unchanged too
+        f = field_make(2)
+        three_block = 0
+        for a in enumerate_matrices(f, 3, 3):
+            m = _krylov_relations(a)
+            assert isinstance(m, tuple) and all(isinstance(row, tuple) for row in m)
+            if len(m) == 3:
+                rows = [list(row) for row in m]
+                assert _smith_factors(f, rows) == _smith_factors(f, m) == invariant_factors(a)
+                assert rows == [list(row) for row in m]
+                three_block += 1
+        assert three_block == 64
+
 
 class TestCodeArrayKernel:
     def test_every_pair_of_m2_f4(self):
@@ -611,6 +627,38 @@ class TestSubspace:
         e = projection_idempotent(onto, along)
         assert e * e == e
         assert mat_image(e) == onto and mat_kernel(e) == along
+
+    @pytest.mark.parametrize("f,n", [(field_make(2), 3), (field_make(3), 2)], ids=["F2^3", "F3^2"])
+    def test_projection_equals_the_conjugated_diagonal(self, f, n):
+        # the former route: a Zassenhaus intersection check, then P D P^-1
+        # with D keeping the first dim(onto) columns of P = [onto | along]
+        spaces = [s for d in range(n + 1) for s in enumerate_subspaces(f, n, d)]
+        pairs = 0
+        for onto in spaces:
+            for along in spaces:
+                if onto.dim + along.dim != n:
+                    continue
+                if onto.intersect(along).dim:
+                    with pytest.raises(InvariantViolation):
+                        projection_idempotent(onto, along)
+                    continue
+                cols = onto.basis + along.basis
+                p = Matrix(f, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+                d = Matrix(f, n, n, tuple(int(i == j < onto.dim) for i in range(n) for j in range(n)))
+                assert projection_idempotent(onto, along) == p * d * p.inverse()
+                pairs += 1
+        # ordered complementary pairs: q^(d(n-d)) complements per subspace
+        assert pairs == sum(gaussian_binomial(n, d, f.q) * f.q ** (d * (n - d)) for d in range(n + 1))
+
+    def test_projection_refuses_meeting_subspaces_of_complementary_dimension(self):
+        f = field_make(3)
+        onto = subspace(f, 3, [[1, 0, 0], [0, 1, 0]])
+        for along in (subspace(f, 3, [[1, 1, 0]]), subspace(f, 3, [[0, 1, 0]])):
+            assert onto.dim + along.dim == 3 and onto.intersect(along).dim == 1
+            with pytest.raises(InvariantViolation, match="not complementary"):
+                projection_idempotent(onto, along)
+        with pytest.raises(InvariantViolation, match="not complementary"):
+            projection_idempotent(onto, zero_subspace(f, 3))
 
     def test_zero_subspace(self):
         f = field_make(2)
