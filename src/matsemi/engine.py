@@ -29,6 +29,7 @@ from .gf import (
     FieldSpec,
     Matrix,
     batch_mul,
+    batch_rref,
     code_keys,
     codes_array,
     enumerate_matrices,
@@ -36,8 +37,6 @@ from .gf import (
     join_row_keys,
     mat_image,
     mat_kernel,
-    mat_rank,
-    mat_sort_key,
     row_keys,
 )
 
@@ -73,7 +72,16 @@ class MatSet:
         return frozenset(self.elements)
 
 
+def canonical_order(codes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The indices that put matrices in canonical order, rank first and
+    then entry codes lexicographically, from their (len, n*n) row-major
+    codes and their ranks: one lexsort."""
+    return np.lexsort((*codes.T[::-1], ranks))  # the last key sorts first
+
+
 def mat_set(field: FieldSpec, dim: int, mats) -> MatSet:
+    """The distinct matrices of mats in canonical order; their ranks come
+    from one batch_rref call."""
     seen = {}
     for m in mats:
         if m.field != field:
@@ -81,8 +89,10 @@ def mat_set(field: FieldSpec, dim: int, mats) -> MatSet:
         if m.rows != dim or m.cols != dim:
             raise DimMismatch(f"element is {m.rows}x{m.cols}, expected {dim}x{dim}")
         seen[m.codes] = m
-    ordered = sorted(seen.values(), key=mat_sort_key)
-    return MatSet(field, dim, tuple(ordered))
+    elements = tuple(seen.values())
+    codes = np.array(list(seen), dtype=np.int64).reshape(len(elements), dim * dim)
+    order = canonical_order(codes, batch_rref(field, codes.reshape(-1, dim, dim))[1])
+    return MatSet(field, dim, tuple(elements[i] for i in order.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +234,13 @@ class SemigroupTable:
         return {a: i for i, a in enumerate(self.elements)}
 
     @cached_property
+    def codes(self) -> np.ndarray:
+        """(m, n, n) code array of the elements, in id order."""
+        return _read_only(codes_array(self.elements))
+
+    @cached_property
     def ranks(self) -> np.ndarray:
-        return _read_only(np.array([mat_rank(a) for a in self.elements], dtype=np.int32))
+        return _read_only(batch_rref(self.s.field, self.codes)[1].astype(np.int32))
 
     @cached_property
     def powers(self) -> np.ndarray:
@@ -393,13 +408,18 @@ def table_nd(table: SemigroupTable) -> int | None:
     return mask_nd(table.grid, np.ones(table.m, dtype=bool), table.zero_id)
 
 
-def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
-    """[S^1, S^2, ..., S^upto] as id sets."""
-    base = np.ones(table.m, dtype=bool)
+def power_masks(table: SemigroupTable, upto: int) -> list[np.ndarray]:
+    """[S^1, S^2, ..., S^upto] as read-only member masks."""
+    base = _read_only(np.ones(table.m, dtype=bool))
     masks = [base]
     while len(masks) < upto:
-        masks.append(_product_mask(table.grid, masks[-1], base))
-    return [frozenset(np.flatnonzero(mask).tolist()) for mask in masks]
+        masks.append(_read_only(_product_mask(table.grid, masks[-1], base)))
+    return masks
+
+
+def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
+    """[S^1, S^2, ..., S^upto] as id sets."""
+    return [frozenset(np.flatnonzero(mask).tolist()) for mask in power_masks(table, upto)]
 
 
 # ---------------------------------------------------------------------------

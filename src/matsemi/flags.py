@@ -4,13 +4,18 @@ A flag is a strict chain 0 = V_0 < V_1 < ... < V_k = F^n.  Its semigroup
 consists of every matrix pushing each V_i into V_{i-1}; these are exactly
 the maximal nilpotent subsemigroups of nilpotency degree k, and the map is
 inverted by reading the flag of power-image spans off the semigroup.
+
+Checks against a flag are batched products of code arrays with its parity
+checks (_parity_checks): one stacked product H X B per batch, read through
+a block mask, tells which matrices lower the flag (lowering_mask) and
+whether a transporter carries one flag onto another.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,14 +36,15 @@ from .gf import (
     Matrix,
     Subspace,
     batch_mul,
+    batch_rref,
     codes_array,
     enumerate_subspaces,
     format_subspace,
     full_space,
-    mat_image,
     mat_inverse,
     mat_kernel,
     parse_subspace,
+    row_keys,
     subspace,
     zero_subspace,
 )
@@ -48,17 +54,28 @@ PHI_CAP = ENUM_CAP
 
 @dataclass(frozen=True)
 class Flag:
-    """Strict chain of subspaces from 0 to the full space."""
+    """Strict chain of subspaces from 0 to the full space.
+
+    The hash and the signature are computed once per flag: flags key the
+    basis and parity-check caches, and each lookup hashes the whole chain.
+    """
 
     field: FieldSpec
     ambient: int
     chain: tuple[Subspace, ...]  # includes both endpoints
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.ambient, self.chain))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def length(self) -> int:
         return len(self.chain) - 1
 
-    @property
+    @cached_property
     def signature(self) -> tuple[int, ...]:
         return tuple(
             self.chain[i].dim - self.chain[i - 1].dim for i in range(1, len(self.chain))
@@ -108,23 +125,36 @@ def parse_flag(field: FieldSpec, ambient: int, text: str) -> Flag:
 
 
 @lru_cache(maxsize=1024)
-def _parity_checks(f: Flag) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """One pair (H, B) per step V_{i-1} < V_i of the flag.
+def _parity_checks(f: Flag) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(H, B, steps, levels): the flag's parity checks, stacked level by level.
 
-    The columns of B span V_i; the rows of H span the annihilator of
-    V_{i-1}, so H v = 0 exactly when v lies in V_{i-1}.  Both come from the
+    For each V_i of the chain, i = 0..k, H holds a block H_i of rows
+    spanning the annihilator of V_i, so H_i v = 0 exactly when v lies in
+    V_i, and B a block B_i of columns spanning V_i.  Block (i, j) of
+    H X B is then H_i X B_j, which is zero exactly when X V_j lies in V_i.
+    The bool masks pick blocks of H X B: steps the blocks (i - 1, i), all
+    zero when X pushes every V_i into V_{i-1}, and levels the blocks
+    (i, i), all zero when X keeps every V_i.  Both H and B come from the
     chain's own bases, never from flag_basis.
     """
     n = f.ambient
-    pairs = []
-    for below, above in zip(f.chain, f.chain[1:]):
-        rows = Matrix(f.field, below.dim, n, tuple(c for row in below.basis for c in row))
-        h = np.array(mat_kernel(rows).basis, dtype=np.int64).reshape(-1, n)
-        b = np.array(above.basis, dtype=np.int64).T
-        for arr in (h, b):
-            arr.flags.writeable = False
-        pairs.append((h, b))
-    return tuple(pairs)
+    hs, bs = [], []
+    for s in f.chain:
+        rows = Matrix(f.field, s.dim, n, tuple(c for row in s.basis for c in row))
+        hs.append(np.array(mat_kernel(rows).basis, dtype=np.int64).reshape(-1, n))
+        bs.append(np.array(s.basis, dtype=np.int64).reshape(-1, n).T)
+    h_at = np.cumsum([0] + [len(h) for h in hs])  # H_i is rows h_at[i]:h_at[i + 1] of H
+    b_at = np.cumsum([0] + [b.shape[1] for b in bs])  # B_i is columns b_at[i]:b_at[i + 1] of B
+    steps = np.zeros((h_at[-1], b_at[-1]), dtype=bool)
+    levels = steps.copy()
+    for i in range(len(f.chain)):
+        levels[h_at[i] : h_at[i + 1], b_at[i] : b_at[i + 1]] = True
+        if i:
+            steps[h_at[i - 1] : h_at[i], b_at[i] : b_at[i + 1]] = True
+    out = (np.concatenate(hs), np.concatenate(bs, axis=1), steps, levels)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
@@ -132,11 +162,10 @@ def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
 
     A lowers F exactly when H_{i-1} A B_i = 0 for every step (see
     _parity_checks): the image of V_i under A is then inside V_{i-1}.
+    All steps are read off one stacked product H A B.
     """
-    ok = np.ones(len(arr), dtype=bool)
-    for h, b in _parity_checks(f):
-        ok &= ~batch_mul(f.field, batch_mul(f.field, h, arr), b).any(axis=(1, 2))
-    return ok
+    h, b, steps, _ = _parity_checks(f)
+    return ~batch_mul(f.field, batch_mul(f.field, h, arr), b)[:, steps].any(axis=1)
 
 
 def lowers_flag(a: Matrix, f: Flag) -> bool:
@@ -148,7 +177,7 @@ def lowers_flag(a: Matrix, f: Flag) -> bool:
     return bool(lowering_mask(f, codes_array([a]))[0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def flag_basis(f: Flag) -> Matrix:
     """Deterministic adapted basis: columns grouped by stratum, each stratum
     completed greedily in vector enumeration order."""
@@ -169,6 +198,12 @@ def flag_basis(f: Flag) -> Matrix:
     return Matrix(f.field, n, n, codes)
 
 
+@lru_cache(maxsize=1024)
+def flag_basis_inverse(f: Flag) -> Matrix:
+    """The inverse of flag_basis(f)."""
+    return mat_inverse(flag_basis(f))
+
+
 def flag_size(f: Flag, cap: int = PHI_CAP) -> int:
     """|flag_semigroup(f)| = q^(sum of d_i d_j over strata i < j): in an
     adapted basis its elements are exactly the block strictly upper
@@ -182,38 +217,57 @@ def flag_size(f: Flag, cap: int = PHI_CAP) -> int:
     return total
 
 
-def flag_semigroup(f: Flag, cap: int = PHI_CAP):
-    """Enumerate every matrix lowering the flag, in canonical order."""
-    from .engine import mat_set
+def _blocks(field: FieldSpec, sig: tuple[int, ...]) -> np.ndarray:
+    """(q^e, n, n) code array of every block strictly upper triangular
+    matrix of the signature, e the number of free positions.
 
-    total = flag_size(f, cap)
-    sig = f.signature
-    k = len(sig)
-    n = f.ambient
-    # free positions (row, col) in stratum coordinates: row stratum < col stratum
-    offs = [0]
-    for d in sig:
-        offs.append(offs[-1] + d)
+    Row t holds the base-q digits of t in the free positions (row stratum
+    below column stratum), the last free position fastest.
+    """
+    n, q = sum(sig), field.q
+    offs = [0, *itertools.accumulate(sig)]
     free = [
         r * n + c
-        for ci in range(k)
+        for ci in range(len(sig))
         for ri in range(ci)
         for r in range(offs[ri], offs[ri + 1])
         for c in range(offs[ci], offs[ci + 1])
     ]
-    # row t holds the base-q digits of t, the last free position fastest
-    q = f.field.q
+    total = q ** len(free)
     blocks = np.zeros((total, n * n), dtype=np.int64)
     weights = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
     blocks[:, free] = np.arange(total, dtype=np.int64)[:, None] // weights % q
-    p_mat = flag_basis(f)
-    p, p_inv = codes_array([p_mat]), codes_array([mat_inverse(p_mat)])
-    conj = batch_mul(f.field, batch_mul(f.field, p, blocks.reshape(total, n, n)), p_inv)
-    mats = (Matrix(f.field, n, n, tuple(row)) for row in conj.reshape(total, -1).tolist())
-    s = mat_set(f.field, n, mats)
-    if len(s) != total:  # pragma: no cover
+    return blocks.reshape(total, n, n)
+
+
+# Each entry holds one byte per element (at most PHI_CAP), hence the
+# smaller bound; flags of one signature share it.
+@lru_cache(maxsize=64)
+def _block_ranks(field: FieldSpec, sig: tuple[int, ...]) -> np.ndarray:
+    """Read-only rank of each matrix of _blocks(field, sig), one batch_rref."""
+    ranks = batch_rref(field, _blocks(field, sig))[1].astype(np.uint8)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def flag_semigroup(f: Flag, cap: int = PHI_CAP):
+    """Enumerate every matrix lowering the flag, in canonical order.
+
+    The elements are P B P^-1 for P = flag_basis(f) and every block
+    strictly upper triangular B of the signature, so the rank of each is
+    that of its B, read from _block_ranks: all flags of a signature share
+    one rank computation.
+    """
+    from .engine import MatSet, canonical_order
+
+    total = flag_size(f, cap)
+    n = f.ambient
+    p, p_inv = codes_array([flag_basis(f)]), codes_array([flag_basis_inverse(f)])
+    conj = batch_mul(f.field, batch_mul(f.field, p, _blocks(f.field, f.signature)), p_inv).reshape(total, -1)
+    conj = conj[canonical_order(conj, _block_ranks(f.field, f.signature))]
+    if (conj[1:] == conj[:-1]).all(axis=1).any():  # pragma: no cover - equal matrices sort side by side
         raise InternalError("flag semigroup enumeration produced duplicates")
-    return s
+    return MatSet(f.field, n, tuple(Matrix(f.field, n, n, tuple(row)) for row in conj.tolist()))
 
 
 def _nil_table(s):
@@ -247,21 +301,25 @@ def power_image_flag(s) -> Flag:
 
 
 def _power_image_flag(table, k) -> Flag:
-    """power_image_flag on the table and degree the caller already built."""
-    from .engine import power_sets
+    """power_image_flag on the table and degree the caller already built.
+
+    The images of the i-fold products span the column space of all their
+    columns side by side, so each level is one subspace() of the distinct
+    columns of that power set (at most q^n of them).
+    """
+    from .engine import power_masks
 
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 does not determine a flag")
     f, n = table.s.field, table.s.dim
-    powers = power_sets(table, k - 1)
+    cols = table.codes.transpose(0, 2, 1)  # cols[x, j]: column j of x
     interior = []
-    for i in range(k - 1, 0, -1):  # longest products first: smallest span
-        span = zero_subspace(f, n)
-        for x in powers[i - 1]:
-            span = span.sum_(mat_image(table.elements[x]))
-        interior.append(span)
+    for mask in power_masks(table, k - 1)[::-1]:  # longest products first: smallest span
+        stacked = cols[mask].reshape(-1, n)
+        _, first = np.unique(row_keys(f, stacked), return_index=True)
+        interior.append(subspace(f, n, stacked[first].tolist()))
     chain = [zero_subspace(f, n)] + interior + [full_space(f, n)]
     for lo, hi in zip(chain, chain[1:]):
         if not (hi.contains(lo) and hi.dim > lo.dim):  # pragma: no cover
@@ -272,19 +330,35 @@ def _power_image_flag(table, k) -> Flag:
 def is_k_maximal(s) -> bool:
     """Is s maximal among nilpotent subsemigroups of its nilpotency degree?
 
-    Fixed-point test: s must equal the full semigroup of its power-image
-    flag.
+    Fixed-point test: s must equal the full semigroup S(F') of its
+    power-image flag F'.  That is proved by size and lowering, without
+    enumerating S(F'): every element of s lowers F' exactly when
+    s ⊆ S(F'), and a finite set inside another of the same size is equal
+    to it, so s = S(F') exactly when |s| = flag_size(F') and every element
+    of s lowers F'.
     """
     return _is_k_maximal(*_nil_table(s))
 
 
 def _is_k_maximal(table, k) -> bool:
-    """is_k_maximal on the table and degree the caller already built."""
+    """is_k_maximal on the table and degree the caller already built.
+
+    T = S(F') for the power-image flag F' of T exactly when
+    len(T) == flag_size(F') and lowering_mask(F', T) is all true: the
+    mask says T ⊆ S(F'), and two finite sets of equal size, one inside the
+    other, are equal.  Conversely T = S(F') has that size and lowers F'.
+    The containment holds for every nilpotent T, since A V_{k-i}, the span
+    of A times the images of T^i, lies in the span of the images of
+    T^(i+1), which is V_{k-i-1}; the mask checks it instead of assuming it.
+    Above PHI_CAP, flag_size refuses with CapExceeded, as enumerating
+    S(F') would.
+    """
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 has no flag test")
-    return table.s.as_set() == flag_semigroup(_power_image_flag(table, k)).as_set()
+    fl = _power_image_flag(table, k)
+    return table.m == flag_size(fl) and bool(lowering_mask(fl, table.codes).all())
 
 
 def consolidates(f: Flag, f2: Flag) -> bool:
@@ -300,7 +374,10 @@ def consolidates(f: Flag, f2: Flag) -> bool:
 def flag_transporter(f: Flag, f2: Flag) -> Matrix:
     """Invertible g carrying each subspace of f onto the matching one of f2.
 
-    Maps the deterministic adapted basis of f onto that of f2.
+    Maps the deterministic adapted basis of f onto that of f2, so
+    g = flag_basis(f2) flag_basis_inverse(f).  The result is checked by
+    _carry_mask: g V_i ⊆ V'_i at every level, which is g V_i = V'_i as g
+    is invertible and the two have the same dimension.
     """
     if f.field != f2.field:
         raise FieldMismatch("flags over different fields")
@@ -308,13 +385,23 @@ def flag_transporter(f: Flag, f2: Flag) -> Matrix:
         raise DimMismatch("flags of different ambient spaces")
     if f.signature != f2.signature:
         raise SignatureMismatch(f"signatures {f.signature} vs {f2.signature}")
-    g = flag_basis(f2) * mat_inverse(flag_basis(f))
-    for s, s2 in zip(f.chain, f2.chain):
-        mapped = [tuple((g * Matrix(f.field, f.ambient, 1, row)).codes) for row in s.basis]
-        ok = all(s2.contains_vector(vec) for vec in mapped)
-        if not ok or s.dim != s2.dim:  # pragma: no cover
-            raise InternalError("transporter does not carry the chain over")
+    g = flag_basis(f2) * flag_basis_inverse(f)
+    if not _carry_mask(f, f2, codes_array([g]))[0]:  # pragma: no cover
+        raise InternalError("transporter does not carry the chain over")
     return g
+
+
+def _carry_mask(f: Flag, f2: Flag, arr: np.ndarray) -> np.ndarray:
+    """Which matrices X of the (len, n, n) code array arr carry every V_i
+    of f into the V'_i of f2, for two flags of one signature.
+
+    That is H'_i X B_i = 0 at every level, with H' from the parity checks
+    of f2 and B from those of f; equal signatures give the blocks equal
+    sizes, so the level mask of f2 reads them off one stacked product.
+    """
+    h, _, _, levels = _parity_checks(f2)
+    b = _parity_checks(f)[1]
+    return ~batch_mul(f.field, batch_mul(f.field, h, arr), b)[:, levels].any(axis=1)
 
 
 # ---------------------------------------------------------------------------

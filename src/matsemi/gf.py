@@ -344,6 +344,11 @@ def _np_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(f.mul, dtype=np.int64), np.array(f.add, dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _np_inv_neg(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(f.inv, dtype=np.int64), np.array(f.neg, dtype=np.int64)
+
+
 def batch_mul(f: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcast matrix product a @ b of code arrays over f."""
     if f.k == 1:
@@ -353,6 +358,47 @@ def batch_mul(f: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for l in range(1, a.shape[-1]):
         out = add[out, mul[a[..., :, l, None], b[..., None, l, :]]]
     return out
+
+
+def batch_rref(f: FieldSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of a (B, r, c) code array.
+
+    Returns (reduced, ranks, pivots): reduced is a new (B, r, c) int64
+    array whose first ranks[b] rows are the RREF rows of matrix b (the rest
+    are zero), and pivots[b, j] is true when column j is a pivot column of
+    matrix b.  The rows of reduced[b] are those _rref gives for the same
+    matrix, as the RREF of a row space is unique.
+
+    Column j is one step for the whole batch, with no per-matrix subsets:
+    each matrix takes as pivot its first row at or below its rank with a
+    nonzero entry in column j (argmax of that mask), swaps it into row
+    rank, scales it through inv, and clears column j from every other row
+    with one mul and one add gather.  A matrix with no pivot in column j
+    gets scale 1 and factors 0, so its rows pass through unchanged.
+    """
+    out = np.array(arr, dtype=np.int64)
+    b, r, c = out.shape
+    ranks = np.zeros(b, dtype=np.int64)
+    pivots = np.zeros((b, c), dtype=bool)
+    if not (b and r):
+        return out, ranks, pivots
+    mul, add = _np_tables(f)
+    inv, neg = _np_inv_neg(f)
+    rows, at = np.arange(r), np.arange(b)
+    for j in range(c):
+        cand = (out[:, :, j] != 0) & (rows >= ranks[:, None])
+        has = cand.any(axis=1)
+        top = np.minimum(ranks, r - 1)
+        pr = np.where(has, cand.argmax(axis=1), top)
+        prow = out[at, pr]
+        out[at, pr] = out[at, top]
+        prow = mul[np.where(has, inv[prow[:, j]], 1)[:, None], prow]
+        factor = neg[out[:, :, j]] * has[:, None]
+        out = add[out, mul[factor[:, :, None], prow[:, None, :]]]
+        out[at, top] = prow  # row top was eliminated with its old entries
+        pivots[:, j] = has
+        ranks += has
+    return out, ranks, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +639,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
     return Matrix(f, n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
-
-
-def mat_sort_key(a: Matrix):
-    """Canonical ordering key: rank first, then entry codes lexicographically."""
-    return (mat_rank(a), a.codes)
 
 
 def format_matrix(a: Matrix) -> str:

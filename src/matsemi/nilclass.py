@@ -30,11 +30,10 @@ from .engine import (
     KeyIndex,
     MatSet,
     SemigroupTable,
-    _product_mask,
     build_table,
     check_table_size,
     mul_columns,
-    power_sets,
+    power_masks,
     preorder_depths,
     table_nd,
 )
@@ -50,14 +49,22 @@ from .errors import (
     SignatureMismatch,
     ZeroElement,
 )
-from .flags import PHI_CAP, Flag, _is_k_maximal, flag_basis, flag_semigroup, flag_size, flag_transporter
+from .flags import (
+    PHI_CAP,
+    Flag,
+    _is_k_maximal,
+    flag_basis,
+    flag_basis_inverse,
+    flag_semigroup,
+    flag_size,
+    flag_transporter,
+)
 from .gf import (
     FieldSpec,
     Matrix,
     Subspace,
     batch_mul,
     codes_array,
-    mat_inverse,
     mat_kernel,
     mat_rank,
     prime_power,
@@ -85,16 +92,12 @@ class NilContext:
         self.r = flag.length
         self.sig = flag.signature
         self.m = table.m
+        self.codes = table.codes  # (m, n, n) code array of the elements, in id order
         self._order_depths_checked = False
 
     @property
     def index(self) -> dict[Matrix, int]:
         return self.table.index
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """(m, n, n) code array of the elements, in id order."""
-        return codes_array(self.t.elements)
 
     @cached_property
     def key_index(self) -> KeyIndex:
@@ -163,9 +166,14 @@ class NilContext:
         return [top - d for d in _dims(self.t.field, self.image_band)]
 
     @cached_property
+    def power_masks(self) -> list[np.ndarray]:
+        """power_masks[i] = member mask of T^(i+1), for i = 0..r-1."""
+        return power_masks(self.table, self.r)
+
+    @cached_property
     def power_ids(self) -> list[frozenset[int]]:
         """power_ids[i] = ids of T^(i+1), for i = 0..r-1."""
-        return power_sets(self.table, self.r)
+        return [frozenset(np.flatnonzero(mask).tolist()) for mask in self.power_masks]
 
     @cached_property
     def decomposable_ids(self) -> frozenset[int]:
@@ -425,7 +433,7 @@ def sandwich_witness(ctx: NilContext, a: Matrix, target_rank: int) -> Matrix | N
     field = ctx.t.field
     n = ctx.flag.ambient
     p = flag_basis(ctx.flag)
-    pinv = mat_inverse(p)
+    pinv = flag_basis_inverse(ctx.flag)
     a_ad = pinv * a * p
     d1, dr = ctx.sig[0], ctx.sig[-1]
     corner = [(i, j) for i in range(d1) for j in range(n - dr, n)]
@@ -484,21 +492,30 @@ class Fingerprint:
         return tuple(out)
 
 
-def _sandwich_set(ctx: NilContext, left_exp: int, x: int, right_exp: int) -> frozenset[int]:
-    """ids of T^left_exp * x * T^right_exp, exponent 0 meaning the identity."""
-    g = ctx.table.grid
+def _sandwich_nonzero(ctx: NilContext, left_exp: int, right_exp: int) -> np.ndarray:
+    """Member mask of the ids x with T^left_exp * x * T^right_exp != {0},
+    exponent 0 meaning the identity.
 
-    def mask(ids):
-        out = np.zeros(len(g), dtype=bool)
-        out[list(ids)] = True
-        return out
-
-    cur = mask((x,))
+    By associativity c x d = c (x d), so the set is nonzero exactly when
+    some x d, for d in T^right_exp, is a w with T^left_exp w != {0}; that
+    test on w is one column reduction of the zero pattern over the rows of
+    T^left_exp (w != 0 itself for exponent 0).  The products x d are read
+    off the grid about GRID_BLOCK entries at a time.
+    """
+    zero = ctx.table.zero_id
     if left_exp:
-        cur = _product_mask(g, mask(ctx.power_ids[left_exp - 1]), cur)
-    if right_exp:
-        cur = _product_mask(g, cur, mask(ctx.power_ids[right_exp - 1]))
-    return frozenset(np.flatnonzero(cur).tolist())
+        reaches = ~ctx.zero_products[ctx.power_masks[left_exp - 1]].all(axis=0)
+    else:
+        reaches = np.arange(ctx.m) != zero
+    if not right_exp:
+        return reaches
+    right = np.flatnonzero(ctx.power_masks[right_exp - 1])
+    g = ctx.table.grid
+    out = np.empty(ctx.m, dtype=bool)
+    step = max(1, GRID_BLOCK // len(right))
+    for lo in range(0, ctx.m, step):
+        out[lo : lo + step] = reaches[g[lo : lo + step, right]].any(axis=1)
+    return out
 
 
 def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:
@@ -508,31 +525,17 @@ def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:
     indecomposables A of super rank 1 with T^{s-2} A T^{r-s} != 0) such
     that every B in T^{r-s} with T^{s-1} B != 0 has some C in the subset
     with C*B != 0.  Subset search ascends by size, cut off at max(sig)+1.
+    Generators and targets are whole-mask tests (_sandwich_nonzero); each
+    generator's targets are one bit mask, bit i for the i-th target.
     """
     if not 1 < s < ctx.r:
         raise PreconditionViolated("middle position s must satisfy 1 < s < r")
-    zero = ctx.table.zero_id
-    gens = [
-        x
-        for x in range(ctx.m)
-        if x not in ctx.decomposable_ids
-        and ctx.indec_super_rank[x] == 1
-        and any(y != zero for y in _sandwich_set(ctx, s - 2, x, ctx.r - s))
-    ]
-    targets = [
-        b
-        for b in sorted(ctx.power_ids[ctx.r - s - 1])
-        if any(y != zero for y in _sandwich_set(ctx, s - 1, b, 0))
-    ]
-    g = ctx.table.grid.tolist()
+    stage = _sandwich_nonzero(ctx, s - 2, ctx.r - s)
+    gens = [x for x, rank in ctx.indec_super_rank.items() if rank == 1 and stage[x]]
+    targets = np.flatnonzero(ctx.power_masks[ctx.r - s - 1] & _sandwich_nonzero(ctx, s - 1, 0))
     full = (1 << len(targets)) - 1
-    masks = []
-    for c in gens:
-        mm = 0
-        for bit, b in enumerate(targets):
-            if g[c][b] != zero:
-                mm |= 1 << bit
-        masks.append(mm)
+    hits = ~ctx.zero_products[np.ix_(gens, targets)]  # [c, i]: c * targets[i] != 0
+    masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in hits]
     for size in range(0, max(ctx.sig) + 2):
         for combo in itertools.combinations(range(len(gens)), size):
             acc = 0
@@ -676,8 +679,9 @@ def iso_construct(ctx1: NilContext, ctx2: NilContext) -> IsoMap:
     if f1.signature != f2.signature:
         raise SignatureMismatch(f"signatures {f1.signature} vs {f2.signature}")
     g = flag_transporter(f1, f2)
+    g_inv = flag_basis(f1) * flag_basis_inverse(f2)  # g = flag_basis(f2) flag_basis_inverse(f1)
     f = f1.field
-    moved = batch_mul(f, batch_mul(f, codes_array([g]), ctx1.codes), codes_array([mat_inverse(g)]))
+    moved = batch_mul(f, batch_mul(f, codes_array([g]), ctx1.codes), codes_array([g_inv]))
     perm, found = ctx2.key_index.find(moved)
     if not found.all():  # pragma: no cover
         raise InternalError("transport left the target semigroup")

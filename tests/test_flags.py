@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from matsemi import (
     NotNilpotent,
     SignatureMismatch,
     all_flags,
+    closure,
     consolidates,
     enumerate_matrices,
     enumerate_subspaces,
@@ -26,6 +28,7 @@ from matsemi import (
     is_k_maximal,
     lowering_mask,
     lowers_flag,
+    mat_image,
     mat_inverse,
     mat_set,
     matrix,
@@ -36,8 +39,11 @@ from matsemi import (
     standard_flag,
     subspace,
     unit_matrix,
+    zero_subspace,
 )
-from matsemi.gf import codes_array
+from matsemi import flags
+from matsemi.flags import Flag
+from matsemi.gf import codes_array, full_space
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -170,15 +176,31 @@ class TestConsolidation:
 
 class TestTransporter:
     def test_same_signature_pairs(self):
+        # every ordered pair of F_2^3 flags of one signature
         for sig in ((1, 2), (2, 1), (1, 1, 1)):
             group = flags_with_signature(F2, 3, sig)
-            f1, f2 = group[0], group[-1]
-            g = flag_transporter(f1, f2)
-            gi = mat_inverse(g)
-            assert gi is not None
-            for v, w in zip(f1.chain, f2.chain):
-                image_rows = [list((g * matrix(F2, [[c] for c in vec])).col_codes(0)) for vec in v.basis]
-                assert subspace(F2, 3, image_rows) == w
+            for f1, f2 in itertools.product(group, group):
+                g = flag_transporter(f1, f2)
+                gi = mat_inverse(g)
+                assert gi is not None
+                for v, w in zip(f1.chain, f2.chain):
+                    image_rows = [list((g * matrix(F2, [[c] for c in vec])).col_codes(0)) for vec in v.basis]
+                    assert subspace(F2, 3, image_rows) == w
+
+    @pytest.mark.parametrize("sig", [(1, 2), (2, 1), (1, 1, 1)])
+    def test_carry_mask_matches_chain_images(self, sig):
+        # the check flag_transporter runs: X V_i ⊆ V'_i at every level
+        group = flags_with_signature(F2, 3, sig)
+        rng = random.Random(f"carry:{sig}")
+        mats = [Matrix(F2, 3, 3, tuple(rng.randrange(2) for _ in range(9))) for _ in range(48)]
+        for f1, f2 in [(group[0], other) for other in group] + [(group[-1], group[1])]:
+            cands = mats + [flag_transporter(f1, f2)]
+            want = [
+                all(w.contains_vector((a * matrix(F2, [[c] for c in vec])).col_codes(0)) for v, w in zip(f1.chain, f2.chain) for vec in v.basis)
+                for a in cands
+            ]
+            assert want[-1] and not all(want)
+            assert flags._carry_mask(f1, f2, codes_array(cands)).tolist() == want
 
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
@@ -295,3 +317,78 @@ class TestBatchedFlagLayer:
             want = [_oracle_lowers_flag(a, f) for a in mats]
             assert lowering_mask(f, codes).tolist() == want
             assert [lowers_flag(a, f) for a in mats] == want
+
+
+def _oracle_powers(s):
+    """[S^1, S^2, ..., S^k = {0}], one Matrix product at a time; None when
+    the powers never reach {0}.  k is the nilpotency degree."""
+    zero = Matrix(s.field, s.dim, s.dim, (0,) * (s.dim * s.dim))
+    powers = [s.as_set()]
+    while powers[-1] != {zero}:
+        nxt = frozenset(x * y for x in powers[-1] for y in s)
+        if nxt == powers[-1]:
+            return None
+        powers.append(nxt)
+    return powers
+
+
+def _oracle_power_image_flag(s):
+    """The flag of power-image spans, one mat_image and Subspace.sum_ per
+    element of each power set: the per-element route that the stacked
+    columns replace."""
+    f, n = s.field, s.dim
+    chain = [zero_subspace(f, n)]
+    for level in _oracle_powers(s)[-2::-1]:  # S^(k-1) first: the smallest span
+        span = zero_subspace(f, n)
+        for x in level:
+            span = span.sum_(mat_image(x))
+        chain.append(span)
+    return Flag(field=f, ambient=n, chain=(*chain, full_space(f, n)))
+
+
+def _oracle_is_k_maximal(s):
+    """The enumeration test that size and lowering replace: s equals the
+    semigroup of its power-image flag, enumerated again."""
+    return s.as_set() == flag_semigroup(_oracle_power_image_flag(s)).as_set()
+
+
+def _nilpotent_sets(field, per_flag):
+    """Every flag semigroup of length >= 2 over field^3, closures of
+    seeded subsets of each (nilpotent, mostly not maximal), and the small
+    set {0, E13}."""
+    rng = random.Random(f"nilpotent_sets:{field.q}")
+    sets = []
+    for fl in all_flags(field, 3):
+        if fl.length < 2:
+            continue
+        s = flag_semigroup(fl)
+        sets.append(s)
+        for _ in range(per_flag):
+            seed = rng.sample(s.elements, rng.randint(1, 3))
+            sets.append(closure(mat_set(field, 3, seed)))
+    z = matrix(field, [[0] * 3] * 3)
+    sets.append(mat_set(field, 3, [z, unit_matrix(field, 3, 0, 2)]))
+    return sets
+
+
+class TestMaximalityOracle:
+    """is_k_maximal (size and lowering) and power_image_flag (stacked
+    columns) against the routes they replace."""
+
+    @pytest.mark.parametrize("field, per_flag", [(F2, 3), (F3, 2)], ids=["2", "3"])
+    def test_against_enumeration_and_image_sums(self, field, per_flag):
+        seen = {True: 0, False: 0}
+        for s in _nilpotent_sets(field, per_flag):
+            k = len(_oracle_powers(s))
+            assert nilpotency_degree(s) == k
+            if k < 2:  # {0}: no flag
+                with pytest.raises(NotNilpotent):
+                    is_k_maximal(s)
+                continue
+            assert power_image_flag(s) == _oracle_power_image_flag(s)
+            want = _oracle_is_k_maximal(s)
+            assert is_k_maximal(s) == want
+            seen[want] += 1
+        # some closures regenerate a flag semigroup
+        assert seen[True] >= sum(1 for fl in all_flags(field, 3) if fl.length >= 2)
+        assert seen[False] > 0

@@ -29,6 +29,7 @@ from matsemi import (
     mat_kernel,
     mat_pow,
     mat_rank,
+    mat_set,
     matrix,
     parse_field,
     parse_matrix,
@@ -45,8 +46,10 @@ from matsemi.gf import (
     PRIME_CAP,
     _is_irreducible,
     _krylov_relations,
+    _rref,
     _smith_factors,
     batch_mul,
+    batch_rref,
     code_keys,
     codes_array,
     prime_power,
@@ -585,6 +588,69 @@ class TestCodeArrayKernel:
         order = np.argsort(keys, kind="stable")
         pos = np.searchsorted(keys[order], keys)
         assert [rows[i] for i in order[pos]] == rows
+
+
+def _oracle_rref(f, arr):
+    """(reduced, ranks, pivots) of a (B, r, c) code array, one _rref per
+    matrix: the pure-Python elimination batch_rref replaces."""
+    b, r, c = arr.shape
+    reduced = np.zeros((b, r, c), dtype=np.int64)
+    ranks, pivots = [], np.zeros((b, c), dtype=bool)
+    for i, mat in enumerate(arr.tolist()):
+        rows, piv = _rref(f, mat)
+        if rows:
+            reduced[i, : len(rows)] = rows
+        ranks.append(len(rows))
+        pivots[i, piv] = True
+    return reduced, ranks, pivots
+
+
+class TestBatchRref:
+    """batch_rref against the per-matrix routes, and mat_set's order
+    against the (mat_rank, codes) sort it replaced."""
+
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 3, 2), (2, 1, 4)], ids=["M3F3", "M2F8", "M4F2"])
+    def test_every_element(self, p, k, n):
+        f = field_make(p, k)
+        ms = list(enumerate_matrices(f, n, n))
+        want = [mat_rank.__wrapped__(a) for a in ms]  # uncached: these fill no cache
+        assert batch_rref(f, codes_array(ms))[1].tolist() == want
+        oracle = sorted(range(len(ms)), key=lambda i: (want[i], ms[i].codes))
+        assert mat_set(f, n, reversed(ms)).elements == tuple(ms[i] for i in oracle)
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (5, 1)], ids=["M3F4", "M3F5"])
+    def test_seeded_matrices(self, p, k):
+        f = field_make(p, k)
+        rng = random.Random(f"batch_rref:{f.q}")
+        ms = [Matrix(f, 3, 3, tuple(rng.randrange(f.q) for _ in range(9))) for _ in range(2000)]
+        ms += [zero_matrix(f, 3), identity_matrix(f, 3)] + [unit_matrix(f, 3, i, j, f.q - 1) for i in range(3) for j in range(3)]
+        reduced, ranks, pivots = batch_rref(f, codes_array(ms))
+        want = [mat_rank.__wrapped__(a) for a in ms]
+        assert ranks.tolist() == want
+        o_reduced, o_ranks, o_pivots = _oracle_rref(f, codes_array(ms))
+        assert o_ranks == want
+        assert np.array_equal(reduced, o_reduced) and np.array_equal(pivots, o_pivots)
+        oracle = sorted(set(ms), key=lambda a: (mat_rank(a), a.codes))  # mat_set drops repeats
+        assert list(mat_set(f, 3, ms).elements) == oracle
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 2, 5), (1, 3, 3), (1, 4, 2), (40, 2, 5), (40, 5, 2), (7, 1, 6), (7, 6, 1), (3, 0, 4), (3, 4, 0)])
+    @pytest.mark.parametrize("f", FIELDS[:4], ids=lambda f: str(f.q))
+    def test_shapes(self, f, shape):
+        rng = np.random.default_rng([f.q, *shape])
+        arr = rng.integers(0, f.q, shape)
+        arr[: len(arr) // 3, :1] = 0  # some leading zero rows
+        got = batch_rref(f, arr)
+        want = _oracle_rref(f, arr)
+        assert got[0].shape == shape and got[1].shape == (shape[0],) and got[2].shape == (shape[0], shape[2])
+        assert np.array_equal(got[0], want[0]) and got[1].tolist() == want[1]
+        assert np.array_equal(got[2], want[2])
+
+    def test_input_left_unchanged(self):
+        f = field_make(3)
+        arr = np.array([[[2, 1], [1, 2]], [[0, 0], [1, 1]]])
+        before = arr.copy()
+        batch_rref(f, arr)
+        assert np.array_equal(arr, before)
 
 
 class TestSubspace:

@@ -266,17 +266,20 @@ class TestUStat:
         with pytest.raises(PreconditionViolated):
             u_stat(ctx112, 3)
 
-    def test_sandwich_sets_are_the_products(self, ctx121, ctx_complete4):
+    def test_sandwich_nonzero_masks_are_the_products(self, ctx121, ctx_complete4):
         for ctx in (ctx121, ctx_complete4):
             g = ctx.table.grid.tolist()
+            zero = ctx.table.zero_id
             for left in range(ctx.r):
                 for right in range(ctx.r - left):
                     ls = ctx.power_ids[left - 1] if left else None
                     rs = ctx.power_ids[right - 1] if right else None
+                    want = []
                     for x in range(ctx.m):
                         xs = {g[a][x] for a in ls} if ls else {x}
-                        want = {g[y][b] for y in xs for b in rs} if rs else xs
-                        assert nilclass._sandwich_set(ctx, left, x, right) == want
+                        sandwich = {g[y][b] for y in xs for b in rs} if rs else xs
+                        want.append(sandwich != {zero})
+                    assert nilclass._sandwich_nonzero(ctx, left, right).tolist() == want
 
 
 def test_fingerprint_does_not_import_numpy_ma():
@@ -410,6 +413,28 @@ def test_context_above_the_table_cap_is_refused_before_its_elements(monkeypatch)
     # the flag-size cap still comes first
     with pytest.raises(CapExceeded, match="flag semigroup has 32768 elements, cap 100"):
         nil_context.__wrapped__(flag, cap=100)
+
+
+def test_cold_context_build_runs_few_eliminations(monkeypatch):
+    # ranks, power-image spans and the maximality proof are batched over
+    # code arrays; one _rref per element (746 calls here) must not return
+    from matsemi import gf
+
+    flag = standard_flag(field_make(3), (1, 2, 1))
+    cached = (flags.flag_basis, flags.flag_basis_inverse, flags._parity_checks, flags._block_ranks)
+    for fn in (*cached, gf.mat_rank, gf.mat_kernel, gf.mat_image):
+        fn.cache_clear()
+    calls = []
+    real = gf._rref
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gf, "_rref", counting)
+    ctx = nil_context.__wrapped__(flag)
+    assert ctx.m == 243
+    assert len(calls) <= 32
 
 
 class TestOneTablePerContext:
