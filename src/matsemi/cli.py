@@ -73,93 +73,140 @@ from .nilclass import (
 ELEMENT_LISTING_LIMIT = 512
 
 
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="matsemi", description="exact matrix-semigroup structure over small finite fields")
+def _common(p, field=True, max_elems=False):
+    if field:
+        p.add_argument("--field", required=True, help="field size p or p^k")
+        p.add_argument("--n", required=True, type=int, help="ambient matrix dimension")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    if max_elems:  # read only by the commands that build flag semigroups
+        p.add_argument(
+            "--max-elems", type=int, default=None, dest="max_elems", help="element cap for the flag semigroup"
+        )
+    p.add_argument("--out", default=None)
+
+
+_GROUPS = {
+    "flags": "flags and their nilpotent semigroups",
+    "nil": "structure of one flag semigroup",
+    "isolated": "isolated subsemigroups of the full semigroup",
+    "ideal": "two-sided ideals by rank",
+    "verify": "run the verification battery",
+}
+
+_REQUIRED = {"required": True}
+_NONE = {"default": None}
+
+# command path -> (help, _common's keywords, the command's own options as
+# (flag, add_argument keywords)); dict order is the order of the help listings
+_OPTIONS = {
+    "classes": ("conjugacy classes of the full semigroup", {}, [("--check", {"choices": ("brute",), "default": None})]),
+    "core": ("stable-image decomposition of one matrix", {}, [("--matrix", _REQUIRED)]),
+    "chain": ("witnessed conjugation path to the core", {}, [("--matrix", _REQUIRED)]),
+    "flags phi": (
+        "all matrices lowering a flag",
+        {"max_elems": True},
+        [("--flag", _NONE), ("--sig", {"default": None, "help": "take the coordinate flag of this signature"})],
+    ),
+    "flags psi": (
+        "power-image flag of a closed nilpotent set",
+        {},
+        [("--elements", {"required": True, "help": "space-separated matrix texts"})],
+    ),
+    "flags maximal": ("is a closed nilpotent set maximal for its degree", {}, [("--elements", _REQUIRED)]),
+    "flags consolidation": (
+        "flag refinement vs semigroup containment",
+        {"max_elems": True},
+        [("--flag", _REQUIRED), ("--flag2", _REQUIRED)],
+    ),
+    "nil fingerprint": ("isomorphism-invariant fingerprint", {"max_elems": True}, [("--flag", _NONE), ("--sig", _NONE)]),
+    "nil iso-decide": (
+        "classify two signatures up to isomorphism",
+        {"field": False},
+        [
+            ("--q", {"type": int, "default": None, "help": "field size (omit with --infinite)"}),
+            ("--infinite", {"action": "store_true", "help": "decide over an infinite field"}),
+            ("--n1", {"required": True, "type": int}),
+            ("--sig1", _REQUIRED),
+            ("--n2", {"required": True, "type": int}),
+            ("--sig2", _REQUIRED),
+        ],
+    ),
+    "nil iso-construct": (
+        "conjugating isomorphism for equal signatures",
+        {"max_elems": True},
+        [("--flag1", _NONE), ("--sig1", _NONE), ("--flag2", _NONE), ("--sig2", _NONE)],
+    ),
+    "isolated enum": (
+        "classified list of isolated subsemigroups",
+        {},
+        [("--mode", {"choices": ("exhaustive", "theorem_list"), "default": "exhaustive"})],
+    ),
+    "isolated check": (
+        "absorption hypotheses force the singular ideal",
+        {},
+        [("--elements", {"default": None, "help": "test this closed set instead"})],
+    ),
+    "ideal gen": ("closure of a rank stratum against the ideal", {}, [("--k", {"required": True, "type": int})]),
+    "verify all": (
+        "all numbered criteria",
+        {"field": False},
+        [("--profile", {"choices": ("quick", "full"), "default": "quick"})],
+    ),
+}
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _BranchParser(argparse.ArgumentParser):
+    """A parser holding one branch of the tree.  It prints no usage error,
+    since its usage lists only that branch; _parse asks the whole tree."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _branch(argv) -> str:
+    """The command path that argv starts with, or "" when its first tokens
+    name none (top-level or group-level help, a mistyped name)."""
+    for n in (1, 2):
+        if " ".join(argv[:n]) in _OPTIONS:
+            return " ".join(argv[:n])
+    return ""
+
+
+def _parser(path: str = "") -> argparse.ArgumentParser:
+    """The parser of the command path `path` alone, or of the whole tree
+    when path is empty."""
+    cls = _BranchParser if path else argparse.ArgumentParser
+    ap = cls(prog="matsemi", description="exact matrix-semigroup structure over small finite fields")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p, field=True, max_elems=False):
-        if field:
-            p.add_argument("--field", required=True, help="field size p or p^k")
-            p.add_argument("--n", required=True, type=int, help="ambient matrix dimension")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        if max_elems:  # read only by the commands that build flag semigroups
-            p.add_argument(
-                "--max-elems", type=int, default=None, dest="max_elems", help="element cap for the flag semigroup"
-            )
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("classes", help="conjugacy classes of the full semigroup")
-    common(p)
-    p.add_argument("--check", choices=("brute",), default=None)
-
-    p = sub.add_parser("core", help="stable-image decomposition of one matrix")
-    common(p)
-    p.add_argument("--matrix", required=True)
-
-    p = sub.add_parser("chain", help="witnessed conjugation path to the core")
-    common(p)
-    p.add_argument("--matrix", required=True)
-
-    pf = sub.add_parser("flags", help="flags and their nilpotent semigroups")
-    fsub = pf.add_subparsers(dest="sub", required=True)
-    p = fsub.add_parser("phi", help="all matrices lowering a flag")
-    common(p, max_elems=True)
-    p.add_argument("--flag", default=None)
-    p.add_argument("--sig", default=None, help="take the coordinate flag of this signature")
-    p = fsub.add_parser("psi", help="power-image flag of a closed nilpotent set")
-    common(p)
-    p.add_argument("--elements", required=True, help="space-separated matrix texts")
-    p = fsub.add_parser("maximal", help="is a closed nilpotent set maximal for its degree")
-    common(p)
-    p.add_argument("--elements", required=True)
-    p = fsub.add_parser("consolidation", help="flag refinement vs semigroup containment")
-    common(p, max_elems=True)
-    p.add_argument("--flag", required=True)
-    p.add_argument("--flag2", required=True)
-
-    pn = sub.add_parser("nil", help="structure of one flag semigroup")
-    nsub = pn.add_subparsers(dest="sub", required=True)
-    p = nsub.add_parser("fingerprint", help="isomorphism-invariant fingerprint")
-    common(p, max_elems=True)
-    p.add_argument("--flag", default=None)
-    p.add_argument("--sig", default=None)
-    p = nsub.add_parser("iso-decide", help="classify two signatures up to isomorphism")
-    common(p, field=False)
-    p.add_argument("--q", type=int, default=None, help="field size (omit with --infinite)")
-    p.add_argument("--infinite", action="store_true", help="decide over an infinite field")
-    p.add_argument("--n1", required=True, type=int)
-    p.add_argument("--sig1", required=True)
-    p.add_argument("--n2", required=True, type=int)
-    p.add_argument("--sig2", required=True)
-    p = nsub.add_parser("iso-construct", help="conjugating isomorphism for equal signatures")
-    common(p, max_elems=True)
-    p.add_argument("--flag1", default=None)
-    p.add_argument("--sig1", default=None)
-    p.add_argument("--flag2", default=None)
-    p.add_argument("--sig2", default=None)
-
-    pi = sub.add_parser("isolated", help="isolated subsemigroups of the full semigroup")
-    isub = pi.add_subparsers(dest="sub", required=True)
-    p = isub.add_parser("enum", help="classified list of isolated subsemigroups")
-    common(p)
-    p.add_argument("--mode", choices=("exhaustive", "theorem_list"), default="exhaustive")
-    p = isub.add_parser("check", help="absorption hypotheses force the singular ideal")
-    common(p)
-    p.add_argument("--elements", default=None, help="test this closed set instead")
-
-    pd = sub.add_parser("ideal", help="two-sided ideals by rank")
-    dsub = pd.add_subparsers(dest="sub", required=True)
-    p = dsub.add_parser("gen", help="closure of a rank stratum against the ideal")
-    common(p)
-    p.add_argument("--k", required=True, type=int)
-
-    pv = sub.add_parser("verify", help="run the verification battery")
-    vsub = pv.add_subparsers(dest="sub", required=True)
-    p = vsub.add_parser("all", help="all numbered criteria")
-    common(p, field=False)
-    p.add_argument("--profile", choices=("quick", "full"), default="quick")
-
+    groups = {}
+    for cmd, (text, common, options) in _OPTIONS.items():
+        if path and cmd != path:
+            continue
+        group, _, leaf = cmd.partition(" ")
+        if leaf:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(dest="sub", required=True)
+            p = groups[group].add_parser(leaf, help=text)
+        else:
+            p = sub.add_parser(cmd, help=text)
+        _common(p, **common)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return ap
+
+
+def _parse(argv):
+    """Parse argv with the parser of the branch it names; a usage error is
+    parsed again by the whole tree, which prints it as argparse does."""
+    argv = list(argv)
+    try:
+        return _parser(_branch(argv)).parse_args(argv)
+    except _UsageError:
+        return _parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +560,8 @@ def _render(report: dict, fmt: str, elapsed_ms: float) -> str:
 
 def run_command(argv) -> tuple[str, int]:
     """Render one CLI invocation; returns (report text, exit code)."""
-    ap = _parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return "", int(exc.code or 0)
     t0 = perf_counter()

@@ -3,8 +3,9 @@
 Everything here works on interned element ids: a MatSet fixes the canonical
 element order (rank, then entry codes), and a SemigroupTable is a closed
 MatSet with its multiplication grid and the per-id arrays derived from it
-(ranks, powers, image and kernel subspace ids).  build_table makes one from
-any closed MatSet, and ambient() caches the table of the full M(n, F_q).
+(ranks, powers and their roots, image and kernel subspace ids).
+build_table makes one from any closed MatSet, and ambient() caches the
+table of the full M(n, F_q).
 The remaining utilities (closures, least-id label partitions, subsemigroup
 scans, table isomorphism, preorder depths) operate on grids only.
 
@@ -28,6 +29,7 @@ from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, NotC
 from .gf import (
     FieldSpec,
     Matrix,
+    Subspace,
     batch_mul,
     batch_rref,
     code_keys,
@@ -35,9 +37,9 @@ from .gf import (
     enumerate_matrices,
     identity_matrix,
     join_row_keys,
-    mat_image,
-    mat_kernel,
+    kernel_basis,
     row_keys,
+    subspace,
 )
 
 CLOSURE_CAP = 1 << 20
@@ -196,7 +198,7 @@ class SemigroupTable:
 
     Id i is s.elements[i], so ids follow the canonical order.  grid is a
     read-only int32 (m, m) array; loops that read single entries take one
-    grid.tolist() first.  It is prebuilt_grid when one is given (the grid
+    grid.tolist() first, or read grid.item where that list is too large.  It is prebuilt_grid when one is given (the grid
     build_table has checked), and otherwise derived from the elements on
     first use, so a caller that reads only the elements builds none.
     zero_id and identity_id are the absorbing and the identity element of
@@ -273,12 +275,48 @@ class SemigroupTable:
         return frozenset(self.powers[:, x].tolist())
 
     @cached_property
+    def roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR index (ptr, xs) of the powers: xs[ptr[y] : ptr[y + 1]] are
+        the ids x, ascending, with y among the powers of x.
+
+        Built from powers by one np.unique of the codes y*m + x, so it
+        holds at most L*m ids.  (return_index keeps np.unique off the path
+        that imports numpy.ma.)
+        """
+        m = self.m
+        pairs = np.unique(self.powers.astype(np.int64) * m + np.arange(m), return_index=True)[0]
+        ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // m, minlength=m), out=ptr[1:])
+        return _read_only(ptr), _read_only((pairs % m).astype(np.int32))
+
+    @cached_property
     def _subspaces(self) -> tuple:
-        """(subspace -> id, image id per matrix, kernel id per matrix)."""
+        """(subspace -> id, image id per matrix, kernel id per matrix).
+
+        Ids follow first appearance in id order, images before kernels.
+        One batch_rref of the transposed codes gives every image's reduced
+        rows, and one of the codes every row space, whose reduced rows and
+        pivots give the kernel; a Subspace is built once per distinct
+        reduced form.
+        """
+        f, n = self.s.field, self.s.dim
         index: dict = {}
-        image = [index.setdefault(mat_image(a), len(index)) for a in self.elements]
-        kernel = [index.setdefault(mat_kernel(a), len(index)) for a in self.elements]
-        return index, _read_only(np.array(image, dtype=np.int32)), _read_only(np.array(kernel, dtype=np.int32))
+
+        def space_ids(reduced, ranks, space):
+            _, first, inverse = np.unique(code_keys(f, reduced), return_index=True, return_inverse=True)
+            ids = np.empty(len(first), dtype=np.int32)
+            for k in np.argsort(first, kind="stable").tolist():  # distinct forms by first appearance
+                i = int(first[k])
+                ids[k] = index.setdefault(space(i, reduced[i, : ranks[i]].tolist()), len(index))
+            return _read_only(ids[inverse.ravel()])
+
+        red, ranks, _ = batch_rref(f, self.codes.transpose(0, 2, 1))
+        image = space_ids(red, ranks, lambda i, rows: Subspace(f, n, tuple(map(tuple, rows))))
+        red, ranks, pivots = batch_rref(f, self.codes)
+        kernel = space_ids(
+            red, ranks, lambda i, rows: subspace(f, n, kernel_basis(f, n, rows, np.flatnonzero(pivots[i]).tolist()))
+        )
+        return index, image, kernel
 
     @property
     def subspace_index(self) -> dict:
@@ -459,7 +497,8 @@ def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
 
 
 def closure_ids(grid, seed, abort_ids=None):
-    """Closure inside an ambient grid, by id.
+    """Closure inside an ambient grid (a numpy id array), by id; single
+    entries are read with grid.item, as Python ints.
 
     Returns (ids, aborted): aborted=True means an element of abort_ids was
     reached and the closure stopped early (the returned set is then partial).
@@ -472,12 +511,11 @@ def closure_ids(grid, seed, abort_ids=None):
         new = set()
         members = list(s)
         for a in frontier:
-            row = grid[a]
             for b in members:
-                x = row[b]
+                x = grid.item(a, b)
                 if x not in s and x not in new:
                     new.add(x)
-                y = grid[b][a]
+                y = grid.item(b, a)
                 if y not in s and y not in new:
                     new.add(y)
         if abort_ids and new & abort_ids:

@@ -609,18 +609,24 @@ def mat_rank(a: Matrix) -> int:
 @lru_cache(maxsize=None)
 def mat_kernel(a: Matrix) -> "Subspace":
     """Right null space {v : a v = 0} as a canonical subspace of F^cols."""
-    f = a.field
-    rows, pivots = _rref(f, [list(a.row_codes(i)) for i in range(a.rows)])
-    free = [c for c in range(a.cols) if c not in pivots]
+    rows, pivots = _rref(a.field, [list(a.row_codes(i)) for i in range(a.rows)])
+    return subspace(a.field, a.cols, kernel_basis(a.field, a.cols, rows, pivots))
+
+
+def kernel_basis(f: FieldSpec, cols: int, rows, pivots) -> list[list[int]]:
+    """A basis of the right null space of a matrix with `cols` columns,
+    from its RREF rows and pivot columns: one vector per free column."""
     basis = []
     neg = f.neg
-    for fc in free:
-        v = [0] * a.cols
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [0] * cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = neg[rows[r][fc]]
         basis.append(v)
-    return subspace(f, a.cols, basis)
+    return basis
 
 
 @lru_cache(maxsize=None)

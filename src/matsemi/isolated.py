@@ -9,9 +9,12 @@ both by construction and by brute subset scans.
 
 Everything runs on ids of the cached ambient table: a set is a boolean
 member mask, closedness is read off the ambient grid, isolation off the
-ambient's powers array, and S(A, B) is found from the per-id image and
-kernel subspace ids.  The exhaustive subset scan runs on the same table, so
-no mode builds a second product grid.
+ambient's roots index (which ids have a given power), and S(A, B) is found
+from the per-id image and kernel subspace ids.  Within one enumeration,
+complete isolation first re-checks the pairs that refuted it for earlier
+sets and scans the grid only when none of them refutes this one.  The
+exhaustive subset scan runs on the same table, so no mode builds a second
+product grid.
 """
 
 from __future__ import annotations
@@ -223,22 +226,54 @@ def _member_mask(s: MatSet) -> tuple[SemigroupTable, np.ndarray]:
 
 
 def _isolated(amb: SemigroupTable, mask: np.ndarray) -> bool:
-    """No id outside the mask has a power inside it."""
-    return not bool((mask[amb.powers].any(axis=0) & ~mask).any())
+    """No id outside the mask has a power inside it: every root of a
+    member is a member.  Reads only the members' runs of amb.roots."""
+    ptr, xs = amb.roots
+    members = np.flatnonzero(mask)
+    lo, counts = ptr[members], ptr[members + 1] - ptr[members]
+    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return bool(mask[xs[at]].all())
 
 
-def _completely_isolated(amb: SemigroupTable, mask: np.ndarray) -> bool:
-    """No product of two ids outside the mask lands inside it.
+def _outside_product(amb: SemigroupTable, mask: np.ndarray):
+    """The first (x, y, x*y) in row-major order with x and y outside the
+    mask and x*y inside it, or None when there is none.
 
     The grid rows of the outside ids are scanned PAIR_SCAN_BLOCK at a time,
     stopping at the first block with such a product.
     """
     outside = np.flatnonzero(~mask)
     for i in range(0, len(outside), PAIR_SCAN_BLOCK):
-        rows = amb.grid[outside[i : i + PAIR_SCAN_BLOCK]]
-        if (mask[rows] & ~mask).any():
+        xs = outside[i : i + PAIR_SCAN_BLOCK]
+        rows = amb.grid[xs]
+        hit = mask[rows] & ~mask
+        if hit.any():
+            r, y = divmod(int(hit.argmax()), amb.m)
+            return int(xs[r]), y, int(rows[r, y])
+    return None
+
+
+class _Witnesses:
+    """Triples (x, y, x*y) that refuted complete isolation of earlier sets
+    in one run.
+
+    A set one of them refutes is not completely isolated; every other set
+    gets the full scan of _outside_product, whose hit is kept.  So a
+    "completely isolated" answer always comes from the full scan.
+    """
+
+    def __init__(self):
+        self.triples = np.zeros((3, 0), dtype=np.intp)
+
+    def completely_isolated(self, amb: SemigroupTable, mask: np.ndarray) -> bool:
+        x, y, xy = self.triples
+        if (mask[xy] & ~mask[x] & ~mask[y]).any():
             return False
-    return True
+        hit = _outside_product(amb, mask)
+        if hit is None:
+            return True
+        self.triples = np.column_stack((self.triples, hit))
+        return False
 
 
 def is_isolated(s: MatSet) -> bool:
@@ -248,7 +283,7 @@ def is_isolated(s: MatSet) -> bool:
 
 def is_completely_isolated(s: MatSet) -> bool:
     """Every factorization of a member has a member factor (full pair scan)."""
-    return _completely_isolated(*_member_mask(s))
+    return _outside_product(*_member_mask(s)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +327,7 @@ def _all_pair_families(field: FieldSpec, n: int):
     return out
 
 
-def _record(amb: SemigroupTable, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
+def _record(amb: SemigroupTable, witnesses: _Witnesses, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
     """Record for the closed set of ascending ambient ids; one mask serves
     the closedness check and both predicates."""
     mask = _closed_mask(amb, ids)
@@ -307,20 +342,20 @@ def _record(amb: SemigroupTable, kind, ids, a_fam=None, b_fam=None) -> IsolatedR
         a_family=a_fam,
         b_family=b_fam,
         isolated=True,
-        completely_isolated=_completely_isolated(amb, mask),
+        completely_isolated=witnesses.completely_isolated(amb, mask),
     )
 
 
-def _theorem_records(field: FieldSpec, n: int) -> list[IsolatedRecord]:
-    amb = ambient(field, n)
+def _theorem_records(amb: SemigroupTable, witnesses: _Witnesses) -> list[IsolatedRecord]:
+    n = amb.s.dim
     records = [
-        _record(amb, "M", np.arange(amb.m)),
-        _record(amb, "GL", np.flatnonzero(amb.ranks == n)),
-        _record(amb, "I", np.flatnonzero(amb.ranks <= n - 1)),
+        _record(amb, witnesses, "M", np.arange(amb.m)),
+        _record(amb, witnesses, "GL", np.flatnonzero(amb.ranks == n)),
+        _record(amb, witnesses, "I", np.flatnonzero(amb.ranks <= n - 1)),
     ]
-    for fam in _all_pair_families(field, n):
+    for fam in _all_pair_families(amb.s.field, n):
         ids = _s_ab_ids(amb, fam)
-        records.append(_record(amb, "SAB", ids, fam.a_family, fam.b_family))
+        records.append(_record(amb, witnesses, "SAB", ids, fam.a_family, fam.b_family))
     return records
 
 
@@ -342,10 +377,11 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
         check_scan_size(field.q ** (n * n))  # before the theorem list and the ambient
-    predicted = _theorem_records(field, n)
+    amb = ambient(field, n)
+    witnesses = _Witnesses()  # shared by every set of this run, then dropped
+    predicted = _theorem_records(amb, witnesses)
     if mode == "theorem_list":
         return _sort_records(predicted)
-    amb = ambient(field, n)
     by_set = {r.s.as_set(): r for r in predicted}
     found: list[IsolatedRecord] = []
     for ids in enumerate_subsemigroups(amb):
@@ -365,7 +401,7 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
                     a_family=None,
                     b_family=None,
                     isolated=True,
-                    completely_isolated=_completely_isolated(amb, mask),
+                    completely_isolated=witnesses.completely_isolated(amb, mask),
                 )
             )
     found_sets = {r.s.as_set() for r in found}

@@ -426,6 +426,56 @@ class TestDispatch:
         assert crit["title"] == "M(2,F2) class census" and crit["witness"] == "forced failure"
 
 
+def _parser_output(parse, argv, capsys):
+    """(stdout, stderr, exit code) of one parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+def _branch_parser_cases():
+    yield ["--help"]
+    yield ["nil", "--help"]
+    yield ["no-such-command"]
+    yield ["flags", "no-such-sub"]
+    yield ["isolated", "enum", "--field", "2", "--n", "2", "--no-such-option"]  # top-level usage
+    for path in cli._COMMANDS:
+        yield [*path.split(), "--help"]
+        yield [*path.split(), "--format"]  # an option without its value
+        if path != "verify all":  # the only command without a required option
+            yield path.split()
+
+
+class TestBranchParser:
+    @pytest.mark.parametrize("argv", list(_branch_parser_cases()), ids="_".join)
+    def test_help_and_usage_errors_equal_the_whole_tree(self, argv, capsys):
+        want = _parser_output(cli._parser().parse_args, argv, capsys)
+        assert want[2] in (0, 2) and (want[0] or want[1])
+        got = _parser_output(cli._parse, argv, capsys)
+        assert got == want
+        assert run_command(argv) == ("", want[2])
+
+    @pytest.mark.parametrize("path", list(cli._COMMANDS), ids=lambda path: path.replace(" ", "_"))
+    def test_builds_only_the_named_branch(self, path):
+        argv = path.split()
+        parser = cli._parser(cli._branch(argv))
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == argv[:1]
+        if len(argv) == 2:
+            (group,) = [a for a in action.choices[argv[0]]._actions if isinstance(a, argparse._SubParsersAction)]
+            assert list(group.choices) == argv[1:]
+        # a full command line parses to the same namespace on both
+        leaf = cli._parser()
+        for name in argv:
+            (sub,) = [a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)]
+            leaf = sub.choices[name]
+        for action in leaf._actions:
+            if action.required:
+                argv += [action.option_strings[0], "1" if action.type is int else "x"]
+        assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv))
+
+
 class TestRendering:
     def test_unwritable_out_is_a_named_error(self, tmp_path):
         out = tmp_path / "missing" / "rep.json"

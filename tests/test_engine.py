@@ -495,9 +495,32 @@ class TestAmbient:
 
     def test_cached_id_arrays_are_read_only(self):
         amb = ambient(F2, 2)
-        for arr in (amb.powers, amb.image_ids, amb.kernel_ids):
+        for arr in (amb.powers, amb.image_ids, amb.kernel_ids, *amb.roots):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    @pytest.mark.parametrize("p,n", [(5, 2), (2, 3)], ids=["M2F5", "M3F2"])
+    def test_roots_invert_the_powers(self, p, n):
+        amb = ambient(field_make(p), n)
+        ptr, xs = amb.roots
+        expect = [[] for _ in range(amb.m)]
+        for x in range(amb.m):
+            for y in amb.power_closure(x):
+                expect[y].append(x)
+        assert ptr[0] == 0 and ptr[-1] == len(xs) == sum(map(len, expect))
+        for y in range(amb.m):
+            assert xs[ptr[y] : ptr[y + 1]].tolist() == expect[y]  # ascending
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (5, 2), (8, 2)], ids=["M3F2", "M2F5", "M2F8"])
+    def test_subspace_ids_match_the_per_matrix_routes(self, q, n):
+        # the former route: mat_image, then mat_kernel, of every element,
+        # ids by first appearance
+        amb = ambient(BY_Q[q], n)
+        index: dict = {}
+        image = [index.setdefault(mat_image(a), len(index)) for a in amb.elements]
+        kernel = [index.setdefault(mat_kernel(a), len(index)) for a in amb.elements]
+        assert amb.image_ids.tolist() == image and amb.kernel_ids.tolist() == kernel
+        assert list(amb.subspace_index.items()) == list(index.items())
 
     @pytest.mark.parametrize("p,n", [(5, 2), (2, 3)], ids=["M2F5", "M3F2"])
     def test_powers_match_the_per_id_loops(self, p, n):
@@ -581,6 +604,27 @@ class TestAmbient:
         assert aborted  # e12 * e21 is idempotent, not nilpotent
         ids, aborted = closure_ids(amb.grid, {amb.zero_id, e12})
         assert not aborted and ids == {amb.zero_id, e12}
+
+    def test_closure_ids_match_the_fixpoint(self):
+        # aborted exactly when the full closure meets abort_ids; otherwise
+        # the ids are that closure, as Python ints
+        amb = ambient(F2, 3)
+        non_nil = frozenset(x for x in range(amb.m) if not amb.nilpotent[x])
+        rng = random.Random("closure_ids")
+        for _ in range(200):
+            seed = set(rng.sample(range(amb.m), rng.randint(1, 3)))
+            full = set(seed)
+            while True:
+                grown = full | {int(amb.grid[a, b]) for a in full for b in full}
+                if grown == full:
+                    break
+                full = grown
+            ids, aborted = closure_ids(amb.grid, seed, abort_ids=non_nil)
+            assert aborted == bool(full & non_nil)
+            if not aborted:
+                assert ids == full and all(type(x) is int for x in ids)
+            ids, aborted = closure_ids(amb.grid, seed)
+            assert not aborted and ids == full
 
 
 def _oracle_grid(elements):

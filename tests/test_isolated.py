@@ -248,7 +248,8 @@ class TestPredicateOracles:
 
     def test_theorem_list_builds_no_grid(self, monkeypatch):
         f5 = field_make(5)
-        amb = ambient(f5, 2)  # warm: the ambient grid itself is built once
+        amb = ambient(f5, 2)
+        amb.grid  # warm: the ambient grid itself is built once
         calls = []
         real = engine.product_grid
 
@@ -261,6 +262,84 @@ class TestPredicateOracles:
         recs = enumerate_isolated(f5, 2, "theorem_list")
         assert len(recs) == 605 and ambient(f5, 2) is amb
         assert calls == []
+
+
+def _oracle_isolated_mask(amb, mask):
+    """The former power scan: no id outside the mask has a power inside it."""
+    return not bool((mask[amb.powers].any(axis=0) & ~mask).any())
+
+
+def _oracle_completely_isolated_mask(amb, mask):
+    """The former full scan: no product of two outside ids lands inside."""
+    return not bool((mask[amb.grid[~mask]] & ~mask).any())
+
+
+def _mask(amb, ids):
+    mask = np.zeros(amb.m, dtype=bool)
+    mask[list(ids)] = True
+    return mask
+
+
+def _check_masks(amb, masks):
+    """Both member-driven predicates against the former scans, with one
+    witness store for the whole sequence, as in an enumeration run."""
+    witnesses = isolated._Witnesses()
+    outcomes = set()
+    for mask in masks:
+        iso, ci = isolated._isolated(amb, mask), witnesses.completely_isolated(amb, mask)
+        assert iso is _oracle_isolated_mask(amb, mask)
+        assert ci is _oracle_completely_isolated_mask(amb, mask)
+        outcomes.add((iso, ci))
+    x, y, xy = witnesses.triples
+    assert np.array_equal(amb.grid[x, y], xy)  # stored triples are products
+    return outcomes
+
+
+class TestMemberDrivenPredicates:
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)],
+                             ids=["M2F2", "M2F3", "M2F4", "M2F5", "M3F2"])
+    def test_every_theorem_record(self, p, k, n):
+        field = field_make(p, k)
+        amb = ambient(field, n)
+        recs = enumerate_isolated(field, n, "theorem_list")
+        masks = [_mask(amb, (amb.index[a] for a in r.s)) for r in recs]
+        for r, mask in zip(recs, masks):
+            assert r.completely_isolated is _oracle_completely_isolated_mask(amb, mask)
+        # a store filled in another order meets other sets first
+        random.Random(f"records:{field.q}:{n}").shuffle(masks)
+        assert _check_masks(amb, masks) == {(True, False), (True, True)}
+
+    def test_every_subsemigroup_of_m2f2(self, f2):
+        amb = ambient(f2, 2)
+        masks = [_mask(amb, ids) for ids in engine.enumerate_subsemigroups(amb)]
+        assert _check_masks(amb, masks) == {(False, False), (True, False), (True, True)}
+
+    def test_a_stored_triple_refutes_only_with_both_factors_outside(self, f2):
+        amb = ambient(f2, 2)
+        singular = amb.ranks < 2  # the ideal I, completely isolated
+        e, a = amb.identity_id, 1  # id 1 has rank 1
+        witnesses = isolated._Witnesses()
+        witnesses.triples = np.array([[e, a], [a, e], [a, a]])  # e*a = a*e = a
+        assert witnesses.completely_isolated(amb, singular)
+        assert witnesses.completely_isolated(amb, ~singular)
+        assert witnesses.triples.shape == (3, 2)  # nothing was refuted, nothing stored
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 3)], ids=["M2F3", "M2F5", "M3F2"])
+    def test_seeded_closed_sets(self, p, n):
+        field = field_make(p)
+        amb = ambient(field, n)
+        masks = [_mask(amb, (amb.index[a] for a in closure(gens))) for gens in _random_sets(field, n, 13, 60, 3)]
+        assert _check_masks(amb, masks) == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)], ids=["F2", "F3", "F4", "F5", "F7"])
+def test_theorem_list_count_closed_form(p, k):
+    # M, GL, I and one S(A, B) per valid pair of families
+    field = field_make(p, k)
+    q = field.q
+    recs = enumerate_isolated(field, 2, "theorem_list")
+    assert len(recs) == 3 ** (q + 1) - 2 ** (q + 2) + 4
+    assert all(r.isolated for r in recs)
 
 
 class TestEnumeration:
