@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from time import perf_counter
 
 from . import __version__
@@ -415,22 +416,24 @@ def _do_nil_iso_construct(args, field):
     }
 
 
-def _fam(subspaces):
+def _fam(subspaces, fmt):
     if subspaces is None:
         return None
-    return [format_subspace(s) for s in subspaces]
+    return [fmt(s) for s in subspaces]
 
 
 def _do_isolated_enum(args, field):
     records = enumerate_isolated(field, args.n, mode=args.mode)
+    # the families of one report all draw on a few subspaces: format each once
+    fmt = lru_cache(maxsize=None)(format_subspace)
     return {
         "mode": args.mode,
         "count": len(records),
         "records": [
             {
                 "kind": r.kind,
-                "A_family": _fam(r.a_family),
-                "B_family": _fam(r.b_family),
+                "A_family": _fam(r.a_family, fmt),
+                "B_family": _fam(r.b_family, fmt),
                 "size": len(r.s),
                 "isolated": r.isolated,
                 "completely_isolated": r.completely_isolated,

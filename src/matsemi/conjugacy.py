@@ -14,7 +14,13 @@ similar to C ⊕ 0.  So the invariant factors of the core are those of A with
 every power of x taken out of them and one x put back into each of the last
 n - r of the n factors (class_key).  Everything after the Krylov pass
 depends only on A's Krylov relation matrix, of which a whole M(n, F_q) has
-few, so the key is memoized on it.
+few.  The pass (gf._krylov_key) returns it as a flat key (end_1, c_1, end_2,
+c_2, ...), each block's end index and the base-q code of its relation
+coefficients, which determines the matrix; the class key is memoized on
+that flat key and the matrix is rebuilt only on a miss.  For q^n <= 256 the
+pass runs on base-q codes of vectors of F_q^n, each vector operation one
+lookup in tables built once per (field, n); above it those tables would
+grow as q^(2n), so the same pass runs on coordinate lists.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, Inva
 from .gf import (
     FieldSpec,
     Matrix,
-    _krylov_relations,
+    _krylov_key,
     _relation_factors,
+    _relation_matrix,
     full_space,
     identity_matrix,
     mat_image,
@@ -235,25 +242,25 @@ def class_key(a: Matrix):
     elementary divisor x for each of its n - r dimensions.  The core's
     invariant factors are therefore c_j = u_j x^{[j > r]}, a divisibility
     chain since both the u_j and the indicators are.  The factors of a and
-    this key both depend only on a's Krylov relation matrix, on which
-    _relation_key is memoized.
+    this key both depend only on a's Krylov relation matrix, which its
+    flat Krylov key determines and on which _relation_key is memoized.
     """
     if not a.is_square():
         raise DimMismatch("class keys need a square matrix")
-    return _relation_key(a.field, a.rows, _krylov_relations(a))
+    return _relation_key(a.field, a.rows, _krylov_key(a))
 
 
-# A whole M(n, F_q) has few Krylov relation matrices: 1 080 for the 19 683
-# elements of M(3, F_3), 2 160 for M(4, F_2), 5 440 for M(3, F_4), and
-# 5 403 among 200 000 sampled M(3, F_5) matrices; the bound holds each of
-# these sets whole.
+# A whole M(n, F_q) has few Krylov relation matrices, and so few flat keys:
+# 1 080 for the 19 683 elements of M(3, F_3), 2 160 for M(4, F_2), 5 440
+# for M(3, F_4), and 5 403 among 200 000 sampled M(3, F_5) matrices; the
+# bound holds each of these sets whole.
 @lru_cache(maxsize=8192)
-def _relation_key(f: FieldSpec, n: int, rel) -> tuple[tuple[int, ...], ...]:
-    """class_key of every n x n matrix over f with Krylov relation matrix
-    rel.  On coefficient tuples (low degree first): strip the leading zeros
-    of each factor, prepend one 0 at the last n - r positions and drop the
-    units."""
-    facs = _relation_factors(f, rel)
+def _relation_key(f: FieldSpec, n: int, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """class_key of every n x n matrix over f with flat Krylov key flat
+    (gf._krylov_key).  On coefficient tuples (low degree first): strip the
+    leading zeros of each factor, prepend one 0 at the last n - r positions
+    and drop the units."""
+    facs = _relation_factors(f, _relation_matrix(f.q, flat))
     u = [(1,)] * (n - len(facs)) + [d[next(i for i, c in enumerate(d) if c) :] for d in facs]
     r = sum(len(p) - 1 for p in u)
     key = ((0,) * (j >= r) + p for j, p in enumerate(u))

@@ -600,13 +600,15 @@ def _rref(f: FieldSpec, rows: list[list[int]]):
     return rows[:r], pivots
 
 
-@lru_cache(maxsize=None)
+# The one-matrix routes are bounded like invariant_factors: whole sets go
+# through batch_rref, and what asks these again asks within a few calls.
+@lru_cache(maxsize=1024)
 def mat_rank(a: Matrix) -> int:
     rows, _ = _rref(a.field, [list(a.row_codes(i)) for i in range(a.rows)])
     return len(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def mat_kernel(a: Matrix) -> "Subspace":
     """Right null space {v : a v = 0} as a canonical subspace of F^cols."""
     rows, pivots = _rref(a.field, [list(a.row_codes(i)) for i in range(a.rows)])
@@ -629,7 +631,7 @@ def kernel_basis(f: FieldSpec, cols: int, rows, pivots) -> list[list[int]]:
     return basis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def mat_image(a: Matrix) -> "Subspace":
     """Column space of a, as a canonical subspace of F^rows."""
     cols = [list(a.col_codes(j)) for j in range(a.cols)]
@@ -869,8 +871,42 @@ def enumerate_subspaces(field: FieldSpec, ambient: int, d: int, cap: int = ENUM_
 # similarity via invariant factors of xI - A, read off a Krylov relation matrix
 
 
-def _krylov_relations(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Relation matrix of F^n as an F[x]-module with x acting as a.
+# Vector codes: x = sum_k x_k q^k encodes (x_0, ..., x_{n-1}) in F_q^n.  Up
+# to this many codes the Krylov pass runs on lookup tables; the tables of
+# F_q^n take about q^(2n) list slots, so larger spaces keep the list pass.
+VEC_TABLE_CAP = 256
+
+
+@lru_cache(maxsize=16)
+def _vec_tables(f: FieldSpec, n: int):
+    """Arithmetic on the vector codes of F_q^n: (ADD, SMUL, DIG, CODE, LEAD,
+    W).
+
+    ADD[x][y] is the code of x + y, SMUL[c][x] that of c x, DIG[x] the
+    coordinate tuple of x and CODE its inverse, LEAD[x] the pair (p, x_p)
+    of the first nonzero coordinate of x (None for x = 0), and W[j] = q^j
+    the code of e_j.  The tables grow one coordinate at a time, the new one
+    most significant, from f.add and f.mul.  They are plain lists: every
+    entry is a small int, so a table costs only its list slots.
+    """
+    q = f.q
+    add, smul, dig = [[0]], [[0] for _ in range(q)], [()]
+    for k in range(n):
+        w = q**k
+        add = [
+            [h + t for h in hs for t in row]
+            for hs in ([s * w for s in sums] for sums in f.add)
+            for row in add
+        ]
+        smul = [[mc[d] * w + t for d in range(q) for t in prev] for mc, prev in zip(f.mul, smul)]
+        dig = [t + (d,) for d in range(q) for t in dig]
+    code = {t: x for x, t in enumerate(dig)}
+    lead = [next(((p, c) for p, c in enumerate(t) if c), None) for t in dig]
+    return add, smul, dig, code, lead, [q**j for j in range(n)]
+
+
+def _krylov_key(a: Matrix) -> tuple[int, ...]:
+    """Krylov relations of a as the flat tuple (end_1, c_1, end_2, c_2, ...).
 
     Krylov blocks v_i, a v_i, ..., a^{d_i - 1} v_i are grown from the
     standard basis vectors in order, skipping those already spanned.  Each
@@ -879,21 +915,68 @@ def _krylov_relations(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     kept so far, each of which is [echelon vector | its coefficients on the
     Krylov vectors].  A row that keeps a nonzero left half is scaled to a
     unit pivot and kept as Krylov vector k.  The first dependent power
-    a^{d_i} v_i reduces to [0 | c]: then c, read as polynomials block by
-    block, is column i of the relation matrix, x^{d_i} minus the
-    polynomial of its coefficients on block i on the diagonal and minus
-    those on the earlier blocks above it.  The s x s result is upper
-    triangular with det of degree n, and its Smith form carries the
-    nontrivial invariant factors of xI - a; s = 1 iff a is cyclic.  It is
-    returned as nested tuples, so it can key a cache.
+    a^{d_i} v_i reduces to [0 | c] with c_k = 1 at its own position k =
+    end_i, so block i is recorded by end_i and the vector code c_i of
+    (c_0, ..., c_{end_i - 1}).  _relation_matrix reads the relation matrix
+    off this key, which keys the class-key memo.
+
+    For q^n <= VEC_TABLE_CAP the pass runs on vector codes (_krylov_codes),
+    above it on coordinate lists (_krylov_lists); both give the same key.
     """
+    if a.field.q**a.rows <= VEC_TABLE_CAP:
+        return _krylov_codes(a)
+    return _krylov_lists(a)
+
+
+def _krylov_codes(a: Matrix) -> tuple[int, ...]:
+    """_krylov_key on the vector tables of _vec_tables: each kept row is
+    (pivot, vector code, coefficient code), and a v = sum_k v_k (a e_k)."""
     f, n = a.field, a.rows
-    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
+    add, smul, dig, code, lead, w = _vec_tables(f, n)
+    neg, inv = f.neg, f.inv
+    codes = a.codes
+    acols = [code[codes[k::n]] for k in range(n)]
+    reduced = []
+    key = []
+    found = 0
+    for j in range(n):
+        if found == n:
+            break
+        v, start = w[j], found
+        while True:
+            x, y = v, 0
+            for p, rx, ry in reduced:
+                c = dig[x][p]
+                if c:
+                    mc = smul[neg[c]]
+                    x = add[x][mc[rx]]
+                    y = add[y][mc[ry]]
+            pc = lead[x]
+            if pc is None:
+                break  # [0 | c]: a^{d_i} v_i is dependent
+            mc = smul[inv[pc[1]]]
+            reduced.append((pc[0], mc[x], mc[y + w[found]]))  # y_found is 0
+            found += 1
+            nxt = 0
+            for k, c in enumerate(dig[v]):
+                if c:
+                    nxt = add[nxt][smul[c][acols[k]]]
+            v = nxt
+        if found > start:
+            key += (found, y)
+    return tuple(key)
+
+
+def _krylov_lists(a: Matrix) -> tuple[int, ...]:
+    """_krylov_key on coordinate lists, for any n: each kept row is
+    [echelon vector | coefficients], and c_i is joined by Horner's rule."""
+    f, n = a.field, a.rows
+    mul, add, neg, inv, q = f.mul, f.add, f.neg, f.inv, f.q
     codes = a.codes
     acols = [codes[j::n] for j in range(n)]
     pad = [0] * (n + 1)
     reduced = []  # (pivot, [echelon vector | coefficients on the Krylov vectors])
-    blocks = []  # (first Krylov index, end index, relation column c)
+    key = []
     found = 0
     for j in range(n):
         if found == n:
@@ -927,14 +1010,45 @@ def _krylov_relations(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
                     nxt = [add[y][mx[z]] for y, z in zip(nxt, acols[k])]
             v = nxt
         if found > start:
-            blocks.append((start, found, row[n:]))
+            code = 0
+            for x in reversed(row[n : n + found]):
+                code = code * q + x
+            key += (found, code)
+    return tuple(key)
+
+
+def _relation_matrix(q: int, key) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Relation matrix of F^n as an F[x]-module with x acting as a, from
+    a's _krylov_key over GF(q).
+
+    Block i spans Krylov indices [end_{i-1}, end_i), and its relation
+    c_i, read as polynomials block by block, is column i: x^{d_i} plus the
+    polynomial of its coefficients on block i on the diagonal, and the
+    polynomials of those on each earlier block above it.  The s x s result
+    is upper triangular with det of degree n, and its Smith form carries
+    the nontrivial invariant factors of xI - a; s = 1 iff a is cyclic.
+    """
+    ends = key[0::2]
+    rels = []
+    for end, code in zip(ends, key[1::2]):
+        rel = []
+        for _ in range(end):
+            code, c = divmod(code, q)
+            rel.append(c)
+        rels.append(rel)
     return tuple(
         tuple(
-            () if b > i else tuple(rel[start : end + 1]) if b == i else _pnorm(rel[start:end])
-            for i, (_, _, rel) in enumerate(blocks)
+            () if b > i else (*rel[start:end], 1) if b == i else _pnorm(rel[start:end])
+            for i, rel in enumerate(rels)
         )
-        for b, (start, end, _) in enumerate(blocks)
+        for b, (start, end) in enumerate(zip((0, *ends), ends))
     )
+
+
+def _krylov_relations(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The Krylov relation matrix of a (see _relation_matrix), as nested
+    tuples."""
+    return _relation_matrix(a.field.q, _krylov_key(a))
 
 
 def _smith_factors(f, m) -> tuple[tuple[int, ...], ...]:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from matsemi import (
     ConjugacyChain,
+    Matrix,
     ambient,
     class_key,
     core,
@@ -37,6 +39,7 @@ F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
 F5 = field_make(5)
+F7 = field_make(7)
 
 
 @st.composite
@@ -177,6 +180,28 @@ class TestKeyReadOff:
     def test_random_elements(self, a):
         assert class_key(a) == invariant_factors(core(a))
 
+    def test_seeded_elements_past_the_vector_tables(self):
+        # q^n = 343 > VEC_TABLE_CAP: the key comes from the list pass
+        rng = random.Random("class_key:7:3")
+        for _ in range(300):
+            a = Matrix(F7, 3, 3, tuple(rng.randrange(7) for _ in range(9)))
+            assert class_key(a) == invariant_factors(core(a))
+
+    def test_cold_sweep_builds_the_vector_tables_once(self, monkeypatch):
+        lists = []
+        monkeypatch.setattr(gf, "_krylov_lists", lambda a: lists.append(a))
+        gf._vec_tables.cache_clear()
+        conjugacy._relation_key.cache_clear()
+        assert len({class_key(a) for a in enumerate_matrices(F3, 3, 3)}) == 35
+        assert gf._vec_tables.cache_info().misses == 1
+        assert lists == []
+
+    def test_keys_past_the_vector_tables_build_no_table(self):
+        gf._vec_tables.cache_clear()
+        a = matrix(F7, [[1, 2, 3], [0, 4, 5], [6, 0, 0]])
+        assert class_key(a) == invariant_factors(core(a))
+        assert gf._vec_tables.cache_info().misses == 0
+
     @given(LARGE.flatmap(lambda fn: st.tuples(*[square(fields=fn[:1], n_min=fn[1], n_max=fn[1])] * 2)))
     @settings(max_examples=80)
     def test_conjugate_iff_cores_similar(self, xy):
@@ -267,6 +292,11 @@ class TestCaches:
     def test_conjugacy_caches_are_bounded(self):
         assert conjugacy.core_decomposition.cache_info().maxsize == 1024
         assert conjugacy._relation_key.cache_info().maxsize == 8192
+        assert gf._vec_tables.cache_info().maxsize == 16
+
+    def test_one_matrix_routes_are_bounded(self):
+        for fn in (gf.mat_rank, gf.mat_kernel, gf.mat_image, gf.invariant_factors):
+            assert fn.cache_info().maxsize == 1024, fn
 
 
 class TestRelation:

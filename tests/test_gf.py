@@ -44,8 +44,12 @@ from matsemi import (
 )
 from matsemi.gf import (
     PRIME_CAP,
+    VEC_TABLE_CAP,
     _is_irreducible,
+    _krylov_codes,
+    _krylov_lists,
     _krylov_relations,
+    _relation_matrix,
     _rref,
     _smith_factors,
     batch_mul,
@@ -543,6 +547,43 @@ class TestInvariantFactorKernel:
                 assert rows == [list(row) for row in m]
                 three_block += 1
         assert three_block == 64
+
+
+# sha256 over repr(_krylov_relations(a)) for every a in enumerate_matrices
+# order, as the nested relation matrices were built before the flat key
+FROZEN_RELATIONS = {
+    (3, 1, 3): "58f726550999946db052fb73685c801b0065131bf1af356f41449ce5d791ac6a",
+    (2, 1, 4): "0b88e3848b9a145a744094f3759ac873404d57ee9d60d218543f9f33073b71f7",
+    (2, 3, 2): "779e8556df4c6ede76ca6b7ec200b86df40755496d9046e624271f7048b6df05",
+}
+
+
+class TestVectorCodeKrylov:
+    """The Krylov pass on vector codes against the pass on coordinate
+    lists, which is the route above VEC_TABLE_CAP and the oracle below;
+    the relation matrices decoded from the flat keys against frozen
+    digests."""
+
+    @pytest.mark.parametrize("p,k,n", list(FROZEN_RELATIONS), ids=["M3F3", "M4F2", "M2F8"])
+    def test_every_element(self, p, k, n):
+        f = field_make(p, k)
+        digest = hashlib.sha256()
+        for a in enumerate_matrices(f, n, n):
+            key = _krylov_codes(a)
+            assert key == _krylov_lists(a), format_matrix(a)
+            digest.update(repr(_relation_matrix(f.q, key)).encode())
+        assert digest.hexdigest() == FROZEN_RELATIONS[p, k, n]
+
+    @pytest.mark.parametrize(
+        "p,k,n", [(5, 1, 3), (2, 2, 3), (2, 2, 4), (2, 1, 8)], ids=["M3F5", "M3F4", "M4F4", "M8F2"]
+    )
+    def test_seeded_elements(self, p, k, n):
+        f = field_make(p, k)
+        assert f.q**n <= VEC_TABLE_CAP  # M(4, F_4) and M(8, F_2) sit at the bound
+        rng = random.Random(f"krylov:{f.q}:{n}")
+        for _ in range(2000):
+            a = Matrix(f, n, n, tuple(rng.randrange(f.q) for _ in range(n * n)))
+            assert _krylov_codes(a) == _krylov_lists(a), format_matrix(a)
 
 
 class TestCodeArrayKernel:
