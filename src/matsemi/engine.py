@@ -10,11 +10,13 @@ The remaining utilities (closures, least-id label partitions, subsemigroup
 scans, table isomorphism, preorder depths) operate on grids only.
 
 Product grids and closures multiply integer code arrays with gf.batch_mul,
-one kernel for every GF(q).  A product grid multiplies only the elements'
-distinct rows with every element and joins the row keys of each product
-into its code key.  build_table checks every entry of the grid by columns
-instead (column j of ab is a times column j of b), which also proves the
-table associative; the subsemigroup scan tests every subset mask at once
+one kernel for every GF(q).  Both multiply only the elements' distinct
+rows with every element (row_table) and join the row keys of each product
+into its code key; a closure grows that table round by round and
+multiplies whole matrices only for the products it has not seen.
+build_table checks every entry of the grid by columns instead (column j
+of ab is a times column j of b), which also proves the table
+associative; the subsemigroup scan tests every subset mask at once
 against per-element subset-image tables.
 """
 
@@ -144,6 +146,18 @@ def mul_columns(f: FieldSpec, arr: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out.reshape(*arr.shape[:-1], cols.shape[-1])
 
 
+def row_table(f: FieldSpec, vecs: np.ndarray, arr: np.ndarray, dtype) -> np.ndarray:
+    """(u, m) table of row keys: entry [r, b] is the key of the row vector
+    vecs[r] times arr[b], for a (u, n) code array of rows and an (m, n, n)
+    one of matrices; filled about GRID_BLOCK products at a time."""
+    u, m = len(vecs), len(arr)
+    table = np.empty((u, m), dtype=dtype)
+    step = max(1, GRID_BLOCK // max(m, 1))
+    for lo in range(0, u, step):
+        table[lo : lo + step] = row_keys(f, batch_mul(f, vecs[lo : lo + step, None, None, :], arr))[..., 0]
+    return table
+
+
 def product_grid(elements) -> np.ndarray:
     """id x id -> id multiplication grid; NotClosed with witness otherwise.
 
@@ -163,11 +177,8 @@ def product_grid(elements) -> np.ndarray:
     index = KeyIndex(f, arr)
     rows, first, row_ids = np.unique(row_keys(f, arr).ravel(), return_index=True, return_inverse=True)
     row_ids = row_ids.reshape(m, n)  # row_ids[a, i]: which distinct row is row i of a
-    distinct = arr.reshape(m * n, 1, 1, n)[first]
+    table = row_table(f, arr.reshape(m * n, n)[first], arr, rows.dtype)  # table[r, b]: key of (row r)*b
     step = max(1, GRID_BLOCK // m)
-    table = np.empty((len(rows), m), dtype=rows.dtype)  # table[r, b]: key of (row r)*b
-    for lo in range(0, len(rows), step):
-        table[lo : lo + step] = row_keys(f, batch_mul(f, distinct[lo : lo + step], arr))[..., 0]
     grid = np.empty((m, m), dtype=np.int32)
     for lo in range(0, m, step):
         keys = join_row_keys(f, [table[row_ids[lo : lo + step, i]] for i in range(n)])
@@ -465,35 +476,69 @@ def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
 
 
 def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
-    """Multiplicative closure of seed, canonical order, capped.
+    """Multiplicative closure of seed, canonical order; CapExceeded as soon
+    as more than cap elements are found.
 
-    Elements are taken in the order found; each is multiplied on both sides
-    by itself and every element found before it, and the products not yet
-    known are appended.
+    The closure grows in rounds: each round multiplies the elements found
+    in the round before (the seed, at first) on the right by every element
+    found so far.  One side is enough: every element of the closure is a
+    product g_1 ... g_k of seed elements, and once its prefix g_1 ... g_j
+    is found, the next round (or the first, for a seed element) finds
+    g_1 ... g_j g_(j+1).  Multiplying by every found element, not by the
+    seed alone, lets the length of the products found double from round
+    to round, so the rounds stay few.
+
+    As in product_grid, the key of a*b is n gathers from a table of row
+    keys joined into one: table[r, b] is the key of (distinct row r)*b,
+    and each round adds the rows and the columns of the elements found in
+    the round before, so every distinct row meets every element once.
+    About GRID_BLOCK products at a time, the keys already known are
+    dropped with np.isin, and one pair per new key is multiplied with
+    batch_mul.
     """
     if len(seed) == 0:
         return seed
-    f, dim = seed.field, seed.dim
-    found = codes_array(seed.elements)
-    known = code_keys(f, found)
-    count = len(found)
-    i = 0
-    while i < count:
-        done = found[: i + 1]
-        prods = np.concatenate([batch_mul(f, found[i], done), batch_mul(f, done, found[i])])
-        pkeys = code_keys(f, prods)
-        fresh = ~np.isin(pkeys, known)
-        new_keys, first = np.unique(pkeys[fresh], return_index=True)
-        total = count + len(new_keys)
-        if total > cap:
-            raise CapExceeded(f"closure exceeds cap {cap}")
-        if total > len(found):
-            found = np.resize(found, (2 * total, dim, dim))
-        found[count:total] = prods[fresh][first]
-        known = np.concatenate([known, new_keys])
-        count, i = total, i + 1
-    mats = (Matrix(f, dim, dim, tuple(row)) for row in found[:count].reshape(count, -1).tolist())
-    return mat_set(f, dim, mats)
+    f, n = seed.field, seed.dim
+    found = codes_array(seed.elements)  # a buffer: the first count are found
+    keys = row_keys(f, found)  # keys[a, i]: key of row i of a
+    known = join_row_keys(f, [keys[:, i] for i in range(n)])
+    rows = keys[:0, 0]  # the distinct row keys of the table, sorted
+    table = np.empty((0, 0), dtype=keys.dtype)
+    lo, count = 0, len(found)
+    if count > cap:
+        raise CapExceeded(f"closure exceeds cap {cap}")
+    while lo < count:
+        # the table gains the rows and the columns of found[lo:count]
+        grown, first, row_ids = np.unique(keys[:count].ravel(), return_index=True, return_inverse=True)
+        row_ids = row_ids.reshape(count, n)  # row_ids[a, i]: which distinct row is row i of a
+        vecs = found[:count].reshape(count * n, n)[first]
+        old = np.searchsorted(grown, rows)
+        added = np.ones(len(grown), dtype=bool)
+        added[old] = False
+        rows, table, prev = grown, np.empty((len(grown), count), dtype=keys.dtype), table
+        table[old, :lo] = prev
+        table[old, lo:] = row_table(f, vecs[old], found[lo:count], keys.dtype)
+        table[added] = row_table(f, vecs[added], found[:count], keys.dtype)
+        total, step = count, max(1, GRID_BLOCK // count)
+        for s in range(lo, count, step):
+            pkeys = join_row_keys(f, [table[row_ids[s : s + step, i]] for i in range(n)]).ravel()
+            fresh = np.flatnonzero(~np.isin(pkeys, known))
+            if not len(fresh):
+                continue
+            new_keys, first = np.unique(pkeys[fresh], return_index=True)
+            a, b = np.divmod(fresh[first], count)
+            start, total = total, total + len(new_keys)
+            if total > cap:
+                raise CapExceeded(f"closure exceeds cap {cap}")
+            if total > len(found):
+                found = np.resize(found, (2 * total, n, n))
+                keys = np.resize(keys, (2 * total, n))
+            found[start:total] = batch_mul(f, found[s + a], found[b])
+            keys[start:total] = row_keys(f, found[start:total])
+            known = np.concatenate([known, new_keys])
+        lo, count = count, total
+    mats = (Matrix(f, n, n, tuple(row)) for row in found[:count].reshape(count, -1).tolist())
+    return mat_set(f, n, mats)
 
 
 def closure_ids(grid, seed, abort_ids=None):

@@ -180,18 +180,32 @@ def lowers_flag(a: Matrix, f: Flag) -> bool:
 @lru_cache(maxsize=1024)
 def flag_basis(f: Flag) -> Matrix:
     """Deterministic adapted basis: columns grouped by stratum, each stratum
-    completed greedily in vector enumeration order."""
+    completed greedily in vector enumeration order.
+
+    The span so far is kept as echelon rows with unit pivots, each row zero
+    at the pivots of the rows before it.  A candidate is reduced by them
+    once, in order; it lies outside the span exactly when a nonzero
+    remainder is left, which then joins the rows.
+    """
+    mul, add, neg, inv = f.field.mul, f.field.add, f.field.neg, f.field.inv
     cols: list[tuple[int, ...]] = []
-    span = zero_subspace(f.field, f.ambient)
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
     for s in f.chain[1:]:
         for vec in s.vectors():
-            if not any(vec) or span.contains_vector(vec):
+            v = list(vec)
+            for pc, row in echelon:
+                if v[pc]:
+                    mc = mul[neg[v[pc]]]
+                    v = [add[x][mc[y]] for x, y in zip(v, row)]
+            pc = next((i for i, x in enumerate(v) if x), None)
+            if pc is None:
                 continue
+            mc = mul[inv[v[pc]]]
+            echelon.append((pc, [mc[x] for x in v]))
             cols.append(vec)
-            span = span.sum_(subspace(f.field, f.ambient, [vec]))
-            if span.dim == s.dim:
+            if len(cols) == s.dim:
                 break
-        if span.dim != s.dim:  # pragma: no cover
+        if len(cols) != s.dim:  # pragma: no cover
             raise InternalError("stratum completion failed")
     n = f.ambient
     codes = tuple(cols[j][i] for i in range(n) for j in range(n))

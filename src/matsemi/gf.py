@@ -1112,34 +1112,58 @@ def _smith_factors(f, m) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in factors if len(p) >= 2)  # drop degree-0 units
 
 
+def _pgcd_of(f, polys):
+    """Monic gcd of an iterable of polynomials, () when all are zero; stops
+    reading at the first gcd of degree 0."""
+    g = ()
+    for p in polys:
+        g = _pgcd(f, p, g)
+        if len(g) == 1:
+            break
+    return g
+
+
 def _relation_factors(f, m) -> tuple[tuple[int, ...], ...]:
     """Nontrivial invariant factors of a Krylov relation matrix m (see
     _krylov_relations), monic, in divisibility order.
 
     s = 1 (a cyclic): R = (r11), the characteristic polynomial.
 
-    s = 2: R = [[r11, r12], [0, r22]] with r11, r22 monic.  The Smith form
-    diag(d1, d2) of R has d1 = D1, the monic gcd of the 1 x 1 minors, and
-    d1 d2 = D2, the monic determinant, because the determinantal divisors
-    D_k (monic gcd of the k x k minors) are invariant under unimodular row
-    and column operations and equal d1 ... dk on a Smith form.  So
-    d1 = gcd(r11, r12, r22) and d2 = r11 r22 / d1, an exact division of
-    monic polynomials.
+    s = 2 and s = 3: R is upper triangular with a monic diagonal, and its
+    Smith form diag(d1, ..., ds) has d1 ... dk = D_k, the k-th
+    determinantal divisor (the monic gcd of the k x k minors), because the
+    D_k are invariant under unimodular row and column operations.  So
+    d_k = D_k / D_(k-1), exact divisions of monic polynomials; D_s is the
+    product of the diagonal.  For s = 3 the nonzero 2 x 2 minors are
+    r11 r22, r11 r23, r12 r23 - r13 r22, r11 r33, r12 r33 and r22 r33.
 
-    s >= 3: the general Smith loop (_smith_factors).
+    s >= 4: the general Smith loop (_smith_factors).
     """
-    if len(m) == 1:
+    s = len(m)
+    if s == 1:
         return (m[0][0],)
-    if len(m) == 2:
+    if s == 2:
         (r11, r12), (_, r22) = m
-        d1 = _pgcd(f, r22, r12)
-        if len(d1) > 1:
-            d1 = _pgcd(f, r11, d1)
-        d2 = _pmul(f, r11, r22)
-        if len(d1) == 1:
-            return (d2,)
-        return d1, _pdivmod(f, d2, d1)[0]
-    return _smith_factors(f, m)
+        divisors = (_pgcd_of(f, (r22, r12, r11)), _pmul(f, r11, r22))
+    elif s == 3:
+        (r11, r12, r13), (_, r22, r23), (_, _, r33) = m
+        r11r22 = _pmul(f, r11, r22)
+        minors = (
+            r11r22,
+            _pmul(f, r11, r23),
+            _padd(f, _pmul(f, r12, r23), _pneg(f, _pmul(f, r13, r22))),
+            _pmul(f, r11, r33),
+            _pmul(f, r12, r33),
+            _pmul(f, r22, r33),
+        )
+        divisors = (_pgcd_of(f, (r33, r23, r13, r22, r12, r11)), _pgcd_of(f, minors), _pmul(f, r11r22, r33))
+    else:
+        return _smith_factors(f, m)
+    factors, prev = [], (1,)
+    for d in divisors:
+        factors.append(_pdivmod(f, d, prev)[0])
+        prev = d
+    return tuple(p for p in factors if len(p) >= 2)  # drop degree-0 units
 
 
 # Bounded: a sweep meets almost every matrix once, so an unbounded cache

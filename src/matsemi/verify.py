@@ -177,23 +177,43 @@ def criterion_03() -> CriterionResult:
     return _result("03", t0, details, witness)
 
 
+def round_one_refuted(grid: np.ndarray, nil: np.ndarray, member: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Mask over the nilpotent escapes xs of a set of nilpotent ids
+    `member`: true where closure_ids(member | {x}, abort_ids=the
+    non-nilpotent ids) aborts in its first round, which multiplies every
+    pair of the seed.
+
+    That happens exactly when some product among member and x is not
+    nilpotent (nil is the per-id nilpotent flag).  A product inside
+    member * member refutes every x.  Of the products with x, member * x
+    decides alone: x * x is nilpotent with x, and x t is nilpotent exactly
+    when t x is, as (x t)^(k+1) = x (t x)^k t.  So one gather tests every
+    escape.
+    """
+    if not nil[grid[np.ix_(member, member)]].all():
+        return np.ones(len(xs), dtype=bool)
+    return ~nil[grid[np.ix_(member, xs)]].all(axis=0)
+
+
 def criterion_04() -> CriterionResult:
     t0 = perf_counter()
     f2 = field_make(2)
     amb = ambient(f2, 3)
-    non_nil = frozenset(x for x in range(amb.m) if not amb.nilpotent[x])
+    nil = np.array(amb.nilpotent)
+    non_nil = frozenset(np.flatnonzero(~nil).tolist())
     witness = None
     escapes = 0
     flags = all_flags(f2, 3)
     for fl in flags:
-        member = frozenset(amb.index[a] for a in flag_semigroup(fl))
-        for x in range(amb.m):
-            if x in member:
-                continue
-            escapes += 1
-            if x in non_nil:
-                continue  # the escape itself breaks nilpotency
-            ids, aborted = closure_ids(amb.grid, member | {x}, abort_ids=non_nil)
+        member = np.array(sorted(amb.index[a] for a in flag_semigroup(fl)))
+        nil_outside = nil.copy()  # a non-nilpotent escape breaks nilpotency itself
+        nil_outside[member] = False
+        escapes += amb.m - len(member)
+        xs = np.flatnonzero(nil_outside)
+        seed = frozenset(member.tolist())
+        # the escapes refuted in round one would abort there in closure_ids
+        for x in xs[~round_one_refuted(amb.grid, nil, member, xs)].tolist():
+            ids, aborted = closure_ids(amb.grid, seed | {x}, abort_ids=non_nil)
             if aborted:
                 continue
             mask = np.zeros(amb.m, dtype=bool)

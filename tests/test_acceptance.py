@@ -10,7 +10,9 @@ import json
 import subprocess
 import sys
 
-from matsemi import verify
+import numpy as np
+
+from matsemi import all_flags, ambient, closure_ids, field_make, flag_semigroup, unit_matrix, verify
 
 BOUNDS_S = {
     "01": 120,
@@ -67,6 +69,30 @@ def test_criterion_04_maximal_nilpotent():
     assert d["flags"] == 36
     assert d["escapes_checked"] == 18207
     assert d["all_blocked"] is True
+
+
+def test_criterion_04_round_one_refutes_only_aborting_escapes():
+    # every escape refuted by the batched first round also aborts in
+    # closure_ids; the rest go on to closure_ids
+    f2 = field_make(2)
+    amb = ambient(f2, 3)
+    nil = np.array(amb.nilpotent)
+    non_nil = frozenset(np.flatnonzero(~nil).tolist())
+    refuted = passed = 0
+    for fl in all_flags(f2, 3):
+        member = np.array(sorted(amb.index[a] for a in flag_semigroup(fl)))
+        xs = np.setdiff1d(np.flatnonzero(nil), member)
+        marks = verify.round_one_refuted(amb.grid, nil, member, xs)
+        for x in xs[marks].tolist():
+            assert closure_ids(amb.grid, set(member.tolist()) | {x}, abort_ids=non_nil)[1]
+        refuted += int(marks.sum())
+        passed += int((~marks).sum())
+    assert (refuted, passed) == (1848, 231)
+    # a seed whose own products leave the nilpotents refutes every escape:
+    # e12 e21 is idempotent
+    seed = np.array([amb.index[unit_matrix(f2, 3, 0, 1)], amb.index[unit_matrix(f2, 3, 1, 0)]])
+    xs = np.setdiff1d(np.flatnonzero(nil), seed)
+    assert verify.round_one_refuted(amb.grid, nil, seed, xs).all()
 
 
 def test_criterion_05_consolidation():

@@ -36,9 +36,11 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
+from matsemi import engine
 from matsemi.engine import GRID_BLOCK, TABLE_ELEMS_CAP, KeyIndex, _check_grid, _wrong_entries
 from matsemi.errors import InternalError
 from matsemi.gf import batch_mul, code_keys, codes_array, row_keys
+from matsemi.isolated import rank_stratum
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -137,6 +139,33 @@ class TestClosure:
     def test_matches_the_frontier_oracle(self, f, n, kinds):
         rng = random.Random(f"closure:{f.q}:{n}:{len(kinds)}")
         for _ in range(3):
+            seed = mat_set(f, n, [_draw(rng, f, n, rank_one) for rank_one in kinds])
+            assert closure(seed) == _oracle_closure(seed)
+
+    def test_cap_is_the_closure_size(self):
+        # the rank-2 stratum of M(3, F_2) closes to all 344 matrices of rank <= 2
+        seed = rank_stratum(F2, 3, 2)
+        with pytest.raises(CapExceeded):
+            closure(seed, cap=343)
+        assert len(closure(seed, cap=344)) == 344
+        # a closed seed above the cap is refused too
+        closed = mat_set(F2, 2, [matrix(F2, [[0, 0], [0, 0]]), unit_matrix(F2, 2, 0, 1)])
+        assert closure(closed, cap=2) == closed
+        with pytest.raises(CapExceeded):
+            closure(closed, cap=1)
+
+    def test_round_of_several_blocks_matches_the_oracle(self):
+        # the first round multiplies 144 x 144 pairs, more than one block
+        seed = rank_stratum(F5, 2, 1)
+        assert len(seed) ** 2 > GRID_BLOCK
+        assert closure(seed) == _oracle_closure(seed)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_small_blocks_match_the_oracle(self, monkeypatch, block):
+        # blocks narrower than a row of products, and a few rows each
+        monkeypatch.setattr(engine, "GRID_BLOCK", block)
+        rng = random.Random(f"closure-blocks:{block}")
+        for f, n, kinds in ((F3, 2, (False, False)), (F4, 3, (True, True)), (F2, 3, (False, True, True))):
             seed = mat_set(f, n, [_draw(rng, f, n, rank_one) for rank_one in kinds])
             assert closure(seed) == _oracle_closure(seed)
 

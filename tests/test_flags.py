@@ -136,6 +136,28 @@ class TestFlagSemigroup:
                 assert subspace(F2, 3, cols) == s
 
 
+def _greedy_basis(f):
+    """flag_basis by a walk over subspaces: each vector of a stratum, in
+    enumeration order, joins the columns when the span so far misses it."""
+    cols, span = [], zero_subspace(f.field, f.ambient)
+    for s in f.chain[1:]:
+        for vec in s.vectors():
+            if any(vec) and not span.contains_vector(vec):
+                cols.append(vec)
+                span = span.sum_(subspace(f.field, f.ambient, [vec]))
+                if span.dim == s.dim:
+                    break
+    n = f.ambient
+    return Matrix(f.field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (5, 3)])
+def test_flag_basis_matches_the_greedy_walk(q, n):
+    field = field_make(*{4: (2, 2)}.get(q, (q, 1)))
+    for f in all_flags(field, n):
+        assert flag_basis(f) == _greedy_basis(f), format_flag(f)
+
+
 class TestPowerImageFlag:
     @given(flags3())
     def test_recovers_the_flag(self, f):

@@ -47,8 +47,11 @@ from matsemi.gf import (
     VEC_TABLE_CAP,
     _is_irreducible,
     _krylov_codes,
+    _krylov_key,
     _krylov_lists,
     _krylov_relations,
+    _pnorm,
+    _relation_factors,
     _relation_matrix,
     _rref,
     _smith_factors,
@@ -532,6 +535,32 @@ class TestInvariantFactorKernel:
                 assert invariant_factors(a) == _smith_factors(f, m), format_matrix(a)
                 two_block += 1
         assert two_block == 7290
+
+    @pytest.mark.parametrize("q,n", [(3, 3), (2, 4)])
+    def test_three_block_closed_form_matches_the_smith_loop(self, q, n):
+        f = field_make(q)
+        keys = {k for k in map(_krylov_key, enumerate_matrices(f, n, n)) if len(k) == 6}
+        for key in keys:
+            m = _relation_matrix(q, key)
+            assert _relation_factors(f, m) == _smith_factors(f, m), key
+        assert len(keys) == {3: 729, 2: 896}[q]
+
+    @pytest.mark.parametrize("f", [field_make(2, 2), field_make(5), field_make(7), field_make(2, 3)], ids=format_field)
+    def test_closed_forms_match_the_smith_loop_on_seeded_matrices(self, f):
+        # upper triangular with a monic diagonal, as relation matrices are
+        rng = random.Random(f"relation-factors:{f.q}")
+
+        def poly(deg):
+            return _pnorm([rng.randrange(f.q) for _ in range(deg)])
+
+        for _ in range(2000):
+            s = rng.choice((2, 3))
+            m = [[() for _ in range(s)] for _ in range(s)]
+            for i in range(s):
+                m[i][i] = (*[rng.randrange(f.q) for _ in range(rng.randint(1, 2))], 1)
+                for j in range(i + 1, s):
+                    m[i][j] = poly(rng.randint(0, 3))
+            assert _relation_factors(f, m) == _smith_factors(f, m), m
 
     def test_smith_loop_leaves_its_input_as_it_is(self):
         # the relation matrix is nested tuples, and a list copy of it must

@@ -58,6 +58,13 @@ class TestStrataAndIdeals:
         assert len(rank_stratum(f2, 3, 2)) < 344 <= len(ideal(f2, 3, 2))
         assert all(mat.rank() <= 2 for mat in gen)
 
+    @pytest.mark.parametrize(
+        "p,e,n,k", [(2, 1, 2, 1), (3, 1, 2, 1), (2, 2, 2, 1), (5, 1, 2, 1), (7, 1, 2, 1), (2, 3, 2, 1), (2, 1, 3, 1), (2, 1, 3, 2)]
+    )
+    def test_stratum_closure_is_the_ideal(self, p, e, n, k):
+        f = field_make(p, e)
+        assert ideal_generated_by_stratum(f, n, k) == ideal(f, n, k)
+
     @pytest.mark.parametrize("k", [0, 3])
     def test_stratum_closure_rejects_extreme_k(self, f2, k):
         with pytest.raises(BadK):
