@@ -277,7 +277,7 @@ def _do_classes(args, field):
         "method": "theorem",
         "count": len(cls),
         "sizes": sorted(len(c) for c in cls),
-        "classes": [[format_matrix(amb.elements[x]) for x in c] for c in cls],
+        "classes": [[format_matrix(amb.s.elements[x]) for x in c] for c in cls],
     }
     if args.check == "brute":
         brute = sg_classes(field, args.n, method="brute").classes()
@@ -360,7 +360,7 @@ def _do_flags_consolidation(args, field):
     f2 = parse_flag(field, args.n, args.flag2)
     cap = _cap(args)
     cons = flag_consolidates(f1, f2)
-    contain = flag_semigroup(f2, cap=cap).as_set() <= flag_semigroup(f1, cap=cap).as_set()
+    contain = flag_semigroup(f2, cap=cap).issubset(flag_semigroup(f1, cap=cap))
     if cons != contain:
         raise VerificationFailed(
             "consolidation and semigroup containment disagree",

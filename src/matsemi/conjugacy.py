@@ -217,7 +217,7 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
     m = amb.m
     if method == "theorem":
         first: dict = {}
-        return Partition([first.setdefault(class_key(a), x) for x, a in enumerate(amb.elements)])
+        return Partition([first.setdefault(class_key(a), x) for x, a in enumerate(amb.s.elements)])
     if method == "brute":
         grid = amb.grid
         seen = np.zeros(m * m, dtype=bool)

@@ -1,15 +1,15 @@
 """Generic machinery for finite matrix semigroups.
 
-Everything here works on interned element ids: a MatSet fixes the canonical
-element order (rank, then entry codes), and a SemigroupTable is a closed
-MatSet with its multiplication grid and the per-id arrays derived from it
-(ranks, powers and their roots, image and kernel subspace ids).
-build_table makes one from any closed MatSet, and ambient() caches the
-table of the full M(n, F_q).
-The remaining utilities (closures, least-id label partitions, subsemigroup
-scans, table isomorphism, preorder depths) operate on grids only.
+A MatSet holds its matrices as one read-only code array in canonical
+order (rank, then entry codes); Matrix objects are built only where a
+caller reads elements.  A SemigroupTable is a closed MatSet with its
+multiplication grid and the per-id arrays derived from it (ranks, powers
+and their roots, image and kernel subspace ids).  build_table makes one
+from any closed MatSet, and ambient() caches the table of the full
+M(n, F_q).  The remaining utilities (closures, least-id label partitions,
+subsemigroup scans, table isomorphism, preorder depths) operate on grids.
 
-Product grids and closures multiply integer code arrays with gf.batch_mul,
+Product grids and closures multiply the code arrays with gf.batch_mul,
 one kernel for every GF(q).  Both multiply only the elements' distinct
 rows with every element (row_table) and join the row keys of each product
 into its code key; a closure grows that table round by round and
@@ -36,8 +36,6 @@ from .gf import (
     batch_rref,
     code_keys,
     codes_array,
-    enumerate_matrices,
-    identity_matrix,
     join_row_keys,
     kernel_basis,
     row_keys,
@@ -55,25 +53,52 @@ TABLE_ELEMS_CAP = 4096  # elements of one build_table grid (64 MiB of int32)
 # canonical matrix sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatSet:
-    """Duplicate-free set of square matrices in canonical order."""
+    """Duplicate-free set of n x n matrices over one field: one read-only
+    (m, n, n) int64 code array in canonical order, rank first and then the
+    row-major codes lexicographically, so equal sets have equal arrays.
+    Membership and containment look up code keys in key_index.  elements
+    (and iteration) is a view that builds each Matrix once, on first use;
+    the kernels read only codes.
+    """
 
     field: FieldSpec
     dim: int
-    elements: tuple[Matrix, ...]
+    codes: np.ndarray
+
+    def __post_init__(self):
+        self.codes.flags.writeable = False
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, m: Matrix):
-        return m in set(self.elements)
+    def __eq__(self, other):
+        same = isinstance(other, MatSet) and (self.field, self.dim) == (other.field, other.dim)
+        return same and np.array_equal(self.codes, other.codes)
 
-    def as_set(self) -> frozenset[Matrix]:
-        return frozenset(self.elements)
+    def __hash__(self):
+        return hash((self.field, self.dim, self.codes.tobytes()))
+
+    def __contains__(self, m) -> bool:
+        same = isinstance(m, Matrix) and m.field == self.field and (m.rows, m.cols) == (self.dim, self.dim)
+        return same and bool(self.key_index.find(codes_array([m]))[1][0])
+
+    def issubset(self, other: MatSet) -> bool:
+        same = (self.field, self.dim) == (other.field, other.dim)
+        return same and bool(other.key_index.find_keys(self.key_index.keys)[1].all())
+
+    @cached_property
+    def elements(self) -> tuple[Matrix, ...]:
+        f, n = self.field, self.dim
+        return tuple(Matrix(f, n, n, tuple(row)) for row in self.codes.reshape(len(self), n * n).tolist())
+
+    @cached_property
+    def key_index(self) -> KeyIndex:
+        return KeyIndex(self.field, self.codes)
 
 
 def canonical_order(codes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -83,20 +108,23 @@ def canonical_order(codes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return np.lexsort((*codes.T[::-1], ranks))  # the last key sorts first
 
 
+def canonical_set(field: FieldSpec, dim: int, codes: np.ndarray) -> MatSet:
+    """The MatSet of an (m, n, n) int64 code array of distinct matrices:
+    their ranks from one batch_rref, then canonical_order."""
+    order = canonical_order(codes.reshape(len(codes), dim * dim), batch_rref(field, codes)[1])
+    return MatSet(field, dim, codes[order])
+
+
 def mat_set(field: FieldSpec, dim: int, mats) -> MatSet:
-    """The distinct matrices of mats in canonical order; their ranks come
-    from one batch_rref call."""
+    """The distinct matrices of mats in canonical order (canonical_set)."""
     seen = {}
     for m in mats:
         if m.field != field:
             raise FieldMismatch("element over a different field")
         if m.rows != dim or m.cols != dim:
             raise DimMismatch(f"element is {m.rows}x{m.cols}, expected {dim}x{dim}")
-        seen[m.codes] = m
-    elements = tuple(seen.values())
-    codes = np.array(list(seen), dtype=np.int64).reshape(len(elements), dim * dim)
-    order = canonical_order(codes, batch_rref(field, codes.reshape(-1, dim, dim))[1])
-    return MatSet(field, dim, tuple(elements[i] for i in order.tolist()))
+        seen[m.codes] = None
+    return canonical_set(field, dim, np.array(list(seen), dtype=np.int64).reshape(len(seen), dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +155,8 @@ class KeyIndex:
     def find_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ids, found) for code keys, as find gives them for matrices."""
         last = len(self.keys) - 1
+        if last < 0:
+            return np.zeros(keys.shape, dtype=np.int32), np.zeros(keys.shape, dtype=bool)
         if self.dense:
             return self.order.take(keys, mode="clip"), keys <= last
         pos = np.searchsorted(self.keys, keys).clip(max=last)
@@ -158,23 +188,21 @@ def row_table(f: FieldSpec, vecs: np.ndarray, arr: np.ndarray, dtype) -> np.ndar
     return table
 
 
-def product_grid(elements) -> np.ndarray:
-    """id x id -> id multiplication grid; NotClosed with witness otherwise.
+def product_grid(s: MatSet) -> np.ndarray:
+    """id x id -> id multiplication grid of a MatSet; NotClosed with
+    witness otherwise.
 
     Row i of a*b is (row i of a)*b, so batch_mul of the elements' distinct
     rows with every element gives a (rows, m) table of row keys.  The code
     keys of a block of about GRID_BLOCK products are then n gathers from
-    that table joined into one key each, looked up among the keys of the
-    elements.  Both the table and the grid are filled a block at a time.
-    The witness is the first escaping pair in row-major order.
+    that table joined into one key each, looked up in s.key_index.  Both
+    the table and the grid are filled a block at a time.  The witness is
+    the first escaping pair in row-major order.
     """
-    m = len(elements)
+    m = len(s)
     if not m:
         return np.zeros((0, 0), dtype=np.int32)
-    f = elements[0].field
-    arr = codes_array(elements)
-    n = arr.shape[-1]
-    index = KeyIndex(f, arr)
+    f, n, arr = s.field, s.dim, s.codes
     rows, first, row_ids = np.unique(row_keys(f, arr).ravel(), return_index=True, return_inverse=True)
     row_ids = row_ids.reshape(m, n)  # row_ids[a, i]: which distinct row is row i of a
     table = row_table(f, arr.reshape(m * n, n)[first], arr, rows.dtype)  # table[r, b]: key of (row r)*b
@@ -182,13 +210,11 @@ def product_grid(elements) -> np.ndarray:
     grid = np.empty((m, m), dtype=np.int32)
     for lo in range(0, m, step):
         keys = join_row_keys(f, [table[row_ids[lo : lo + step, i]] for i in range(n)])
-        ids, ok = index.find_keys(keys)
+        ids, ok = s.key_index.find_keys(keys)
         if not ok.all():
             a, b = divmod(lo * m + int(np.argmin(ok)), m)
-            raise NotClosed(
-                "set not closed under multiplication",
-                witness=(elements[a], elements[b], elements[a] * elements[b]),
-            )
+            x, y = s.elements[a], s.elements[b]
+            raise NotClosed("set not closed under multiplication", witness=(x, y, x * y))
         grid[lo : lo + step] = ids
     return grid
 
@@ -207,10 +233,11 @@ def _read_only(arr) -> np.ndarray:
 class SemigroupTable:
     """A closed MatSet with its multiplication table over ids 0..m-1.
 
-    Id i is s.elements[i], so ids follow the canonical order.  grid is a
-    read-only int32 (m, m) array; loops that read single entries take one
-    grid.tolist() first, or read grid.item where that list is too large.  It is prebuilt_grid when one is given (the grid
-    build_table has checked), and otherwise derived from the elements on
+    Id i is the matrix s.codes[i], so ids follow the canonical order.
+    grid is a read-only int32 (m, m) array.  Loops that read single
+    entries take one grid.tolist() first, or read grid.item where that
+    list is too large.  grid is prebuilt_grid when one is given (the grid
+    build_table has checked), and otherwise derived from the codes on
     first use, so a caller that reads only the elements builds none.
     zero_id and identity_id are the absorbing and the identity element of
     the grid, each None when absent.  The per-id arrays below are derived
@@ -227,29 +254,24 @@ class SemigroupTable:
         return len(self.s)
 
     @property
-    def elements(self) -> tuple[Matrix, ...]:
-        return self.s.elements
+    def codes(self) -> np.ndarray:
+        """(m, n, n) code array of the elements, in id order."""
+        return self.s.codes
 
     def subset(self, ids) -> MatSet:
-        """The MatSet of ascending ids; a subset keeps the canonical order,
-        so nothing is re-sorted."""
-        els = self.elements
-        return MatSet(self.s.field, self.s.dim, tuple(els[i] for i in np.asarray(ids, dtype=np.intp).tolist()))
+        """The MatSet of ascending ids, one gather of their codes; a subset
+        keeps the canonical order, so nothing is re-sorted."""
+        return MatSet(self.s.field, self.s.dim, self.codes[np.asarray(ids, dtype=np.intp)])
 
     @cached_property
     def grid(self) -> np.ndarray:
         if self.prebuilt_grid is not None:
             return self.prebuilt_grid
-        return _read_only(product_grid(self.elements))
+        return _read_only(product_grid(self.s))
 
     @cached_property
     def index(self) -> dict[Matrix, int]:
-        return {a: i for i, a in enumerate(self.elements)}
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """(m, n, n) code array of the elements, in id order."""
-        return _read_only(codes_array(self.elements))
+        return {a: i for i, a in enumerate(self.s.elements)}
 
     @cached_property
     def ranks(self) -> np.ndarray:
@@ -277,7 +299,7 @@ class SemigroupTable:
     def nilpotent(self) -> tuple[bool, ...]:
         """Per-id flag: is some power the zero matrix (id 0 when present,
         as rank sorts first)."""
-        if not (self.m and self.elements[0].is_zero()):
+        if not self.m or self.codes[0].any():
             return (False,) * self.m
         return tuple((self.powers == 0).any(axis=0).tolist())
 
@@ -355,10 +377,10 @@ def _detect_zero_identity(grid: np.ndarray):
     return (int(zero[0]) if len(zero) else None, int(ident[0]) if len(ident) else None)
 
 
-def _wrong_entries(elements, grid: np.ndarray):
-    """Yield (lo, bad) for each block of rows of an (m, m) id grid over
-    elements: bad[i, b] is true when grid[lo + i, b] is not the id of
-    elements[lo + i] * elements[b].
+def _wrong_entries(s: MatSet, grid: np.ndarray):
+    """Yield (lo, bad) for each block of rows of an (m, m) id grid over the
+    MatSet s: bad[i, b] is true when grid[lo + i, b] is not the id of the
+    product of matrices lo + i and b.
 
     Column j of ab is a*(column j of b), a route apart from product_grid's
     table of rows.  A block of about GRID_BLOCK entries at a time, the
@@ -370,12 +392,10 @@ def _wrong_entries(elements, grid: np.ndarray):
     equal matrices.  Each entry is judged on its own value, so a single
     wrong entry flags only itself.
     """
-    m = len(elements)
+    m = len(s)
     if not m:
         return
-    f = elements[0].field
-    arr = codes_array(elements)
-    n = arr.shape[-1]
+    f, n, arr = s.field, s.dim, s.codes
     cols = arr.transpose(0, 2, 1)  # cols[b, j]: column j of b
     keys = row_keys(f, cols)  # keys[b, j]: key of column j of b
     _, first, col_ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -392,7 +412,7 @@ def _wrong_entries(elements, grid: np.ndarray):
         yield lo, bad
 
 
-def _check_grid(elements, grid: np.ndarray) -> None:
+def _check_grid(s: MatSet, grid: np.ndarray) -> None:
     """InternalError unless every entry of the grid is the product of its
     row and column elements; names the first wrong pair in row-major order.
 
@@ -400,8 +420,8 @@ def _check_grid(elements, grid: np.ndarray) -> None:
     product, grid[grid[a, b], c] and grid[a, grid[b, c]] both name the
     matrix (ab)c = a(bc), and ids are distinct matrices.
     """
-    m = len(elements)
-    for lo, bad in _wrong_entries(elements, grid):
+    m = len(s)
+    for lo, bad in _wrong_entries(s, grid):
         if bad.any():
             a, b = divmod(lo * m + int(np.argmax(bad)), m)
             raise InternalError(f"grid entry {(a, b)} is not the product of its elements")
@@ -423,8 +443,8 @@ def build_table(s: MatSet) -> SemigroupTable:
     the table associative.
     """
     check_table_size(len(s))
-    grid = product_grid(s.elements)
-    _check_grid(s.elements, grid)
+    grid = product_grid(s)
+    _check_grid(s, grid)
     return SemigroupTable(s, *_detect_zero_identity(grid), _read_only(grid))
 
 
@@ -496,10 +516,8 @@ def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
     dropped with np.isin, and one pair per new key is multiplied with
     batch_mul.
     """
-    if len(seed) == 0:
-        return seed
     f, n = seed.field, seed.dim
-    found = codes_array(seed.elements)  # a buffer: the first count are found
+    found = seed.codes  # a buffer, copied on its first growth: the first count are found
     keys = row_keys(f, found)  # keys[a, i]: key of row i of a
     known = join_row_keys(f, [keys[:, i] for i in range(n)])
     rows = keys[:0, 0]  # the distinct row keys of the table, sorted
@@ -537,8 +555,7 @@ def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
             keys[start:total] = row_keys(f, found[start:total])
             known = np.concatenate([known, new_keys])
         lo, count = count, total
-    mats = (Matrix(f, n, n, tuple(row)) for row in found[:count].reshape(count, -1).tolist())
-    return mat_set(f, n, mats)
+    return canonical_set(f, n, found[:count])
 
 
 def closure_ids(grid, seed, abort_ids=None):
@@ -833,8 +850,9 @@ def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Semigroup
         raise CapExceeded(f"|M({n}, F_{field.q})| = {total} exceeds cap {cap}")
     key = (field, n)
     if key not in _AMBIENT_CACHE:
-        s = mat_set(field, n, enumerate_matrices(field, n, n, cap=cap))
+        digits = np.indices((field.q,) * (n * n), dtype=np.int64).reshape(n * n, -1).T
+        s = canonical_set(field, n, digits.reshape(total, n, n))
         # the zero matrix sorts first (rank 0)
-        identity_id = s.elements.index(identity_matrix(field, n))
+        identity_id = int(s.key_index.find(np.eye(n, dtype=np.int64)[None])[0][0])
         _AMBIENT_CACHE[key] = SemigroupTable(s, 0, identity_id)
     return _AMBIENT_CACHE[key]

@@ -281,7 +281,7 @@ def flag_semigroup(f: Flag, cap: int = PHI_CAP):
     conj = conj[canonical_order(conj, _block_ranks(f.field, f.signature))]
     if (conj[1:] == conj[:-1]).all(axis=1).any():  # pragma: no cover - equal matrices sort side by side
         raise InternalError("flag semigroup enumeration produced duplicates")
-    return MatSet(f.field, n, tuple(Matrix(f.field, n, n, tuple(row)) for row in conj.tolist()))
+    return MatSet(f.field, n, conj.reshape(total, n, n))
 
 
 def _nil_table(s):
@@ -295,7 +295,7 @@ def _nil_table(s):
     from .engine import build_table, table_nd
 
     table = build_table(s)
-    if not s.elements or not s.elements[0].is_zero():
+    if not len(s) or s.codes[0].any():
         return table, None
     return table, table_nd(table)
 

@@ -51,7 +51,6 @@ from .gf import (
     gaussian_binomial,
     mat_image,
     mat_kernel,
-    mat_rank,
     projection_idempotent,
     subspace_sort_key,
 )
@@ -81,7 +80,7 @@ def ideal_generated_by_stratum(field: FieldSpec, n: int, k: int) -> MatSet:
         raise BadK(f"stratum index must satisfy 1 <= k <= {n - 1}, got {k}")
     closed = closure(rank_stratum(field, n, k))
     expect = ideal(field, n, k)
-    if closed.as_set() != expect.as_set():
+    if closed != expect:
         raise VerificationFailed(
             f"closure(D_{k}) has {len(closed)} elements, ideal I_{k} has {len(expect)}",
             evidence={"closure_size": len(closed), "ideal_size": len(expect)},
@@ -215,14 +214,14 @@ def _closed_mask(amb: SemigroupTable, ids) -> np.ndarray:
     inside = mask[amb.grid[np.ix_(ids, ids)]]
     if not inside.all():
         a, b = divmod(int(np.argmin(inside)), len(ids))
-        x, y = amb.elements[ids[a]], amb.elements[ids[b]]
+        x, y = amb.s.elements[ids[a]], amb.s.elements[ids[b]]
         raise NotClosed("set not closed under multiplication", witness=(x, y, x * y))
     return mask
 
 
 def _member_mask(s: MatSet) -> tuple[SemigroupTable, np.ndarray]:
     amb = ambient(s.field, s.dim)
-    return amb, _closed_mask(amb, [amb.index[m] for m in s.elements])
+    return amb, _closed_mask(amb, amb.s.key_index.find(s.codes)[0])
 
 
 def _isolated(amb: SemigroupTable, mask: np.ndarray) -> bool:
@@ -360,9 +359,8 @@ def _theorem_records(amb: SemigroupTable, witnesses: _Witnesses) -> list[Isolate
 
 
 def _sort_records(records: list[IsolatedRecord]) -> tuple[IsolatedRecord, ...]:
-    return tuple(
-        sorted(records, key=lambda r: (len(r.s), tuple(m.codes for m in r.s.elements)))
-    )
+    """By size, then by the members' codes in canonical order."""
+    return tuple(sorted(records, key=lambda r: (len(r.s), r.s.codes.ravel().tolist())))
 
 
 def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
@@ -382,7 +380,7 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
     predicted = _theorem_records(amb, witnesses)
     if mode == "theorem_list":
         return _sort_records(predicted)
-    by_set = {r.s.as_set(): r for r in predicted}
+    by_set = {r.s: r for r in predicted}
     found: list[IsolatedRecord] = []
     for ids in enumerate_subsemigroups(amb):
         mask = np.zeros(amb.m, dtype=bool)
@@ -390,21 +388,18 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
         if not _isolated(amb, mask):
             continue
         s = amb.subset(np.flatnonzero(mask))
-        hit = by_set.get(s.as_set())
-        if hit is not None:
-            found.append(hit)
-        else:
-            found.append(
-                IsolatedRecord(
-                    kind="other",
-                    s=s,
-                    a_family=None,
-                    b_family=None,
-                    isolated=True,
-                    completely_isolated=witnesses.completely_isolated(amb, mask),
-                )
+        hit = by_set.get(s)
+        if hit is None:
+            hit = IsolatedRecord(
+                kind="other",
+                s=s,
+                a_family=None,
+                b_family=None,
+                isolated=True,
+                completely_isolated=witnesses.completely_isolated(amb, mask),
             )
-    found_sets = {r.s.as_set() for r in found}
+        found.append(hit)
+    found_sets = {r.s for r in found}
     predicted_sets = set(by_set)
     if found_sets != predicted_sets:
         raise VerificationFailed(
@@ -425,20 +420,21 @@ def ideal_absorption_check(field: FieldSpec, n: int):
     rank at most n-2.  Returns (all_ok, per-subsemigroup rows).
     """
     records = enumerate_isolated(field, n, mode="exhaustive")
-    singular = ideal(field, n, n - 1).as_set()
+    amb = ambient(field, n)
+    singular = ideal(field, n, n - 1)
+    spaces = list(amb.subspace_index)  # subspace id -> Subspace
     rows = []
     all_ok = True
     for rec in records:
-        members = rec.s.as_set()
-        idems = [m for m in rec.s.elements if m * m == m]
-        high = [m for m in idems if mat_rank(m) == n - 1]
-        contains_zero = any(m.is_zero() for m in rec.s.elements)
-        low_idem = any(mat_rank(m) <= n - 2 for m in idems)
-        chained = any(
-            mat_image(e2).contains(mat_kernel(e1)) for e1 in high for e2 in high
-        )
+        ids = amb.s.key_index.find(rec.s.codes)[0]
+        idems = ids[amb.grid[ids, ids] == ids]
+        high = idems[amb.ranks[idems] == n - 1]
+        contains_zero = bool((ids == amb.zero_id).any())
+        low_idem = bool((amb.ranks[idems] <= n - 2).any())
+        kernels = [spaces[i] for i in amb.kernel_ids[high]]
+        chained = any(spaces[i].contains(v) for i in amb.image_ids[high] for v in kernels)
         hypothesis = contains_zero or chained or low_idem
-        contained = singular <= members
+        contained = singular.issubset(rec.s)
         ok = (not hypothesis) or contained
         all_ok = all_ok and ok
         rows.append(

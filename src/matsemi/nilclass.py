@@ -27,7 +27,6 @@ import numpy as np
 
 from .engine import (
     GRID_BLOCK,
-    KeyIndex,
     MatSet,
     SemigroupTable,
     build_table,
@@ -94,14 +93,6 @@ class NilContext:
         self.m = table.m
         self.codes = table.codes  # (m, n, n) code array of the elements, in id order
         self._order_depths_checked = False
-
-    @property
-    def index(self) -> dict[Matrix, int]:
-        return self.table.index
-
-    @cached_property
-    def key_index(self) -> KeyIndex:
-        return KeyIndex(self.t.field, self.codes)
 
     # -- per-element caches ------------------------------------------------
 
@@ -305,7 +296,9 @@ def _contained(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~_meets(a, ~b)
 
 
-@lru_cache(maxsize=None)
+# A context holds its table and grid.  All flag-invariants jobs in one process
+# build 43 distinct contexts and verify all --profile full 41: 64 keeps every hit.
+@lru_cache(maxsize=64)
 def nil_context(flag: Flag, cap: int = PHI_CAP) -> NilContext:
     """Build and validate the context for a flag of length >= 2."""
     if flag.length < 2:
@@ -323,7 +316,7 @@ def nil_context(flag: Flag, cap: int = PHI_CAP) -> NilContext:
 
 
 def _id_of(ctx: NilContext, a: Matrix) -> int:
-    i = ctx.index.get(a)
+    i = ctx.table.index.get(a)
     if i is None:
         raise NotInContext("matrix is not an element of this context's semigroup")
     return i
@@ -444,7 +437,7 @@ def sandwich_witness(ctx: NilContext, a: Matrix, target_rank: int) -> Matrix | N
         b = p * Matrix(field, n, n, tuple(codes)) * pinv
         if mat_rank(b) != target_rank:
             continue
-        y = ctx.index.get(b)
+        y = ctx.table.index.get(b)
         if y is None:  # pragma: no cover
             raise InternalError("corner modification left the semigroup")
         if _sandwich_equal(ctx, x, y):
@@ -682,7 +675,7 @@ def iso_construct(ctx1: NilContext, ctx2: NilContext) -> IsoMap:
     g_inv = flag_basis(f1) * flag_basis_inverse(f2)  # g = flag_basis(f2) flag_basis_inverse(f1)
     f = f1.field
     moved = batch_mul(f, batch_mul(f, codes_array([g]), ctx1.codes), codes_array([g_inv]))
-    perm, found = ctx2.key_index.find(moved)
+    perm, found = ctx2.t.key_index.find(moved)
     if not found.all():  # pragma: no cover
         raise InternalError("transport left the target semigroup")
     if ctx1.m != ctx2.m or len(set(perm.tolist())) != ctx2.m:  # pragma: no cover

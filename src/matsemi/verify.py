@@ -145,30 +145,20 @@ def criterion_03() -> CriterionResult:
     t0 = perf_counter()
     witness = None
     checked = 0
-    for n in (2, 3, 4):
-        for q in (2, 3):
-            f = field_make(q)
-            full = None
-            if n <= 3:
-                full = codes_array(enumerate_matrices(f, n, n))
-            for m in range(1, n):
-                for fl in flags_with_signature(f, n, (m, n - m)):
-                    s = flag_semigroup(fl)
-                    checked += 1
-                    expect = q ** (m * (n - m))
-                    if len(s) != expect:
-                        witness = f"{format_flag(fl)} over F_{q}: {len(s)} != {expect}"
-                        break
-                    if not lowering_mask(fl, codes_array(s.elements)).all():
-                        witness = f"{format_flag(fl)} over F_{q}: enumerated element fails the predicate"
-                        break
-                    if full is not None:
-                        scan = int(lowering_mask(fl, full).sum())
-                        if scan != expect:
-                            witness = f"{format_flag(fl)} over F_{q}: ambient scan {scan} != {expect}"
-                            break
-                if witness:
-                    break
+    for n, q in itertools.product((2, 3, 4), (2, 3)):
+        f = field_make(q)
+        full = codes_array(enumerate_matrices(f, n, n)) if n <= 3 else None  # the ambient scan
+        for fl in (fl for m in range(1, n) for fl in flags_with_signature(f, n, (m, n - m))):
+            s = flag_semigroup(fl)
+            checked += 1
+            expect = q ** (fl.signature[0] * fl.signature[1])
+            scan = expect if full is None else int(lowering_mask(fl, full).sum())
+            if len(s) != expect:
+                witness = f"{format_flag(fl)} over F_{q}: {len(s)} != {expect}"
+            elif not lowering_mask(fl, s.codes).all():
+                witness = f"{format_flag(fl)} over F_{q}: enumerated element fails the predicate"
+            elif scan != expect:
+                witness = f"{format_flag(fl)} over F_{q}: ambient scan {scan} != {expect}"
             if witness:
                 break
         if witness:
@@ -205,7 +195,7 @@ def criterion_04() -> CriterionResult:
     escapes = 0
     flags = all_flags(f2, 3)
     for fl in flags:
-        member = np.array(sorted(amb.index[a] for a in flag_semigroup(fl)))
+        member = np.sort(amb.s.key_index.find(flag_semigroup(fl).codes)[0])
         nil_outside = nil.copy()  # a non-nilpotent escape breaks nilpotency itself
         nil_outside[member] = False
         escapes += amb.m - len(member)
@@ -221,7 +211,7 @@ def criterion_04() -> CriterionResult:
             nd = mask_nd(amb.grid, mask, amb.zero_id)
             if nd is not None and nd <= fl.length:
                 witness = (
-                    f"{format_flag(fl)} + {format_matrix(amb.elements[x])}: closure stays "
+                    f"{format_flag(fl)} + {format_matrix(amb.s.elements[x])}: closure stays "
                     f"nilpotent of degree {nd} <= {fl.length}"
                 )
                 break
@@ -235,13 +225,13 @@ def criterion_05() -> CriterionResult:
     t0 = perf_counter()
     f2 = field_make(2)
     flags = all_flags(f2, 3)
-    sets = [flag_semigroup(fl).as_set() for fl in flags]
+    sets = [flag_semigroup(fl) for fl in flags]
     witness = None
     pairs = 0
     for i, f1 in enumerate(flags):
         for j, f2_ in enumerate(flags):
             pairs += 1
-            if consolidates(f1, f2_) != (sets[j] <= sets[i]):
+            if consolidates(f1, f2_) != sets[j].issubset(sets[i]):
                 witness = f"{format_flag(f1)} vs {format_flag(f2_)}: consolidation and containment disagree"
                 break
         if witness:

@@ -326,7 +326,7 @@ class TestRelation:
         amb = ambient(F2, 2)
         for x in (1, 3, 6, 10):
             for y in (2, 7, 12, 15):
-                a, b = amb.elements[x], amb.elements[y]
+                a, b = amb.s.elements[x], amb.s.elements[y]
                 assert semigroup_conjugate(a, b) == similar(core(a), core(b))
 
 
@@ -339,7 +339,7 @@ class TestClasses:
         amb = ambient(F2, 2)
         part = sg_classes(F2, 2)
         for c in part.classes():
-            keys = {class_key(amb.elements[x]) for x in c}
+            keys = {class_key(amb.s.elements[x]) for x in c}
             assert len(keys) == 1
 
     def test_identity_class_is_central_units(self):

@@ -36,7 +36,7 @@ from matsemi import (
     table_nd,
     unit_matrix,
 )
-from matsemi import engine
+from matsemi import engine, flags
 from matsemi.engine import GRID_BLOCK, TABLE_ELEMS_CAP, KeyIndex, _check_grid, _wrong_entries
 from matsemi.errors import InternalError
 from matsemi.gf import batch_mul, code_keys, codes_array, row_keys
@@ -93,12 +93,12 @@ class TestClosure:
     @settings(max_examples=60, deadline=None)
     def test_closed_and_idempotent(self, s):
         c = closure(s)
-        members = c.as_set()
-        assert s.as_set() <= members
+        members = frozenset(c)
+        assert frozenset(s) <= members
         for a in c:
             for b in c:
                 assert a * b in members
-        assert closure(c).as_set() == members
+        assert frozenset(closure(c)) == members
 
     def test_cap(self):
         gens = [unit_matrix(F2, 3, 0, 1), unit_matrix(F2, 3, 1, 2), identity_matrix(F2, 3)]
@@ -111,7 +111,7 @@ class TestClosure:
         c = closure(mat_set(F4, 2, [a]))
         assert all(x == mat_pow(a, k + 1) for k, x in enumerate([a])) or len(c) >= 1
         powers = {mat_pow(a, k) for k in range(1, 20)}
-        assert c.as_set() == powers
+        assert frozenset(c) == powers
 
     @pytest.mark.parametrize(
         "f,n,kinds",
@@ -153,6 +153,8 @@ class TestClosure:
         assert closure(closed, cap=2) == closed
         with pytest.raises(CapExceeded):
             closure(closed, cap=1)
+        # the empty seed closes to itself
+        assert closure(mat_set(F2, 2, []), cap=0) == mat_set(F2, 2, [])
 
     def test_round_of_several_blocks_matches_the_oracle(self):
         # the first round multiplies 144 x 144 pairs, more than one block
@@ -174,9 +176,9 @@ class TestTable:
     def test_grid_matches_matrix_products(self):
         s = closure(mat_set(F2, 2, [matrix(F2, [[1, 1], [0, 1]]), unit_matrix(F2, 2, 0, 1)]))
         t = build_table(s)
-        for i, a in enumerate(t.elements):
-            for j, b in enumerate(t.elements):
-                assert t.elements[t.grid[i][j]] == a * b
+        for i, a in enumerate(t.s.elements):
+            for j, b in enumerate(t.s.elements):
+                assert t.s.elements[t.grid[i][j]] == a * b
 
     def test_not_closed(self):
         s = mat_set(F2, 2, [unit_matrix(F2, 2, 0, 1), unit_matrix(F2, 2, 1, 0)])
@@ -188,7 +190,7 @@ class TestTable:
         # q^(n*n) > 2^63, so the grid looks products up by byte keys
         s = _wide_key_set(f, n)
         assert len(s) > 10
-        grid = product_grid(s.elements)
+        grid = product_grid(s)
         for i, a in enumerate(s.elements):
             for j, b in enumerate(s.elements):
                 assert s.elements[grid[i, j]] == a * b
@@ -197,12 +199,12 @@ class TestTable:
         rng = random.Random("product_grid:4")
         for _ in range(20):
             s = mat_set(F4, 2, [_draw(rng, F4, 2) for _ in range(6)])
-            members = s.as_set()
+            members = frozenset(s)
             escape = next(
                 (a, b, a * b) for a in s.elements for b in s.elements if a * b not in members
             )
             with pytest.raises(NotClosed) as exc:
-                product_grid(s.elements)
+                product_grid(s)
             assert exc.value.witness == escape
 
     def test_nilpotency_degree(self):
@@ -232,7 +234,7 @@ class TestTable:
         e = unit_matrix(F2, 2, 0, 1)
         z = matrix(F2, [[0, 0], [0, 0]])
         t = build_table(mat_set(F2, 2, [z, e, identity_matrix(F2, 2)]))
-        assert t.m == 3 and t.elements[t.identity_id] == identity_matrix(F2, 2)
+        assert t.m == 3 and t.s.elements[t.identity_id] == identity_matrix(F2, 2)
         one = t.identity_id
         assert all(t.grid[one][x] == x == t.grid[x][one] for x in range(t.m))
 
@@ -327,7 +329,7 @@ class TestSubsemigroups:
 
     def test_all_closed(self):
         amb = ambient(F2, 2)
-        t = build_table(mat_set(F2, 2, amb.elements))
+        t = build_table(mat_set(F2, 2, amb.s.elements))
         subs = enumerate_subsemigroups(t)
         for ids in subs:
             for a in ids:
@@ -337,13 +339,13 @@ class TestSubsemigroups:
 
     def test_cap(self):
         amb = ambient(F3, 2)
-        t = build_table(mat_set(F3, 2, amb.elements))
+        t = build_table(mat_set(F3, 2, amb.s.elements))
         with pytest.raises(CapExceeded):
             enumerate_subsemigroups(t)
 
     @pytest.mark.parametrize("include_empty", [False, True])
     def test_matches_the_mask_oracle(self, include_empty):
-        tables = [build_table(mat_set(F2, 2, ambient(F2, 2).elements))]
+        tables = [build_table(mat_set(F2, 2, ambient(F2, 2).s.elements))]
         for q in (2, 3, 4, 5, 7, 8):
             f = BY_Q[q]
             tables.append(build_table(mat_set(f, 1, enumerate_matrices(f, 1, 1))))
@@ -502,9 +504,9 @@ class TestAmbient:
         assert amb.m == 16
         for x in (0, 3, 7, 11, 15):
             for y in (1, 2, 5, 14):
-                assert amb.elements[amb.grid[x, y]] == amb.elements[x] * amb.elements[y]
+                assert amb.s.elements[amb.grid[x, y]] == amb.s.elements[x] * amb.s.elements[y]
         for x in range(amb.m):
-            assert amb.nilpotent[x] == (mat_pow(amb.elements[x], 2).is_zero())
+            assert amb.nilpotent[x] == (mat_pow(amb.s.elements[x], 2).is_zero())
 
     def test_cached_grid_is_read_only(self):
         amb = ambient(F2, 2)
@@ -516,10 +518,10 @@ class TestAmbient:
         for x in range(amb.m):
             pc = amb.power_closure(x)
             expect = set()
-            cur = amb.elements[x]
+            cur = amb.s.elements[x]
             for _ in range(6):
                 expect.add(amb.index[cur])
-                cur = cur * amb.elements[x]
+                cur = cur * amb.s.elements[x]
             assert pc == expect
 
     def test_cached_id_arrays_are_read_only(self):
@@ -546,8 +548,8 @@ class TestAmbient:
         # ids by first appearance
         amb = ambient(BY_Q[q], n)
         index: dict = {}
-        image = [index.setdefault(mat_image(a), len(index)) for a in amb.elements]
-        kernel = [index.setdefault(mat_kernel(a), len(index)) for a in amb.elements]
+        image = [index.setdefault(mat_image(a), len(index)) for a in amb.s.elements]
+        kernel = [index.setdefault(mat_kernel(a), len(index)) for a in amb.s.elements]
         assert amb.image_ids.tolist() == image and amb.kernel_ids.tolist() == kernel
         assert list(amb.subspace_index.items()) == list(index.items())
 
@@ -569,7 +571,7 @@ class TestAmbient:
         amb = ambient(F3, 2)
         spaces = {i: s for s, i in amb.subspace_index.items()}
         assert len(spaces) == 1 + 4 + 1  # every subspace of F_3^2
-        for x, a in enumerate(amb.elements):
+        for x, a in enumerate(amb.s.elements):
             assert spaces[int(amb.image_ids[x])] == mat_image(a)
             assert spaces[int(amb.kernel_ids[x])] == mat_kernel(a)
 
@@ -584,7 +586,7 @@ class TestAmbient:
         f = BY_Q[q]
         amb = ambient(f, n)
         t = build_table(mat_set(f, n, enumerate_matrices(f, n, n)))
-        assert amb.elements == t.elements
+        assert amb.s.elements == t.s.elements
         assert np.array_equal(amb.grid, t.grid)
         assert (amb.zero_id, amb.identity_id) == (t.zero_id, t.identity_id)
         for name in ("ranks", "powers", "image_ids", "kernel_ids"):
@@ -597,21 +599,21 @@ class TestAmbient:
             amb = ambient(f, n)
             for k in (0, 1, 2, 7, amb.m // 2, amb.m):
                 ids = sorted(rng.sample(range(amb.m), k))
-                assert amb.subset(ids) == mat_set(f, n, [amb.elements[i] for i in ids])
+                assert amb.subset(ids) == mat_set(f, n, [amb.s.elements[i] for i in ids])
                 assert amb.subset(np.array(ids, dtype=np.int64)) == amb.subset(ids)
 
     @pytest.mark.parametrize("f,sig", [(F2, (1, 1, 1)), (F3, (1, 2, 1)), (F4, (1, 3)), (F2, (1, 1, 2))])
     def test_flag_table_arrays_match_per_matrix_oracles(self, f, sig):
         t = build_table(_flag_set(f, sig))
         n = sum(sig)
-        assert t.ranks.tolist() == [mat_rank(a) for a in t.elements]
+        assert t.ranks.tolist() == [mat_rank(a) for a in t.s.elements]
         assert t.nilpotent == (True,) * t.m  # every flag semigroup element is nilpotent
-        for x, a in enumerate(t.elements):
+        for x, a in enumerate(t.s.elements):
             powers, cur = [], a
             while cur not in powers:
                 powers.append(cur)
                 cur = cur * a
-            assert [t.elements[y] for y in t.powers[: len(powers), x].tolist()] == powers
+            assert [t.s.elements[y] for y in t.powers[: len(powers), x].tolist()] == powers
             assert t.power_closure(x) == {t.index[b] for b in powers}
             assert t.nilpotent[x] == mat_pow(a, n).is_zero()
             assert t.index[a] == x
@@ -680,8 +682,8 @@ def _flag_set(f, sig):
 def test_product_grid_matches_direct_products():
     # every entry of three small grids, each product taken as a Matrix product
     for f, n in ((F3, 2), (F4, 1), (F2, 2)):
-        elements = tuple(enumerate_matrices(f, n, n))
-        grid = product_grid(elements)
+        s = mat_set(f, n, enumerate_matrices(f, n, n))
+        grid, elements = product_grid(s), s.elements
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 assert elements[grid[i][j]] == a * b
@@ -714,7 +716,7 @@ class TestProductGridOracle:
         assert KeyIndex(f, codes_array(s.elements)).dense  # keys are exactly 0..m-1
         expect, escape = _oracle_grid(s.elements)
         assert escape is None
-        assert np.array_equal(product_grid(s.elements), expect)
+        assert np.array_equal(product_grid(s), expect)
 
     @pytest.mark.parametrize("f,sig", FLAG_SETS, ids=FLAG_SET_IDS)
     def test_flag_semigroups(self, f, sig):
@@ -722,7 +724,7 @@ class TestProductGridOracle:
         assert not KeyIndex(f, codes_array(s.elements)).dense
         expect, escape = _oracle_grid(s.elements)
         assert escape is None
-        assert np.array_equal(product_grid(s.elements), expect)
+        assert np.array_equal(product_grid(s), expect)
 
     @pytest.mark.parametrize("f,n", WIDE_KEYS, ids=["F4-6", "F7-5"])
     def test_byte_keys(self, f, n):
@@ -731,7 +733,7 @@ class TestProductGridOracle:
         assert code_keys(f, codes_array(s.elements)).dtype.kind == "V"
         expect, escape = _oracle_grid(s.elements)
         assert escape is None
-        assert np.array_equal(product_grid(s.elements), expect)
+        assert np.array_equal(product_grid(s), expect)
 
     def test_row_keys_past_int64(self):
         # q^n > 2^63 as well: the row keys themselves are raw bytes
@@ -740,13 +742,13 @@ class TestProductGridOracle:
         assert len(s) > 5 and row_keys(f, codes_array(s.elements)).dtype.kind == "V"
         expect, escape = _oracle_grid(s.elements)
         assert escape is None
-        assert np.array_equal(product_grid(s.elements), expect)
+        assert np.array_equal(product_grid(s), expect)
 
     def _assert_witness(self, s):
         _, (a, b) = _oracle_grid(s.elements)
         x, y = s.elements[a], s.elements[b]
         with pytest.raises(NotClosed) as exc:
-            product_grid(s.elements)
+            product_grid(s)
         assert exc.value.witness == (x, y, x * y)
         return a
 
@@ -768,10 +770,10 @@ class TestProductGridOracle:
     def test_memory_stays_near_the_grid(self):
         # blocks of GRID_BLOCK products keep the kernel's own arrays small
         s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
-        product_grid(s.elements)  # warm the field tables
+        product_grid(s)  # warm the field tables
         tracemalloc.start()
         try:
-            grid = product_grid(s.elements)
+            grid = product_grid(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -847,11 +849,11 @@ class TestGridCheck:
         for name, s in _grid_sets():
             t = build_table(s)  # runs _check_grid
             _verify_associativity(t.grid, t.m)
-            assert np.array_equal(t.grid, product_grid(s.elements)), name
+            assert np.array_equal(t.grid, product_grid(s)), name
 
     def test_every_single_entry_corruption_of_m2f2(self):
         s = mat_set(F2, 2, enumerate_matrices(F2, 2, 2))
-        grid, m = product_grid(s.elements), len(s)
+        grid, m = product_grid(s), len(s)
         for a in range(m):
             for b in range(m):
                 for wrong in range(m):
@@ -860,48 +862,48 @@ class TestGridCheck:
                     bad = grid.copy()
                     bad[a, b] = wrong
                     with pytest.raises(InternalError, match=re.escape(f"grid entry {(a, b)} ")):
-                        _check_grid(s.elements, bad)
+                        _check_grid(s, bad)
 
     def test_every_single_entry_corruption_of_m3f2(self):
         # Each entry is judged on its own value, so a grid with every entry
         # shifted by k shows which single-entry corruptions are caught: the
         # shifts k = 1 .. m-1 put every wrong id at every entry once.
         s = mat_set(F2, 3, enumerate_matrices(F2, 3, 3))
-        grid, m = product_grid(s.elements), len(s)
+        grid, m = product_grid(s), len(s)
         for k in range(1, m):
-            bad = np.concatenate([b for _, b in _wrong_entries(s.elements, (grid + k) % m)])
+            bad = np.concatenate([b for _, b in _wrong_entries(s, (grid + k) % m)])
             assert bad.shape == (m, m) and bad.all(), k
-        assert not np.concatenate([b for _, b in _wrong_entries(s.elements, grid)]).any()
+        assert not np.concatenate([b for _, b in _wrong_entries(s, grid)]).any()
         for a, b in ((0, 0), (37, 500), (m - 1, m - 1)):  # one corruption on its own
             bad = grid.copy()
             bad[a, b] = (bad[a, b] + 1) % m
             with pytest.raises(InternalError, match=re.escape(f"grid entry {(a, b)} ")):
-                _check_grid(s.elements, bad)
+                _check_grid(s, bad)
 
     def test_caught_where_the_sampler_looks_away(self):
         # the former check sampled 100 000 triples above 512 elements
         s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
-        grid, m = product_grid(s.elements), len(s)
+        grid, m = product_grid(s), len(s)
         seen = _sampled_entries(grid, m)
         a, b = next((a, b) for a in range(m) for b in range(m) if (a, b) not in seen)
         bad = grid.copy()
         bad[a, b] = (bad[a, b] + 1) % m
         _verify_associativity(bad, m)  # the sampler misses it
         with pytest.raises(InternalError, match=re.escape(f"grid entry {(a, b)} ")):
-            _check_grid(s.elements, bad)
+            _check_grid(s, bad)
 
     def test_witness_is_the_first_wrong_pair_past_the_first_block(self):
         s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
-        grid, m = product_grid(s.elements), len(s)
+        grid, m = product_grid(s), len(s)
         assert 400 >= GRID_BLOCK // m  # row 400 is not in the first block
         bad = grid.copy()
         for a, b in ((500, 3), (400, 9), (400, 7), (401, 0)):
             bad[a, b] = (bad[a, b] + 1) % m
         with pytest.raises(InternalError, match=re.escape("grid entry (400, 7) ")):
-            _check_grid(s.elements, bad)
+            _check_grid(s, bad)
         bad[2, 600] = (bad[2, 600] + 1) % m
         with pytest.raises(InternalError, match=re.escape("grid entry (2, 600) ")):
-            _check_grid(s.elements, bad)
+            _check_grid(s, bad)
 
     def test_adjoined_identity_tables_pass(self):
         # semigroups without an identity, with the identity matrix adjoined
@@ -942,12 +944,89 @@ class TestGridCheck:
 
     def test_memory_stays_in_blocks(self):
         s = mat_set(F5, 2, enumerate_matrices(F5, 2, 2))
-        grid = product_grid(s.elements)
-        _check_grid(s.elements, grid)  # warm the field tables
+        grid = product_grid(s)
+        _check_grid(s, grid)  # warm the field tables
         tracemalloc.start()
         try:
-            _check_grid(s.elements, grid)
+            _check_grid(s, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < grid.nbytes // 2
+
+
+class TestMatSetCodes:
+    @pytest.fixture
+    def matrices_built(self, monkeypatch):
+        """A one-item list counting Matrix constructions."""
+        built = [0]
+        real = Matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matrix, "__init__", counting)
+        return built
+
+    def test_kernels_build_no_matrix(self, monkeypatch, matrices_built):
+        monkeypatch.setattr(engine, "_AMBIENT_CACHE", {})
+        fl = flags_with_signature(F3, 3, (1, 1, 1))[-1]
+        seed = mat_set(F2, 3, [unit_matrix(F2, 3, 0, 1), unit_matrix(F2, 3, 1, 2), unit_matrix(F2, 3, 2, 0)])
+        # the flag's basis is one Matrix per flag, cached by flag_basis
+        flags.flag_basis_inverse(fl)
+        matrices_built[0] = 0
+        c = closure(seed)
+        t = build_table(flag_semigroup(fl))
+        amb = ambient(F3, 2)
+        sub = amb.subset(np.flatnonzero(amb.ranks == 1))
+        assert amb.grid.shape == (81, 81)
+        build_table(c)
+        assert matrices_built[0] == 0
+        assert (len(c), t.m, amb.m, len(sub)) == (10, 27, 81, 32)
+
+    def test_elements_builds_each_matrix_once(self, matrices_built):
+        s = rank_stratum(F3, 2, 1)
+        matrices_built[0] = 0
+        elements = s.elements
+        assert matrices_built[0] == len(s) == 32
+        assert list(s) == list(elements) and s.elements is elements
+        assert matrices_built[0] == 32
+
+    @pytest.mark.parametrize("which", ["ambient", "subset", "flag_semigroup", "closure", "nil_context"])
+    def test_codes_are_read_only(self, which):
+        from matsemi import nil_context, standard_flag
+
+        amb = ambient(F2, 2)
+        arr = {
+            "ambient": lambda: amb.s.codes,
+            "subset": lambda: amb.subset([1, 2, 3]).codes,
+            "flag_semigroup": lambda: flag_semigroup(flags_with_signature(F2, 3, (1, 2))[0]).codes,
+            "closure": lambda: closure(mat_set(F2, 2, [unit_matrix(F2, 2, 0, 1)])).codes,
+            "nil_context": lambda: nil_context(standard_flag(F2, (1, 1, 1))).codes,
+        }[which]()
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
+
+    def test_contains_looks_up_codes(self):
+        s = rank_stratum(F3, 2, 1)
+        assert all(a in s for a in ambient(F3, 2).s.elements[1:33])
+        assert matrix(F3, [[1, 0], [0, 1]]) not in s and matrix(F3, [[0, 0], [0, 0]]) not in s
+        # a matrix over another field, or of another shape, is never a member
+        assert matrix(F2, [[1, 0], [0, 0]]) not in s
+        assert matrix(F3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]) not in s
+        assert matrix(F3, [[1, 0]]) not in s
+        assert "1,0;0,0" not in s
+        assert matrix(F3, [[1, 0], [0, 0]]) not in mat_set(F3, 2, [])
+
+    def test_issubset_and_equality_match_frozensets(self):
+        sets = [flag_semigroup(fl) for fl in flags_with_signature(F2, 3, (1, 1, 1))[:4]]
+        sets += [closure(mat_set(F2, 3, [unit_matrix(F2, 3, 0, 1)])), mat_set(F2, 3, [])]
+        for a in sets:
+            for b in sets:
+                assert a.issubset(b) == (frozenset(a) <= frozenset(b))
+                assert (a == b) == (frozenset(a) == frozenset(b))
+                assert (a == b) <= (hash(a) == hash(b))
+        # sets of other fields or sizes are never contained, even when empty
+        assert not mat_set(F3, 3, []).issubset(sets[0]) and not mat_set(F2, 2, []).issubset(sets[0])
+        assert mat_set(F3, 3, []) != mat_set(F2, 3, [])

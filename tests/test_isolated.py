@@ -48,7 +48,7 @@ class TestStrataAndIdeals:
 
     def test_stratum_closure_equals_ideal_for_k1(self, f2):
         gen = ideal_generated_by_stratum(f2, 3, 1)
-        assert gen.as_set() == ideal(f2, 3, 1).as_set()
+        assert frozenset(gen) == frozenset(ideal(f2, 3, 1))
 
     def test_stratum_closure_k2_strict(self, f2):
         # products of rank-2 elements reach lower ranks: the closure is
@@ -99,7 +99,7 @@ class TestPairFamilies:
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
         s = s_ab_make(pair_family([e1], [e2]))
-        assert s.as_set() == {matrix(f2, [[1, 0], [0, 0]])}
+        assert frozenset(s) == {matrix(f2, [[1, 0], [0, 0]])}
 
     def test_family_requires_image_outside_kernel(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
@@ -159,10 +159,10 @@ def _oracle_s_ab(fam):
     field, n = fam.a_family[0].field, fam.a_family[0].ambient
     a_set, b_set = set(fam.a_family), set(fam.b_family)
     members = [
-        m for m in ambient(field, n).elements if mat_image(m) in a_set and mat_kernel(m) in b_set
+        m for m in ambient(field, n).s.elements if mat_image(m) in a_set and mat_kernel(m) in b_set
     ]
     s = mat_set(field, n, members)
-    product_grid(s.elements)
+    product_grid(s)
     return s
 
 
@@ -180,7 +180,7 @@ def _oracle_power_closures(field, n):
 
 
 def _oracle_ids(s):
-    product_grid(s.elements)  # NotClosed for a set that is not closed
+    product_grid(s)  # NotClosed for a set that is not closed
     amb = ambient(s.field, s.dim)
     return amb, frozenset(amb.index[m] for m in s.elements)
 
@@ -202,7 +202,7 @@ def _oracle_is_completely_isolated(s):
 def _random_sets(field, n, seed, count, max_gens):
     """Seeded generator sets; every other one is drawn from one S(A, B)
     family rather than from the whole ambient."""
-    mats = ambient(field, n).elements
+    mats = ambient(field, n).s.elements
     fams = _all_pair_families(field, n)
     rng = random.Random(f"{seed}:{field.q}:{n}")
     for i in range(count):
@@ -242,7 +242,7 @@ class TestPredicateOracles:
         checked = 0
         for s in _random_sets(field, n, 11, 40, 4):
             try:
-                product_grid(s.elements)
+                product_grid(s)
                 continue
             except NotClosed as exc:
                 want = exc.witness
@@ -363,7 +363,7 @@ class TestEnumeration:
     def test_theorem_list_matches_exhaustive(self, f2):
         ex = enumerate_isolated(f2, 2, "exhaustive")
         tl = enumerate_isolated(f2, 2, "theorem_list")
-        assert {r.s.as_set() for r in tl} == {r.s.as_set() for r in ex}
+        assert {frozenset(r.s) for r in tl} == {frozenset(r.s) for r in ex}
 
     def test_theorem_list_f3(self, f3):
         tl = enumerate_isolated(f3, 2, "theorem_list")
@@ -377,9 +377,7 @@ class TestEnumeration:
         for r in recs:
             if r.kind == "SAB":
                 assert r.a_family and r.b_family
-                assert r.s.as_set() == s_ab_make(
-                    pair_family(list(r.a_family), list(r.b_family))
-                ).as_set()
+                assert r.s == s_ab_make(pair_family(list(r.a_family), list(r.b_family)))
             else:
                 assert r.a_family is None and r.b_family is None
 

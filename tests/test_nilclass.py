@@ -92,12 +92,12 @@ class TestOrders:
     def test_depth_sets(self, ctx3):
         zero3 = matrix(F2, [[0] * 3] * 3)
         d0 = depth_sets(ctx3, "prec", 0)
-        assert d0.as_set() == {zero3, E(1, 3), E(2, 3), E(1, 3) + E(2, 3)}
+        assert frozenset(d0) == {zero3, E(1, 3), E(2, 3), E(1, 3) + E(2, 3)}
         d1 = depth_sets(ctx3, "prec", 1)
         assert len(d1) == 4
         assert len(depth_sets(ctx3, "prec", 2)) == 0
         # the depth sets partition the semigroup
-        assert d0.as_set() | d1.as_set() == ctx3.t.as_set()
+        assert frozenset(d0) | frozenset(d1) == frozenset(ctx3.t)
 
     def test_depth_sets_ll(self, ctx3):
         d0 = depth_sets(ctx3, "ll", 0)
@@ -120,14 +120,14 @@ class TestKCells:
 
     def test_cells_are_disjoint_depth_level_sets(self, ctx_complete4):
         ctx = ctx_complete4
-        cells = {(u, v): k_set(ctx, u, v).as_set() for u, v in K_PAIRS}
+        cells = {(u, v): frozenset(k_set(ctx, u, v)) for u, v in K_PAIRS}
         seen = set()
         for c in cells.values():
             assert not (seen & c)
             seen |= c
         for (u, v), c in cells.items():
             for a in c:
-                x = ctx.index[a]
+                x = ctx.table.index[a]
                 assert (ctx.depth_prec[x], ctx.depth_ll[x]) == (u, v)
 
     def test_complete4_cell_sizes(self, ctx_complete4):
@@ -168,7 +168,7 @@ class TestSuperRank:
 
     def test_rank2_decomposable_in_complete4(self, ctx_complete4):
         a = unit_matrix(F2, 4, 0, 2) + unit_matrix(F2, 4, 1, 3)  # (e12+e23)(e23+e34)
-        assert ctx_complete4.index[a] in ctx_complete4.decomposable_ids
+        assert ctx_complete4.table.index[a] in ctx_complete4.decomposable_ids
         assert super_rank(ctx_complete4, a) == 2
 
 
@@ -182,7 +182,7 @@ class TestSandwichWitness:
         assert w == a + E4(1, 4)
         # replay: every sandwich through w matches the one through a
         g = ctx_complete4.table.grid
-        xa, xb = ctx_complete4.index[a], ctx_complete4.index[w]
+        xa, xb = ctx_complete4.table.index[a], ctx_complete4.table.index[w]
         for c in range(ctx_complete4.m):
             assert g[c][xa] == g[c][xb] or (
                 ctx_complete4.t.elements[g[c][xa]],
@@ -525,7 +525,7 @@ def test_iso_construct_is_matrix_conjugation(f3):
         assert iso.g == flags.flag_transporter(c1, c2)
         assert [b for _, b in iso.pairs] == [iso.g * a * gi for a in ctx1.t]
         assert [a for a, _ in iso.pairs] == list(ctx1.t)
-        assert sorted(iso.as_dict().values(), key=ctx2.index.get) == list(ctx2.t)
+        assert sorted(iso.as_dict().values(), key=ctx2.table.index.get) == list(ctx2.t)
 
 
 F3 = field_make(3)
@@ -619,7 +619,7 @@ class TestBatchedBands:
             ranks[x] = 1 if e12 and not e23 else 2 if e23 and not e12 else None
         ctx.__dict__["indec_super_rank"] = ranks
         want = _oracle_dec_super_rank(ctx)
-        assert want[ctx.index[E(1, 3, n)]] == 1
+        assert want[ctx.table.index[E(1, 3, n)]] == 1
         assert ctx.dec_super_rank == want
 
     def test_bands_read_no_grid(self):
@@ -627,3 +627,8 @@ class TestBatchedBands:
         ctx.table = None  # any read of the table fails
         assert ctx.kernel_band.shape == (243, 27) and ctx.image_band.shape == (243, 27)
         assert len(ctx.depth_prec) == len(ctx.depth_ll) == 243
+
+
+def test_context_cache_is_bounded():
+    # flag-invariants builds 43 distinct contexts and the full battery 41
+    assert nil_context.cache_info().maxsize == 64
