@@ -16,7 +16,6 @@ from .conjugacy import (
     core,
     core_chain,
     core_decomposition,
-    primary_conjugation_witness,
     semigroup_conjugate,
     sg_classes,
     stability_index,
@@ -45,9 +44,7 @@ from .errors import (
     BadSignature,
     CapExceeded,
     ConflictingOptions,
-    ContainmentViolation,
     DimMismatch,
-    EmptyFamily,
     FieldMismatch,
     InternalError,
     InvariantViolation,
@@ -108,7 +105,6 @@ from .gf import (
     parse_subspace,
     prime_power,
     projection_idempotent,
-    rank1_factor,
     similar,
     standard_complement,
     subspace,
@@ -117,22 +113,15 @@ from .gf import (
     zero_subspace,
 )
 from .isolated import (
-    IdempotentPair,
     IsolatedRecord,
     SubspacePairFamily,
     enumerate_isolated,
     ideal,
     ideal_absorption_check,
     ideal_generated_by_stratum,
-    idempotent_count_formula,
-    idempotent_for,
-    idempotents,
     is_completely_isolated,
     is_isolated,
-    pair_family,
-    product_kernel_image_law,
     rank_stratum,
-    s_ab_make,
 )
 from .nilclass import (
     Fingerprint,
@@ -142,14 +131,11 @@ from .nilclass import (
     annihilator_census,
     depth_sets,
     fingerprint,
-    is_indecomposable,
     iso_construct,
     iso_decide,
-    k_set,
     ll,
     nil_context,
     prec,
-    sandwich_witness,
     super_rank,
     u_stat,
 )

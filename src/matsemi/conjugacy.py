@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, InvariantViolation
+from .errors import DimMismatch, FieldMismatch, InternalError, InvariantViolation
 from .gf import (
     FieldSpec,
     Matrix,
@@ -47,8 +47,6 @@ from .gf import (
     zero_matrix,
     zero_subspace,
 )
-
-WITNESS_SCAN_CAP = 512
 
 
 @lru_cache(maxsize=None)
@@ -173,28 +171,6 @@ def semigroup_conjugate(a: Matrix, b: Matrix) -> bool:
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise DimMismatch("conjugacy needs square matrices of equal size")
     return class_key(a) == class_key(b)
-
-
-def primary_conjugation_witness(a: Matrix, b: Matrix, cap: int = WITNESS_SCAN_CAP):
-    """Lexicographically first (u, v) with u v = a and v u = b, or None.
-
-    Scans u in entry-code order; for each u scans v likewise.  Intended for
-    small ambients (q^{n^2} <= cap).
-    """
-    from .gf import enumerate_matrices
-
-    if a.field != b.field or a.rows != b.rows or not a.is_square() or not b.is_square():
-        raise DimMismatch("witness scan needs square matrices over one field")
-    f, n = a.field, a.rows
-    total = f.q ** (n * n)
-    if total > cap:
-        raise CapExceeded(f"witness scan over {total} matrices exceeds cap {cap}")
-    mats = list(enumerate_matrices(f, n, n))
-    for u in mats:
-        for v in mats:
-            if u * v == a and v * u == b:
-                return u, v
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ from .gf import (
     FieldSpec,
     Matrix,
     Subspace,
+    all_codes,
     batch_mul,
     batch_rref,
+    capped_power,
     code_keys,
     codes_array,
     join_row_keys,
@@ -302,10 +304,6 @@ class SemigroupTable:
         if not self.m or self.codes[0].any():
             return (False,) * self.m
         return tuple((self.powers == 0).any(axis=0).tolist())
-
-    def power_closure(self, x: int) -> frozenset[int]:
-        """{x, x^2, x^3, ...} until the power sequence cycles."""
-        return frozenset(self.powers[:, x].tolist())
 
     @cached_property
     def roots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -641,10 +639,11 @@ def equiv_closure(m: int, pairs) -> Partition:
 # subsemigroup enumeration (small tables)
 
 
-def check_scan_size(m: int) -> None:
-    """CapExceeded when m elements are too many for the subset scan."""
-    if m > SUBSEMIGROUP_CAP:
-        raise CapExceeded(f"table size {m} exceeds subsemigroup scan cap {SUBSEMIGROUP_CAP}")
+def check_scan_size(base: int, exp: int = 1) -> None:
+    """CapExceeded when base^exp elements are too many for the subset scan."""
+    capped_power(
+        base, exp, SUBSEMIGROUP_CAP, lambda size: f"table size {size} exceeds subsemigroup scan cap {SUBSEMIGROUP_CAP}"
+    )
 
 
 def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
@@ -845,13 +844,10 @@ def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Semigroup
     compare it with build_table's checked grid.  The theorem class route
     reads only the elements and builds no grid.
     """
-    total = field.q ** (n * n)
-    if total > cap:
-        raise CapExceeded(f"|M({n}, F_{field.q})| = {total} exceeds cap {cap}")
+    capped_power(field.q, n * n, cap, lambda size: f"|M({n}, F_{field.q})| = {size} exceeds cap {cap}")
     key = (field, n)
     if key not in _AMBIENT_CACHE:
-        digits = np.indices((field.q,) * (n * n), dtype=np.int64).reshape(n * n, -1).T
-        s = canonical_set(field, n, digits.reshape(total, n, n))
+        s = canonical_set(field, n, all_codes(field, n))
         # the zero matrix sorts first (rank 0)
         identity_id = int(s.key_index.find(np.eye(n, dtype=np.int64)[None])[0][0])
         _AMBIENT_CACHE[key] = SemigroupTable(s, 0, identity_id)

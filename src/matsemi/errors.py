@@ -40,10 +40,6 @@ class AmbientMismatch(MatSemiError):
     """Subspaces of different ambient spaces were combined."""
 
 
-class RankNotOne(MatSemiError):
-    pass
-
-
 class NotClosed(MatSemiError):
     """A set was not closed under multiplication; carries a witness pair."""
 
@@ -94,14 +90,6 @@ class ZeroElement(MatSemiError):
 
 class BadK(MatSemiError):
     """Rank stratum index outside 1..n-1."""
-
-
-class ContainmentViolation(MatSemiError):
-    """A kernel-family line sits inside an image-family hyperplane."""
-
-
-class EmptyFamily(MatSemiError):
-    pass
 
 
 class InvariantViolation(MatSemiError):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     BadSignature,
-    CapExceeded,
     DimMismatch,
     FieldMismatch,
     InternalError,
@@ -37,6 +36,7 @@ from .gf import (
     Subspace,
     batch_mul,
     batch_rref,
+    capped_power,
     codes_array,
     enumerate_subspaces,
     format_subspace,
@@ -225,10 +225,7 @@ def flag_size(f: Flag, cap: int = PHI_CAP) -> int:
     sig = f.signature
     k = len(sig)
     exp = sum(sig[i] * sig[j] for i in range(k) for j in range(i + 1, k))
-    total = f.field.q ** exp
-    if total > cap:
-        raise CapExceeded(f"flag semigroup has {total} elements, cap {cap}")
-    return total
+    return capped_power(f.field.q, exp, cap, lambda size: f"flag semigroup has {size} elements, cap {cap}")
 
 
 def _blocks(field: FieldSpec, sig: tuple[int, ...]) -> np.ndarray:

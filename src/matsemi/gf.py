@@ -18,6 +18,7 @@ have identical representations and can be compared with ==.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as _dfield
 from functools import lru_cache
 
@@ -33,7 +34,6 @@ from .errors import (
     InvariantViolation,
     NotInvertible,
     NotPrime,
-    RankNotOne,
 )
 
 Q_CAP = 64
@@ -212,11 +212,6 @@ class FieldSpec:
     neg: tuple = _dfield(compare=False, repr=False, default=())
     inv: tuple = _dfield(compare=False, repr=False, default=())
 
-    def scalar(self, code: int) -> "Scalar":
-        if not 0 <= code < self.q:
-            raise InvariantViolation(f"scalar code {code} outside [0,{self.q})")
-        return Scalar(self, code)
-
 
 @lru_cache(maxsize=None)
 def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
@@ -288,6 +283,14 @@ def codes_array(mats) -> np.ndarray:
     mats = tuple(mats)
     n = mats[0].rows if mats else 0
     return np.array([a.codes for a in mats], dtype=np.int64).reshape(len(mats), n, n)
+
+
+def all_codes(field: FieldSpec, n: int) -> np.ndarray:
+    """(q^(n*n), n, n) int64 code array of every matrix of M(n, F_q), in
+    the order of enumerate_matrices: row t holds the base-q digits of t,
+    the first entry most significant."""
+    nn = n * n
+    return np.indices((field.q,) * nn, dtype=np.int64).reshape(nn, -1).T.reshape(-1, n, n)
 
 
 @lru_cache(maxsize=None)
@@ -402,43 +405,6 @@ def batch_rref(f: FieldSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 # ---------------------------------------------------------------------------
-# scalars
-
-
-@dataclass(frozen=True)
-class Scalar:
-    field: FieldSpec
-    code: int
-
-    def _chk(self, other: "Scalar"):
-        if self.field != other.field:
-            raise FieldMismatch("scalars from different fields")
-
-    def __add__(self, other):
-        self._chk(other)
-        return Scalar(self.field, self.field.add[self.code][other.code])
-
-    def __sub__(self, other):
-        self._chk(other)
-        return Scalar(self.field, self.field.add[self.code][self.field.neg[other.code]])
-
-    def __mul__(self, other):
-        self._chk(other)
-        return Scalar(self.field, self.field.mul[self.code][other.code])
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg[self.code])
-
-    def inverse(self):
-        if self.code == 0:
-            raise DivisionByZero("inverse of zero")
-        return Scalar(self.field, self.field.inv[self.code])
-
-    def __bool__(self):
-        return self.code != 0
-
-
-# ---------------------------------------------------------------------------
 # matrices
 
 
@@ -498,16 +464,7 @@ class Matrix:
                 out.append(acc)
         return Matrix(f, n, kk, tuple(out))
 
-    def scale(self, s: Scalar) -> "Matrix":
-        if s.field != self.field:
-            raise FieldMismatch("scalar from a different field")
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, tuple(mul[s.code][c] for c in self.codes))
-
     # -- accessors ---------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.codes[i * self.cols + j])
 
     def row_codes(self, i: int) -> tuple[int, ...]:
         return self.codes[i * self.cols : (i + 1) * self.cols]
@@ -525,9 +482,6 @@ class Matrix:
 
     def rank(self) -> int:
         return mat_rank(self)
-
-    def inverse(self) -> "Matrix":
-        return mat_inverse(self)
 
 
 def matrix(field: FieldSpec, rows: list[list[int]]) -> Matrix:
@@ -661,11 +615,29 @@ def parse_matrix(field: FieldSpec, text: str) -> Matrix:
     return matrix(field, rows)
 
 
+# Python refuses to convert an int of more than 4300 digits to text by
+# default (sys.set_int_max_str_digits), so larger sizes print as "q^e".
+_DECIMAL_LIMIT = 10**4300
+
+
+def capped_power(q: int, e: int, cap: int, refusal) -> int:
+    """q^e, or CapExceeded(refusal(size)) when it is above cap.
+
+    The exponent is compared first, as in field_make: for q >= 2,
+    q^e >= 2^e > cap once e >= cap.bit_length(), and e may be so large
+    that q^e would not fit in memory.  So size, q^e in decimal, is built
+    only below 2^14300; from 10^4300 (about 2^14284.4) on it is the text
+    "q^e".
+    """
+    if e < cap.bit_length() and q**e <= cap:
+        return q**e
+    total = q**e if e * math.log2(q) < 14300 else None
+    raise CapExceeded(refusal(total if total is not None and total < _DECIMAL_LIMIT else f"{q}^{e}"))
+
+
 def enumerate_matrices(field: FieldSpec, rows: int, cols: int, cap: int = ENUM_CAP):
     """All rows x cols matrices in entry-code lexicographic order."""
-    total = field.q ** (rows * cols)
-    if total > cap:
-        raise CapExceeded(f"{total} matrices exceed cap {cap}")
+    capped_power(field.q, rows * cols, cap, lambda size: f"{size} matrices exceed cap {cap}")
     for codes in itertools.product(range(field.q), repeat=rows * cols):
         yield Matrix(field, rows, cols, codes)
 
@@ -1193,46 +1165,6 @@ def similar(a: Matrix, b: Matrix) -> bool:
     if a.rows != b.rows or a.cols != b.cols or not a.is_square():
         raise DimMismatch("similarity needs equal square shapes")
     return invariant_factors(a) == invariant_factors(b)
-
-
-# ---------------------------------------------------------------------------
-# rank-one factorization
-
-
-@dataclass(frozen=True)
-class Rank1Factorization:
-    """m = lam * v * w with v a hat-normalized column, w a hat-normalized row.
-
-    Hat-normalized: first nonzero coordinate equals 1.  The triple is unique,
-    and lam is the matrix entry at (first nonzero row, first nonzero column).
-    """
-
-    lam: Scalar
-    v: Matrix  # rows x 1
-    w: Matrix  # 1 x cols
-
-    def reassemble(self) -> Matrix:
-        return (self.v * self.w).scale(self.lam)
-
-
-def rank1_factor(m: Matrix) -> Rank1Factorization:
-    if mat_rank(m) != 1:
-        raise RankNotOne(f"matrix has rank {mat_rank(m)}, not 1")
-    f = m.field
-    j0 = next(j for j in range(m.cols) if any(m.col_codes(j)))
-    col = m.col_codes(j0)
-    i0 = next(i for i in range(m.rows) if col[i])
-    row = m.row_codes(i0)
-    inv, mul = f.inv, f.mul
-    vc = inv[col[i0]]
-    v = Matrix(f, m.rows, 1, tuple(mul[vc][x] for x in col))
-    wc = inv[row[j0]]
-    w = Matrix(f, 1, m.cols, tuple(mul[wc][x] for x in row))
-    lam = Scalar(f, m.codes[i0 * m.cols + j0])
-    out = Rank1Factorization(lam, v, w)
-    if out.reassemble() != m:  # pragma: no cover
-        raise InternalError("rank-one reassembly mismatch")
-    return out
 
 
 def format_poly(coeffs: tuple[int, ...]) -> str:

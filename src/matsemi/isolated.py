@@ -31,29 +31,8 @@ from .engine import (
     closure,
     enumerate_subsemigroups,
 )
-from .errors import (
-    AmbientMismatch,
-    BadK,
-    ContainmentViolation,
-    DimMismatch,
-    EmptyFamily,
-    FieldMismatch,
-    InternalError,
-    InvariantViolation,
-    NotClosed,
-    VerificationFailed,
-)
-from .gf import (
-    FieldSpec,
-    Matrix,
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    mat_image,
-    mat_kernel,
-    projection_idempotent,
-    subspace_sort_key,
-)
+from .errors import BadK, InternalError, NotClosed, VerificationFailed
+from .gf import FieldSpec, Subspace, enumerate_subspaces, subspace_sort_key
 
 PAIR_SCAN_BLOCK = 16  # grid rows per step of the completely-isolated scan
 
@@ -89,45 +68,6 @@ def ideal_generated_by_stratum(field: FieldSpec, n: int, k: int) -> MatSet:
 
 
 # ---------------------------------------------------------------------------
-# idempotents
-
-
-@dataclass(frozen=True)
-class IdempotentPair:
-    """An idempotent e together with its image/kernel decomposition."""
-
-    v1: Subspace
-    v2: Subspace
-    e: Matrix
-
-    def __post_init__(self):
-        if self.e * self.e != self.e:
-            raise InvariantViolation("matrix is not idempotent")
-        if self.v1.intersect(self.v2).dim != 0 or self.v1.dim + self.v2.dim != self.v1.ambient:
-            raise InvariantViolation("subspaces are not complementary")
-        if mat_image(self.e) != self.v1 or mat_kernel(self.e) != self.v2:
-            raise InvariantViolation("idempotent does not project onto v1 along v2")
-
-
-def idempotent_for(onto: Subspace, along: Subspace) -> IdempotentPair:
-    """The projection onto `onto` along `along`, as an annotated pair."""
-    return IdempotentPair(v1=onto, v2=along, e=projection_idempotent(onto, along))
-
-
-def idempotents(field: FieldSpec, n: int) -> tuple[IdempotentPair, ...]:
-    """Every idempotent of M(n, F_q), annotated, in canonical matrix order."""
-    amb = ambient(field, n)
-    fixed = np.flatnonzero(amb.grid.diagonal() == np.arange(amb.m))  # x * x = x
-    return tuple(IdempotentPair(v1=mat_image(m), v2=mat_kernel(m), e=m) for m in amb.subset(fixed))
-
-
-def idempotent_count_formula(field: FieldSpec, n: int) -> int:
-    """Sum over d of (number of d-subspaces) * (number of their complements)."""
-    q = field.q
-    return sum(gaussian_binomial(n, d, q) * q ** (d * (n - d)) for d in range(n + 1))
-
-
-# ---------------------------------------------------------------------------
 # image/kernel families
 
 
@@ -137,31 +77,6 @@ class SubspacePairFamily:
 
     a_family: tuple[Subspace, ...]
     b_family: tuple[Subspace, ...]
-
-
-def pair_family(a_family, b_family) -> SubspacePairFamily:
-    a_family = tuple(sorted(set(a_family), key=subspace_sort_key))
-    b_family = tuple(sorted(set(b_family), key=subspace_sort_key))
-    if not a_family or not b_family:
-        raise EmptyFamily("both families must be nonempty")
-    spaces = a_family + b_family
-    field, n = spaces[0].field, spaces[0].ambient
-    for s in spaces:
-        if s.field != field:
-            raise FieldMismatch("family members over different fields")
-        if s.ambient != n:
-            raise AmbientMismatch("family members in different ambient spaces")
-    if any(a.dim != n - 1 for a in a_family):
-        raise DimMismatch("image family members must have dimension n-1")
-    if any(b.dim != 1 for b in b_family):
-        raise DimMismatch("kernel family members must have dimension 1")
-    for b in b_family:
-        for a in a_family:
-            if a.contains(b):
-                raise ContainmentViolation(
-                    "kernel line lies inside an image hyperplane"
-                )
-    return SubspacePairFamily(a_family=a_family, b_family=b_family)
 
 
 def _s_ab_ids(amb: SemigroupTable, fam: SubspacePairFamily) -> np.ndarray:
@@ -175,27 +90,6 @@ def _s_ab_ids(amb: SemigroupTable, fam: SubspacePairFamily) -> np.ndarray:
     if not len(ids):  # pragma: no cover - valid families always admit members
         raise InternalError("family semigroup came out empty")
     return ids
-
-
-def s_ab_make(fam: SubspacePairFamily) -> MatSet:
-    """All matrices with image in the A-family and kernel in the B-family.
-
-    Multiplicative closedness is checked on the ambient grid, not assumed.
-    """
-    amb = ambient(fam.a_family[0].field, fam.a_family[0].ambient)
-    ids = _s_ab_ids(amb, fam)
-    _closed_mask(amb, ids)  # raises NotClosed with a witness if it escapes
-    return amb.subset(ids)
-
-
-def product_kernel_image_law(s: MatSet) -> bool:
-    """ker(A*B) = ker(B) and Im(A*B) = Im(A) over all pairs of s."""
-    for a in s.elements:
-        for b in s.elements:
-            ab = a * b
-            if mat_kernel(ab) != mat_kernel(b) or mat_image(ab) != mat_image(a):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +197,8 @@ def _all_pair_families(field: FieldSpec, n: int):
     """Every valid (A-family, B-family) pair, canonically ordered.
 
     Hyperplanes and lines come sorted, and each family keeps that order and
-    only lines outside all of its hyperplanes, so the families are built
-    without pair_family's sort and checks.
+    only lines outside all of its hyperplanes, so every family is valid and
+    sorted as built.
     """
     hyper = list(enumerate_subspaces(field, n, n - 1))
     lines = list(enumerate_subspaces(field, n, 1))
@@ -374,7 +268,7 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
     if mode not in ("exhaustive", "theorem_list"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
-        check_scan_size(field.q ** (n * n))  # before the theorem list and the ambient
+        check_scan_size(field.q, n * n)  # before the theorem list and the ambient
     amb = ambient(field, n)
     witnesses = _Witnesses()  # shared by every set of this run, then dropped
     predicted = _theorem_records(amb, witnesses)

@@ -65,7 +65,6 @@ from .gf import (
     batch_mul,
     codes_array,
     mat_kernel,
-    mat_rank,
     prime_power,
 )
 
@@ -184,12 +183,6 @@ class NilContext:
         right[ids, g] = True
         reach = _meets(left, right.T)
         return [frozenset(np.flatnonzero(row).tolist()) for row in reach]
-
-    def one_hull(self, x: int) -> frozenset[int]:
-        """ids of T^1 x T^1 = {x} | Tx | xT | TxT."""
-        g = self.table.grid
-        sides = frozenset(g[:, x].tolist()) | frozenset(g[x].tolist())
-        return frozenset({x}) | sides | self.tat_sets[x]
 
     @cached_property
     def k_ids(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -381,19 +374,7 @@ def depth_sets(ctx: NilContext, which: str, i: int) -> MatSet:
 
 
 # ---------------------------------------------------------------------------
-# indecomposables, K cells, super rank
-
-
-def is_indecomposable(ctx: NilContext, a: Matrix) -> bool:
-    """True iff a is not a product of two elements of T (brute table scan)."""
-    return _id_of(ctx, a) not in ctx.decomposable_ids
-
-
-def k_set(ctx: NilContext, u: int, v: int) -> MatSet:
-    """The K cell at prec depth u and ll depth v."""
-    if (u, v) not in K_PAIRS:
-        raise PreconditionViolated(f"no K cell at {(u, v)}")
-    return ctx.table.subset(sorted(ctx.k_ids[(u, v)]))
+# super rank
 
 
 def super_rank(ctx: NilContext, a: Matrix) -> int | None:
@@ -404,55 +385,6 @@ def super_rank(ctx: NilContext, a: Matrix) -> int | None:
     if x in ctx.decomposable_ids:
         return ctx.dec_super_rank[x]
     return ctx.indec_super_rank[x]
-
-
-def sandwich_witness(ctx: NilContext, a: Matrix, target_rank: int) -> Matrix | None:
-    """B in T of the target rank with c*a*d = c*b*d for all (c,d) != (1,1).
-
-    Any such B differs from a only in the corner block (row stratum 1 x
-    column stratum r) of adapted coordinates: the condition is equivalent
-    to Im(a-B) ⊆ V_1 together with (a-B)(V_{r-1}) = 0, because the common
-    kernel of T is exactly V_1 and the images of T span exactly V_{r-1}.
-    Candidates are tried with the corner zeroed first, then by ascending
-    corner codes; each one is replayed against the full table.
-    """
-    x = _id_of(ctx, a)
-    if target_rank not in (1, 2):
-        raise PreconditionViolated("target rank must be 1 or 2")
-    if x in ctx.decomposable_ids:
-        raise PreconditionViolated("witness search expects an indecomposable element")
-    if ctx.one_hull(x) <= {x, ctx.table.zero_id}:
-        raise PreconditionViolated("sandwiching a is degenerate: T^1 a T^1 = {a, 0}")
-    field = ctx.t.field
-    n = ctx.flag.ambient
-    p = flag_basis(ctx.flag)
-    pinv = flag_basis_inverse(ctx.flag)
-    a_ad = pinv * a * p
-    d1, dr = ctx.sig[0], ctx.sig[-1]
-    corner = [(i, j) for i in range(d1) for j in range(n - dr, n)]
-    for vals in itertools.product(range(field.q), repeat=len(corner)):
-        codes = list(a_ad.codes)
-        for (i, j), val in zip(corner, vals):
-            codes[i * n + j] = val
-        b = p * Matrix(field, n, n, tuple(codes)) * pinv
-        if mat_rank(b) != target_rank:
-            continue
-        y = ctx.table.index.get(b)
-        if y is None:  # pragma: no cover
-            raise InternalError("corner modification left the semigroup")
-        if _sandwich_equal(ctx, x, y):
-            return b
-    return None
-
-
-def _sandwich_equal(ctx: NilContext, xa: int, xb: int) -> bool:
-    g = ctx.table.grid
-    if not np.array_equal(g[xa], g[xb]):  # c = 1 cases: a*d vs b*d
-        return False
-    ca, cb = g[:, xa], g[:, xb]
-    if not np.array_equal(ca, cb):  # d = 1 cases: c*a vs c*b
-        return False
-    return bool(np.array_equal(g[ca], g[cb]))  # full c*a*d vs c*b*d replay
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +426,13 @@ def _sandwich_nonzero(ctx: NilContext, left_exp: int, right_exp: int) -> np.ndar
     test on w is one column reduction of the zero pattern over the rows of
     T^left_exp (w != 0 itself for exponent 0).  The products x d are read
     off the grid about GRID_BLOCK entries at a time.
+
+    For left_exp = right_exp = 1 the set has a closed form: T x T != {0}
+    exactly when x(V_{r-1}) is not inside V_1.  Every element of T kills
+    V_1 and the kernels of T meet in V_1 alone, so c w = 0 for every c in
+    T exactly when w is in V_1; the images of T span V_{r-1}.  So c x d = 0
+    for all c, d in T exactly when x maps the span of the images of T,
+    which is V_{r-1}, into V_1.
     """
     zero = ctx.table.zero_id
     if left_exp:
@@ -657,9 +596,6 @@ class IsoMap:
 
     g: Matrix
     pairs: tuple[tuple[Matrix, Matrix], ...]
-
-    def as_dict(self) -> dict[Matrix, Matrix]:
-        return dict(self.pairs)
 
 
 def iso_construct(ctx1: NilContext, ctx2: NilContext) -> IsoMap:

@@ -30,7 +30,7 @@ from .flags import (
     standard_flag,
 )
 from .gf import (
-    codes_array,
+    all_codes,
     enumerate_matrices,
     field_make,
     format_matrix,
@@ -147,7 +147,7 @@ def criterion_03() -> CriterionResult:
     checked = 0
     for n, q in itertools.product((2, 3, 4), (2, 3)):
         f = field_make(q)
-        full = codes_array(enumerate_matrices(f, n, n)) if n <= 3 else None  # the ambient scan
+        full = all_codes(f, n) if n <= 3 else None  # the ambient scan
         for fl in (fl for m in range(1, n) for fl in flags_with_signature(f, n, (m, n - m))):
             s = flag_semigroup(fl)
             checked += 1

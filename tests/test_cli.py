@@ -174,6 +174,27 @@ class TestExitCodes:
         assert code == 2
         assert text.startswith("error NotPrime: 4 is not prime; the field of size 4^100000 is 2^200000")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classes", "--n", "200"], "|M(200, F_2)| = 2^40000 exceeds cap 4096"),
+            (["isolated", "enum", "--n", "200"], "table size 2^40000 exceeds subsemigroup scan cap 16"),
+            (["isolated", "check", "--n", "200"], "table size 2^40000 exceeds subsemigroup scan cap 16"),
+            (["ideal", "gen", "--n", "200", "--k", "1"], "|M(200, F_2)| = 2^40000 exceeds cap 4096"),
+            (["flags", "phi", "--n", "300", "--sig", "150,150"], "flag semigroup has 2^22500 elements, cap 1048576"),
+            (["nil", "fingerprint", "--n", "300", "--sig", "150,150"], "flag semigroup has 2^22500 elements, cap 1048576"),
+        ],
+        ids=["classes", "isolated-enum", "isolated-check", "ideal-gen", "flags-phi", "nil-fingerprint"],
+    )
+    def test_huge_size_is_refused_without_building_it(self, argv, message):
+        # each size has more digits than Python converts to text, so it is
+        # printed as q^e; the exponent is compared with the cap first
+        t0 = perf_counter()
+        text, code = run_command([*argv, "--field", "2"])
+        assert perf_counter() - t0 < 1.0
+        assert code == 3
+        assert text == f"error CapExceeded: {message}\n"
+
     @pytest.mark.parametrize("extra", [[], ["--q", "2", "--infinite"]], ids=["neither", "both"])
     def test_iso_decide_needs_one_of_q_and_infinite(self, extra):
         argv = ["nil", "iso-decide", "--n1", "2", "--sig1", "1,1", "--n2", "2", "--sig2", "1,1"]

@@ -22,7 +22,6 @@ from matsemi import (
     mat_pow,
     mat_rank,
     matrix,
-    primary_conjugation_witness,
     projection_idempotent,
     semigroup_conjugate,
     sg_classes,
@@ -312,15 +311,6 @@ class TestRelation:
         b = matrix(f, [codes[i * n : (i + 1) * n] for i in range(n)])
         assert semigroup_conjugate(a * b, b * a)
         assert class_key(a * b) == class_key(b * a)
-
-    def test_witness_replays(self):
-        a = matrix(F2, [[1, 1], [1, 0]])
-        b = matrix(F2, [[0, 1], [1, 0]])
-        x, y = a * b, b * a
-        w = primary_conjugation_witness(x, y)
-        assert w is not None
-        u, v = w
-        assert u * v == x and v * u == y
 
     def test_similar_cores_decide(self):
         amb = ambient(F2, 2)

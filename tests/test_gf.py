@@ -35,7 +35,6 @@ from matsemi import (
     parse_matrix,
     parse_subspace,
     projection_idempotent,
-    rank1_factor,
     similar,
     subspace,
     unit_matrix,
@@ -55,8 +54,10 @@ from matsemi.gf import (
     _relation_matrix,
     _rref,
     _smith_factors,
+    all_codes,
     batch_mul,
     batch_rref,
+    capped_power,
     code_keys,
     codes_array,
     prime_power,
@@ -159,6 +160,21 @@ class TestField:
         assert prime_power(2**63) == (2, 63)
         assert prime_power(3825123056546413051) is None
         assert prime_power(PRIME_CAP - 1) is None
+
+    def test_capped_power_prints_every_size_python_converts(self):
+        refusal = "size {}".format
+        assert capped_power(2, 12, 4096, refusal) == 4096
+        assert capped_power(64, 2, 4096, refusal) == 4096
+        with pytest.raises(CapExceeded, match=r"^size 8192$"):
+            capped_power(2, 13, 4096, refusal)
+        # 2^14284 has 4300 digits, the most that int-to-str converts by default
+        with pytest.raises(CapExceeded) as got:
+            capped_power(2, 14284, 4096, refusal)
+        assert str(got.value) == f"size {2**14284}"
+        with pytest.raises(CapExceeded, match=r"^size 2\^14285$"):
+            capped_power(2, 14285, 4096, refusal)
+        with pytest.raises(CapExceeded, match=r"^size 64\^9999800001$"):  # would take 7.5 GB
+            capped_power(64, 99999**2, 4096, refusal)
         with pytest.raises(CapExceeded, match="prime-power cap"):
             prime_power(PRIME_CAP)
 
@@ -259,14 +275,7 @@ class TestMatrixAlgebra:
     def test_unit_matrix(self):
         f = field_make(3)
         e = unit_matrix(f, 3, 0, 2)
-        assert e.entry(0, 2).code == 1 and mat_rank(e) == 1
-
-    @given(mats(n_min=2))
-    def test_rank1_factor(self, a):
-        if mat_rank(a) == 1:
-            fac = rank1_factor(a)
-            scaled = Matrix(a.field, a.rows, 1, tuple(a.field.mul[fac.lam.code][c] for c in fac.v.codes))
-            assert scaled * fac.w == a
+        assert e.codes[2] == 1 and mat_rank(e) == 1
 
 
 class TestSimilarity:
@@ -389,7 +398,7 @@ def _poly_at(p, a):
     f, n = a.field, a.rows
     out = zero_matrix(f, n)
     for c in reversed(p):
-        out = out * a + identity_matrix(f, n).scale(f.scalar(c))
+        out = out * a + matrix(f, [[c if i == j else 0 for j in range(n)] for i in range(n)])
     return out
 
 
@@ -616,6 +625,13 @@ class TestVectorCodeKrylov:
 
 
 class TestCodeArrayKernel:
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3)])
+    def test_all_codes_match_enumerate_matrices(self, p, k, n):
+        f = field_make(p, k)
+        got = all_codes(f, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, codes_array(enumerate_matrices(f, n, n)))
+
     def test_every_pair_of_m2_f4(self):
         f = field_make(2, 2)
         ms = list(enumerate_matrices(f, 2, 2))
@@ -781,7 +797,7 @@ class TestSubspace:
                 cols = onto.basis + along.basis
                 p = Matrix(f, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
                 d = Matrix(f, n, n, tuple(int(i == j < onto.dim) for i in range(n) for j in range(n)))
-                assert projection_idempotent(onto, along) == p * d * p.inverse()
+                assert projection_idempotent(onto, along) == p * d * mat_inverse(p)
                 pairs += 1
         # ordered complementary pairs: q^(d(n-d)) complements per subspace
         assert pairs == sum(gaussian_binomial(n, d, f.q) * f.q ** (d * (n - d)) for d in range(n + 1))

@@ -8,29 +8,28 @@ import pytest
 
 from matsemi import engine, isolated
 from matsemi.engine import ambient, closure, mat_set, product_grid
-from matsemi.errors import (
-    BadK,
-    ContainmentViolation,
-    EmptyFamily,
-    InvariantViolation,
-    NotClosed,
+from matsemi.errors import BadK, InvariantViolation, NotClosed
+from matsemi.gf import (
+    field_make,
+    gaussian_binomial,
+    mat_image,
+    mat_kernel,
+    matrix,
+    parse_subspace,
+    projection_idempotent,
+    subspace_sort_key,
+    unit_matrix,
 )
-from matsemi.gf import field_make, mat_image, mat_kernel, matrix, parse_subspace, unit_matrix
 from matsemi.isolated import (
+    SubspacePairFamily,
     _all_pair_families,
     enumerate_isolated,
     ideal,
     ideal_absorption_check,
     ideal_generated_by_stratum,
-    idempotent_count_formula,
-    idempotent_for,
-    idempotents,
     is_completely_isolated,
     is_isolated,
-    pair_family,
-    product_kernel_image_law,
     rank_stratum,
-    s_ab_make,
 )
 
 
@@ -71,52 +70,78 @@ class TestStrataAndIdeals:
             ideal_generated_by_stratum(f2, 3, k)
 
 
+def _idempotent_ids(amb):
+    return np.flatnonzero(amb.grid.diagonal() == np.arange(amb.m))  # x * x = x
+
+
+def _idempotent_count_formula(q, n):
+    """Sum over d of (number of d-subspaces) * (number of their complements)."""
+    return sum(gaussian_binomial(n, d, q) * q ** (d * (n - d)) for d in range(n + 1))
+
+
 class TestIdempotents:
     def test_count_matches_formula(self, f2, f3):
-        assert len(idempotents(f2, 2)) == 8
-        assert len(idempotents(f2, 2)) == idempotent_count_formula(f2, 2)
-        assert len(idempotents(f3, 2)) == idempotent_count_formula(f3, 2)
+        assert len(_idempotent_ids(ambient(f2, 2))) == 8 == _idempotent_count_formula(2, 2)
+        assert len(_idempotent_ids(ambient(f3, 2))) == _idempotent_count_formula(3, 2)
 
     def test_all_are_idempotent(self, f2):
-        for pair in idempotents(f2, 2):
-            assert pair.e * pair.e == pair.e
+        amb = ambient(f2, 2)
+        for e in amb.subset(_idempotent_ids(amb)):
+            assert e * e == e
+            # F^2 = Im e (+) ker e, and e is the projection onto one along the other
+            assert projection_idempotent(mat_image(e), mat_kernel(e)) == e
 
     def test_idempotent_for_complementary_pair(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
-        pair = idempotent_for(e1, e2)
-        assert pair.e == matrix(f2, [[1, 0], [0, 0]])
-        assert pair.e * pair.e == pair.e
+        e = projection_idempotent(e1, e2)
+        assert e == matrix(f2, [[1, 0], [0, 0]])
+        assert e * e == e
 
     def test_idempotent_for_rejects_non_complementary(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         with pytest.raises(InvariantViolation):
-            idempotent_for(e1, e1)
+            projection_idempotent(e1, e1)
+
+
+def _s_ab(fam):
+    """S(A, B) by the library route of the theorem list: the ambient ids
+    from the subspace ids, closedness checked on the grid."""
+    amb = ambient(fam.a_family[0].field, fam.a_family[0].ambient)
+    ids = isolated._s_ab_ids(amb, fam)
+    isolated._closed_mask(amb, ids)  # raises NotClosed if it escapes
+    return amb.subset(ids)
+
+
+def _product_kernel_image_law(s):
+    """ker(A*B) = ker(B) and Im(A*B) = Im(A) over all pairs of s."""
+    return all(
+        mat_kernel(a * b) == mat_kernel(b) and mat_image(a * b) == mat_image(a)
+        for a in s.elements
+        for b in s.elements
+    )
 
 
 class TestPairFamilies:
     def test_singleton_family_gives_one_idempotent(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
-        s = s_ab_make(pair_family([e1], [e2]))
+        s = _s_ab(SubspacePairFamily((e1,), (e2,)))
         assert frozenset(s) == {matrix(f2, [[1, 0], [0, 0]])}
 
     def test_family_requires_image_outside_kernel(self, f2):
+        # with its kernel line inside its image, e12 squares to 0, which
+        # has neither: S(A, B) would not be closed
         e1 = parse_subspace(f2, 2, "1,0")
-        with pytest.raises(ContainmentViolation):
-            pair_family([e1], [e1])
-
-    def test_family_must_be_nonempty(self, f2):
-        e2 = parse_subspace(f2, 2, "0,1")
-        with pytest.raises(EmptyFamily):
-            pair_family([], [e2])
+        with pytest.raises(NotClosed):
+            _s_ab(SubspacePairFamily((e1,), (e1,)))
 
     def test_plane_line_family_in_dim3(self, f2):
         plane = parse_subspace(f2, 3, "1,0,0;0,1,0")
         line = parse_subspace(f2, 3, "0,0,1")
-        s = s_ab_make(pair_family([plane], [line]))
+        s = _s_ab(SubspacePairFamily((plane,), (line,)))
         assert len(s) == 6
-        assert product_kernel_image_law(s)
+        assert _product_kernel_image_law(s)
         # every member maps onto the plane with the line as kernel
         for mat in s:
             assert mat.rank() == 2
@@ -145,7 +170,7 @@ class TestIsolationPredicates:
     def test_singleton_sab_is_isolated_not_completely(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
-        s = s_ab_make(pair_family([e1], [e2]))
+        s = _s_ab(SubspacePairFamily((e1,), (e2,)))
         assert is_isolated(s)
         assert not is_completely_isolated(s)
 
@@ -218,8 +243,13 @@ class TestPredicateOracles:
         fams = _all_pair_families(field, 2)
         assert len(fams) == 3 ** (field.q + 1) - 2 ** (field.q + 2) + 1
         for fam in fams:
-            assert fam == pair_family(fam.a_family, fam.b_family)  # built valid and sorted
-            s = s_ab_make(fam)
+            a_fam, b_fam = fam.a_family, fam.b_family  # built valid and sorted
+            assert a_fam and all(a.dim == 1 for a in a_fam)  # hyperplanes of F^2
+            assert b_fam and all(b.dim == 1 for b in b_fam)
+            assert not any(a.contains(b) for a in a_fam for b in b_fam)
+            assert list(a_fam) == sorted(set(a_fam), key=subspace_sort_key)
+            assert list(b_fam) == sorted(set(b_fam), key=subspace_sort_key)
+            s = _s_ab(fam)
             assert s == _oracle_s_ab(fam)
             assert is_isolated(s) is _oracle_is_isolated(s) is True
             assert is_completely_isolated(s) is _oracle_is_completely_isolated(s) is False
@@ -377,7 +407,7 @@ class TestEnumeration:
         for r in recs:
             if r.kind == "SAB":
                 assert r.a_family and r.b_family
-                assert r.s == s_ab_make(pair_family(list(r.a_family), list(r.b_family)))
+                assert r.s == _oracle_s_ab(SubspacePairFamily(r.a_family, r.b_family))
             else:
                 assert r.a_family is None and r.b_family is None
 

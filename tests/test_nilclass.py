@@ -18,10 +18,8 @@ from matsemi import (
     depth_sets,
     field_make,
     fingerprint,
-    is_indecomposable,
     iso_construct,
     iso_decide,
-    k_set,
     ll,
     matrix,
     mat_image,
@@ -30,7 +28,6 @@ from matsemi import (
     mat_rank,
     nil_context,
     prec,
-    sandwich_witness,
     standard_flag,
     super_rank,
     u_stat,
@@ -106,37 +103,36 @@ class TestOrders:
 
 class TestKCells:
     def test_indecomposable(self, ctx3):
-        zero3 = matrix(F2, [[0] * 3] * 3)
-        assert not is_indecomposable(ctx3, zero3)
-        assert not is_indecomposable(ctx3, E(1, 3))  # e12 * e23
-        assert is_indecomposable(ctx3, E(1, 2))
+        index, dec = ctx3.table.index, ctx3.decomposable_ids
+        assert index[matrix(F2, [[0] * 3] * 3)] in dec
+        assert index[E(1, 3)] in dec  # e12 * e23
+        assert index[E(1, 2)] not in dec
 
     def test_cells_at_length_three(self, ctx3):
-        assert E(1, 2) in k_set(ctx3, 1, 0)
-        assert E(2, 3) in k_set(ctx3, 0, 1)
+        assert ctx3.table.index[E(1, 2)] in ctx3.k_ids[(1, 0)]
+        assert ctx3.table.index[E(2, 3)] in ctx3.k_ids[(0, 1)]
         # cube of the semigroup vanishes, so the sandwich cells are empty
         for u, v in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            assert len(k_set(ctx3, u, v)) == 0
+            assert not ctx3.k_ids[(u, v)]
 
     def test_cells_are_disjoint_depth_level_sets(self, ctx_complete4):
         ctx = ctx_complete4
-        cells = {(u, v): frozenset(k_set(ctx, u, v)) for u, v in K_PAIRS}
         seen = set()
-        for c in cells.values():
+        for c in ctx.k_ids.values():
             assert not (seen & c)
             seen |= c
-        for (u, v), c in cells.items():
-            for a in c:
-                x = ctx.table.index[a]
+        for (u, v), c in ctx.k_ids.items():
+            for x in c:
                 assert (ctx.depth_prec[x], ctx.depth_ll[x]) == (u, v)
 
     def test_complete4_cell_sizes(self, ctx_complete4):
-        sizes = tuple(len(k_set(ctx_complete4, u, v)) for u, v in K_PAIRS)
+        sizes = tuple(len(ctx_complete4.k_ids[uv]) for uv in K_PAIRS)
         assert sizes == (6, 6, 8, 0, 0, 8, 8, 0)
 
     def test_bad_pair(self, ctx3):
-        with pytest.raises(PreconditionViolated):
-            k_set(ctx3, 3, 0)
+        # cells exist only at the defined (prec depth, ll depth) pairs
+        assert tuple(ctx3.k_ids) == K_PAIRS
+        assert (3, 0) not in ctx3.k_ids
 
 
 class TestSuperRank:
@@ -151,7 +147,7 @@ class TestSuperRank:
 
     def test_undefined_case(self, ctx3):
         a = E(1, 2) + E(2, 3)
-        assert is_indecomposable(ctx3, a)
+        assert ctx3.table.index[a] not in ctx3.decomposable_ids
         assert super_rank(ctx3, a) is None
 
     def test_rank_law_on_decomposables(self, ctx_complete4, ctx212):
@@ -172,38 +168,35 @@ class TestSuperRank:
         assert super_rank(ctx_complete4, a) == 2
 
 
+def _same_sandwiches(g, x, y):
+    """c*x*d = c*y*d in the grid g for every (c, d) != (1, 1)."""
+    return np.array_equal(g[x], g[y]) and np.array_equal(g[:, x], g[:, y]) and np.array_equal(g[g[:, x]], g[g[:, y]])
+
+
 class TestSandwichWitness:
     def test_corner_fix_case(self, ctx_complete4):
+        # a has rank 2 and super rank 1: changing its corner entry (row
+        # stratum 1, column stratum r) gives the rank-1 w with c*a*d = c*w*d
+        # for every (c, d) != (1, 1), as Im(a - w) lies in V_1 and
+        # (a - w)(V_{r-1}) = 0.
+        ctx = ctx_complete4
         E4 = lambda i, j: unit_matrix(F2, 4, i - 1, j - 1)
         a = E4(1, 3) + E4(2, 3) + E4(2, 4)
-        assert a in k_set(ctx_complete4, 1, 1)
-        assert mat_rank(a) == 2 and super_rank(ctx_complete4, a) == 1
-        w = sandwich_witness(ctx_complete4, a, 1)
-        assert w == a + E4(1, 4)
-        # replay: every sandwich through w matches the one through a
-        g = ctx_complete4.table.grid
-        xa, xb = ctx_complete4.table.index[a], ctx_complete4.table.index[w]
-        for c in range(ctx_complete4.m):
-            assert g[c][xa] == g[c][xb] or (
-                ctx_complete4.t.elements[g[c][xa]],
-                ctx_complete4.t.elements[g[c][xb]],
-            ) == (a, w)
-            assert g[xa][c] == g[xb][c] or c == ctx_complete4.table.identity_id
+        xa = ctx.table.index[a]
+        assert xa in ctx.k_ids[(1, 1)]
+        assert mat_rank(a) == 2 and super_rank(ctx, a) == 1
+        w = a + E4(1, 4)
+        assert mat_rank(w) == 1
+        g = ctx.table.grid
+        assert _same_sandwiches(g, xa, ctx.table.index[w])
 
     def test_rank_mismatch_returns_none(self, ctx_complete4):
-        E4 = lambda i, j: unit_matrix(F2, 4, i - 1, j - 1)
-        b = E4(1, 2) + E4(2, 3)
-        assert super_rank(ctx_complete4, b) == 2
-        assert sandwich_witness(ctx_complete4, b, 1) is None
-        assert sandwich_witness(ctx_complete4, b, 2) is not None
-
-    def test_degenerate_hull_rejected(self, ctx_complete4):
-        with pytest.raises(PreconditionViolated):
-            sandwich_witness(ctx_complete4, unit_matrix(F2, 4, 0, 3), 1)
-
-    def test_decomposable_rejected(self, ctx_complete4):
-        with pytest.raises(PreconditionViolated):
-            sandwich_witness(ctx_complete4, unit_matrix(F2, 4, 0, 2), 1)
+        # b has super rank 2: no rank-1 element shares its sandwiches
+        ctx = ctx_complete4
+        b = unit_matrix(F2, 4, 0, 1) + unit_matrix(F2, 4, 1, 2)  # e12 + e23
+        assert super_rank(ctx, b) == 2
+        g, xb = ctx.table.grid, ctx.table.index[b]
+        assert not any(_same_sandwiches(g, xb, y) for y in np.flatnonzero(ctx.table.ranks == 1))
 
 
 class TestFingerprint:
@@ -377,7 +370,7 @@ class TestIso:
         c1, c2 = nil_context(flags[0]), nil_context(flags[5])
         iso = iso_construct(c1, c2)
         assert len(iso.pairs) == 8
-        mapping = iso.as_dict()
+        mapping = dict(iso.pairs)
         for a in c1.t:
             for b in c1.t:
                 assert mapping[a * b] == mapping[a] * mapping[b]
@@ -525,7 +518,7 @@ def test_iso_construct_is_matrix_conjugation(f3):
         assert iso.g == flags.flag_transporter(c1, c2)
         assert [b for _, b in iso.pairs] == [iso.g * a * gi for a in ctx1.t]
         assert [a for a, _ in iso.pairs] == list(ctx1.t)
-        assert sorted(iso.as_dict().values(), key=ctx2.table.index.get) == list(ctx2.t)
+        assert sorted(dict(iso.pairs).values(), key=ctx2.table.index.get) == list(ctx2.t)
 
 
 F3 = field_make(3)
