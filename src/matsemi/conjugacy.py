@@ -49,7 +49,7 @@ from .gf import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _trivial_parts(f: FieldSpec, n: int):
     """Shared (F^n, 0, I, zero matrix) for the closed-form cores."""
     return full_space(f, n), zero_subspace(f, n), identity_matrix(f, n), zero_matrix(f, n)

@@ -85,13 +85,6 @@ class Flag:
     def interior(self) -> tuple[Subspace, ...]:
         return self.chain[1:-1]
 
-    def stratum_of(self, vec: tuple[int, ...]) -> int:
-        """Least i with vec in V_i; 0 only for the zero vector."""
-        for i, s in enumerate(self.chain):
-            if s.contains_vector(vec):
-                return i
-        raise DimMismatch("vector does not live in the ambient space")
-
 
 def flag_make(field: FieldSpec, ambient: int, subspaces) -> Flag:
     """Validate a chain into a Flag; omitted endpoints are adjoined."""

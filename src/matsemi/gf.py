@@ -213,7 +213,7 @@ class FieldSpec:
     inv: tuple = _dfield(compare=False, repr=False, default=())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
     """Build GF(p^k).  Raises NotPrime / CapExceeded on bad input.
 
@@ -293,7 +293,7 @@ def all_codes(field: FieldSpec, n: int) -> np.ndarray:
     return np.indices((field.q,) * nn, dtype=np.int64).reshape(nn, -1).T.reshape(-1, n, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _key_weights(q: int, nn: int) -> np.ndarray | None:
     """Base-q digit weights of nn codes; None when q^nn overflows int64."""
     return q ** np.arange(nn, dtype=np.int64) if q**nn <= 1 << 63 else None
@@ -342,12 +342,12 @@ def code_keys(f: FieldSpec, arr: np.ndarray) -> np.ndarray:
     return join_row_keys(f, [rows[..., i] for i in range(arr.shape[-1])])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _np_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(f.mul, dtype=np.int64), np.array(f.add, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _np_inv_neg(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(f.inv, dtype=np.int64), np.array(f.neg, dtype=np.int64)
 
@@ -471,9 +471,6 @@ class Matrix:
 
     def col_codes(self, j: int) -> tuple[int, ...]:
         return tuple(self.codes[i * self.cols + j] for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.codes)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -684,21 +681,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._chk(other)
         return all(self.contains_vector(r) for r in other.basis)
-
-    def sum_(self, other: "Subspace") -> "Subspace":
-        self._chk(other)
-        return subspace(self.field, self.ambient, list(self.basis) + list(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: rref of [[U, U], [W, 0]]; rows with zero left half carry
-        # the intersection in their right half.
-        self._chk(other)
-        n = self.ambient
-        rows = [list(r) + list(r) for r in self.basis]
-        rows += [list(r) + [0] * n for r in other.basis]
-        red, _ = _rref(self.field, rows)
-        out = [r[n:] for r in red if all(x == 0 for x in r[:n])]
-        return subspace(self.field, n, out)
 
     def vectors(self):
         """All member vectors (q^dim of them), deterministic order."""

@@ -7,14 +7,15 @@ semigroup, its group of units, the ideal of singular matrices, and the
 image/kernel-constrained families S(A-family, B-family) — can be checked
 both by construction and by brute subset scans.
 
-Everything runs on ids of the cached ambient table: a set is a boolean
-member mask, closedness is read off the ambient grid, isolation off the
-ambient's roots index (which ids have a given power), and S(A, B) is found
-from the per-id image and kernel subspace ids.  Within one enumeration,
-complete isolation first re-checks the pairs that refuted it for earlier
-sets and scans the grid only when none of them refutes this one.  The
-exhaustive subset scan runs on the same table, so no mode builds a second
-product grid.
+Everything runs on ids of the cached ambient table.  Each set of the
+theorem list is a union of H-classes (one image and one kernel), so one
+pass over the grid marks which H-classes every product and every power
+joins, and bitsets over the sets answer closedness, isolation and complete
+isolation for the whole list at once.  Any other set is a boolean member
+mask: closedness is read off the grid, isolation off the roots index
+(which ids have a given power), and complete isolation off a scan of the
+grid rows outside it.  The exhaustive subset scan runs on the same table,
+so no mode builds a second product grid.
 """
 
 from __future__ import annotations
@@ -23,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    MatSet,
-    SemigroupTable,
-    ambient,
-    check_scan_size,
-    closure,
-    enumerate_subsemigroups,
-)
+from .engine import GRID_BLOCK, MatSet, SemigroupTable, ambient, check_scan_size, closure, enumerate_subsemigroups
 from .errors import BadK, InternalError, NotClosed, VerificationFailed
-from .gf import FieldSpec, Subspace, enumerate_subspaces, subspace_sort_key
+from .gf import FieldSpec, Subspace, enumerate_subspaces
 
 PAIR_SCAN_BLOCK = 16  # grid rows per step of the completely-isolated scan
 
@@ -77,19 +71,6 @@ class SubspacePairFamily:
 
     a_family: tuple[Subspace, ...]
     b_family: tuple[Subspace, ...]
-
-
-def _s_ab_ids(amb: SemigroupTable, fam: SubspacePairFamily) -> np.ndarray:
-    """Ambient ids, ascending, of the matrices of S(A-family, B-family)."""
-    index = amb.subspace_index
-    in_a = np.zeros(len(index), dtype=bool)
-    in_a[[index[a] for a in fam.a_family]] = True
-    in_b = np.zeros(len(index), dtype=bool)
-    in_b[[index[b] for b in fam.b_family]] = True
-    ids = np.flatnonzero(in_a[amb.image_ids] & in_b[amb.kernel_ids])
-    if not len(ids):  # pragma: no cover - valid families always admit members
-        raise InternalError("family semigroup came out empty")
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +127,6 @@ def _outside_product(amb: SemigroupTable, mask: np.ndarray):
     return None
 
 
-class _Witnesses:
-    """Triples (x, y, x*y) that refuted complete isolation of earlier sets
-    in one run.
-
-    A set one of them refutes is not completely isolated; every other set
-    gets the full scan of _outside_product, whose hit is kept.  So a
-    "completely isolated" answer always comes from the full scan.
-    """
-
-    def __init__(self):
-        self.triples = np.zeros((3, 0), dtype=np.intp)
-
-    def completely_isolated(self, amb: SemigroupTable, mask: np.ndarray) -> bool:
-        x, y, xy = self.triples
-        if (mask[xy] & ~mask[x] & ~mask[y]).any():
-            return False
-        hit = _outside_product(amb, mask)
-        if hit is None:
-            return True
-        self.triples = np.column_stack((self.triples, hit))
-        return False
-
-
 def is_isolated(s: MatSet) -> bool:
     """No element outside s has any power inside s."""
     return _isolated(*_member_mask(s))
@@ -198,63 +156,115 @@ def _all_pair_families(field: FieldSpec, n: int):
 
     Hyperplanes and lines come sorted, and each family keeps that order and
     only lines outside all of its hyperplanes, so every family is valid and
-    sorted as built.
+    sorted as built.  Sorting the families by their position tuples is
+    sorting them by their subspace sort keys.
     """
     hyper = list(enumerate_subspaces(field, n, n - 1))
     lines = list(enumerate_subspaces(field, n, 1))
     inside = [[a.contains(ln) for ln in lines] for a in hyper]
-    out = []
+    picks = []
     for abits in range(1, 1 << len(hyper)):
-        chosen = [i for i in range(len(hyper)) if abits >> i & 1]
-        a_fam = tuple(hyper[i] for i in chosen)
-        ok_lines = [ln for j, ln in enumerate(lines) if not any(inside[i][j] for i in chosen)]
-        for bbits in range(1, 1 << len(ok_lines)):
-            b_fam = tuple(ok_lines[i] for i in range(len(ok_lines)) if bbits >> i & 1)
-            out.append(SubspacePairFamily(a_family=a_fam, b_family=b_fam))
-    out.sort(
-        key=lambda fam: (
-            tuple(subspace_sort_key(a) for a in fam.a_family),
-            tuple(subspace_sort_key(b) for b in fam.b_family),
-        )
-    )
-    return out
+        chosen = tuple(i for i in range(len(hyper)) if abits >> i & 1)
+        ok = [j for j in range(len(lines)) if not any(inside[i][j] for i in chosen)]
+        for bbits in range(1, 1 << len(ok)):
+            picks.append((chosen, tuple(ok[i] for i in range(len(ok)) if bbits >> i & 1)))
+    picks.sort()
+    return [SubspacePairFamily(tuple(hyper[i] for i in a), tuple(lines[j] for j in b)) for a, b in picks]
 
 
-def _record(amb: SemigroupTable, witnesses: _Witnesses, kind, ids, a_fam=None, b_fam=None) -> IsolatedRecord:
-    """Record for the closed set of ascending ambient ids; one mask serves
-    the closedness check and both predicates."""
-    mask = _closed_mask(amb, ids)
-    if not _isolated(amb, mask):
-        raise VerificationFailed(
-            f"predicted isolated subsemigroup of kind {kind} fails the power scan",
-            evidence={"kind": kind, "size": len(ids)},
-        )
-    return IsolatedRecord(
-        kind=kind,
-        s=amb.subset(ids),
-        a_family=a_fam,
-        b_family=b_fam,
-        isolated=True,
-        completely_isolated=witnesses.completely_isolated(amb, mask),
-    )
+def _h_classes(amb: SemigroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(block per ambient id, image id per block, kernel id per block): the
+    blocks are the H-classes, the matrices with one image and one kernel."""
+    k = len(amb.subspace_index)
+    keys, of_id = np.unique(amb.image_ids.astype(np.int64) * k + amb.kernel_ids, return_inverse=True)
+    return of_id.ravel(), keys // k, keys % k
 
 
-def _theorem_records(amb: SemigroupTable, witnesses: _Witnesses) -> list[IsolatedRecord]:
-    n = amb.s.dim
-    records = [
-        _record(amb, witnesses, "M", np.arange(amb.m)),
-        _record(amb, witnesses, "GL", np.flatnonzero(amb.ranks == n)),
-        _record(amb, witnesses, "I", np.flatnonzero(amb.ranks <= n - 1)),
-    ]
-    for fam in _all_pair_families(amb.s.field, n):
-        ids = _s_ab_ids(amb, fam)
-        records.append(_record(amb, witnesses, "SAB", ids, fam.a_family, fam.b_family))
+def _block_predicates(amb: SemigroupTable, of_id: np.ndarray, members: np.ndarray):
+    """(closed, isolated, completely isolated) of every row of the (sets,
+    blocks) membership matrix members, as bool arrays.
+
+    The block triples (h(x), h(y), h(xy)) of every product are marked in a
+    B^3 array, reading the grid about GRID_BLOCK entries at a time, and the
+    pairs (h(x), h(x^k)) of every power in a B^2 one.  Each block holds a
+    bitset of the sets that contain it, and each realised triple (X, Y, Z)
+    or pair (X, Z) gathers their bitsets: it breaks closedness where X and
+    Y are in and Z out, complete isolation where X and Y are out and Z in,
+    and isolation (a pair) where X is out and Z in.
+    """
+    b, m = members.shape[1], amb.m
+    left = of_id.astype(np.intp) * b
+    triples, pairs = np.zeros(b**3, dtype=bool), np.zeros(b * b, dtype=bool)
+    step = max(1, GRID_BLOCK // m)
+    for lo in range(0, m, step):
+        triples[(left[lo : lo + step, None] + of_id) * b + of_id[amb.grid[lo : lo + step]]] = True
+    for row in amb.powers:
+        pairs[left + of_id[row]] = True
+    bits = np.ascontiguousarray(np.packbits(members, axis=0).T)  # bits[X]: the sets containing X
+    step = max(1, GRID_BLOCK // bits.shape[1])
+    escape, rooted, split = np.zeros((3, bits.shape[1]), dtype=np.uint8)
+    x, y, z = np.unravel_index(np.flatnonzero(triples), (b, b, b))
+    for lo in range(0, len(z), step):
+        bx, by, bz = bits[x[lo : lo + step]], bits[y[lo : lo + step]], bits[z[lo : lo + step]]
+        escape |= np.bitwise_or.reduce(bx & by & ~bz, axis=0)
+        split |= np.bitwise_or.reduce(~(bx | by) & bz, axis=0)
+    x, z = np.unravel_index(np.flatnonzero(pairs), (b, b))
+    for lo in range(0, len(z), step):
+        rooted |= np.bitwise_or.reduce(~bits[x[lo : lo + step]] & bits[z[lo : lo + step]], axis=0)
+    return tuple(np.unpackbits(v)[: len(members)] == 0 for v in (escape, rooted, split))
+
+
+def _block_records(amb: SemigroupTable, of_id, labels, members) -> list[IsolatedRecord]:
+    """One record per row of members, a (sets, blocks) membership matrix,
+    labelled (kind, A-family, B-family) by labels.  A set that is not closed
+    raises NotClosed with the element witness of _closed_mask, and one that
+    is not isolated raises VerificationFailed."""
+    records = []
+    predicates = zip(*_block_predicates(amb, of_id, members))
+    for (kind, a_fam, b_fam), row, (closed, iso, ci) in zip(labels, members, predicates):
+        ids = np.flatnonzero(row[of_id])
+        if not closed:
+            _closed_mask(amb, ids)  # raises NotClosed with the first escaping pair
+            raise InternalError("H-classes and grid disagree on closedness")  # pragma: no cover
+        if not iso:
+            msg = f"predicted isolated subsemigroup of kind {kind} fails the power scan"
+            raise VerificationFailed(msg, evidence={"kind": kind, "size": len(ids)})
+        records.append(IsolatedRecord(kind, amb.subset(ids), a_fam, b_fam, True, bool(ci)))
     return records
 
 
+def _theorem_records(amb: SemigroupTable) -> list[IsolatedRecord]:
+    """M, GL, I and every S(A, B), checked and classified on H-classes.
+
+    Each set is a union of blocks: whether x is a member depends only on
+    its rank, image and kernel, and its rank is the dimension of its image.
+    So S is closed exactly when no realised block triple has its first two
+    blocks in S and the third outside, isolated exactly when no realised
+    pair (h(x), h(x^k)) has its first block outside and its second in, and
+    completely isolated exactly when no realised triple has its first two
+    blocks outside and the third in.  _block_predicates marks the triple of
+    every product of the grid and the pair of every power, so the answers
+    are brute force and exact.  For n = 1 the one family gives
+    S({0}, {F}) = {0} = I, which is listed once, as I.
+    """
+    n, index = amb.s.dim, amb.subspace_index
+    of_id, image, kernel = _h_classes(amb)
+    rank = np.empty(len(image), dtype=amb.ranks.dtype)
+    rank[of_id] = amb.ranks
+    fams = _all_pair_families(amb.s.field, n) if n > 1 else []
+    in_a, in_b = np.zeros((2, len(fams), len(index)), dtype=bool)
+    for r, fam in enumerate(fams):
+        in_a[r, [index[a] for a in fam.a_family]] = True
+        in_b[r, [index[b] for b in fam.b_family]] = True
+    members = np.concatenate(([rank <= n], [rank == n], [rank < n], in_a[:, image] & in_b[:, kernel]))
+    labels = [("M", None, None), ("GL", None, None), ("I", None, None)]
+    return _block_records(amb, of_id, labels + [("SAB", f.a_family, f.b_family) for f in fams], members)
+
+
 def _sort_records(records: list[IsolatedRecord]) -> tuple[IsolatedRecord, ...]:
-    """By size, then by the members' codes in canonical order."""
-    return tuple(sorted(records, key=lambda r: (len(r.s), r.s.codes.ravel().tolist())))
+    """By size, then by the members' codes in canonical order; as unsigned
+    big-endian bytes, sets of one size compare as their code lists do."""
+    return tuple(sorted(records, key=lambda r: (len(r.s), r.s.codes.astype(">u8").tobytes())))
 
 
 def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
@@ -270,8 +280,7 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
     if mode == "exhaustive":
         check_scan_size(field.q, n * n)  # before the theorem list and the ambient
     amb = ambient(field, n)
-    witnesses = _Witnesses()  # shared by every set of this run, then dropped
-    predicted = _theorem_records(amb, witnesses)
+    predicted = _theorem_records(amb)
     if mode == "theorem_list":
         return _sort_records(predicted)
     by_set = {r.s: r for r in predicted}
@@ -284,25 +293,13 @@ def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
         s = amb.subset(np.flatnonzero(mask))
         hit = by_set.get(s)
         if hit is None:
-            hit = IsolatedRecord(
-                kind="other",
-                s=s,
-                a_family=None,
-                b_family=None,
-                isolated=True,
-                completely_isolated=witnesses.completely_isolated(amb, mask),
-            )
+            hit = IsolatedRecord("other", s, None, None, True, _outside_product(amb, mask) is None)
         found.append(hit)
-    found_sets = {r.s for r in found}
-    predicted_sets = set(by_set)
+    found_sets, predicted_sets = {r.s for r in found}, set(by_set)
     if found_sets != predicted_sets:
-        raise VerificationFailed(
-            "exhaustive isolated scan disagrees with the constructed list",
-            evidence={
-                "only_found": len(found_sets - predicted_sets),
-                "only_predicted": len(predicted_sets - found_sets),
-            },
-        )
+        only_found, only_predicted = len(found_sets - predicted_sets), len(predicted_sets - found_sets)
+        evidence = {"only_found": only_found, "only_predicted": only_predicted}
+        raise VerificationFailed("exhaustive isolated scan disagrees with the constructed list", evidence=evidence)
     return _sort_records(found)
 
 

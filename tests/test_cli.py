@@ -368,6 +368,25 @@ class TestKeysPastInt64:
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+class TestIsolatedReports:
+    # json report sha256s recorded before the theorem list moved onto H-classes
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            ("--field 5 --n 2 --mode theorem_list", "74292a1742a9354360551bf7c4afcfba8bfed3f8334df987ecaa9c98978dbf8f"),
+            ("--field 2 --n 2", "664379b7907264c514877614c4f53e2637c96d165ab4a2b866ed646cb8bf7e40"),
+            ("--field 2^2 --n 2 --mode theorem_list", "5c0e1764b45939fd1b765661492db705ab88a78a0694e034aa684124f8c504c8"),
+            ("--field 2 --n 3 --mode theorem_list", "7112a23325aecb09af57bbb5201883053559f96bcc03177b18eb0a5fbf6378aa"),
+            ("--field 7 --n 2 --mode theorem_list", "69cbd313b7de5e17dadec89291ba813d78f59a2ae5c8ace293312821d4c96ded"),
+        ],
+        ids=["M2F5", "M2F2-exhaustive", "M2F4", "M3F2", "M2F7"],
+    )
+    def test_reports_are_unchanged(self, argv, sha256):
+        text, code = run_command(["isolated", "enum", "--format", "json", *argv.split()])
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 class TestRoundTrips:
     def test_core_report_texts_parse_back(self, f2):
         rep = _run_json(

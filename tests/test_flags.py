@@ -44,6 +44,7 @@ from matsemi import (
 from matsemi import flags
 from matsemi.flags import Flag
 from matsemi.gf import codes_array, full_space
+from oracles import is_zero, span_sum, stratum_of
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -87,7 +88,7 @@ class TestFlagBasics:
     @given(flags3())
     def test_stratum_of_partitions(self, f):
         for v in ((1, 0, 0), (0, 1, 1), (1, 1, 1)):
-            i = f.stratum_of(v)
+            i = stratum_of(f, v)
             assert f.chain[i].contains_vector(v)
             assert i == 0 or not f.chain[i - 1].contains_vector(v)
 
@@ -122,7 +123,7 @@ class TestFlagSemigroup:
     def test_nilpotency_degree_is_flag_length(self, f):
         s = flag_semigroup(f)
         if f.length == 1:
-            assert s.elements[0].is_zero() and len(s) == 1
+            assert is_zero(s.elements[0]) and len(s) == 1
         else:
             assert nilpotency_degree(s) == f.length
 
@@ -144,7 +145,7 @@ def _greedy_basis(f):
         for vec in s.vectors():
             if any(vec) and not span.contains_vector(vec):
                 cols.append(vec)
-                span = span.sum_(subspace(f.field, f.ambient, [vec]))
+                span = span_sum(span, subspace(f.field, f.ambient, [vec]))
                 if span.dim == s.dim:
                     break
     n = f.ambient
@@ -363,7 +364,7 @@ def _oracle_power_image_flag(s):
     for level in _oracle_powers(s)[-2::-1]:  # S^(k-1) first: the smallest span
         span = zero_subspace(f, n)
         for x in level:
-            span = span.sum_(mat_image(x))
+            span = span_sum(span, mat_image(x))
         chain.append(span)
     return Flag(field=f, ambient=n, chain=(*chain, full_space(f, n)))
 

@@ -104,13 +104,26 @@ class TestIdempotents:
             projection_idempotent(e1, e1)
 
 
+def _oracle_s_ab_ids(amb, fam):
+    """Ambient ids, ascending, of S(A, B): image in the A-family and kernel
+    in the B-family, read off the per-id subspace ids."""
+    index = amb.subspace_index
+    in_a = np.zeros(len(index), dtype=bool)
+    in_a[[index[a] for a in fam.a_family]] = True
+    in_b = np.zeros(len(index), dtype=bool)
+    in_b[[index[b] for b in fam.b_family]] = True
+    return np.flatnonzero(in_a[amb.image_ids] & in_b[amb.kernel_ids])
+
+
 def _s_ab(fam):
-    """S(A, B) by the library route of the theorem list: the ambient ids
-    from the subspace ids, closedness checked on the grid."""
+    """S(A, B) by the library route of the theorem list: the family's
+    H-classes through _block_records, which raises NotClosed if the set
+    escapes."""
     amb = ambient(fam.a_family[0].field, fam.a_family[0].ambient)
-    ids = isolated._s_ab_ids(amb, fam)
-    isolated._closed_mask(amb, ids)  # raises NotClosed if it escapes
-    return amb.subset(ids)
+    of_id = isolated._h_classes(amb)[0]
+    row = np.zeros(of_id.max() + 1, dtype=bool)
+    row[of_id[_oracle_s_ab_ids(amb, fam)]] = True
+    return isolated._block_records(amb, of_id, [("SAB", fam.a_family, fam.b_family)], row[None])[0].s
 
 
 def _product_kernel_image_law(s):
@@ -306,6 +319,11 @@ def _oracle_isolated_mask(amb, mask):
     return not bool((mask[amb.powers].any(axis=0) & ~mask).any())
 
 
+def _oracle_closed_mask(amb, mask):
+    """No product of two members lands outside."""
+    return bool(mask[amb.grid[np.ix_(mask, mask)]].all())
+
+
 def _oracle_completely_isolated_mask(amb, mask):
     """The former full scan: no product of two outside ids lands inside."""
     return not bool((mask[amb.grid[~mask]] & ~mask).any())
@@ -318,32 +336,36 @@ def _mask(amb, ids):
 
 
 def _check_masks(amb, masks):
-    """Both member-driven predicates against the former scans, with one
-    witness store for the whole sequence, as in an enumeration run."""
-    witnesses = isolated._Witnesses()
+    """Both member-driven predicates against the former scans; a product
+    that refutes complete isolation has both factors outside."""
     outcomes = set()
     for mask in masks:
-        iso, ci = isolated._isolated(amb, mask), witnesses.completely_isolated(amb, mask)
+        iso, hit = isolated._isolated(amb, mask), isolated._outside_product(amb, mask)
         assert iso is _oracle_isolated_mask(amb, mask)
-        assert ci is _oracle_completely_isolated_mask(amb, mask)
-        outcomes.add((iso, ci))
-    x, y, xy = witnesses.triples
-    assert np.array_equal(amb.grid[x, y], xy)  # stored triples are products
+        assert (hit is None) is _oracle_completely_isolated_mask(amb, mask)
+        if hit is not None:
+            x, y, xy = hit
+            assert amb.grid[x, y] == xy and mask[xy] and not (mask[x] or mask[y])
+        outcomes.add((iso, hit is None))
     return outcomes
 
 
+THEOREM_AMBIENTS = pytest.mark.parametrize(
+    "p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)], ids=["M2F2", "M2F3", "M2F4", "M2F5", "M3F2"]
+)
+
+
 class TestMemberDrivenPredicates:
-    @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)],
-                             ids=["M2F2", "M2F3", "M2F4", "M2F5", "M3F2"])
+    @THEOREM_AMBIENTS
     def test_every_theorem_record(self, p, k, n):
         field = field_make(p, k)
         amb = ambient(field, n)
         recs = enumerate_isolated(field, n, "theorem_list")
-        masks = [_mask(amb, (amb.index[a] for a in r.s)) for r in recs]
+        masks = [_mask(amb, amb.s.key_index.find(r.s.codes)[0]) for r in recs]
         for r, mask in zip(recs, masks):
+            assert _oracle_closed_mask(amb, mask)
+            assert r.isolated is _oracle_isolated_mask(amb, mask) is True
             assert r.completely_isolated is _oracle_completely_isolated_mask(amb, mask)
-        # a store filled in another order meets other sets first
-        random.Random(f"records:{field.q}:{n}").shuffle(masks)
         assert _check_masks(amb, masks) == {(True, False), (True, True)}
 
     def test_every_subsemigroup_of_m2f2(self, f2):
@@ -351,22 +373,76 @@ class TestMemberDrivenPredicates:
         masks = [_mask(amb, ids) for ids in engine.enumerate_subsemigroups(amb)]
         assert _check_masks(amb, masks) == {(False, False), (True, False), (True, True)}
 
-    def test_a_stored_triple_refutes_only_with_both_factors_outside(self, f2):
-        amb = ambient(f2, 2)
-        singular = amb.ranks < 2  # the ideal I, completely isolated
-        e, a = amb.identity_id, 1  # id 1 has rank 1
-        witnesses = isolated._Witnesses()
-        witnesses.triples = np.array([[e, a], [a, e], [a, a]])  # e*a = a*e = a
-        assert witnesses.completely_isolated(amb, singular)
-        assert witnesses.completely_isolated(amb, ~singular)
-        assert witnesses.triples.shape == (3, 2)  # nothing was refuted, nothing stored
-
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 3)], ids=["M2F3", "M2F5", "M3F2"])
     def test_seeded_closed_sets(self, p, n):
         field = field_make(p)
         amb = ambient(field, n)
         masks = [_mask(amb, (amb.index[a] for a in closure(gens))) for gens in _random_sets(field, n, 13, 60, 3)]
         assert _check_masks(amb, masks) == {(False, False), (True, False), (True, True)}
+
+
+class TestBlockRoute:
+    @pytest.mark.parametrize("p,k,n,blocks", [(5, 1, 2, 38), (2, 1, 3, 100), (2, 3, 2, 83)], ids=["M2F5", "M3F2", "M2F8"])
+    def test_blocks_are_the_image_kernel_pairs(self, p, k, n, blocks):
+        amb = ambient(field_make(p, k), n)
+        of_id, image, kernel = isolated._h_classes(amb)
+        assert len(image) == len(kernel) == blocks
+        assert np.array_equal(image[of_id], amb.image_ids) and np.array_equal(kernel[of_id], amb.kernel_ids)
+
+    @THEOREM_AMBIENTS
+    def test_seeded_block_unions(self, p, k, n):
+        # unions of H-classes in general, most of them not closed
+        amb = ambient(field_make(p, k), n)
+        of_id = isolated._h_classes(amb)[0]
+        rng = np.random.default_rng(p * 100 + k * 10 + n)
+        members = np.concatenate([rng.random((60, of_id.max() + 1)) < d for d in (0.05, 0.3, 0.7, 0.95)])
+        answers = np.column_stack(isolated._block_predicates(amb, of_id, members))
+        outcomes = set()
+        for row, got in zip(members, answers.tolist()):
+            mask = row[of_id]
+            closed = _oracle_closed_mask(amb, mask)
+            want = [closed, _oracle_isolated_mask(amb, mask), _oracle_completely_isolated_mask(amb, mask)]
+            assert got == want
+            outcomes.add(tuple(want))
+        assert {(False, False, False), (False, True, False), (True, True, False), (True, True, True)} <= outcomes
+
+    @THEOREM_AMBIENTS
+    def test_sab_ids_follow_image_and_kernel(self, p, k, n):
+        amb = ambient(field_make(p, k), n)
+        sab = [r for r in enumerate_isolated(amb.s.field, n, "theorem_list") if r.kind == "SAB"]
+        assert len(sab) == len(_all_pair_families(amb.s.field, n))
+        for r in sab:
+            ids = _oracle_s_ab_ids(amb, SubspacePairFamily(r.a_family, r.b_family))
+            assert r.s == amb.subset(ids)
+
+    def test_unclosed_union_raises_the_grid_witness(self, f3):
+        # the nilpotent H-class (image = kernel = <e1>) with the identity's:
+        # e12 * e12 = 0 lies in neither
+        amb = ambient(f3, 2)
+        of_id = isolated._h_classes(amb)[0]
+        row = np.zeros(of_id.max() + 1, dtype=bool)
+        row[of_id[[amb.identity_id, amb.index[unit_matrix(f3, 2, 0, 1)]]]] = True
+        s = amb.subset(np.flatnonzero(row[of_id]))
+        with pytest.raises(NotClosed) as want:
+            product_grid(s)
+        with pytest.raises(NotClosed) as got:
+            isolated._block_records(amb, of_id, [("other", None, None)], row[None])
+        assert got.value.witness == want.value.witness
+
+    def test_theorem_list_builds_no_roots_index(self, monkeypatch):
+        monkeypatch.setattr(engine, "_AMBIENT_CACHE", {})
+        f3 = field_make(3)
+        enumerate_isolated(f3, 2, "theorem_list")
+        assert "roots" not in vars(ambient(f3, 2))
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_n1_lists_each_set_once(self, q):
+        # M(1, F_q) = F_q: the one S(A, B) family gives {0}, which is I
+        field = field_make(q)
+        for mode in ("theorem_list", "exhaustive"):
+            recs = enumerate_isolated(field, 1, mode)
+            assert [(r.kind, len(r.s)) for r in recs] == [("I", 1), ("GL", q - 1), ("M", q)]
+            assert all(r.isolated and r.completely_isolated for r in recs)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)], ids=["F2", "F3", "F4", "F5", "F7"])

@@ -37,6 +37,7 @@ from matsemi import engine, flags, nilclass, verify
 from matsemi.cli import run_command
 from matsemi.errors import BadSignature, NotPrime
 from matsemi.nilclass import K_PAIRS
+from oracles import intersect, span_sum
 
 F2 = field_make(2)
 
@@ -474,8 +475,8 @@ def _oracle_routes(ctx):
     right = [{c for c in range(ctx.m) if g[x][c] == zero} for x in range(ctx.m)]
     left = [{c for c in range(ctx.m) if g[c][x] == zero} for x in range(ctx.m)]
     band, v1 = ctx.flag.chain[-2], ctx.flag.chain[1]
-    kernels = [mat_kernel(a).intersect(band) for a in ctx.t]
-    images = [mat_image(a).sum_(v1) for a in ctx.t]
+    kernels = [intersect(mat_kernel(a), band) for a in ctx.t]
+    images = [span_sum(mat_image(a), v1) for a in ctx.t]
     pairs = [(a, b) for a in range(ctx.m) for b in range(ctx.m)]
     return {
         "prec_products": [right[a] <= right[b] for a, b in pairs],
@@ -548,13 +549,13 @@ def _oracle_bands(ctx):
     """prec_kernels, ll_images, depth_prec and depth_ll element by element
     from subspaces: ker(x) ∩ V_{r-1} and Im(x) + V_1 as vector sets."""
     band, v1 = ctx.flag.chain[-2], ctx.flag.chain[1]
-    kernels = [frozenset(mat_kernel(a).intersect(band).vectors()) for a in ctx.t]
-    images = [frozenset(mat_image(a).sum_(v1).vectors()) for a in ctx.t]
+    kernels = [frozenset(intersect(mat_kernel(a), band).vectors()) for a in ctx.t]
+    images = [frozenset(span_sum(mat_image(a), v1).vectors()) for a in ctx.t]
     return {
         "prec_kernels": [[ka <= kb for kb in kernels] for ka in kernels],
         "ll_images": [[ib <= ia for ib in images] for ia in images],
-        "depth_prec": [band.dim - mat_kernel(a).intersect(band).dim for a in ctx.t],
-        "depth_ll": [mat_image(a).dim - mat_image(a).intersect(v1).dim for a in ctx.t],
+        "depth_prec": [band.dim - intersect(mat_kernel(a), band).dim for a in ctx.t],
+        "depth_ll": [mat_image(a).dim - intersect(mat_image(a), v1).dim for a in ctx.t],
     }
 
 

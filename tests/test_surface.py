@@ -9,6 +9,7 @@ the files under perfbench/.
 import ast
 import importlib
 import importlib.util
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import matsemi
+from oracles import is_zero
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -40,7 +42,7 @@ def test_readme_quick_tour_runs():
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
     # the values the block's comments state
-    assert ns["core"](ns["a"]).is_zero()
+    assert is_zero(ns["core"](ns["a"]))
     assert ns["class_key"](ns["a"]) == ((0, 1), (0, 1))
     assert len(ns["part"].classes()) == 5
     assert dict(ns["fingerprint"](ns["ctx"]).items())["size"] == 32
@@ -64,6 +66,17 @@ def test_cached_functions_have_cache_info(tracer):
     for module, name in tracer.CACHED:
         fn = getattr(importlib.import_module(f"matsemi.{module}"), name, None)
         assert callable(getattr(fn, "cache_info", None)), (module, name)
+
+
+def test_every_module_cache_is_bounded():
+    # an lru_cache at module or class level lives as long as the process
+    for info in pkgutil.iter_modules(matsemi.__path__):
+        module = importlib.import_module(f"matsemi.{info.name}")
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+        for owner in owners:
+            for name, fn in vars(owner).items():
+                if hasattr(fn, "cache_parameters"):
+                    assert fn.cache_parameters()["maxsize"] is not None, (module.__name__, name)
 
 
 def _matsemi_paths(tree):
