@@ -5,10 +5,15 @@ consists of every matrix pushing each V_i into V_{i-1}; these are exactly
 the maximal nilpotent subsemigroups of nilpotency degree k, and the map is
 inverted by reading the flag of power-image spans off the semigroup.
 
-Checks against a flag are batched products of code arrays with its parity
-checks (_parity_checks): one stacked product H X B per batch, read through
-a block mask, tells which matrices lower the flag (lowering_mask) and
-whether a transporter carries one flag onto another.
+As a set, the semigroup S(F) of a flag is an F-subspace of M_n(F) of
+dimension sum_{i<j} d_i d_j, the d_i the jumps of the signature.  Lowering
+is tested on one reduced basis of that subspace (_lowering_space), built
+from the chain's own bases: a matrix lowers F exactly when it is the
+combination of the basis rows read off its entries at their pivots, in
+plain Python for one matrix (lowers_flag) and as one 2-D product for a
+batch (lowering_mask).  Enumeration (flag_semigroup) takes the other
+route, conjugating the block strictly upper triangular matrices by the
+adapted basis of flag_basis, so each checks the other.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +48,6 @@ from .gf import (
     format_subspace,
     full_space,
     mat_inverse,
-    mat_kernel,
     parse_subspace,
     row_keys,
     subspace,
@@ -57,7 +62,7 @@ class Flag:
     """Strict chain of subspaces from 0 to the full space.
 
     The hash and the signature are computed once per flag: flags key the
-    basis and parity-check caches, and each lookup hashes the whole chain.
+    basis and lowering-space caches, and each lookup hashes the whole chain.
     """
 
     field: FieldSpec
@@ -117,57 +122,98 @@ def parse_flag(field: FieldSpec, ambient: int, text: str) -> Flag:
     return flag_make(field, ambient, [parse_subspace(field, ambient, p) for p in parts])
 
 
-@lru_cache(maxsize=1024)
-def _parity_checks(f: Flag) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(H, B, steps, levels): the flag's parity checks, stacked level by level.
+class LoweringSpace(NamedTuple):
+    """S(F) as an F-subspace of M_n(F), flattened into F^(n*n).
 
-    For each V_i of the chain, i = 0..k, H holds a block H_i of rows
-    spanning the annihilator of V_i, so H_i v = 0 exactly when v lies in
-    V_i, and B a block B_i of columns spanning V_i.  Block (i, j) of
-    H X B is then H_i X B_j, which is zero exactly when X V_j lies in V_i.
-    The bool masks pick blocks of H X B: steps the blocks (i - 1, i), all
-    zero when X pushes every V_i into V_{i-1}, and levels the blocks
-    (i, i), all zero when X keeps every V_i.  Both H and B come from the
-    chain's own bases, never from flag_basis.
+    rows is its RREF basis, one row per free position of the signature,
+    pivots the pivot of each row, and codes the rows again as a read-only
+    (len(rows), n*n) int64 array.  A matrix lies in S(F) exactly when it
+    equals the combination of the rows whose coefficients are its own
+    entries at the pivots (_in_span).
     """
-    n = f.ambient
-    hs, bs = [], []
-    for s in f.chain:
-        rows = Matrix(f.field, s.dim, n, tuple(c for row in s.basis for c in row))
-        hs.append(np.array(mat_kernel(rows).basis, dtype=np.int64).reshape(-1, n))
-        bs.append(np.array(s.basis, dtype=np.int64).reshape(-1, n).T)
-    h_at = np.cumsum([0] + [len(h) for h in hs])  # H_i is rows h_at[i]:h_at[i + 1] of H
-    b_at = np.cumsum([0] + [b.shape[1] for b in bs])  # B_i is columns b_at[i]:b_at[i + 1] of B
-    steps = np.zeros((h_at[-1], b_at[-1]), dtype=bool)
-    levels = steps.copy()
-    for i in range(len(f.chain)):
-        levels[h_at[i] : h_at[i + 1], b_at[i] : b_at[i + 1]] = True
-        if i:
-            steps[h_at[i - 1] : h_at[i], b_at[i] : b_at[i + 1]] = True
-    out = (np.concatenate(hs), np.concatenate(bs, axis=1), steps, levels)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    codes: np.ndarray
+
+
+def _in_span(field: FieldSpec, v, pivots, rows) -> bool:
+    """Is the vector v in the span of the RREF rows with these pivots?
+    Exactly when v is the combination of the rows read off its entries at
+    the pivots: each row is 1 at its own pivot and 0 at the others, so no
+    other combination can match those entries."""
+    mul, add = field.mul, field.add
+    acc = [0] * len(v)
+    for p, row in zip(pivots, rows):
+        c = v[p]
+        if c:
+            mc = mul[c]
+            acc = [add[x][mc[y]] for x, y in zip(acc, row)]
+    return acc == list(v)
+
+
+@lru_cache(maxsize=1024)
+def _lowering_space(f: Flag) -> LoweringSpace:
+    """The RREF basis of S(F) = Q N Q^-1, N the block strictly upper
+    triangular matrices of the signature.
+
+    Q takes its columns level by level: the RREF rows of V_i whose pivot
+    is not a pivot of V_{i-1}.  The pivots of V_{i-1} are pivots of V_i,
+    so those d_i rows have pivots apart from V_{i-1}'s rows and complete
+    them to a basis of V_i.  S(F) is then spanned by the rank-one matrices
+    q_r p_c, q_r column r of Q and p_c row c of Q^-1, for r in a stratum
+    below that of c: such a matrix sends q_c to q_r and the other columns
+    of Q to 0.  Q comes from the chain's own bases, never from flag_basis,
+    so lowering checks flag_semigroup's enumeration by another route.
+    """
+    fld, n = f.field, f.ambient
+    mul = fld.mul
+    cols: list[tuple[int, ...]] = []
+    level: list[int] = []  # stratum of each column of Q
+    below: set[int] = set()
+    for i, s in enumerate(f.chain[1:]):
+        pivots = [row.index(1) for row in s.basis]  # an RREF row's first nonzero entry is 1
+        for p, row in zip(pivots, s.basis):
+            if p not in below:
+                cols.append(row)
+                level.append(i)
+        below = set(pivots)
+    q_inv = mat_inverse(Matrix(fld, n, n, tuple(cols[j][i] for i in range(n) for j in range(n))))
+    span = [
+        [mul[x][y] for x in cols[r] for y in q_inv.row_codes(c)]
+        for r in range(n)
+        for c in range(n)
+        if level[r] < level[c]
+    ]
+    rows = subspace(fld, n * n, span).basis
+    if len(rows) != len(span):  # pragma: no cover - rank-one matrices of a basis pair
+        raise InternalError("lowering space spanned by dependent matrices")
+    codes = np.array(rows, dtype=np.int64).reshape(len(rows), n * n)
+    codes.flags.writeable = False
+    return LoweringSpace(rows, tuple(row.index(1) for row in rows), codes)
 
 
 def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
     """Which matrices of the (len, n, n) code array arr lower the flag.
 
-    A lowers F exactly when H_{i-1} A B_i = 0 for every step (see
-    _parity_checks): the image of V_i under A is then inside V_{i-1}.
-    All steps are read off one stacked product H A B.
+    Each matrix is read off its entries at the pivots of _lowering_space:
+    it lowers F exactly when the rows' combination with those
+    coefficients gives it back, one 2-D product for the whole batch.
     """
-    h, b, steps, _ = _parity_checks(f)
-    return ~batch_mul(f.field, batch_mul(f.field, h, arr), b)[:, steps].any(axis=1)
+    space = _lowering_space(f)
+    flat = arr.reshape(len(arr), -1)
+    return (batch_mul(f.field, flat[:, space.pivots], space.codes) == flat).all(axis=1)
 
 
 def lowers_flag(a: Matrix, f: Flag) -> bool:
-    """Does a push every V_i into V_{i-1}?"""
+    """Does a push every V_i into V_{i-1}?  The test of lowering_mask
+    for one matrix, on the field's tables."""
     if a.field != f.field:
         raise FieldMismatch("matrix over a different field")
     if a.rows != f.ambient or a.cols != f.ambient:
         raise DimMismatch("matrix does not act on the flag's ambient space")
-    return bool(lowering_mask(f, codes_array([a]))[0])
+    space = _lowering_space(f)
+    return _in_span(f.field, a.codes, space.pivots, space.rows)
 
 
 @lru_cache(maxsize=1024)
@@ -175,16 +221,23 @@ def flag_basis(f: Flag) -> Matrix:
     """Deterministic adapted basis: columns grouped by stratum, each stratum
     completed greedily in vector enumeration order.
 
-    The span so far is kept as echelon rows with unit pivots, each row zero
-    at the pivots of the rows before it.  A candidate is reduced by them
-    once, in order; it lies outside the span exactly when a nonzero
-    remainder is left, which then joins the rows.
+    Subspace.vectors() runs through the coefficients on V_i's RREF rows
+    lexicographically, the last one fastest, so the first vector outside
+    a span W inside V_i is the last row outside W: every vector before it
+    combines rows that W contains.  Each stratum is therefore completed by
+    scanning V_i's rows from last to first and keeping those that grow the
+    span.  The span so far is kept as echelon rows with unit pivots, each
+    row zero at the pivots of the rows before it.  A candidate is reduced
+    by them once, in order; it lies outside the span exactly when a
+    nonzero remainder is left, which then joins the rows.
     """
     mul, add, neg, inv = f.field.mul, f.field.add, f.field.neg, f.field.inv
     cols: list[tuple[int, ...]] = []
     echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
     for s in f.chain[1:]:
-        for vec in s.vectors():
+        for vec in reversed(s.basis):
+            if len(cols) == s.dim:
+                break
             v = list(vec)
             for pc, row in echelon:
                 if v[pc]:
@@ -196,8 +249,6 @@ def flag_basis(f: Flag) -> Matrix:
             mc = mul[inv[v[pc]]]
             echelon.append((pc, [mc[x] for x in v]))
             cols.append(vec)
-            if len(cols) == s.dim:
-                break
         if len(cols) != s.dim:  # pragma: no cover
             raise InternalError("stratum completion failed")
     n = f.ambient
@@ -380,7 +431,7 @@ def flag_transporter(f: Flag, f2: Flag) -> Matrix:
 
     Maps the deterministic adapted basis of f onto that of f2, so
     g = flag_basis(f2) flag_basis_inverse(f).  The result is checked by
-    _carry_mask: g V_i ⊆ V'_i at every level, which is g V_i = V'_i as g
+    _carries: g V_i ⊆ V'_i at every level, which is g V_i = V'_i as g
     is invertible and the two have the same dimension.
     """
     if f.field != f2.field:
@@ -390,22 +441,30 @@ def flag_transporter(f: Flag, f2: Flag) -> Matrix:
     if f.signature != f2.signature:
         raise SignatureMismatch(f"signatures {f.signature} vs {f2.signature}")
     g = flag_basis(f2) * flag_basis_inverse(f)
-    if not _carry_mask(f, f2, codes_array([g]))[0]:  # pragma: no cover
+    if not _carries(g, f, f2):  # pragma: no cover
         raise InternalError("transporter does not carry the chain over")
     return g
 
 
-def _carry_mask(f: Flag, f2: Flag, arr: np.ndarray) -> np.ndarray:
-    """Which matrices X of the (len, n, n) code array arr carry every V_i
-    of f into the V'_i of f2, for two flags of one signature.
-
-    That is H'_i X B_i = 0 at every level, with H' from the parity checks
-    of f2 and B from those of f; equal signatures give the blocks equal
-    sizes, so the level mask of f2 reads them off one stacked product.
-    """
-    h, _, _, levels = _parity_checks(f2)
-    b = _parity_checks(f)[1]
-    return ~batch_mul(f.field, batch_mul(f.field, h, arr), b)[:, levels].any(axis=1)
+def _carries(g: Matrix, f: Flag, f2: Flag) -> bool:
+    """Does g map every V_i of f into the V'_i of f2?  Each basis vector v
+    of each interior V_i is sent to g v, the sum of v's entries times the
+    columns of g, and tested against V'_i's rows; the endpoints 0 and F^n
+    hold for every g."""
+    mul, add = f.field.mul, f.field.add
+    n = f.ambient
+    cols = [g.codes[j::n] for j in range(n)]
+    for v, w in zip(f.interior, f2.interior):
+        pivots = [row.index(1) for row in w.basis]
+        for vec in v.basis:
+            img = [0] * n
+            for c, col in zip(vec, cols):
+                if c:
+                    mc = mul[c]
+                    img = [add[x][mc[y]] for x, y in zip(img, col)]
+            if not _in_span(f.field, img, pivots, w.basis):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -353,8 +353,9 @@ def _np_inv_neg(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_mul(f: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast matrix product a @ b of code arrays over f."""
-    if f.k == 1:
+    """Broadcast matrix product a @ b of code arrays over f; an empty inner
+    dimension gives zero matrices over every field."""
+    if f.k == 1 or not a.shape[-1]:
         return (a @ b) % f.p
     mul, add = _np_tables(f)
     out = mul[a[..., :, 0, None], b[..., None, 0, :]]
@@ -980,7 +981,8 @@ def _relation_matrix(q: int, key) -> tuple[tuple[tuple[int, ...], ...], ...]:
     polynomial of its coefficients on block i on the diagonal, and the
     polynomials of those on each earlier block above it.  The s x s result
     is upper triangular with det of degree n, and its Smith form carries
-    the nontrivial invariant factors of xI - a; s = 1 iff a is cyclic.
+    the nontrivial invariant factors of xI - a; s = 1 iff e_1 is a cyclic
+    vector of a.
     """
     ends = key[0::2]
     rels = []

@@ -31,6 +31,7 @@ from .flags import (
 )
 from .gf import (
     all_codes,
+    code_keys,
     enumerate_matrices,
     field_make,
     format_matrix,
@@ -222,16 +223,24 @@ def criterion_04() -> CriterionResult:
 
 
 def criterion_05() -> CriterionResult:
+    """consolidates against element-set containment for every ordered pair
+    of F_2^3 flags.  The containments come from one 0/1 incidence matrix
+    of the sets over the ambient's code keys: entry (j, i) of
+    inc (1 - inc)^T counts the elements of S(F_j) outside S(F_i), so
+    S(F_j) ⊆ S(F_i) exactly when it is zero."""
     t0 = perf_counter()
-    f2 = field_make(2)
-    flags = all_flags(f2, 3)
-    sets = [flag_semigroup(fl) for fl in flags]
+    f2, n = field_make(2), 3
+    flags = all_flags(f2, n)
+    inc = np.zeros((len(flags), f2.q ** (n * n)), dtype=np.int64)
+    for i, fl in enumerate(flags):
+        inc[i, code_keys(f2, flag_semigroup(fl).codes)] = 1
+    contained = inc @ (1 - inc).T == 0
     witness = None
     pairs = 0
     for i, f1 in enumerate(flags):
         for j, f2_ in enumerate(flags):
             pairs += 1
-            if consolidates(f1, f2_) != sets[j].issubset(sets[i]):
+            if consolidates(f1, f2_) != contained[j, i]:
                 witness = f"{format_flag(f1)} vs {format_flag(f2_)}: consolidation and containment disagree"
                 break
         if witness:

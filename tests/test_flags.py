@@ -44,7 +44,7 @@ from matsemi import (
 from matsemi import flags
 from matsemi.flags import Flag
 from matsemi.gf import codes_array, full_space
-from oracles import is_zero, span_sum, stratum_of
+from oracles import enumerated_flag_basis, is_zero, span_sum, stratum_of
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -156,7 +156,9 @@ def _greedy_basis(f):
 def test_flag_basis_matches_the_greedy_walk(q, n):
     field = field_make(*{4: (2, 2)}.get(q, (q, 1)))
     for f in all_flags(field, n):
-        assert flag_basis(f) == _greedy_basis(f), format_flag(f)
+        # the last-to-first scan of each V_i's rows keeps the vectors that
+        # the echelon walk over all q^dim vectors of V_i keeps
+        assert flag_basis(f) == _greedy_basis(f) == enumerated_flag_basis(f), format_flag(f)
 
 
 class TestPowerImageFlag:
@@ -212,18 +214,19 @@ class TestTransporter:
 
     @pytest.mark.parametrize("sig", [(1, 2), (2, 1), (1, 1, 1)])
     def test_carry_mask_matches_chain_images(self, sig):
-        # the check flag_transporter runs: X V_i ⊆ V'_i at every level
+        # the check flag_transporter runs (flags._carries), against the
+        # images of all vectors: X V_i ⊆ V'_i at every level
         group = flags_with_signature(F2, 3, sig)
         rng = random.Random(f"carry:{sig}")
         mats = [Matrix(F2, 3, 3, tuple(rng.randrange(2) for _ in range(9))) for _ in range(48)]
         for f1, f2 in [(group[0], other) for other in group] + [(group[-1], group[1])]:
             cands = mats + [flag_transporter(f1, f2)]
             want = [
-                all(w.contains_vector((a * matrix(F2, [[c] for c in vec])).col_codes(0)) for v, w in zip(f1.chain, f2.chain) for vec in v.basis)
+                all(w.contains_vector((a * matrix(F2, [[c] for c in vec])).col_codes(0)) for v, w in zip(f1.chain, f2.chain) for vec in v.vectors())
                 for a in cands
             ]
             assert want[-1] and not all(want)
-            assert flags._carry_mask(f1, f2, codes_array(cands)).tolist() == want
+            assert [flags._carries(a, f1, f2) for a in cands] == want
 
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
@@ -334,12 +337,85 @@ class TestBatchedFlagLayer:
 
     @pytest.mark.parametrize("field, n", [(F2, 3), (field_make(2, 2), 2)], ids=["2-3", "4-2"])
     def test_parity_check_mask_matches_chain_containment(self, field, n):
+        # every matrix of the ambient against every flag
         mats = list(enumerate_matrices(field, n, n))
         codes = codes_array(mats)
         for f in all_flags(field, n):
             want = [_oracle_lowers_flag(a, f) for a in mats]
             assert lowering_mask(f, codes).tolist() == want
             assert [lowers_flag(a, f) for a in mats] == want
+
+
+def _random_flag(field, sig, rng):
+    """The flag of prefix column spans of a seeded invertible matrix."""
+    n = sum(sig)
+    while True:
+        p = Matrix(field, n, n, tuple(rng.randrange(field.q) for _ in range(n * n)))
+        if p.rank() == n:
+            break
+    cols = [list(p.col_codes(j)) for j in range(n)]
+    ends = list(itertools.accumulate(sig))[:-1]
+    return flag_make(field, n, [subspace(field, n, cols[:e]) for e in ends])
+
+
+def _free_positions(sig):
+    return sum(sig[i] * sig[j] for i in range(len(sig)) for j in range(i + 1, len(sig)))
+
+
+class TestLoweringSpace:
+    """_lowering_space: the RREF basis of S(F) inside F^(n*n), which
+    lowers_flag and lowering_mask read."""
+
+    @pytest.mark.parametrize("field, n", [(F3, 3), (F2, 4)], ids=["3-3", "2-4"])
+    def test_matches_chain_containment(self, field, n):
+        # members, members with one entry changed, and seeded random
+        # matrices, for every flag
+        rng = random.Random(f"lowering:{field.q}:{n}")
+        seen = {True: 0, False: 0}
+        for f in all_flags(field, n):
+            members = flag_semigroup(f).elements
+            mats = rng.sample(members, min(len(members), 8))
+            for a in rng.sample(members, min(len(members), 8)):
+                codes = list(a.codes)
+                pos = rng.randrange(n * n)
+                codes[pos] = field.add[codes[pos]][rng.randrange(1, field.q)]
+                mats.append(Matrix(field, n, n, tuple(codes)))
+            mats += [Matrix(field, n, n, tuple(rng.randrange(field.q) for _ in range(n * n))) for _ in range(8)]
+            want = [_oracle_lowers_flag(a, f) for a in mats]
+            assert [lowers_flag(a, f) for a in mats] == want, format_flag(f)
+            assert lowering_mask(f, codes_array(mats)).tolist() == want, format_flag(f)
+            for w in want:
+                seen[w] += 1
+        assert seen[True] and seen[False]
+
+    def test_dimension_is_the_number_of_free_positions(self):
+        # every flag of F_2^n for n <= 4; seeded flags of every signature
+        # of F_2^5 (enumerating its 27 808 flags takes seconds)
+        for n in range(1, 5):
+            for f in all_flags(F2, n):
+                assert len(flags._lowering_space(f).rows) == _free_positions(f.signature)
+        rng = random.Random("lowering-dim:5")
+        for cuts in itertools.product((False, True), repeat=4):
+            ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [5]
+            sig = tuple(hi - lo for lo, hi in zip([0] + ends, ends))
+            for _ in range(8):
+                f = _random_flag(F2, sig, rng)
+                space = flags._lowering_space(f)
+                assert f.signature == sig and len(space.rows) == _free_positions(sig)
+                assert space.codes.shape == (len(space.rows), 25)
+
+    def test_built_without_the_adapted_basis(self, monkeypatch):
+        # lowering checks flag_semigroup's P B P^-1 enumeration, so it must
+        # not read P
+        def refuse(f):
+            raise AssertionError("lowering space read the adapted basis")
+
+        monkeypatch.setattr(flags, "flag_basis", refuse)
+        monkeypatch.setattr(flags, "flag_basis_inverse", refuse)
+        f = _random_flag(field_make(5), (1, 2, 1), random.Random("lowering-independence"))
+        space = flags._lowering_space.__wrapped__(f)
+        assert len(space.rows) == _free_positions(f.signature)
+        assert lowering_mask(f, codes_array([unit_matrix(f.field, 4, 0, 0)])).tolist() == [False]
 
 
 def _oracle_powers(s):

@@ -555,6 +555,18 @@ class TestInvariantFactorKernel:
             assert _relation_factors(f, m) == _smith_factors(f, m), key
         assert len(keys) == {3: 729, 2: 896}[q]
 
+    def test_one_relation_block_iff_e1_is_cyclic(self):
+        # diag(1, 2) over F_3 is cyclic (one invariant factor, x^2 + 2), yet
+        # e_1 is an eigenvector, so its relation matrix has two blocks
+        f = field_make(3)
+        a = matrix(f, [[1, 0], [0, 2]])
+        assert _krylov_key(a) == (1, 2, 2, 3)
+        assert len(_relation_matrix(3, _krylov_key(a))) == 2
+        assert invariant_factors(a) == ((2, 0, 1),)
+        for b in enumerate_matrices(f, 2, 2):
+            e1_cyclic = mat_rank(matrix(f, [[1, b.codes[0]], [0, b.codes[2]]])) == 2
+            assert (len(_relation_matrix(3, _krylov_key(b))) == 1) == e1_cyclic
+
     @pytest.mark.parametrize("f", [field_make(2, 2), field_make(5), field_make(7), field_make(2, 3)], ids=format_field)
     def test_closed_forms_match_the_smith_loop_on_seeded_matrices(self, f):
         # upper triangular with a monic diagonal, as relation matrices are
@@ -653,6 +665,11 @@ class TestCodeArrayKernel:
         ys = [draw() for _ in range(2000)]
         got = batch_mul(f, codes_array(xs), codes_array(ys))
         assert np.array_equal(got, codes_array([x * y for x, y in zip(xs, ys)]))
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+    def test_empty_inner_dimension_gives_zeros(self, p, k):
+        got = batch_mul(field_make(p, k), np.zeros((2, 0), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
+        assert got.tolist() == [[0] * 4] * 2
 
     def test_keys_are_base_q_digits(self):
         f = field_make(2, 2)

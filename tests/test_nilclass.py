@@ -415,7 +415,7 @@ def test_cold_context_build_runs_few_eliminations(monkeypatch):
     from matsemi import gf
 
     flag = standard_flag(field_make(3), (1, 2, 1))
-    cached = (flags.flag_basis, flags.flag_basis_inverse, flags._parity_checks, flags._block_ranks)
+    cached = (flags.flag_basis, flags.flag_basis_inverse, flags._lowering_space, flags._block_ranks)
     for fn in (*cached, gf.mat_rank, gf.mat_kernel, gf.mat_image):
         fn.cache_clear()
     calls = []
