@@ -68,7 +68,6 @@ from .flags import (
     flag_basis,
     flag_make,
     flag_semigroup,
-    flag_transporter,
     flags_with_signature,
     format_flag,
     is_k_maximal,

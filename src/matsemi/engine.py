@@ -833,11 +833,13 @@ def preorder_depths(m: int, leq) -> list[int]:
 # full ambient semigroup M(n, F_q)
 
 
-_AMBIENT_CACHE: dict = {}
+AMBIENT_CACHE_SIZE = 8  # verify all --profile full uses 5 ambients
+_AMBIENT_CACHE: dict = {}  # (field, n) -> table, least recently used first
 
 
 def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> SemigroupTable:
-    """The table of the full semigroup M(n, F_q), built once and cached.
+    """The table of the full semigroup M(n, F_q), cached: the
+    AMBIENT_CACHE_SIZE most recently used tables are kept.
 
     Its grid is built on first use, from product_grid unchecked: every
     product of two n x n matrices is one, so the set is closed, and tests
@@ -846,9 +848,12 @@ def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Semigroup
     """
     capped_power(field.q, n * n, cap, lambda size: f"|M({n}, F_{field.q})| = {size} exceeds cap {cap}")
     key = (field, n)
-    if key not in _AMBIENT_CACHE:
+    table = _AMBIENT_CACHE.pop(key, None)
+    if table is None:
         s = canonical_set(field, n, all_codes(field, n))
         # the zero matrix sorts first (rank 0)
-        identity_id = int(s.key_index.find(np.eye(n, dtype=np.int64)[None])[0][0])
-        _AMBIENT_CACHE[key] = SemigroupTable(s, 0, identity_id)
-    return _AMBIENT_CACHE[key]
+        table = SemigroupTable(s, 0, int(s.key_index.find(np.eye(n, dtype=np.int64)[None])[0][0]))
+        if len(_AMBIENT_CACHE) >= AMBIENT_CACHE_SIZE:
+            del _AMBIENT_CACHE[next(iter(_AMBIENT_CACHE))]
+    _AMBIENT_CACHE[key] = table  # now the most recent
+    return table

@@ -426,47 +426,6 @@ def consolidates(f: Flag, f2: Flag) -> bool:
     return all(s in have for s in f2.chain)
 
 
-def flag_transporter(f: Flag, f2: Flag) -> Matrix:
-    """Invertible g carrying each subspace of f onto the matching one of f2.
-
-    Maps the deterministic adapted basis of f onto that of f2, so
-    g = flag_basis(f2) flag_basis_inverse(f).  The result is checked by
-    _carries: g V_i ⊆ V'_i at every level, which is g V_i = V'_i as g
-    is invertible and the two have the same dimension.
-    """
-    if f.field != f2.field:
-        raise FieldMismatch("flags over different fields")
-    if f.ambient != f2.ambient:
-        raise DimMismatch("flags of different ambient spaces")
-    if f.signature != f2.signature:
-        raise SignatureMismatch(f"signatures {f.signature} vs {f2.signature}")
-    g = flag_basis(f2) * flag_basis_inverse(f)
-    if not _carries(g, f, f2):  # pragma: no cover
-        raise InternalError("transporter does not carry the chain over")
-    return g
-
-
-def _carries(g: Matrix, f: Flag, f2: Flag) -> bool:
-    """Does g map every V_i of f into the V'_i of f2?  Each basis vector v
-    of each interior V_i is sent to g v, the sum of v's entries times the
-    columns of g, and tested against V'_i's rows; the endpoints 0 and F^n
-    hold for every g."""
-    mul, add = f.field.mul, f.field.add
-    n = f.ambient
-    cols = [g.codes[j::n] for j in range(n)]
-    for v, w in zip(f.interior, f2.interior):
-        pivots = [row.index(1) for row in w.basis]
-        for vec in v.basis:
-            img = [0] * n
-            for c, col in zip(vec, cols):
-                if c:
-                    mc = mul[c]
-                    img = [add[x][mc[y]] for x, y in zip(img, col)]
-            if not _in_span(f.field, img, pivots, w.basis):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # flag inventories (small ambients)
 

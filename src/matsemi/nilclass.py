@@ -56,7 +56,6 @@ from .flags import (
     flag_basis_inverse,
     flag_semigroup,
     flag_size,
-    flag_transporter,
 )
 from .gf import (
     FieldSpec,
@@ -269,18 +268,23 @@ def _dims(f: FieldSpec, band: np.ndarray) -> list[int]:
     return [dim_of[c] for c in band.sum(axis=1).tolist()]
 
 
+MEETS_BLOCK_BYTES = 1 << 18  # bytes of one _meets temporary: larger ones raise peak RSS
+
+
 def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[i, j] true when rows a[i] and b[j] of two bool matrices share a
     column: the boolean product of a and b transposed.
 
-    Rows are packed eight columns to a byte and a is taken one row at a
-    time, so no temporary is larger than b packed; no float product, so no
-    BLAS buffers are allocated.
+    Rows are packed eight columns to a byte, and the rows of a are taken
+    in blocks whose (rows, len(b), bytes) temporary holds at most
+    MEETS_BLOCK_BYTES, or one row when a single row needs more; no float
+    product, so no BLAS buffers are allocated.
     """
     pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
     out = np.empty((len(a), len(b)), dtype=bool)
-    for i, row in enumerate(pa):
-        out[i] = (row & pb).any(axis=1)
+    step = max(1, MEETS_BLOCK_BYTES // max(1, pb.size))
+    for lo in range(0, len(a), step):
+        out[lo : lo + step] = (pa[lo : lo + step, None] & pb[None]).any(axis=2)
     return out
 
 
@@ -598,26 +602,85 @@ class IsoMap:
     pairs: tuple[tuple[Matrix, Matrix], ...]
 
 
+def _transporters(sources, targets) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g^-1) as (S, T, n, n) code arrays for two lists of flags:
+    g[i, j] = flag_basis(f_j) flag_basis_inverse(f_i) maps the adapted
+    basis of source i onto that of target j."""
+    f = sources[0].field
+    p1, p2 = (codes_array(map(flag_basis, fls)) for fls in (sources, targets))
+    p1_inv, p2_inv = (codes_array(map(flag_basis_inverse, fls)) for fls in (sources, targets))
+    return batch_mul(f, p2[None], p1_inv[:, None]), batch_mul(f, p1[:, None], p2_inv[None])
+
+
+def _carried(g: np.ndarray, sources, targets) -> np.ndarray:
+    """(S, T) bool: g[i, j] V_l ⊆ V'_l at every interior level l of source
+    flag i and target flag j.  The images of V_l's basis are tested against
+    V'_l's RREF rows as flags._in_span does, every pair at once."""
+    f, tj = sources[0].field, np.arange(len(targets))[:, None, None]
+    out = np.ones(g.shape[:2], dtype=bool)
+    for lvl in range(1, sources[0].length):
+        v, w = (np.array([fl.chain[lvl].basis for fl in flags], dtype=np.int64) for flags in (sources, targets))
+        img = batch_mul(f, v[:, None], g.swapaxes(2, 3))  # row k of [i, j] is g v_k
+        pivots = (w != 0).argmax(axis=2)[:, None, :]  # an RREF row's first nonzero entry
+        out &= (batch_mul(f, img[:, tj, np.arange(w.shape[1])[:, None], pivots], w) == img).all(axis=(2, 3))
+    return out
+
+
+def _stacked(arrays) -> np.ndarray:
+    """np.stack, or a view of a single array, so one pair copies no grid."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def batch_transport(sources, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugation by the flag transporters from every source context to
+    every target context, each verified as a table isomorphism.
+
+    All contexts share one field, ambient dimension and signature, so one
+    size m.  Returns (g, perm): g[i, j] is the transporter from source i
+    to target j (_transporters), and perm[i, j, x] the id in target j of
+    g x g^-1 for the id x of source i.  Every pair must carry the chain
+    over (_carried), find every conjugate in the target, hit every target
+    id, and satisfy perm[g1] == g2[perm, perm]; the first failing pair in
+    row-major order raises InternalError.
+    """
+    sources, targets = list(sources), list(targets)
+    first = sources[0].flag
+    for fl in (c.flag for c in sources + targets):
+        if fl.field != first.field:
+            raise FieldMismatch("contexts over different fields")
+        if fl.ambient != first.ambient:
+            raise DimMismatch("contexts in different ambient dimensions")
+        if fl.signature != first.signature:
+            raise SignatureMismatch(f"signatures {first.signature} vs {fl.signature}")
+    src, dst = [c.flag for c in sources], [c.flag for c in targets]
+    g, g_inv = _transporters(src, dst)
+    f = first.field
+    moved = batch_mul(f, batch_mul(f, g[:, :, None], _stacked([c.codes for c in sources])[:, None]), g_inv[:, :, None])
+    perm, found = np.empty(moved.shape[:3], dtype=np.int32), np.empty(moved.shape[:3], dtype=bool)
+    for j, c in enumerate(targets):
+        perm[:, j], found[:, j] = c.t.key_index.find(moved[:, j])
+    si, tj = np.arange(len(sources))[:, None, None], np.arange(len(targets))[:, None]
+    hit = np.zeros(perm.shape, dtype=bool)
+    hit[si, tj, perm] = True
+    g1, g2 = _stacked([c.table.grid for c in sources])[:, None], _stacked([c.table.grid for c in targets])
+    products = perm[si[..., None], tj[..., None], g1] == g2[tj[..., None], perm[..., None], perm[..., None, :]]
+    checks = (
+        ("does not carry the chain over", _carried(g, src, dst)),
+        ("leaves the target semigroup", found.all(axis=2)),
+        ("is not a bijection", hit.all(axis=2)),
+        ("does not preserve products", products.all(axis=(2, 3))),
+    )
+    bad = ~np.logical_and.reduce([ok for _, ok in checks])
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise InternalError(f"transport of pair ({i}, {j}) " + next(msg for msg, ok in checks if not ok[i, j]))
+    return g, perm
+
+
 def iso_construct(ctx1: NilContext, ctx2: NilContext) -> IsoMap:
-    """Conjugation by a flag transporter, verified as a table isomorphism."""
-    f1, f2 = ctx1.flag, ctx2.flag
-    if f1.field != f2.field:
-        raise FieldMismatch("contexts over different fields")
-    if f1.ambient != f2.ambient:
-        raise DimMismatch("contexts in different ambient dimensions")
-    if f1.signature != f2.signature:
-        raise SignatureMismatch(f"signatures {f1.signature} vs {f2.signature}")
-    g = flag_transporter(f1, f2)
-    g_inv = flag_basis(f1) * flag_basis_inverse(f2)  # g = flag_basis(f2) flag_basis_inverse(f1)
-    f = f1.field
-    moved = batch_mul(f, batch_mul(f, codes_array([g]), ctx1.codes), codes_array([g_inv]))
-    perm, found = ctx2.t.key_index.find(moved)
-    if not found.all():  # pragma: no cover
-        raise InternalError("transport left the target semigroup")
-    if ctx1.m != ctx2.m or len(set(perm.tolist())) != ctx2.m:  # pragma: no cover
-        raise InternalError("transport is not a bijection")
-    g1, g2 = ctx1.table.grid, ctx2.table.grid
-    if not np.array_equal(perm[g1], g2[np.ix_(perm, perm)]):  # pragma: no cover
-        raise InternalError("transport does not preserve products")
-    targets = ctx2.t.elements
-    return IsoMap(g=g, pairs=tuple(zip(ctx1.t.elements, (targets[y] for y in perm.tolist()))))
+    """Conjugation by a flag transporter, verified as a table isomorphism:
+    the one-pair call of batch_transport."""
+    g, perm = batch_transport([ctx1], [ctx2])
+    f, n, targets = ctx1.flag.field, ctx1.flag.ambient, ctx2.t.elements
+    pairs = tuple(zip(ctx1.t.elements, (targets[y] for y in perm[0, 0].tolist())))
+    return IsoMap(g=Matrix(f, n, n, tuple(g[0, 0].ravel().tolist())), pairs=pairs)

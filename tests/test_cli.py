@@ -387,6 +387,27 @@ class TestIsolatedReports:
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+class TestNilReports:
+    # json report sha256s of the flag-invariants benchmark jobs, recorded
+    # before iso_construct became the one-pair call of batch_transport
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            ("fingerprint --field 2^2 --n 4 --sig 1,3", "c6006fc060899c6324819372a05fc32e2e7da0a6ac94dfba435196dd135cbe1a"),
+            ("fingerprint --field 3 --n 4 --sig 1,2,1", "d6900f03d26985a2e0ee4f648ea49cf329adb422e41cd7768086fd1fe3dd48ca"),
+            (
+                "iso-construct --field 3 --n 4 --sig1 1,2,1 --flag2 0,1,0,0|0,1,0,0;0,0,1,0;1,0,0,0",
+                "b105e8c9d8f1954bcd22e0977a9cb4ca282b73de7038c8969d8200c61afadc17",
+            ),
+        ],
+        ids=["fingerprint-F4-13", "fingerprint-F3-121", "iso-construct-F3-121"],
+    )
+    def test_reports_are_unchanged(self, argv, sha256):
+        text, code = run_command(["nil", *argv.split(), "--format", "json"])
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 class TestRoundTrips:
     def test_core_report_texts_parse_back(self, f2):
         rep = _run_json(

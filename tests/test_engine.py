@@ -509,6 +509,17 @@ class TestAmbient:
         for x in range(amb.m):
             assert amb.nilpotent[x] == is_zero(mat_pow(amb.s.elements[x], 2))
 
+    def test_cache_keeps_the_most_recent_ambients(self, monkeypatch):
+        monkeypatch.setattr(engine, "_AMBIENT_CACHE", {})
+        bound = engine.AMBIENT_CACHE_SIZE
+        fields = [field_make(q) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)][: bound + 3]
+        first = ambient(fields[0], 1)
+        for i, f in enumerate(fields[1:], start=1):
+            assert ambient(fields[0], 1) is first  # used again each time, so never the oldest
+            ambient(f, 1)
+            assert len(engine._AMBIENT_CACHE) == min(i + 1, bound)
+        assert set(engine._AMBIENT_CACHE) == {(f, 1) for f in [fields[0], *fields[1 - bound :]]}
+
     def test_cached_grid_is_read_only(self):
         amb = ambient(F2, 2)
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from matsemi import (
     flag_basis,
     flag_make,
     flag_semigroup,
-    flag_transporter,
     flags_with_signature,
     format_flag,
     gaussian_binomial,
@@ -41,10 +40,10 @@ from matsemi import (
     unit_matrix,
     zero_subspace,
 )
-from matsemi import flags
+from matsemi import flags, nilclass
 from matsemi.flags import Flag
 from matsemi.gf import codes_array, full_space
-from oracles import enumerated_flag_basis, is_zero, span_sum, stratum_of
+from oracles import enumerated_flag_basis, flag_transporter, is_zero, span_sum, stratum_of
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -214,7 +213,7 @@ class TestTransporter:
 
     @pytest.mark.parametrize("sig", [(1, 2), (2, 1), (1, 1, 1)])
     def test_carry_mask_matches_chain_images(self, sig):
-        # the check flag_transporter runs (flags._carries), against the
+        # the check batch_transport runs (nilclass._carried), against the
         # images of all vectors: X V_i ⊆ V'_i at every level
         group = flags_with_signature(F2, 3, sig)
         rng = random.Random(f"carry:{sig}")
@@ -226,7 +225,8 @@ class TestTransporter:
                 for a in cands
             ]
             assert want[-1] and not all(want)
-            assert [flags._carries(a, f1, f2) for a in cands] == want
+            got = nilclass._carried(codes_array(cands)[:, None], [f1] * len(cands), [f2])
+            assert got[:, 0].tolist() == want
 
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import itertools
 import json
 import subprocess
 import sys
@@ -35,9 +38,9 @@ from matsemi import (
 )
 from matsemi import engine, flags, nilclass, verify
 from matsemi.cli import run_command
-from matsemi.errors import BadSignature, NotPrime
+from matsemi.errors import BadSignature, DimMismatch, FieldMismatch, InternalError, NotPrime
 from matsemi.nilclass import K_PAIRS
-from oracles import intersect, span_sum
+from oracles import flag_transporter, intersect, meets_by_rows, span_sum, transport_perm
 
 F2 = field_make(2)
 
@@ -382,11 +385,106 @@ class TestIso:
         assert all(a == b for a, b in iso.pairs)
 
     def test_construct_rejects_mismatch(self):
-        with pytest.raises(SignatureMismatch):
+        with pytest.raises(SignatureMismatch, match=r"signatures \(1, 2\) vs \(2, 1\)"):
             iso_construct(
                 nil_context(standard_flag(F2, (1, 2))),
                 nil_context(standard_flag(F2, (2, 1))),
             )
+        with pytest.raises(FieldMismatch, match="contexts over different fields"):
+            iso_construct(nil_context(standard_flag(F2, (1, 2))), nil_context(standard_flag(field_make(3), (1, 2))))
+        with pytest.raises(DimMismatch, match="contexts in different ambient dimensions"):
+            iso_construct(nil_context(standard_flag(F2, (1, 2))), nil_context(standard_flag(F2, (1, 3))))
+
+
+def _signature_groups():
+    """The battery's contexts grouped by ambient dimension and signature."""
+    groups: dict = {}
+    for ctx in verify._battery():
+        groups.setdefault((ctx.flag.ambient, ctx.sig), []).append(ctx)
+    return groups
+
+
+# (ambient, signature) of every group of the battery
+BATTERY_GROUPS = [
+    (3, (1, 2)), (3, (2, 1)), (3, (1, 1, 1)),
+    (4, (1, 1, 2)), (4, (1, 2, 1)), (4, (2, 1, 1)), (4, (1, 1, 1, 1)),
+    (5, (2, 1, 2)),
+]
+
+
+class TestBatchTransport:
+    def test_groups_cover_the_battery(self):
+        assert sorted(_signature_groups()) == sorted(BATTERY_GROUPS)
+
+    @pytest.mark.parametrize("key", BATTERY_GROUPS, ids=str)
+    def test_every_pair_matches_the_per_pair_oracle(self, key):
+        group = _signature_groups()[key]
+        g, perm = nilclass.batch_transport(group, group)
+        assert g.shape[:2] == perm.shape[:2] == (len(group), len(group))
+        for (i, c1), (j, c2) in itertools.product(enumerate(group), enumerate(group)):
+            assert tuple(g[i, j].ravel().tolist()) == flag_transporter(c1.flag, c2.flag).codes
+            assert perm[i, j].tolist() == transport_perm(c1, c2)
+
+    @pytest.fixture
+    def group(self):
+        return _signature_groups()[(3, (1, 1, 1))]
+
+    def _raises_at(self, sources, targets, pair, what):
+        with pytest.raises(InternalError, match=rf"^transport of pair \({pair[0]}, {pair[1]}\) {what}$"):
+            nilclass.batch_transport(sources, targets)
+
+    def test_corrupted_grid_entry_of_one_target(self, group):
+        bad = copy.copy(group[4])
+        poisoned = bad.table.grid.copy()
+        poisoned[3, 5] = (poisoned[3, 5] + 1) % bad.m
+        bad.table = dataclasses.replace(bad.table, prebuilt_grid=poisoned)
+        self._raises_at(group, group[:4] + [bad] + group[5:], (0, 4), "does not preserve products")
+
+    def test_transporter_replaced_by_the_identity(self, group, monkeypatch):
+        real = nilclass._transporters
+
+        def identity_at_2_5(sources, targets):
+            g, g_inv = real(sources, targets)
+            g[2, 5] = g_inv[2, 5] = np.eye(3, dtype=g.dtype)
+            return g, g_inv
+
+        monkeypatch.setattr(nilclass, "_transporters", identity_at_2_5)
+        self._raises_at(group, group, (2, 5), "does not carry the chain over")
+
+    def test_inverse_replaced_by_zero(self, group, monkeypatch):
+        # every conjugate is then 0, which the target holds, so only the
+        # bijection check can fail
+        real = nilclass._transporters
+
+        def zero_inverse_at_1_3(sources, targets):
+            g, g_inv = real(sources, targets)
+            g_inv[1, 3] = 0
+            return g, g_inv
+
+        monkeypatch.setattr(nilclass, "_transporters", zero_inverse_at_1_3)
+        self._raises_at(group, group, (1, 3), "is not a bijection")
+
+    def test_target_missing_one_element(self, group):
+        bad = copy.copy(group[7])
+        bad.t = engine.MatSet(F2, 3, bad.codes[:-1])
+        self._raises_at(group, group[:7] + [bad], (0, 7), "leaves the target semigroup")
+
+
+class TestMeets:
+    @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 65])
+    @pytest.mark.parametrize("rows", [(0, 5), (5, 0), (0, 0), (13, 11)])
+    def test_blocks_match_the_row_loop(self, cols, rows, monkeypatch):
+        rng = np.random.default_rng(cols * 100 + rows[0])
+        a = rng.random((rows[0], cols)) < 0.2
+        b = rng.random((rows[1], cols)) < 0.2
+        want = meets_by_rows(a, b)
+        assert nilclass._meets(a, b).tolist() == want.tolist()
+        # budgets of three rows of a per block (13 rows: blocks of 3, 3, 3, 3
+        # and 1), of one row, and of less than one row
+        row = (cols + 7) // 8 * rows[1]
+        for budget in (3 * row, row, 1):
+            monkeypatch.setattr(nilclass, "MEETS_BLOCK_BYTES", budget)
+            assert nilclass._meets(a, b).tolist() == want.tolist()
 
 
 def test_context_requires_length_two():
@@ -516,7 +614,7 @@ def test_iso_construct_is_matrix_conjugation(f3):
         ctx1, ctx2 = nil_context(c1), nil_context(c2)
         iso = iso_construct(ctx1, ctx2)
         gi = mat_inverse(iso.g)
-        assert iso.g == flags.flag_transporter(c1, c2)
+        assert iso.g == flag_transporter(c1, c2)
         assert [b for _, b in iso.pairs] == [iso.g * a * gi for a in ctx1.t]
         assert [a for a, _ in iso.pairs] == list(ctx1.t)
         assert sorted(dict(iso.pairs).values(), key=ctx2.table.index.get) == list(ctx2.t)
