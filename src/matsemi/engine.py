@@ -3,8 +3,9 @@
 A MatSet holds its matrices as one read-only code array in canonical
 order (rank, then entry codes); Matrix objects are built only where a
 caller reads elements.  A SemigroupTable is a closed MatSet with its
-multiplication grid and the per-id arrays derived from it (ranks, powers
-and their roots, image and kernel subspace ids).  build_table makes one
+multiplication grid and the arrays derived from it (ranks, powers and
+their roots, the power ladder S, S^2, ... as member masks, image and
+kernel subspace ids).  build_table makes one
 from any closed MatSet, and ambient() caches the table of the full
 M(n, F_q).  The remaining utilities (closures, least-id label partitions,
 subsemigroup scans, table isomorphism, preorder depths) operate on grids.
@@ -298,6 +299,13 @@ class SemigroupTable:
         return _read_only(np.stack(rows).astype(np.int32))
 
     @cached_property
+    def power_ladder(self) -> np.ndarray:
+        """(L, m) read-only bool array: row i is the member mask of
+        S^(i+1), from S down to {0} or to the last distinct power
+        (_power_ladder)."""
+        return _power_ladder(self.grid, np.ones(self.m, dtype=bool), self.zero_id)
+
+    @cached_property
     def nilpotent(self) -> tuple[bool, ...]:
         """Per-id flag: is some power the zero matrix (id 0 when present,
         as rank sorts first)."""
@@ -453,40 +461,48 @@ def _product_mask(grid: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
     return out
 
 
-def mask_nd(grid: np.ndarray, base: np.ndarray, zero_id: int) -> int | None:
-    """Nilpotency degree of the closed id set `base` (a member mask), or None.
+def _is_zero_set(mask: np.ndarray, zero_id: int | None) -> bool:
+    return zero_id is not None and bool(mask[zero_id]) and mask.sum() == 1
 
-    Powers S^i = S^{i-1} * S shrink as i grows; they reach {0} or stop
-    changing.
+
+def _power_ladder(grid: np.ndarray, base: np.ndarray, zero_id: int | None) -> np.ndarray:
+    """[S, S^2, ...] for the closed id set S (the member mask base), as the
+    rows of a read-only bool array.
+
+    S is closed, so S^2 lies inside S, and S^(i+1) = S^i S inside
+    S^(i-1) S = S^i: the powers shrink, and the ladder stops at {0} or
+    before the first power equal to the last.
     """
-    cur, k = base, 1
-    while not (cur[zero_id] and cur.sum() == 1):
-        nxt = _product_mask(grid, cur, base)
-        if np.array_equal(nxt, cur):
-            return None
-        cur, k = nxt, k + 1
-    return k
+    rows = [base]
+    while not _is_zero_set(rows[-1], zero_id):
+        nxt = _product_mask(grid, rows[-1], base)
+        if np.array_equal(nxt, rows[-1]):
+            break
+        rows.append(nxt)
+    return _read_only(np.stack(rows))
+
+
+def _ladder_nd(ladder: np.ndarray, zero_id: int | None) -> int | None:
+    """The nilpotency degree read off a power ladder: its length when it
+    ends at {0}, None when the powers stopped changing above {0}."""
+    return len(ladder) if _is_zero_set(ladder[-1], zero_id) else None
+
+
+def mask_nd(grid: np.ndarray, base: np.ndarray, zero_id: int) -> int | None:
+    """Nilpotency degree of the closed id set `base` (a member mask), or None."""
+    return _ladder_nd(_power_ladder(grid, base, zero_id), zero_id)
 
 
 def table_nd(table: SemigroupTable) -> int | None:
     """Nilpotency degree of the table's semigroup, or None when not nilpotent."""
-    if table.zero_id is None:
-        return None
-    return mask_nd(table.grid, np.ones(table.m, dtype=bool), table.zero_id)
-
-
-def power_masks(table: SemigroupTable, upto: int) -> list[np.ndarray]:
-    """[S^1, S^2, ..., S^upto] as read-only member masks."""
-    base = _read_only(np.ones(table.m, dtype=bool))
-    masks = [base]
-    while len(masks) < upto:
-        masks.append(_read_only(_product_mask(table.grid, masks[-1], base)))
-    return masks
+    return _ladder_nd(table.power_ladder, table.zero_id)
 
 
 def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
-    """[S^1, S^2, ..., S^upto] as id sets."""
-    return [frozenset(np.flatnonzero(mask).tolist()) for mask in power_masks(table, upto)]
+    """[S^1, S^2, ..., S^upto] as id sets, read off the power ladder, whose
+    last power is also every later one."""
+    ladder = table.power_ladder
+    return [frozenset(np.flatnonzero(ladder[min(i, len(ladder) - 1)]).tolist()) for i in range(upto)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +662,8 @@ def check_scan_size(base: int, exp: int = 1) -> None:
     )
 
 
-def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
-    """All multiplicatively closed id subsets, canonical order. m <= 16.
+def enumerate_subsemigroups(table: SemigroupTable):
+    """All nonempty multiplicatively closed id subsets, canonical order. m <= 16.
 
     Subsets are bit masks.  For each element i, the image of every mask M,
     the mask of {i*j : j in M}, is built by doubling over the bits of M;
@@ -663,8 +679,7 @@ def enumerate_subsemigroups(table: SemigroupTable, include_empty: bool = False):
         for b, x in enumerate(row):
             image[1 << b : 2 << b] = image[: 1 << b] | (1 << x)
         closed &= (((masks >> i) & 1) == 0) | ((image & ~masks) == 0)
-    start = 0 if include_empty else 1
-    found = (np.flatnonzero(closed[start:]) + start).tolist()
+    found = (np.flatnonzero(closed[1:]) + 1).tolist()  # mask 0 is the empty set
     out = [frozenset(i for i in range(m) if mask >> i & 1) for mask in found]
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out
@@ -798,26 +813,24 @@ def table_iso(u: SemigroupTable, w: SemigroupTable):
 
 
 def preorder_depths(m: int, leq) -> list[int]:
-    """Order-theoretic depth of each element under preorder leq(a, b).
+    """Order-theoretic depth of each element under the preorder given by
+    the m x m truth table leq, leq[a][b] true when a precedes b.
 
     Elements with mutually comparable pairs collapse into classes; depth 0
     are the maximal classes, depth i+1 lies strictly below some depth-i
-    class.  leq is a callable or an m x m truth table.
+    class.
     """
-    if not callable(leq):
-        mat = leq
-        leq = lambda a, b: mat[a][b]  # noqa: E731
     rep = list(range(m))
     for a in range(m):
         for b in range(a):
-            if rep[b] == b and leq(a, b) and leq(b, a):
+            if rep[b] == b and leq[a][b] and leq[b][a]:
                 rep[a] = b
                 break
     reps = sorted({rep[a] for a in range(m)})
     above: dict[int, set[int]] = {r: set() for r in reps}
     for a in reps:
         for b in reps:
-            if a != b and leq(a, b) and not leq(b, a):
+            if a != b and leq[a][b] and not leq[b][a]:
                 above[a].add(b)
     memo: dict[int, int] = {}
 
@@ -837,7 +850,7 @@ AMBIENT_CACHE_SIZE = 8  # verify all --profile full uses 5 ambients
 _AMBIENT_CACHE: dict = {}  # (field, n) -> table, least recently used first
 
 
-def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> SemigroupTable:
+def ambient(field: FieldSpec, n: int) -> SemigroupTable:
     """The table of the full semigroup M(n, F_q), cached: the
     AMBIENT_CACHE_SIZE most recently used tables are kept.
 
@@ -846,7 +859,9 @@ def ambient(field: FieldSpec, n: int, cap: int = AMBIENT_ELEMS_CAP) -> Semigroup
     compare it with build_table's checked grid.  The theorem class route
     reads only the elements and builds no grid.
     """
-    capped_power(field.q, n * n, cap, lambda size: f"|M({n}, F_{field.q})| = {size} exceeds cap {cap}")
+    capped_power(
+        field.q, n * n, AMBIENT_ELEMS_CAP, lambda size: f"|M({n}, F_{field.q})| = {size} exceeds cap {AMBIENT_ELEMS_CAP}"
+    )
     key = (field, n)
     table = _AMBIENT_CACHE.pop(key, None)
     if table is None:

@@ -47,6 +47,7 @@ from .gf import (
     enumerate_subspaces,
     format_subspace,
     full_space,
+    in_span,
     mat_inverse,
     parse_subspace,
     row_keys,
@@ -129,27 +130,12 @@ class LoweringSpace(NamedTuple):
     pivots the pivot of each row, and codes the rows again as a read-only
     (len(rows), n*n) int64 array.  A matrix lies in S(F) exactly when it
     equals the combination of the rows whose coefficients are its own
-    entries at the pivots (_in_span).
+    entries at the pivots (gf.in_span).
     """
 
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     codes: np.ndarray
-
-
-def _in_span(field: FieldSpec, v, pivots, rows) -> bool:
-    """Is the vector v in the span of the RREF rows with these pivots?
-    Exactly when v is the combination of the rows read off its entries at
-    the pivots: each row is 1 at its own pivot and 0 at the others, so no
-    other combination can match those entries."""
-    mul, add = field.mul, field.add
-    acc = [0] * len(v)
-    for p, row in zip(pivots, rows):
-        c = v[p]
-        if c:
-            mc = mul[c]
-            acc = [add[x][mc[y]] for x, y in zip(acc, row)]
-    return acc == list(v)
 
 
 @lru_cache(maxsize=1024)
@@ -172,12 +158,11 @@ def _lowering_space(f: Flag) -> LoweringSpace:
     level: list[int] = []  # stratum of each column of Q
     below: set[int] = set()
     for i, s in enumerate(f.chain[1:]):
-        pivots = [row.index(1) for row in s.basis]  # an RREF row's first nonzero entry is 1
-        for p, row in zip(pivots, s.basis):
+        for p, row in zip(s.pivots, s.basis):
             if p not in below:
                 cols.append(row)
                 level.append(i)
-        below = set(pivots)
+        below = set(s.pivots)
     q_inv = mat_inverse(Matrix(fld, n, n, tuple(cols[j][i] for i in range(n) for j in range(n))))
     span = [
         [mul[x][y] for x in cols[r] for y in q_inv.row_codes(c)]
@@ -185,12 +170,13 @@ def _lowering_space(f: Flag) -> LoweringSpace:
         for c in range(n)
         if level[r] < level[c]
     ]
-    rows = subspace(fld, n * n, span).basis
+    space = subspace(fld, n * n, span)
+    rows = space.basis
     if len(rows) != len(span):  # pragma: no cover - rank-one matrices of a basis pair
         raise InternalError("lowering space spanned by dependent matrices")
     codes = np.array(rows, dtype=np.int64).reshape(len(rows), n * n)
     codes.flags.writeable = False
-    return LoweringSpace(rows, tuple(row.index(1) for row in rows), codes)
+    return LoweringSpace(rows, space.pivots, codes)
 
 
 def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
@@ -213,7 +199,7 @@ def lowers_flag(a: Matrix, f: Flag) -> bool:
     if a.rows != f.ambient or a.cols != f.ambient:
         raise DimMismatch("matrix does not act on the flag's ambient space")
     space = _lowering_space(f)
-    return _in_span(f.field, a.codes, space.pivots, space.rows)
+    return in_span(f.field, a.codes, space.pivots, space.rows)
 
 
 @lru_cache(maxsize=1024)
@@ -360,10 +346,9 @@ def _power_image_flag(table, k) -> Flag:
 
     The images of the i-fold products span the column space of all their
     columns side by side, so each level is one subspace() of the distinct
-    columns of that power set (at most q^n of them).
+    columns of that power set (at most q^n of them).  The power sets are
+    the rows of the table's power ladder, which table_nd has built.
     """
-    from .engine import power_masks
-
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
@@ -371,7 +356,7 @@ def _power_image_flag(table, k) -> Flag:
     f, n = table.s.field, table.s.dim
     cols = table.codes.transpose(0, 2, 1)  # cols[x, j]: column j of x
     interior = []
-    for mask in power_masks(table, k - 1)[::-1]:  # longest products first: smallest span
+    for mask in table.power_ladder[: k - 1][::-1]:  # longest products first: smallest span
         stacked = cols[mask].reshape(-1, n)
         _, first = np.unique(row_keys(f, stacked), return_index=True)
         interior.append(subspace(f, n, stacked[first].tolist()))
@@ -434,19 +419,19 @@ def _flag_key(fl: Flag):
     return (fl.length, tuple(s.basis for s in fl.interior))
 
 
-def all_flags(field: FieldSpec, n: int, cap: int = ENUM_CAP) -> list[Flag]:
+def all_flags(field: FieldSpec, n: int) -> list[Flag]:
     """Every flag of F^n (all lengths, including the length-1 flag)."""
     flags: list[Flag] = []
     # one signature per composition of n: cut or not after each of 1..n-1
     for cuts in itertools.product((False, True), repeat=max(n - 1, 0)):
         ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [n]
         sig = [hi - lo for lo, hi in zip([0] + ends, ends) if hi > lo]
-        flags.extend(flags_with_signature(field, n, sig, cap=cap))
+        flags.extend(flags_with_signature(field, n, sig))
     flags.sort(key=_flag_key)
     return flags
 
 
-def flags_with_signature(field: FieldSpec, n: int, sig, cap: int = ENUM_CAP) -> list[Flag]:
+def flags_with_signature(field: FieldSpec, n: int, sig) -> list[Flag]:
     """Every flag of F^n with the given signature, sorted like all_flags.
 
     Only the prescribed partial dimensions d_1, d_1 + d_2, ... are walked:
@@ -456,9 +441,7 @@ def flags_with_signature(field: FieldSpec, n: int, sig, cap: int = ENUM_CAP) -> 
     sig = tuple(sig)
     if sum(sig) != n or any(d < 1 for d in sig):
         raise SignatureMismatch(f"signature {sig} does not fit ambient {n}")
-    levels = [
-        enumerate_subspaces(field, n, d, cap=cap) for d in itertools.accumulate(sig[:-1])
-    ]
+    levels = [enumerate_subspaces(field, n, d) for d in itertools.accumulate(sig[:-1])]
     flags: list[Flag] = []
 
     def extend(chain: tuple[Subspace, ...]):

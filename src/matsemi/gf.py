@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as _dfield
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,7 +214,7 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=64)
-def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
+def field_make(p: int, k: int = 1) -> FieldSpec:
     """Build GF(p^k).  Raises NotPrime / CapExceeded on bad input.
 
     For k > 1 the field is F_p[x]/(m), tabulated with the polynomial helpers
@@ -225,15 +225,15 @@ def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
     if not isinstance(p, int) or not isinstance(k, int) or k < 1:
         raise NotPrime(f"bad field parameters p={p!r}, k={k!r}")
     pk = prime_power(p)
-    # a field has p^k >= 2^k, so k > bit_length(q_cap) is past the cap and
+    # a field has p^k >= 2^k, so k > bit_length(Q_CAP) is past the cap and
     # p^k is not built (k may have thousands of digits); up to 64 it is cheap
-    q = p**k if k <= max(64, q_cap.bit_length()) else None
+    q = p**k if k <= max(64, Q_CAP.bit_length()) else None
     size = f"{p}^{k}" if q is None else q
     if pk != (p, 1):
         hint = f"; the field of size {size} is {pk[0]}^{pk[1] * k}" if pk else ""
         raise NotPrime(f"{p} is not prime{hint}")
-    if q is None or q > q_cap:
-        raise CapExceeded(f"field size {size} exceeds cap {q_cap}")
+    if q is None or q > Q_CAP:
+        raise CapExceeded(f"field size {size} exceeds cap {Q_CAP}")
 
     if k == 1:
         modulus = ()
@@ -244,7 +244,7 @@ def field_make(p: int, k: int = 1, q_cap: int = Q_CAP) -> FieldSpec:
     else:
         # F_p[x]/(m): code c is the residue whose coefficients are the base-p
         # digits of c, least significant first
-        fp = field_make(p, 1, q_cap)
+        fp = field_make(p, 1)
         digits = [t[::-1] for t in itertools.product(range(p), repeat=k)]
         modulus = next(m for m in ((*t, 1) for t in digits) if _is_irreducible(fp, m))
         polys = [_pnorm(t) for t in digits]
@@ -261,7 +261,7 @@ def format_field(f: FieldSpec) -> str:
     return str(f.p) if f.k == 1 else f"{f.p}^{f.k}"
 
 
-def parse_field(text: str, q_cap: int = Q_CAP) -> FieldSpec:
+def parse_field(text: str) -> FieldSpec:
     text = text.strip()
     if "^" in text:
         p_s, k_s = text.split("^", 1)
@@ -271,7 +271,7 @@ def parse_field(text: str, q_cap: int = Q_CAP) -> FieldSpec:
         p, k = int(p_s), int(k_s)
     except ValueError:
         raise NotPrime(f"cannot parse field spec {text!r}") from None
-    return field_make(p, k, q_cap)
+    return field_make(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -633,15 +633,30 @@ def capped_power(q: int, e: int, cap: int, refusal) -> int:
     raise CapExceeded(refusal(total if total is not None and total < _DECIMAL_LIMIT else f"{q}^{e}"))
 
 
-def enumerate_matrices(field: FieldSpec, rows: int, cols: int, cap: int = ENUM_CAP):
+def enumerate_matrices(field: FieldSpec, rows: int, cols: int):
     """All rows x cols matrices in entry-code lexicographic order."""
-    capped_power(field.q, rows * cols, cap, lambda size: f"{size} matrices exceed cap {cap}")
+    capped_power(field.q, rows * cols, ENUM_CAP, lambda size: f"{size} matrices exceed cap {ENUM_CAP}")
     for codes in itertools.product(range(field.q), repeat=rows * cols):
         yield Matrix(field, rows, cols, codes)
 
 
 # ---------------------------------------------------------------------------
 # subspaces
+
+
+def in_span(field: FieldSpec, v, pivots, rows) -> bool:
+    """Is the vector v in the span of the RREF rows with these pivots?
+    Exactly when v is the combination of the rows read off its entries at
+    the pivots: each row is 1 at its own pivot and 0 at the others, so no
+    other combination can match those entries."""
+    mul, add = field.mul, field.add
+    acc = [0] * len(v)
+    for p, row in zip(pivots, rows):
+        c = v[p]
+        if c:
+            mc = mul[c]
+            acc = [add[x][mc[y]] for x, y in zip(acc, row)]
+    return acc == list(v)
 
 
 @dataclass(frozen=True)
@@ -662,22 +677,15 @@ class Subspace:
         if self.ambient != other.ambient:
             raise AmbientMismatch("subspaces of different ambient spaces")
 
-    def reduce_vector(self, v) -> tuple[int, ...]:
-        """Reduce v against the RREF basis; zero vector iff v is a member."""
-        f = self.field
-        mul, add, neg = f.mul, f.add, f.neg
-        v = list(v)
-        for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if x != 0)
-            if v[pc] != 0:
-                factor = neg[v[pc]]
-                v = [add[x][mul[factor][y]] for x, y in zip(v, row)]
-        return tuple(v)
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot of each RREF row: its first nonzero entry, which is 1."""
+        return tuple(row.index(1) for row in self.basis)
 
     def contains_vector(self, v) -> bool:
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length != ambient dimension")
-        return all(x == 0 for x in self.reduce_vector(v))
+        return in_span(self.field, v, self.pivots, self.basis)
 
     def contains(self, other: "Subspace") -> bool:
         self._chk(other)
@@ -786,7 +794,7 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(field: FieldSpec, ambient: int, d: int, cap: int = ENUM_CAP):
+def enumerate_subspaces(field: FieldSpec, ambient: int, d: int):
     """All d-dimensional subspaces of F^ambient, sorted by basis encoding.
 
     Enumeration walks RREF shapes: choose pivot columns, then fill the free
@@ -798,8 +806,8 @@ def enumerate_subspaces(field: FieldSpec, ambient: int, d: int, cap: int = ENUM_
         return [zero_subspace(field, ambient)]
     q = field.q
     total = gaussian_binomial(ambient, d, q)
-    if total > cap:
-        raise CapExceeded(f"{total} subspaces exceed cap {cap}")
+    if total > ENUM_CAP:
+        raise CapExceeded(f"{total} subspaces exceed cap {ENUM_CAP}")
     out = []
     for pivots in itertools.combinations(range(ambient), d):
         pivset = set(pivots)

@@ -29,10 +29,10 @@ from .engine import (
     GRID_BLOCK,
     MatSet,
     SemigroupTable,
+    _read_only,
     build_table,
     check_table_size,
     mul_columns,
-    power_masks,
     preorder_depths,
     table_nd,
 )
@@ -69,6 +69,9 @@ from .gf import (
 
 # K cells are indexed by (prec depth, ll depth); only these pairs are defined.
 K_PAIRS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2))
+# The cells whose indecomposables have super rank 1, as rows of k_masks;
+# the indecomposables of the other cells have super rank 2.
+RANK_ONE_CELLS = [K_PAIRS.index(p) for p in ((1, 0), (0, 1), (1, 1))]
 
 ORDER_DEPTH_CHECK_CAP = 64
 
@@ -79,7 +82,8 @@ class NilContext:
     The table's grid is checked entry by entry when it is built.  The
     kernel and image bands, and the depths read off them, come from the
     codes of the elements alone; the product routes, cells and super
-    ranks read the grid.
+    ranks read the grid.  Every id set is a bool member mask over the ids,
+    and the per-id values (depths, super ranks) are int arrays.
     """
 
     def __init__(self, flag: Flag, table: SemigroupTable):
@@ -143,112 +147,95 @@ class NilContext:
         return _contained(self.image_band, self.image_band)
 
     @cached_property
-    def depth_prec(self) -> list[int]:
+    def depth_prec(self) -> np.ndarray:
         """dim V_{r-1} - dim(ker x ∩ V_{r-1}); a band row holds q^dim vectors."""
-        return [self.flag.chain[-2].dim - d for d in _dims(self.t.field, self.kernel_band)]
+        return _read_only(self.flag.chain[-2].dim - _dims(self.t.field, self.kernel_band))
 
     @cached_property
-    def depth_ll(self) -> list[int]:
+    def depth_ll(self) -> np.ndarray:
         """dim Im x - dim(Im x ∩ V_1), which is dim(Im x + V_1) - dim V_1,
         or dim V_1^⊥ minus the dimension of the image band's row."""
         top = self.flag.ambient - self.flag.chain[1].dim
-        return [top - d for d in _dims(self.t.field, self.image_band)]
+        return _read_only(top - _dims(self.t.field, self.image_band))
+
+    @property
+    def power_masks(self) -> np.ndarray:
+        """Row i is the member mask of T^(i+1), for i = 0..r-1: the table's
+        power ladder, which nil_context has built to read the degree."""
+        return self.table.power_ladder
+
+    @property
+    def decomposable(self) -> np.ndarray:
+        """Member mask of the decomposables T^2."""
+        return self.power_masks[1]
 
     @cached_property
-    def power_masks(self) -> list[np.ndarray]:
-        """power_masks[i] = member mask of T^(i+1), for i = 0..r-1."""
-        return power_masks(self.table, self.r)
+    def k_masks(self) -> np.ndarray:
+        """(len(K_PAIRS), m) read-only bool: row i is the K cell of K_PAIRS[i].
 
-    @cached_property
-    def power_ids(self) -> list[frozenset[int]]:
-        """power_ids[i] = ids of T^(i+1), for i = 0..r-1."""
-        return [frozenset(np.flatnonzero(mask).tolist()) for mask in self.power_masks]
-
-    @cached_property
-    def decomposable_ids(self) -> frozenset[int]:
-        return self.power_ids[1]
-
-    @cached_property
-    def tat_sets(self) -> list[frozenset[int]]:
-        """tat_sets[x] = {c*x*d : c, d in T} as ids.
-
-        left[x, y] is true when y is in Tx and right[y, z] when z is in yT,
-        so TxT is row x of their boolean product.
+        The (u, v) cell holds the x of prec depth u and ll depth v, and for
+        u, v >= 1 only those with TxT != {0}.  The (2, 2) cell then drops
+        every x whose TxT equals that of an indecomposable of super rank 1,
+        that is, one in the (1, 0), (0, 1) or (1, 1) cell.
         """
-        g, ids = self.table.grid, np.arange(self.m)[:, None]
-        left = np.zeros((self.m, self.m), dtype=bool)
-        left[ids, g.T] = True
-        right = np.zeros((self.m, self.m), dtype=bool)
-        right[ids, g] = True
-        reach = _meets(left, right.T)
-        return [frozenset(np.flatnonzero(row).tolist()) for row in reach]
+        u, v = np.array(K_PAIRS).T
+        cells = (self.depth_prec == u[:, None]) & (self.depth_ll == v[:, None])
+        cells[(u >= 1) & (v >= 1)] &= _sandwich_nonzero(self, 1, 1)
+        two_two = cells[K_PAIRS.index((2, 2))]
+        if two_two.any():
+            one = cells[RANK_ONE_CELLS].any(axis=0) & ~self.decomposable
+            rows = np.flatnonzero(two_two | one)
+            keys = [row.tobytes() for row in np.packbits(_tat_rows(self.table.grid, rows), axis=1)]
+            excluded = {key for x, key in zip(rows.tolist(), keys) if one[x]}
+            two_two[rows] &= [key not in excluded for key in keys]
+        return _read_only(cells)
 
     @cached_property
-    def k_ids(self) -> dict[tuple[int, int], frozenset[int]]:
-        zero = self.table.zero_id
-        cells: dict[tuple[int, int], frozenset[int]] = {}
-        for u, v in K_PAIRS:
-            members = [
-                x
-                for x in range(self.m)
-                if self.depth_prec[x] == u and self.depth_ll[x] == v
-            ]
-            if (u, v) in ((1, 1), (2, 1), (1, 2), (2, 2)):
-                members = [x for x in members if any(y != zero for y in self.tat_sets[x])]
-            cells[(u, v)] = frozenset(members)
-        # The (2,2) exclusion clause ranges over indecomposables of super
-        # rank 1, which only involves the (1,0)/(0,1)/(1,1) cells above.
-        if cells[(2, 2)]:
-            supr1 = (cells[(1, 0)] | cells[(0, 1)] | cells[(1, 1)]) - self.decomposable_ids
-            excluded = {self.tat_sets[b] for b in supr1}
-            cells[(2, 2)] = frozenset(
-                x for x in cells[(2, 2)] if self.tat_sets[x] not in excluded
-            )
-        return cells
+    def super_ranks(self) -> np.ndarray:
+        """Read-only int array: the super rank 1 or 2 of each id, 0 where
+        it is undefined (always at 0).
 
-    @cached_property
-    def indec_super_rank(self) -> dict[int, int | None]:
-        k = self.k_ids
-        one = k[(1, 1)] | k[(1, 0)] | k[(0, 1)]
-        two = k[(2, 0)] | k[(0, 2)] | k[(2, 1)] | k[(1, 2)] | k[(2, 2)]
-        out: dict[int, int | None] = {}
-        for x in range(self.m):
-            if x in self.decomposable_ids:
-                continue
-            out[x] = 1 if x in one else 2 if x in two else None
-        return out
-
-    @cached_property
-    def dec_super_rank(self) -> dict[int, int | None]:
-        """Super rank for decomposable nonzero ids.
-
-        reach[x, k] is true when x is the product of a word of
-        indecomposables whose flags are k: bit 1 set when the word has a
-        factor of super rank 1, bit 0 when it has one of super rank 2.
-        Each round puts every indecomposable in front of every word reached
-        so far, for each of the four flag values at once, until nothing new
-        is reached; that ends, as every word longer than nd(T) = r is 0.
+        An indecomposable has super rank 1 in RANK_ONE_CELLS and 2 in the
+        other cells.  For a decomposable, reach[x, k] is true when x is the
+        product of a word of indecomposables whose flags are k: bit 1 set
+        when the word has a factor of super rank 1, bit 0 when it has one
+        of super rank 2.  Each round puts every indecomposable in front of
+        the words first reached in the round before, for each of the four
+        flag values at once, until nothing new is reached; that ends, as
+        every word longer than nd(T) = r is 0.
         """
-        g = self.table.grid
-        sr = self.indec_super_rank  # keyed by the indecomposables, in id order
-        indec = np.array(list(sr), dtype=np.intp)
-        flags = np.array([2 * (sr[y] == 1) + (sr[y] == 2) for y in sr], dtype=np.intp)
+        g, cells = self.table.grid, self.k_masks
+        ranks = np.select([cells[RANK_ONE_CELLS].any(axis=0), cells.any(axis=0)], [1, 2], 0)
+        ranks[self.decomposable] = 0
+        indec = np.flatnonzero(~self.decomposable)
+        flags = 2 * (ranks[indec] == 1) + (ranks[indec] == 2)
         reach = np.zeros((self.m, 4), dtype=bool)
         reach[indec, flags] = True
-        while True:
-            nxt = reach.copy()
+        new = reach.copy()
+        while new.any():
+            nxt = np.zeros_like(reach)
             for k in range(4):
-                nxt[g[np.ix_(indec, np.flatnonzero(reach[:, k]))], (flags | k)[:, None]] = True
-            if np.array_equal(nxt, reach):
-                break
-            reach = nxt
-        has_one, has_two = reach[:, 2:].any(1).tolist(), reach[:, 1::2].any(1).tolist()
-        zero = self.table.zero_id
-        return {
-            x: 1 if has_one[x] else 2 if has_two[x] else None
-            for x in self.decomposable_ids
-            if x != zero
-        }
+                nxt[g[np.ix_(indec, np.flatnonzero(new[:, k]))], (flags | k)[:, None]] = True
+            new = nxt & ~reach
+            reach |= new
+        dec = self.decomposable.copy()
+        dec[self.table.zero_id] = False
+        ranks[dec] = np.select([reach[dec, 2:].any(axis=1), reach[dec, 1::2].any(axis=1)], [1, 2], 0)
+        return _read_only(ranks)
+
+
+def _tat_rows(grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), m) bool: row i is the member mask of T x T, x = rows[i].
+
+    left[i, y] is true when y is in T x and right[z, y] when z is in y T,
+    so T x T is row i of their boolean product.
+    """
+    m = len(grid)
+    left = np.zeros((len(rows), m), dtype=bool)
+    left[np.arange(len(rows))[:, None], grid.T[rows]] = True
+    right = np.zeros((m, m), dtype=bool)
+    right[grid, np.arange(m)[:, None]] = True
+    return _meets(left, right)
 
 
 def _null_band(arr: np.ndarray, space: Subspace) -> np.ndarray:
@@ -262,10 +249,10 @@ def _null_band(arr: np.ndarray, space: Subspace) -> np.ndarray:
     return out
 
 
-def _dims(f: FieldSpec, band: np.ndarray) -> list[int]:
+def _dims(f: FieldSpec, band: np.ndarray) -> np.ndarray:
     """Dimension of the subspace in each row of a band, from its q^dim members."""
     dim_of = {f.q**d: d for d in range(band.shape[1].bit_length())}  # q^d <= band width
-    return [dim_of[c] for c in band.sum(axis=1).tolist()]
+    return np.array([dim_of[c] for c in band.sum(axis=1).tolist()])
 
 
 MEETS_BLOCK_BYTES = 1 << 18  # bytes of one _meets temporary: larger ones raise peak RSS
@@ -358,7 +345,7 @@ def _check_order_depths(ctx: NilContext) -> None:
         return
     got_prec = preorder_depths(ctx.m, ctx.prec_products.tolist())
     got_ll = preorder_depths(ctx.m, ctx.ll_products.tolist())
-    if got_prec != ctx.depth_prec or got_ll != ctx.depth_ll:  # pragma: no cover
+    if got_prec != ctx.depth_prec.tolist() or got_ll != ctx.depth_ll.tolist():  # pragma: no cover
         raise InternalError("dimension depths disagree with order-theoretic depths")
     ctx._order_depths_checked = True
 
@@ -374,7 +361,7 @@ def depth_sets(ctx: NilContext, which: str, i: int) -> MatSet:
     if i < 0:
         raise PreconditionViolated("depth index must be >= 0")
     _check_order_depths(ctx)
-    return ctx.table.subset(np.flatnonzero(np.asarray(depths) == i))
+    return ctx.table.subset(np.flatnonzero(depths == i))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +373,7 @@ def super_rank(ctx: NilContext, a: Matrix) -> int | None:
     x = _id_of(ctx, a)
     if x == ctx.table.zero_id:
         raise ZeroElement("super rank is undefined at 0")
-    if x in ctx.decomposable_ids:
-        return ctx.dec_super_rank[x]
-    return ctx.indec_super_rank[x]
+    return int(ctx.super_ranks[x]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +452,8 @@ def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:
     if not 1 < s < ctx.r:
         raise PreconditionViolated("middle position s must satisfy 1 < s < r")
     stage = _sandwich_nonzero(ctx, s - 2, ctx.r - s)
-    gens = [x for x, rank in ctx.indec_super_rank.items() if rank == 1 and stage[x]]
+    rank_one = ctx.k_masks[RANK_ONE_CELLS].any(axis=0) & ~ctx.decomposable
+    gens = np.flatnonzero(rank_one & stage).tolist()
     targets = np.flatnonzero(ctx.power_masks[ctx.r - s - 1] & _sandwich_nonzero(ctx, s - 1, 0))
     full = (1 << len(targets)) - 1
     hits = ~ctx.zero_products[np.ix_(gens, targets)]  # [c, i]: c * targets[i] != 0
@@ -489,7 +475,7 @@ def _annihilators(ctx: NilContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fingerprint(ctx: NilContext) -> Fingerprint:
-    power_sizes = tuple(len(p) for p in ctx.power_ids)
+    power_sizes = tuple(ctx.power_masks.sum(axis=1).tolist())
     if any(a <= b for a, b in zip(power_sizes, power_sizes[1:])) or power_sizes[-1] != 1:
         raise InvariantViolation(f"power sizes {power_sizes} do not shrink to 1")
     left, right = _annihilators(ctx)
@@ -499,8 +485,8 @@ def fingerprint(ctx: NilContext) -> Fingerprint:
         right_ann=int(right.sum()),
         left_ann=int(left.sum()),
         two_sided_ann=int((left & right).sum()),
-        decomposable_count=len(ctx.decomposable_ids),
-        k_sizes=tuple(len(ctx.k_ids[pair]) for pair in K_PAIRS),
+        decomposable_count=int(ctx.decomposable.sum()),
+        k_sizes=tuple(ctx.k_masks.sum(axis=1).tolist()),
         u_stats=tuple(u_stat(ctx, s)[0] for s in range(2, ctx.r)),
     )
 
@@ -518,8 +504,8 @@ def annihilator_census(ctx: NilContext) -> tuple[tuple[str, object], ...]:
     i1, i2, i3 = ctx.sig
     q = ctx.t.field.q
     left, right = _annihilators(ctx)
-    two_sided = np.flatnonzero(left & right).tolist()
-    dec_in_ann = sum(1 for x in two_sided if x in ctx.decomposable_ids)
+    two_sided = left & right
+    dec_in_ann = int((two_sided & ctx.decomposable).sum())
     rank_le_one = 1 + (q**i1 - 1) * (q**i3 - 1) // (q - 1)
     shortcut = q ** (i1 + i3 - 1)
     right_brute = int(right.sum())
@@ -527,7 +513,7 @@ def annihilator_census(ctx: NilContext) -> tuple[tuple[str, object], ...]:
     return (
         ("sig", ctx.sig),
         ("q", q),
-        ("two_sided_ann", len(two_sided)),
+        ("two_sided_ann", int(two_sided.sum())),
         ("decomposable_in_ann", dec_in_ann),
         ("rank_le_one_corner", rank_le_one),
         ("geometric_shortcut", shortcut),
@@ -615,7 +601,7 @@ def _transporters(sources, targets) -> tuple[np.ndarray, np.ndarray]:
 def _carried(g: np.ndarray, sources, targets) -> np.ndarray:
     """(S, T) bool: g[i, j] V_l ⊆ V'_l at every interior level l of source
     flag i and target flag j.  The images of V_l's basis are tested against
-    V'_l's RREF rows as flags._in_span does, every pair at once."""
+    V'_l's RREF rows as gf.in_span does, every pair at once."""
     f, tj = sources[0].field, np.arange(len(targets))[:, None, None]
     out = np.ones(g.shape[:2], dtype=bool)
     for lvl in range(1, sources[0].length):

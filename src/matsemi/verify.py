@@ -47,7 +47,6 @@ from .nilclass import (
     depth_sets,
     fingerprint,
     nil_context,
-    super_rank,
     u_stat,
 )
 
@@ -276,17 +275,18 @@ def criterion_06() -> CriterionResult:
 
 
 def criterion_07() -> CriterionResult:
+    """Super rank equals rank on every nonzero decomposable of the battery,
+    read off each context's super-rank array."""
     t0 = perf_counter()
     witness = None
     checked = 0
     for ctx in _battery():
-        zero = ctx.table.zero_id
-        for x in sorted(ctx.decomposable_ids):
-            if x == zero:
-                continue
+        nonzero = ctx.decomposable.copy()
+        nonzero[ctx.table.zero_id] = False
+        for x in np.flatnonzero(nonzero).tolist():
             checked += 1
             a = ctx.t.elements[x]
-            sr = super_rank(ctx, a)
+            sr = int(ctx.super_ranks[x]) or None
             if sr != mat_rank(a):
                 witness = f"sig {ctx.sig}, {format_matrix(a)}: super rank {sr} != rank {mat_rank(a)}"
                 break

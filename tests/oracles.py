@@ -93,3 +93,78 @@ def meets_by_rows(a, b):
     for i, row in enumerate(pa):
         out[i] = (row & pb).any(axis=1)
     return out
+
+
+def tat_sets(grid):
+    """T x T of every id as a frozenset of ids: row x of the boolean product
+    of left[x, y] (y in T x) and right[y, z] (z in y T), one row at a time."""
+    m = len(grid)
+    ids = np.arange(m)[:, None]
+    left = np.zeros((m, m), dtype=bool)
+    left[ids, grid.T] = True
+    right = np.zeros((m, m), dtype=bool)
+    right[ids, grid] = True
+    return [frozenset(np.flatnonzero(row).tolist()) for row in meets_by_rows(left, right.T)]
+
+
+def k_cells(ctx, pairs):
+    """The K cells as frozensets of ids, from whole T x T sets: the x of
+    prec depth u and ll depth v, for u, v >= 1 only those with a nonzero
+    element in T x T, and in the (2, 2) cell only those whose T x T is
+    that of no indecomposable of super rank 1."""
+    grid, zero = ctx.table.grid, ctx.table.zero_id
+    tat = tat_sets(grid)
+    decomposable = frozenset(np.unique(grid).tolist())
+    cells = {}
+    for u, v in pairs:
+        members = [x for x in range(ctx.m) if ctx.depth_prec[x] == u and ctx.depth_ll[x] == v]
+        if u and v:
+            members = [x for x in members if any(y != zero for y in tat[x])]
+        cells[(u, v)] = frozenset(members)
+    if cells[(2, 2)]:
+        rank_one = (cells[(1, 0)] | cells[(0, 1)] | cells[(1, 1)]) - decomposable
+        excluded = {tat[b] for b in rank_one}
+        cells[(2, 2)] = frozenset(x for x in cells[(2, 2)] if tat[x] not in excluded)
+    return cells
+
+
+def word_ranks(grid, zero, indec_ranks):
+    """Super rank of each nonzero decomposable by a worklist over words of
+    indecomposables, given the super rank (1, 2 or None) of every
+    indecomposable in indec_ranks.
+
+    A word's flags are (has a factor of super rank 1, has one of super
+    rank 2); each (product, flags) pair found is extended once, by putting
+    every indecomposable in front of it.
+    """
+    by_col = grid.T.tolist()  # by_col[z][y] = y * z
+    groups = {}
+    for y, rank in indec_ranks.items():
+        groups.setdefault((rank == 1, rank == 2), []).append(y)
+    reach = {y: {f} for f, ys in groups.items() for y in ys}
+    todo = [(y, f) for f, ys in groups.items() for y in ys]
+    while todo:
+        z, (h1, h2) = todo.pop()
+        col = by_col[z]
+        for (f1, f2), ys in groups.items():
+            flags = (f1 or h1, f2 or h2)
+            for x in {col[y] for y in ys}:
+                if flags not in reach.setdefault(x, set()):
+                    reach[x].add(flags)
+                    todo.append((x, flags))
+    out = {}
+    for x in np.unique(grid).tolist():
+        if x != zero:
+            found = reach.get(x, set())
+            out[x] = 1 if any(h1 for h1, _ in found) else 2 if any(h2 for _, h2 in found) else None
+    return out
+
+
+def super_ranks(ctx, cells):
+    """{id: 1, 2 or None} for every nonzero id: indecomposables from the K
+    cells, decomposables by word_ranks."""
+    decomposable = frozenset(np.unique(ctx.table.grid).tolist())
+    one = cells[(1, 0)] | cells[(0, 1)] | cells[(1, 1)]
+    two = frozenset().union(*cells.values()) - one
+    indec = {x: 1 if x in one else 2 if x in two else None for x in range(ctx.m) if x not in decomposable}
+    return {**indec, **word_ranks(ctx.table.grid, ctx.table.zero_id, indec)}

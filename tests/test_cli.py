@@ -389,18 +389,22 @@ class TestIsolatedReports:
 
 class TestNilReports:
     # json report sha256s of the flag-invariants benchmark jobs, recorded
-    # before iso_construct became the one-pair call of batch_transport
+    # before iso_construct became the one-pair call of batch_transport, and
+    # of two contexts with a (2, 2) K cell to exclude from (F2-11111 keeps
+    # 136 ids in it, F3-1111 none), recorded before the K cells became masks
     @pytest.mark.parametrize(
         "argv,sha256",
         [
             ("fingerprint --field 2^2 --n 4 --sig 1,3", "c6006fc060899c6324819372a05fc32e2e7da0a6ac94dfba435196dd135cbe1a"),
             ("fingerprint --field 3 --n 4 --sig 1,2,1", "d6900f03d26985a2e0ee4f648ea49cf329adb422e41cd7768086fd1fe3dd48ca"),
+            ("fingerprint --field 2 --n 5 --sig 1,1,1,1,1", "d675fcf948a98de16ebf37aa5d1a170c9a15c6be1d32bd61e4682cccdd5f6876"),
+            ("fingerprint --field 3 --n 4 --sig 1,1,1,1", "2ef554f709b70723abc1a7e1b094fcee3253a83c0b6bbf1030b83c2821a01720"),
             (
                 "iso-construct --field 3 --n 4 --sig1 1,2,1 --flag2 0,1,0,0|0,1,0,0;0,0,1,0;1,0,0,0",
                 "b105e8c9d8f1954bcd22e0977a9cb4ca282b73de7038c8969d8200c61afadc17",
             ),
         ],
-        ids=["fingerprint-F4-13", "fingerprint-F3-121", "iso-construct-F3-121"],
+        ids=["fingerprint-F4-13", "fingerprint-F3-121", "fingerprint-F2-11111", "fingerprint-F3-1111", "iso-construct-F3-121"],
     )
     def test_reports_are_unchanged(self, argv, sha256):
         text, code = run_command(["nil", *argv.split(), "--format", "json"])

@@ -41,6 +41,7 @@ from matsemi import (
     zero_matrix,
     zero_subspace,
 )
+from matsemi.errors import AmbientMismatch
 from matsemi.gf import (
     PRIME_CAP,
     VEC_TABLE_CAP,
@@ -178,6 +179,28 @@ class TestField:
             capped_power(64, 99999**2, 4096, refusal)
         with pytest.raises(CapExceeded, match="prime-power cap"):
             prime_power(PRIME_CAP)
+
+    def test_caps_are_module_constants(self, monkeypatch):
+        # no caller passes a cap: a small one is set on the module, and the
+        # refusal names it as before
+        from matsemi import all_flags, ambient, engine, gf
+
+        f2 = field_make(2)
+        monkeypatch.setattr(gf, "ENUM_CAP", 8)
+        with pytest.raises(CapExceeded, match=r"^16 matrices exceed cap 8$"):
+            next(enumerate_matrices(f2, 2, 2))
+        with pytest.raises(CapExceeded, match=r"^35 subspaces exceed cap 8$"):
+            enumerate_subspaces(f2, 4, 2)
+        with pytest.raises(CapExceeded, match=r"^15 subspaces exceed cap 8$"):  # the lines of F_2^4
+            all_flags(f2, 4)
+        assert len(enumerate_subspaces(f2, 3, 1)) == 7
+        monkeypatch.setattr(engine, "AMBIENT_ELEMS_CAP", 15)
+        with pytest.raises(CapExceeded, match=r"^\|M\(2, F_2\)\| = 16 exceeds cap 15$"):
+            ambient(f2, 2)
+        monkeypatch.setattr(gf, "Q_CAP", 4)
+        with pytest.raises(CapExceeded, match=r"^field size 5 exceeds cap 4$"):
+            gf.field_make.__wrapped__(5)
+        assert gf.field_make.__wrapped__(2, 2).q == 4
 
     def test_field_roundtrip(self):
         for f in FIELDS:
@@ -777,6 +800,18 @@ class TestSubspace:
                 for d in range(n + 1):
                     got = len(list(enumerate_subspaces(f, n, d)))
                     assert got == gaussian_binomial(n, d, f.q)
+
+    def test_contains_vector_matches_the_member_list(self):
+        # gf.in_span reads a vector off its entries at the pivots
+        for f, n in ((field_make(2), 4), (field_make(3), 3), (field_make(2, 2), 2)):
+            every = list(itertools.product(range(f.q), repeat=n))
+            for d in range(n + 1):
+                for s in enumerate_subspaces(f, n, d):
+                    assert s.pivots == tuple(next(i for i, x in enumerate(row) if x) for row in s.basis)
+                    members = set(s.vectors())
+                    assert [s.contains_vector(v) for v in every] == [v in members for v in every]
+        with pytest.raises(AmbientMismatch):
+            s.contains_vector((0,) * (n + 1))
 
     def test_vectors_count(self):
         f = field_make(3)

@@ -40,9 +40,19 @@ from matsemi import engine, flags, nilclass, verify
 from matsemi.cli import run_command
 from matsemi.errors import BadSignature, DimMismatch, FieldMismatch, InternalError, NotPrime
 from matsemi.nilclass import K_PAIRS
+import oracles
 from oracles import flag_transporter, intersect, meets_by_rows, span_sum, transport_perm
 
 F2 = field_make(2)
+
+
+def _ids(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _cells(ctx):
+    """The K cells as frozensets of ids, keyed by pair."""
+    return {pair: _ids(row) for pair, row in zip(K_PAIRS, ctx.k_masks)}
 
 
 def E(i, j, n=3):
@@ -107,36 +117,47 @@ class TestOrders:
 
 class TestKCells:
     def test_indecomposable(self, ctx3):
-        index, dec = ctx3.table.index, ctx3.decomposable_ids
-        assert index[matrix(F2, [[0] * 3] * 3)] in dec
-        assert index[E(1, 3)] in dec  # e12 * e23
-        assert index[E(1, 2)] not in dec
+        index, dec = ctx3.table.index, ctx3.decomposable
+        assert dec[index[matrix(F2, [[0] * 3] * 3)]]
+        assert dec[index[E(1, 3)]]  # e12 * e23
+        assert not dec[index[E(1, 2)]]
 
     def test_cells_at_length_three(self, ctx3):
-        assert ctx3.table.index[E(1, 2)] in ctx3.k_ids[(1, 0)]
-        assert ctx3.table.index[E(2, 3)] in ctx3.k_ids[(0, 1)]
+        cells = _cells(ctx3)
+        assert ctx3.table.index[E(1, 2)] in cells[(1, 0)]
+        assert ctx3.table.index[E(2, 3)] in cells[(0, 1)]
         # cube of the semigroup vanishes, so the sandwich cells are empty
         for u, v in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            assert not ctx3.k_ids[(u, v)]
+            assert not cells[(u, v)]
 
     def test_cells_are_disjoint_depth_level_sets(self, ctx_complete4):
         ctx = ctx_complete4
-        seen = set()
-        for c in ctx.k_ids.values():
-            assert not (seen & c)
-            seen |= c
-        for (u, v), c in ctx.k_ids.items():
+        assert (ctx.k_masks.sum(axis=0) <= 1).all()
+        for (u, v), c in _cells(ctx).items():
             for x in c:
                 assert (ctx.depth_prec[x], ctx.depth_ll[x]) == (u, v)
 
     def test_complete4_cell_sizes(self, ctx_complete4):
-        sizes = tuple(len(ctx_complete4.k_ids[uv]) for uv in K_PAIRS)
-        assert sizes == (6, 6, 8, 0, 0, 8, 8, 0)
+        assert tuple(ctx_complete4.k_masks.sum(axis=1).tolist()) == (6, 6, 8, 0, 0, 8, 8, 0)
 
     def test_bad_pair(self, ctx3):
-        # cells exist only at the defined (prec depth, ll depth) pairs
-        assert tuple(ctx3.k_ids) == K_PAIRS
-        assert (3, 0) not in ctx3.k_ids
+        # cells exist only at the defined (prec depth, ll depth) pairs: one
+        # row each, in K_PAIRS order
+        assert ctx3.k_masks.shape == (len(K_PAIRS), ctx3.m)
+        assert (3, 0) not in K_PAIRS
+
+    @pytest.mark.parametrize("group", ["battery", "F3-121", "F2-11111", "F3-1111"])
+    def test_cells_and_ranks_match_the_frozenset_oracle(self, group):
+        for ctx in _suite_contexts(group):
+            cells = oracles.k_cells(ctx, K_PAIRS)
+            assert _cells(ctx) == cells, ctx.flag
+            ranks = {x: int(ctx.super_ranks[x]) or None for x in range(ctx.m) if x != ctx.table.zero_id}
+            assert ranks == oracles.super_ranks(ctx, cells), ctx.flag
+            if group == "F2-11111":  # the (2, 2) exclusion keeps some ids
+                assert len(cells[(2, 2)]) == 136
+            if group == "F3-1111":  # and here it drops every one
+                depth_22 = (ctx.depth_prec == 2) & (ctx.depth_ll == 2) & nilclass._sandwich_nonzero(ctx, 1, 1)
+                assert depth_22.any() and not cells[(2, 2)]
 
 
 class TestSuperRank:
@@ -151,12 +172,12 @@ class TestSuperRank:
 
     def test_undefined_case(self, ctx3):
         a = E(1, 2) + E(2, 3)
-        assert ctx3.table.index[a] not in ctx3.decomposable_ids
+        assert not ctx3.decomposable[ctx3.table.index[a]]
         assert super_rank(ctx3, a) is None
 
     def test_rank_law_on_decomposables(self, ctx_complete4, ctx212):
         for ctx in (ctx_complete4, ctx212):
-            for x in sorted(ctx.decomposable_ids):
+            for x in np.flatnonzero(ctx.decomposable).tolist():
                 if x == 0:
                     continue
                 a = ctx.t.elements[x]
@@ -164,11 +185,28 @@ class TestSuperRank:
 
     def test_212_has_no_rank2_decomposables(self, ctx212):
         # middle stratum is a line, so every product factors through it
-        assert all(mat_rank(ctx212.t.elements[x]) <= 1 for x in ctx212.decomposable_ids)
+        assert all(mat_rank(ctx212.t.elements[x]) <= 1 for x in _ids(ctx212.decomposable))
+
+    def test_criterion_07_names_the_first_broken_decomposable(self, monkeypatch):
+        from matsemi.gf import format_matrix
+
+        good = nil_context.__wrapped__(standard_flag(F2, (1, 1, 1)))
+        bad = nil_context.__wrapped__(standard_flag(F2, (1, 1, 1, 1)))
+        ids = np.flatnonzero(bad.decomposable)[1:]  # id 0 is the zero matrix
+        x = int(ids[1])
+        assert bad.super_ranks[x] == mat_rank(bad.t.elements[x]) == 1
+        ranks = bad.super_ranks.copy()
+        ranks[x] = 2
+        bad.__dict__["super_ranks"] = ranks
+        monkeypatch.setattr(verify, "_battery", lambda: (good, bad))
+        res = verify.criterion_07()
+        assert not res.passed
+        assert dict(res.details)["decomposables_checked"] == int(good.decomposable.sum()) - 1 + 2
+        assert res.witness == f"sig (1, 1, 1, 1), {format_matrix(bad.t.elements[x])}: super rank 2 != rank 1"
 
     def test_rank2_decomposable_in_complete4(self, ctx_complete4):
         a = unit_matrix(F2, 4, 0, 2) + unit_matrix(F2, 4, 1, 3)  # (e12+e23)(e23+e34)
-        assert ctx_complete4.table.index[a] in ctx_complete4.decomposable_ids
+        assert ctx_complete4.decomposable[ctx_complete4.table.index[a]]
         assert super_rank(ctx_complete4, a) == 2
 
 
@@ -187,7 +225,7 @@ class TestSandwichWitness:
         E4 = lambda i, j: unit_matrix(F2, 4, i - 1, j - 1)
         a = E4(1, 3) + E4(2, 3) + E4(2, 4)
         xa = ctx.table.index[a]
-        assert xa in ctx.k_ids[(1, 1)]
+        assert xa in _cells(ctx)[(1, 1)]
         assert mat_rank(a) == 2 and super_rank(ctx, a) == 1
         w = a + E4(1, 4)
         assert mat_rank(w) == 1
@@ -252,7 +290,7 @@ class TestUStat:
             b
             for b in range(ctx121.m)
             if any(g[a][b] != zero for a in range(ctx121.m))  # T b != 0 and b in T^{r-2}
-            and b in ctx121.power_ids[ctx121.r - 3]
+            and ctx121.power_masks[ctx121.r - 3][b]
         ]
         for b in targets:
             assert any(g[c][b] != zero for c in cert)
@@ -269,8 +307,8 @@ class TestUStat:
             zero = ctx.table.zero_id
             for left in range(ctx.r):
                 for right in range(ctx.r - left):
-                    ls = ctx.power_ids[left - 1] if left else None
-                    rs = ctx.power_ids[right - 1] if right else None
+                    ls = _ids(ctx.power_masks[left - 1]) if left else None
+                    rs = _ids(ctx.power_masks[right - 1]) if right else None
                     want = []
                     for x in range(ctx.m):
                         xs = {g[a][x] for a in ls} if ls else {x}
@@ -529,6 +567,24 @@ def test_cold_context_build_runs_few_eliminations(monkeypatch):
     assert len(calls) <= 32
 
 
+@pytest.mark.parametrize("sig", [(1, 2), (1, 1, 1), (1, 2, 1), (1, 1, 1, 1)])
+def test_cold_context_computes_each_power_once(monkeypatch, sig):
+    # table_nd, the power-image flag of the maximality proof, the
+    # context's power masks and the fingerprint all read one power ladder:
+    # T^2, ..., T^r are r - 1 products
+    calls = []
+    real = engine._product_mask
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_product_mask", counting)
+    ctx = nil_context.__wrapped__(standard_flag(F3, sig))
+    fingerprint(ctx)
+    assert len(calls) == ctx.r - 1 == len(sig) - 1
+
+
 class TestOneTablePerContext:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -604,8 +660,11 @@ class TestRouteMatrices:
 
     def test_tat_sets_match_unique_definition(self, ctx121_f3):
         g = ctx121_f3.table.grid
+        rows = nilclass._tat_rows(g, np.arange(ctx121_f3.m))
         for x in range(ctx121_f3.m):
-            assert ctx121_f3.tat_sets[x] == frozenset(np.unique(g[g[:, x]]).tolist())
+            assert _ids(rows[x]) == frozenset(np.unique(g[g[:, x]]).tolist())
+        picked = np.array([5, 0, 242, 5])  # any rows, in any order
+        assert np.array_equal(nilclass._tat_rows(g, picked), rows[picked])
 
 
 def test_iso_construct_is_matrix_conjugation(f3):
@@ -637,6 +696,10 @@ def _suite_contexts(group):
         return [nil_context(standard_flag(F4, (1, 3)))]
     if group == "F3-cubed":  # every flag of F_3^3, most of them not standard
         return [nil_context(f) for f in all_flags(F3, 3) if f.length >= 2]
+    if group == "F2-11111":  # 1 024 elements; its (2, 2) cell is not empty
+        return [nil_context(standard_flag(F2, (1, 1, 1, 1, 1)))]
+    if group == "F3-1111":  # 729 elements; the (2, 2) exclusion empties that cell
+        return [nil_context(standard_flag(F3, (1, 1, 1, 1)))]
     raise ValueError(group)
 
 
@@ -657,32 +720,15 @@ def _oracle_bands(ctx):
     }
 
 
+def _dec_super_ranks(ctx):
+    """{id: 1, 2 or None} for the nonzero decomposables, off super_ranks."""
+    return {x: int(ctx.super_ranks[x]) or None for x in _ids(ctx.decomposable) if x != ctx.table.zero_id}
+
+
 def _oracle_dec_super_rank(ctx):
-    """The set-comprehension fixpoint over words of indecomposables."""
-    g = ctx.table.grid.tolist()
-    indec = [x for x in range(ctx.m) if x not in ctx.decomposable_ids]
-    base = {y: (ctx.indec_super_rank[y] == 1, ctx.indec_super_rank[y] == 2) for y in indec}
-    reach = {y: {base[y]} for y in indec}
-    for _ in range(ctx.r):
-        changed = False
-        for y in indec:
-            fy = base[y]
-            for z, found in list(reach.items()):
-                x = g[y][z]
-                merged = {(fy[0] or h1, fy[1] or h2) for h1, h2 in found}
-                cur = reach.setdefault(x, set())
-                if not merged <= cur:
-                    cur |= merged
-                    changed = True
-        if not changed:
-            break
-    out = {}
-    for x in ctx.decomposable_ids:
-        if x == ctx.table.zero_id:
-            continue
-        found = reach.get(x, set())
-        out[x] = 1 if any(h1 for h1, _ in found) else 2 if any(h2 for _, h2 in found) else None
-    return out
+    """oracles.word_ranks on the indecomposables' super ranks."""
+    indec = {x: int(ctx.super_ranks[x]) or None for x in range(ctx.m) if not ctx.decomposable[x]}
+    return oracles.word_ranks(ctx.table.grid, ctx.table.zero_id, indec)
 
 
 class TestBatchedBands:
@@ -696,23 +742,26 @@ class TestBatchedBands:
     @pytest.mark.parametrize("group", GROUPS)
     def test_dec_super_rank_matches_the_set_fixpoint(self, group):
         for ctx in _suite_contexts(group):
-            assert ctx.dec_super_rank == _oracle_dec_super_rank(ctx), ctx.flag
+            assert _dec_super_ranks(ctx) == _oracle_dec_super_rank(ctx), ctx.flag
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_dec_super_rank_of_mixed_words(self, n):
         # a word reaching E13 has a factor with a (1,2) entry and a later
         # one with a (2,3) entry; ranking the factors with only the first 1
         # and those with only the second 2 leaves E13 to mixed words
+        # the ranks are set through the K cells: (1, 0) has super rank 1
+        # and (2, 0) super rank 2
         ctx = nil_context.__wrapped__(standard_flag(F2, (1,) * n))
-        ranks = {}
-        for x in ctx.indec_super_rank:
+        cells = np.zeros((len(K_PAIRS), ctx.m), dtype=bool)
+        for x in np.flatnonzero(~ctx.decomposable).tolist():
             codes = ctx.t.elements[x].codes
             e12, e23 = codes[1], codes[n + 2]
-            ranks[x] = 1 if e12 and not e23 else 2 if e23 and not e12 else None
-        ctx.__dict__["indec_super_rank"] = ranks
+            if e12 != e23:
+                cells[K_PAIRS.index((1, 0) if e12 else (2, 0)), x] = True
+        ctx.__dict__["k_masks"] = cells
         want = _oracle_dec_super_rank(ctx)
         assert want[ctx.table.index[E(1, 3, n)]] == 1
-        assert ctx.dec_super_rank == want
+        assert _dec_super_ranks(ctx) == want
 
     def test_bands_read_no_grid(self):
         ctx = nil_context.__wrapped__(standard_flag(F3, (1, 2, 1)))
