@@ -68,7 +68,6 @@ from .nilclass import (
     iso_construct,
     iso_decide,
     nil_context,
-    u_stat,
 )
 
 ELEMENT_LISTING_LIMIT = 512
@@ -372,10 +371,10 @@ def _do_flags_consolidation(args, field):
 def _do_nil_fingerprint(args, field):
     ctx = _ctx(args, field, args.flag, args.sig)
     fp = fingerprint(ctx)
-    certs = {}
-    for s in range(2, ctx.r):
-        _, cert = u_stat(ctx, s)
-        certs[f"u_{s}"] = [format_matrix(ctx.t.elements[x]) for x in cert]
+    certs = {
+        f"u_{s}": [format_matrix(ctx.t.elements[x]) for x in cert]
+        for s, cert in enumerate(fp.u_certificates, start=2)
+    }
     result = {
         "flag": format_flag(ctx.flag),
         "signature": list(ctx.sig),

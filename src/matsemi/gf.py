@@ -178,8 +178,11 @@ def _pmonic(f, a):
 
 
 def _pgcd(f, a, b):
-    """Monic gcd of two polynomials, () when both are zero."""
+    """Monic gcd of two polynomials, () when both are zero; (1,) as soon as
+    a divisor is a nonzero constant."""
     while b:
+        if len(b) == 1:
+            return (1,)
         a, b = b, _pdivmod(f, a, b)[1]
     return _pmonic(f, a)
 
@@ -739,23 +742,35 @@ def parse_subspace(field: FieldSpec, ambient: int, text: str) -> Subspace:
 
 def standard_complement(s: Subspace) -> Subspace:
     """Deterministic complement: extend the basis by standard vectors e_i in
-    increasing index order, keeping those that grow the span."""
+    increasing index order, keeping those that grow the span.
+
+    One elimination pass: each e_i is reduced against the echelon rows kept
+    so far, the basis of s and then the reduced form of each e_i picked.
+    Every kept row is 1 at its pivot and 0 at the pivots of the rows before
+    it, so reducing in order clears every pivot, and e_i grows the span
+    exactly when something is left.  The picked e_i, in increasing order,
+    are already the canonical basis of their span.
+    """
     f, n = s.field, s.ambient
-    rows = [list(r) for r in s.basis]
+    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
+    rows = list(zip(s.pivots, s.basis))
     picked = []
-    cur, _ = _rref(f, [r[:] for r in rows])
-    rank = len(cur)
     for i in range(n):
-        if rank == n:
+        if len(rows) == n:
             break
-        e = [0] * n
-        e[i] = 1
-        trial, _ = _rref(f, [r[:] for r in cur] + [e])
-        if len(trial) > rank:
-            picked.append(tuple(e))
-            cur = trial
-            rank += 1
-    return subspace(f, n, picked)
+        v = [0] * n
+        v[i] = 1
+        for p, row in rows:
+            c = v[p]
+            if c:
+                mc = mul[neg[c]]
+                v = [add[x][mc[y]] for x, y in zip(v, row)]
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is not None:
+            mc = mul[inv[v[p]]]
+            rows.append((p, [mc[x] for x in v]))
+            picked.append(tuple(int(k == i) for k in range(n)))
+    return Subspace(f, n, tuple(picked))
 
 
 def projection_idempotent(onto: Subspace, along: Subspace) -> Matrix:
@@ -920,10 +935,13 @@ def _krylov_codes(a: Matrix) -> tuple[int, ...]:
             mc = smul[inv[pc[1]]]
             reduced.append((pc[0], mc[x], mc[y + w[found]]))  # y_found is 0
             found += 1
+            if found == start + 1:
+                v = acols[j]  # a e_j
+                continue
             nxt = 0
-            for k, c in enumerate(dig[v]):
+            for c, col in zip(dig[v], acols):
                 if c:
-                    nxt = add[nxt][smul[c][acols[k]]]
+                    nxt = add[nxt][smul[c][col]]
             v = nxt
         if found > start:
             key += (found, y)
@@ -1112,20 +1130,21 @@ def _relation_factors(f, m) -> tuple[tuple[int, ...], ...]:
     elif s == 3:
         (r11, r12, r13), (_, r22, r23), (_, _, r33) = m
         r11r22 = _pmul(f, r11, r22)
-        minors = (
-            r11r22,
-            _pmul(f, r11, r23),
-            _padd(f, _pmul(f, r12, r23), _pneg(f, _pmul(f, r13, r22))),
-            _pmul(f, r11, r33),
-            _pmul(f, r12, r33),
-            _pmul(f, r22, r33),
-        )
-        divisors = (_pgcd_of(f, (r33, r23, r13, r22, r12, r11)), _pgcd_of(f, minors), _pmul(f, r11r22, r33))
+
+        def minors():  # built as _pgcd_of reads them: it stops at a unit gcd
+            yield r11r22
+            yield _pmul(f, r11, r23)
+            yield _padd(f, _pmul(f, r12, r23), _pneg(f, _pmul(f, r13, r22)))
+            yield _pmul(f, r11, r33)
+            yield _pmul(f, r12, r33)
+            yield _pmul(f, r22, r33)
+
+        divisors = (_pgcd_of(f, (r33, r23, r13, r22, r12, r11)), _pgcd_of(f, minors()), _pmul(f, r11r22, r33))
     else:
         return _smith_factors(f, m)
     factors, prev = [], (1,)
     for d in divisors:
-        factors.append(_pdivmod(f, d, prev)[0])
+        factors.append(d if prev == (1,) else _pdivmod(f, d, prev)[0])  # D_(k-1) = 1: d_k = D_k
         prev = d
     return tuple(p for p in factors if len(p) >= 2)  # drop degree-0 units
 

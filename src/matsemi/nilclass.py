@@ -19,7 +19,7 @@ the flag, and the depth grading is read off their row counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -390,6 +390,9 @@ class Fingerprint:
     decomposable_count: int
     k_sizes: tuple[int, ...]
     u_stats: tuple[int | None, ...]
+    # the certificate ids behind each u_stats entry (u_stat's second value);
+    # a certificate is one witness among several, so equality ignores it
+    u_certificates: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def items(self) -> tuple[tuple[str, int | None], ...]:
         """Flat key/value view in the fixed serialization order."""
@@ -479,6 +482,7 @@ def fingerprint(ctx: NilContext) -> Fingerprint:
     if any(a <= b for a, b in zip(power_sizes, power_sizes[1:])) or power_sizes[-1] != 1:
         raise InvariantViolation(f"power sizes {power_sizes} do not shrink to 1")
     left, right = _annihilators(ctx)
+    stats = [u_stat(ctx, s) for s in range(2, ctx.r)]
     return Fingerprint(
         size=ctx.m,
         power_sizes=power_sizes,
@@ -487,7 +491,8 @@ def fingerprint(ctx: NilContext) -> Fingerprint:
         two_sided_ann=int((left & right).sum()),
         decomposable_count=int(ctx.decomposable.sum()),
         k_sizes=tuple(ctx.k_masks.sum(axis=1).tolist()),
-        u_stats=tuple(u_stat(ctx, s)[0] for s in range(2, ctx.r)),
+        u_stats=tuple(u for u, _ in stats),
+        u_certificates=tuple(cert for _, cert in stats),
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 
 from matsemi.errors import DimMismatch, FieldMismatch, InternalError, SignatureMismatch
 from matsemi.flags import flag_basis, flag_basis_inverse
-from matsemi.gf import Matrix, batch_mul, codes_array, subspace
+from matsemi.gf import Matrix, _rref, batch_mul, codes_array, subspace
 
 
 def is_zero(m) -> bool:
@@ -21,6 +21,23 @@ def span_sum(u, w):
 def intersect(u, w):
     """U ∩ W, spanned by the vectors of U that lie in W."""
     return subspace(u.field, u.ambient, [v for v in u.vectors() if w.contains_vector(v)])
+
+
+def complement_by_rref(s):
+    """gf.standard_complement by one full row reduction per trial: e_i is
+    kept when the reduced form of the kept rows plus e_i has more rows."""
+    f, n = s.field, s.ambient
+    picked = []
+    cur, _ = _rref(f, [list(r) for r in s.basis])
+    for i in range(n):
+        if len(cur) == n:
+            break
+        e = [int(k == i) for k in range(n)]
+        trial, _ = _rref(f, [r[:] for r in cur] + [e])
+        if len(trial) > len(cur):
+            picked.append(tuple(e))
+            cur = trial
+    return subspace(f, n, picked)
 
 
 def stratum_of(flag, vec) -> int:

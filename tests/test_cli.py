@@ -411,6 +411,14 @@ class TestNilReports:
         assert code == 0, text
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
+    def test_fingerprint_takes_each_u_stat_once(self, monkeypatch):
+        calls = []
+        u_stat = nilclass.u_stat
+        monkeypatch.setattr(nilclass, "u_stat", lambda ctx, s: calls.append(s) or u_stat(ctx, s))
+        text, code = run_command(["nil", "fingerprint", "--field", "2", "--n", "5", "--sig", "1,1,1,1,1"])
+        assert code == 0, text
+        assert calls == [2, 3, 4]  # one per middle position, certificates included
+
 
 class TestRoundTrips:
     def test_core_report_texts_parse_back(self, f2):

@@ -32,7 +32,7 @@ from matsemi import (
 )
 from matsemi import conjugacy, gf
 from matsemi.cli import run_command
-from matsemi.gf import _krylov_relations
+from matsemi.gf import _krylov_key, _krylov_relations, _relation_matrix, _smith_factors
 from oracles import is_zero
 
 F2 = field_make(2)
@@ -223,6 +223,75 @@ class TestKeyReadOff:
         assert class_key(a) == ((0, 1), (0, 1, 1)) == invariant_factors(core(a))
 
 
+def _diagonal(f, flat):
+    """(d_b, code_b) of each diagonal entry of the relation matrix of flat."""
+    rel = _relation_matrix(f.q, flat)
+    return tuple((len(row[b]) - 1, sum(c * f.q**k for k, c in enumerate(row[b][:-1]))) for b, row in enumerate(rel))
+
+
+def _diagonal_answers(f, n, flats) -> int:
+    """How many of flats the diagonal route answers, after checking that
+    its answers and every key of _relation_key equal the Smith-loop route."""
+    answered = 0
+    for flat in flats:
+        want = conjugacy._key_of(n, _smith_factors(f, _relation_matrix(f.q, flat)))
+        assert conjugacy._relation_key.__wrapped__(f, n, flat) == want, flat
+        diag = conjugacy._diagonal_key(f, n, _diagonal(f, flat))
+        assert diag in (None, want), flat
+        answered += diag is not None
+    return answered
+
+
+class TestDiagonalKey:
+    """Where the x-free parts of the relation matrix's diagonal are pairwise
+    coprime, _diagonal_key reads the class key off the diagonal; the
+    invariant factors of the whole relation matrix are the oracle."""
+
+    @pytest.mark.parametrize(
+        "f,n,by_diagonal", [(F4, 2, 68), (F2, 3, 76), (F3, 3, 630)], ids=["M2F4", "M3F2", "M3F3"]
+    )
+    def test_every_flat_key_matches_the_smith_route(self, f, n, by_diagonal):
+        assert _diagonal_answers(f, n, {_krylov_key(a) for a in enumerate_matrices(f, n, n)}) == by_diagonal
+
+    @pytest.mark.parametrize("f,n", [(F2, 4), (F5, 3), (F7, 3)], ids=["M4F2", "M3F5", "M3F7"])
+    def test_seeded_flat_keys_match_the_smith_route(self, f, n):
+        rng = random.Random(f"diagonal:{f.q}:{n}")
+        mats = [Matrix(f, n, n, tuple(rng.randrange(f.q) for _ in range(n * n))) for _ in range(1000)]
+        mats += [x * y for x, y in zip(mats, mats[1:])]
+        assert _diagonal_answers(f, n, {_krylov_key(a) for a in mats}) > 0
+
+    @pytest.mark.parametrize(
+        "f,rows,key,by_diagonal",
+        [
+            (F3, [[0, 0, 0], [0, 0, 0], [0, 0, 0]], ((0, 1), (0, 1), (0, 1)), True),
+            (F3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ((2, 1), (2, 1), (2, 1)), False),
+            (F3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], ((2, 1), (2, 0, 1)), False),
+            # J_2(1) ⊕ (2) is cyclic, though (x + 2) ends two diagonal entries
+            (F3, [[1, 1, 0], [0, 1, 0], [0, 0, 2]], ((1, 2, 2, 1),), False),
+            (F2, [[1, 0], [0, 1]], ((1, 1), (1, 1)), False),
+            (F2, [[1, 1], [0, 1]], ((1, 0, 1),), False),
+            (F2, [[0, 1, 0], [0, 0, 0], [0, 0, 1]], ((0, 1), (0, 1, 1)), True),
+        ],
+        ids=["zero", "identity", "diag-1-1-2", "J2(1)+(2)", "I2-F2", "J2(1)-F2", "J2(0)+(1)-F2"],
+    )
+    def test_frozen_cases(self, f, rows, key, by_diagonal):
+        a = matrix(f, rows)
+        flat = _krylov_key(a)
+        assert class_key(a) == key == invariant_factors(core(a))
+        diag = conjugacy._diagonal_key(f, a.rows, _diagonal(f, flat))
+        assert (diag == key) if by_diagonal else diag is None
+
+    def test_memo_misses_once_per_diagonal(self):
+        mats = list(enumerate_matrices(F3, 3, 3))
+        diagonals = {_diagonal(F3, _krylov_key(a)) for a in mats}
+        assert len(diagonals) == 3**3 * 2**2  # q^n 2^(n-1): every diagonal occurs
+        conjugacy._relation_key.cache_clear()
+        conjugacy._diagonal_key.cache_clear()
+        assert len({class_key(a) for a in mats}) == 35
+        info = conjugacy._diagonal_key.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (108, 1080 - 108, 108)
+
+
 def _chain_by_powers(a):
     """core_chain as it was first written, the oracle for the route that
     reuses core_decomposition: every projector e_0 .. e_{t+1} from the
@@ -292,6 +361,7 @@ class TestCaches:
     def test_conjugacy_caches_are_bounded(self):
         assert conjugacy.core_decomposition.cache_info().maxsize == 1024
         assert conjugacy._relation_key.cache_info().maxsize == 8192
+        assert conjugacy._diagonal_key.cache_info().maxsize == 4096
         assert gf._vec_tables.cache_info().maxsize == 16
 
     def test_one_matrix_routes_are_bounded(self):

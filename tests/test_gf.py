@@ -36,6 +36,7 @@ from matsemi import (
     parse_subspace,
     projection_idempotent,
     similar,
+    standard_complement,
     subspace,
     unit_matrix,
     zero_matrix,
@@ -63,7 +64,7 @@ from matsemi.gf import (
     codes_array,
     prime_power,
 )
-from oracles import intersect, is_zero, span_sum
+from oracles import complement_by_rref, intersect, is_zero, span_sum
 
 FIELDS = [field_make(2), field_make(3), field_make(5), field_make(2, 2), field_make(3, 2)]
 
@@ -812,6 +813,14 @@ class TestSubspace:
                     assert [s.contains_vector(v) for v in every] == [v in members for v in every]
         with pytest.raises(AmbientMismatch):
             s.contains_vector((0,) * (n + 1))
+
+    def test_standard_complement_matches_the_rref_route(self):
+        for f, n in ((field_make(2), 4), (field_make(3), 3), (field_make(2, 2), 2)):
+            for d in range(n + 1):
+                for s in enumerate_subspaces(f, n, d):
+                    comp = standard_complement(s)
+                    assert comp == complement_by_rref(s), format_subspace(s)
+                    assert comp.dim == n - d and span_sum(s, comp).dim == n
 
     def test_vectors_count(self):
         f = field_make(3)
