@@ -45,6 +45,7 @@ from .gf import (
     capped_power,
     codes_array,
     enumerate_subspaces,
+    extend_echelon,
     format_subspace,
     full_space,
     in_span,
@@ -212,29 +213,16 @@ def flag_basis(f: Flag) -> Matrix:
     a span W inside V_i is the last row outside W: every vector before it
     combines rows that W contains.  Each stratum is therefore completed by
     scanning V_i's rows from last to first and keeping those that grow the
-    span.  The span so far is kept as echelon rows with unit pivots, each
-    row zero at the pivots of the rows before it.  A candidate is reduced
-    by them once, in order; it lies outside the span exactly when a
-    nonzero remainder is left, which then joins the rows.
+    span, whose echelon rows extend_echelon keeps.
     """
-    mul, add, neg, inv = f.field.mul, f.field.add, f.field.neg, f.field.inv
     cols: list[tuple[int, ...]] = []
     echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
     for s in f.chain[1:]:
         for vec in reversed(s.basis):
             if len(cols) == s.dim:
                 break
-            v = list(vec)
-            for pc, row in echelon:
-                if v[pc]:
-                    mc = mul[neg[v[pc]]]
-                    v = [add[x][mc[y]] for x, y in zip(v, row)]
-            pc = next((i for i, x in enumerate(v) if x), None)
-            if pc is None:
-                continue
-            mc = mul[inv[v[pc]]]
-            echelon.append((pc, [mc[x] for x in v]))
-            cols.append(vec)
+            if extend_echelon(f.field, echelon, vec):
+                cols.append(vec)
         if len(cols) != s.dim:  # pragma: no cover
             raise InternalError("stratum completion failed")
     n = f.ambient

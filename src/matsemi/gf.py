@@ -670,6 +670,13 @@ class Subspace:
     ambient: int
     basis: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _hash(self) -> int:  # once per subspace: subspaces key dicts and caches
+        return hash((self.field, self.ambient, self.basis))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -740,36 +747,44 @@ def parse_subspace(field: FieldSpec, ambient: int, text: str) -> Subspace:
     return subspace(field, ambient, [list(m.row_codes(i)) for i in range(m.rows)])
 
 
+def extend_echelon(field: FieldSpec, rows: list, v) -> bool:
+    """Grow the echelon rows [(pivot, row), ...] by v; True when v lies
+    outside their span.  Every row is 1 at its pivot and 0 at the pivots
+    of the rows before it, so one reduction by the rows, in order, leaves
+    nothing exactly when v is in the span; a remainder joins the rows,
+    scaled to 1 at its pivot."""
+    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
+    v = list(v)
+    for p, row in rows:
+        c = v[p]
+        if c:
+            mc = mul[neg[c]]
+            v = [add[x][mc[y]] for x, y in zip(v, row)]
+    p = next((k for k, x in enumerate(v) if x), None)
+    if p is None:
+        return False
+    mc = mul[inv[v[p]]]
+    rows.append((p, [mc[x] for x in v]))
+    return True
+
+
 def standard_complement(s: Subspace) -> Subspace:
     """Deterministic complement: extend the basis by standard vectors e_i in
     increasing index order, keeping those that grow the span.
 
-    One elimination pass: each e_i is reduced against the echelon rows kept
-    so far, the basis of s and then the reduced form of each e_i picked.
-    Every kept row is 1 at its pivot and 0 at the pivots of the rows before
-    it, so reducing in order clears every pivot, and e_i grows the span
-    exactly when something is left.  The picked e_i, in increasing order,
-    are already the canonical basis of their span.
+    One elimination pass (extend_echelon) over echelon rows that start as
+    the basis of s.  The picked e_i, in increasing order, are already the
+    canonical basis of their span.
     """
     f, n = s.field, s.ambient
-    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
     rows = list(zip(s.pivots, s.basis))
     picked = []
     for i in range(n):
         if len(rows) == n:
             break
-        v = [0] * n
-        v[i] = 1
-        for p, row in rows:
-            c = v[p]
-            if c:
-                mc = mul[neg[c]]
-                v = [add[x][mc[y]] for x, y in zip(v, row)]
-        p = next((k for k, x in enumerate(v) if x), None)
-        if p is not None:
-            mc = mul[inv[v[p]]]
-            rows.append((p, [mc[x] for x in v]))
-            picked.append(tuple(int(k == i) for k in range(n)))
+        e = tuple(int(k == i) for k in range(n))
+        if extend_echelon(f, rows, e):
+            picked.append(e)
     return Subspace(f, n, tuple(picked))
 
 

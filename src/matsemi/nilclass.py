@@ -11,9 +11,9 @@ the table (grid == zero); the subspace route compares the kernels or
 images of the elements against the flag and never reads the table.  Each
 route's matrix is one containment test between the rows of membership
 matrices, and tests compare the routes instead of trusting either.  The
-subspace route's membership matrices (the kernel and image bands) are
-batched products of the element codes with the vectors of one subspace of
-the flag, and the depth grading is read off their row counts.
+subspace route, its depth grading and every sandwich mask read slices of
+one array: the elements in a basis adapted to the flag, where T is the
+block strictly upper triangular matrices.
 """
 
 from __future__ import annotations
@@ -60,10 +60,8 @@ from .flags import (
 from .gf import (
     FieldSpec,
     Matrix,
-    Subspace,
     batch_mul,
     codes_array,
-    mat_kernel,
     prime_power,
 )
 
@@ -80,10 +78,10 @@ class NilContext:
     """Flag semigroup with its interned table and memoized invariants.
 
     The table's grid is checked entry by entry when it is built.  The
-    kernel and image bands, and the depths read off them, come from the
-    codes of the elements alone; the product routes, cells and super
-    ranks read the grid.  Every id set is a bool member mask over the ids,
-    and the per-id values (depths, super ranks) are int arrays.
+    adapted array and what is read off it come from the element codes
+    alone; the product routes, powers, cells and super ranks read the
+    grid.  Every id set is a bool member mask over the ids, and the per-id
+    values (depths, super ranks) are int arrays.
     """
 
     def __init__(self, flag: Flag, table: SemigroupTable):
@@ -92,6 +90,7 @@ class NilContext:
         self.table = table
         self.r = flag.length
         self.sig = flag.signature
+        self.dims = tuple(s.dim for s in flag.chain)  # dim V_0, ..., dim V_r
         self.m = table.m
         self.codes = table.codes  # (m, n, n) code array of the elements, in id order
         self._order_depths_checked = False
@@ -104,23 +103,30 @@ class NilContext:
         return self.table.grid == self.table.zero_id
 
     @cached_property
+    def adapted(self) -> np.ndarray:
+        """Read-only (m, n, n) codes of P^-1 x P, P = flag_basis(flag): each
+        element in the adapted basis, whose first dims[i] vectors span V_i,
+        so every element is block strictly upper triangular; reads no grid."""
+        f = self.t.field
+        p, p_inv = (codes_array([basis(self.flag)]) for basis in (flag_basis, flag_basis_inverse))
+        return _read_only(batch_mul(f, batch_mul(f, p_inv, self.codes), p))
+
+    @cached_property
     def kernel_band(self) -> np.ndarray:
-        """m x |V_{r-1}| bool: [x, v] is true when x*v = 0, for the vectors
-        v of V_{r-1}, so row x is ker(x) ∩ V_{r-1}; reads no grid."""
-        return _null_band(self.codes, self.flag.chain[-2])
+        """m x q^dim V_{r-1} bool: [x, c] is true when x kills the vector of
+        V_{r-1} with adapted coordinates c, so row x is ker(x) ∩ V_{r-1}."""
+        return _null_band(self.t.field, self.adapted[:, :, : self.dims[-2]])
 
     @cached_property
     def image_band(self) -> np.ndarray:
-        """m x |V_1^⊥| bool: [x, v] is true when v^T x = 0, for the vectors
-        v of the annihilator V_1^⊥ of V_1; reads no grid.
+        """m x q^(n - dim V_1) bool: [x, c] is true when the covector that
+        is zero on V_1 and has adapted coordinates c beyond it kills Im(x).
 
-        Row x is ker(x^T) ∩ V_1^⊥, the annihilator of Im(x) + V_1, so it
-        holds q^(n - dim(Im(x) + V_1)) vectors, and a larger Im(x) + V_1
-        has a smaller row.
+        Row x is the annihilator of Im(x) + V_1, so it holds
+        q^(n - dim(Im(x) + V_1)) vectors, and a larger Im(x) + V_1 has a
+        smaller row.
         """
-        f, n, v1 = self.t.field, self.flag.ambient, self.flag.chain[1]
-        annihilator = mat_kernel(Matrix(f, v1.dim, n, tuple(c for row in v1.basis for c in row)))
-        return _null_band(self.codes.transpose(0, 2, 1), annihilator)
+        return _null_band(self.t.field, self.adapted[:, self.dims[1] :, :].transpose(0, 2, 1))
 
     # -- preorders as m x m bool matrices, [a, b] true when a precedes b ---
 
@@ -149,14 +155,13 @@ class NilContext:
     @cached_property
     def depth_prec(self) -> np.ndarray:
         """dim V_{r-1} - dim(ker x ∩ V_{r-1}); a band row holds q^dim vectors."""
-        return _read_only(self.flag.chain[-2].dim - _dims(self.t.field, self.kernel_band))
+        return _read_only(self.dims[-2] - _dims(self.t.field, self.kernel_band))
 
     @cached_property
     def depth_ll(self) -> np.ndarray:
         """dim Im x - dim(Im x ∩ V_1), which is dim(Im x + V_1) - dim V_1,
-        or dim V_1^⊥ minus the dimension of the image band's row."""
-        top = self.flag.ambient - self.flag.chain[1].dim
-        return _read_only(top - _dims(self.t.field, self.image_band))
+        or n - dim V_1 minus the dimension of the image band's row."""
+        return _read_only(self.dims[-1] - self.dims[1] - _dims(self.t.field, self.image_band))
 
     @property
     def power_masks(self) -> np.ndarray:
@@ -238,14 +243,16 @@ def _tat_rows(grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _meets(left, right)
 
 
-def _null_band(arr: np.ndarray, space: Subspace) -> np.ndarray:
-    """len(arr) x q^dim bool: [x, v] is true when arr[x] * v = 0, for
-    every vector v of space; about GRID_BLOCK entries at a time."""
-    vecs = np.array(list(space.vectors()), dtype=np.int64).reshape(-1, space.ambient).T  # one per column
+def _null_band(f: FieldSpec, arr: np.ndarray) -> np.ndarray:
+    """len(arr) x q^k bool for an (m, rows, k) code array: [x, c] is true
+    when arr[x] * c = 0, for every vector c of F^k in np.indices order;
+    about GRID_BLOCK entries at a time."""
+    k = arr.shape[-1]
+    vecs = np.indices((f.q,) * k).reshape(k, -1)  # one per column
     out = np.empty((len(arr), vecs.shape[1]), dtype=bool)
     step = max(1, GRID_BLOCK // vecs.shape[1])
     for lo in range(0, len(arr), step):
-        out[lo : lo + step] = ~mul_columns(space.field, arr[lo : lo + step], vecs).any(axis=1)
+        out[lo : lo + step] = ~mul_columns(f, arr[lo : lo + step], vecs).any(axis=1)
     return out
 
 
@@ -410,36 +417,20 @@ class Fingerprint:
 
 
 def _sandwich_nonzero(ctx: NilContext, left_exp: int, right_exp: int) -> np.ndarray:
-    """Member mask of the ids x with T^left_exp * x * T^right_exp != {0},
-    exponent 0 meaning the identity.
+    """Member mask of the ids x with T^a x T^b != {0}, a = left_exp and
+    b = right_exp, exponent 0 meaning the identity; reads no grid.
 
-    By associativity c x d = c (x d), so the set is nonzero exactly when
-    some x d, for d in T^right_exp, is a w with T^left_exp w != {0}; that
-    test on w is one column reduction of the zero pattern over the rows of
-    T^left_exp (w != 0 itself for exponent 0).  The products x d are read
-    off the grid about GRID_BLOCK entries at a time.
-
-    For left_exp = right_exp = 1 the set has a closed form: T x T != {0}
-    exactly when x(V_{r-1}) is not inside V_1.  Every element of T kills
-    V_1 and the kernels of T meet in V_1 alone, so c w = 0 for every c in
-    T exactly when w is in V_1; the images of T span V_{r-1}.  So c x d = 0
-    for all c, d in T exactly when x maps the span of the images of T,
-    which is V_{r-1}, into V_1.
+    Lemma: with V_0 = 0 and V_r = F^n, T^a x T^b != {0} exactly when
+    x(V_{r-b}) is not inside V_a.  Proof: T maps each V_i into V_{i-1},
+    so T^a kills V_a and T^b maps F^n into V_{r-b}.  For v in V_i outside
+    V_{i-1} and w in V_{i-1}, u -> phi(u) w with phi(V_{i-1}) = 0 and
+    phi(v) = 1 lies in T and sends v to w.  Chaining such maps down one
+    level at a time, some c in T^a has c v != 0 for each v outside V_a,
+    and each w in V_{r-b} is d u for some d in T^b.  So c x d = 0 for all
+    c in T^a and d in T^b exactly when x(V_{r-b}) lies in V_a: in the
+    adapted basis, when the block [dims[a]:, :dims[r-b]] of x is zero.
     """
-    zero = ctx.table.zero_id
-    if left_exp:
-        reaches = ~ctx.zero_products[ctx.power_masks[left_exp - 1]].all(axis=0)
-    else:
-        reaches = np.arange(ctx.m) != zero
-    if not right_exp:
-        return reaches
-    right = np.flatnonzero(ctx.power_masks[right_exp - 1])
-    g = ctx.table.grid
-    out = np.empty(ctx.m, dtype=bool)
-    step = max(1, GRID_BLOCK // len(right))
-    for lo in range(0, ctx.m, step):
-        out[lo : lo + step] = reaches[g[lo : lo + step, right]].any(axis=1)
-    return out
+    return ctx.adapted[:, ctx.dims[left_exp] :, : ctx.dims[ctx.r - right_exp]].any(axis=(1, 2))
 
 
 def u_stat(ctx: NilContext, s: int) -> tuple[int | None, tuple[int, ...]]:

@@ -112,6 +112,24 @@ def meets_by_rows(a, b):
     return out
 
 
+def sandwich_by_products(ctx, left_exp, right_exp):
+    """nilclass._sandwich_nonzero from the grid: the member mask of the ids
+    x with T^left_exp * x * T^right_exp != {0}, exponent 0 meaning the
+    identity.
+
+    By associativity c x d = c (x d), so the set is nonzero exactly when
+    some x d, for d in T^right_exp, is a w with T^left_exp w != {0}; that
+    test on w is one column reduction of the zero pattern over the rows of
+    T^left_exp (w != 0 itself for exponent 0)."""
+    if left_exp:
+        reaches = ~ctx.zero_products[ctx.power_masks[left_exp - 1]].all(axis=0)
+    else:
+        reaches = np.arange(ctx.m) != ctx.table.zero_id
+    if not right_exp:
+        return reaches
+    return reaches[ctx.table.grid[:, ctx.power_masks[right_exp - 1]]].any(axis=1)
+
+
 def tat_sets(grid):
     """T x T of every id as a frozenset of ids: row x of the boolean product
     of left[x, y] (y in T x) and right[y, z] (z in y T), one row at a time."""

@@ -822,6 +822,16 @@ class TestSubspace:
                     assert comp == complement_by_rref(s), format_subspace(s)
                     assert comp.dim == n - d and span_sum(s, comp).dim == n
 
+    def test_equal_subspaces_hash_equal(self):
+        # the cached hash of a subspace rebuilt from another spanning set
+        for f, n in ((field_make(2), 3), (field_make(3), 3), (field_make(2, 2), 2)):
+            for d in range(n + 1):
+                for s in enumerate_subspaces(f, n, d):
+                    rows = list(s.vectors())[::-1]
+                    t = subspace(f, n, rows)
+                    assert t == s and t is not s and hash(t) == hash(s)
+                    assert {s: d}[t] == d
+
     def test_vectors_count(self):
         f = field_make(3)
         s = subspace(f, 3, [[1, 0, 0], [0, 1, 0]])

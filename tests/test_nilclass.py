@@ -700,6 +700,10 @@ def _suite_contexts(group):
         return [nil_context(standard_flag(F2, (1, 1, 1, 1, 1)))]
     if group == "F3-1111":  # 729 elements; the (2, 2) exclusion empties that cell
         return [nil_context(standard_flag(F3, (1, 1, 1, 1)))]
+    if group == "F2-fourth":  # every flag of F_2^4, most of them not standard
+        return [nil_context(f) for f in all_flags(F2, 4) if f.length >= 2]
+    if group == "F2-212":  # its powers are not the x with x(V_i) ⊆ V_{i-j}
+        return [nil_context(standard_flag(F2, (2, 1, 2)))]
     raise ValueError(group)
 
 
@@ -764,10 +768,45 @@ class TestBatchedBands:
         assert _dec_super_ranks(ctx) == want
 
     def test_bands_read_no_grid(self):
-        ctx = nil_context.__wrapped__(standard_flag(F3, (1, 2, 1)))
-        ctx.table = None  # any read of the table fails
+        # the adapted array, the bands, the depths and every sandwich mask
+        # come from the codes alone
+        ref = _suite_contexts("F3-121-moved")[0]
+        ctx = nil_context.__wrapped__(ref.flag)
+        ctx.table = None  # any read of the table, its grid included, fails
         assert ctx.kernel_band.shape == (243, 27) and ctx.image_band.shape == (243, 27)
         assert len(ctx.depth_prec) == len(ctx.depth_ll) == 243
+        p, p_inv = flags.flag_basis(ctx.flag), flags.flag_basis_inverse(ctx.flag)
+        assert ctx.adapted.reshape(ctx.m, -1).tolist() == [list((p_inv * a * p).codes) for a in ref.t]
+        for a, b in _exponent_pairs(ctx.r):
+            assert np.array_equal(nilclass._sandwich_nonzero(ctx, a, b), oracles.sandwich_by_products(ref, a, b))
+
+
+def _exponent_pairs(r):
+    """Every (a, b) with a + b <= r, the exponents of the sandwich masks."""
+    return [(a, b) for a in range(r + 1) for b in range(r + 1 - a)]
+
+
+class TestAdaptedBlocks:
+    @pytest.mark.parametrize("group", ["battery", "F2-fourth", "F3-cubed", "F2-212", "F2-11111"])
+    def test_sandwich_masks_match_the_grid_route(self, group):
+        for ctx in _suite_contexts(group):
+            adapted, d = ctx.adapted, ctx.dims
+            assert not adapted.flags.writeable
+            for i in range(1, ctx.r + 1):  # x(V_i) ⊆ V_{i-1}: block strictly upper triangular
+                assert not adapted[:, d[i - 1] :, : d[i]].any(), ctx.flag
+            for a, b in _exponent_pairs(ctx.r):
+                want = oracles.sandwich_by_products(ctx, a, b)
+                assert np.array_equal(nilclass._sandwich_nonzero(ctx, a, b), want), (ctx.flag, a, b)
+
+    def test_powers_are_not_read_off_blocks(self, ctx212):
+        # the block rule of the sandwich masks does not give the powers: for
+        # (2, 1, 2) the 16 x with x(V_i) ⊆ V_{i-2} are the 2 x 2 corner block,
+        # while T^2 holds only its 10 matrices of rank <= 1, the products of a
+        # 2 x 1 block by a 1 x 2 one
+        ctx, d = ctx212, ctx212.dims
+        two_down = ~np.any([ctx.adapted[:, d[max(i - 2, 0)] :, : d[i]].any(axis=(1, 2)) for i in range(1, 4)], axis=0)
+        assert two_down.sum() == 16 and ctx.power_masks[1].sum() == 10
+        assert not (ctx.power_masks[1] & ~two_down).any()
 
 
 def test_context_cache_is_bounded():
