@@ -73,16 +73,18 @@ from .nilclass import (
 ELEMENT_LISTING_LIMIT = 512
 
 
-def _common(p, field=True, max_elems=False):
-    if field:
-        p.add_argument("--field", required=True, help="field size p or p^k")
-        p.add_argument("--n", required=True, type=int, help="ambient matrix dimension")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    if max_elems:  # read only by the commands that build flag semigroups
-        p.add_argument(
-            "--max-elems", type=int, default=None, dest="max_elems", help="element cap for the flag semigroup"
-        )
-    p.add_argument("--out", default=None)
+# the options commands share, in the order of the help listings; each entry
+# of _OPTIONS names the ones its command takes
+_COMMON = (
+    ("--field", {"required": True, "help": "field size p or p^k"}),
+    ("--n", {"required": True, "type": int, "help": "ambient matrix dimension"}),
+    ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
+    ("--max-elems", {"type": int, "default": None, "help": "element cap for the flag semigroup"}),
+    ("--out", {"default": None}),
+)
+_PLAIN = ("--field", "--n", "--format", "--out")
+_CAPPED = (*_PLAIN, "--max-elems")  # the commands that build flag semigroups
+_FIELDLESS = ("--format", "--out")
 
 
 _GROUPS = {
@@ -96,32 +98,32 @@ _GROUPS = {
 _REQUIRED = {"required": True}
 _NONE = {"default": None}
 
-# command path -> (help, _common's keywords, the command's own options as
+# command path -> (help, the _COMMON options it takes, its own options as
 # (flag, add_argument keywords)); dict order is the order of the help listings
 _OPTIONS = {
-    "classes": ("conjugacy classes of the full semigroup", {}, [("--check", {"choices": ("brute",), "default": None})]),
-    "core": ("stable-image decomposition of one matrix", {}, [("--matrix", _REQUIRED)]),
-    "chain": ("witnessed conjugation path to the core", {}, [("--matrix", _REQUIRED)]),
+    "classes": ("conjugacy classes of the full semigroup", _PLAIN, [("--check", {"choices": ("brute",), "default": None})]),
+    "core": ("stable-image decomposition of one matrix", _PLAIN, [("--matrix", _REQUIRED)]),
+    "chain": ("witnessed conjugation path to the core", _PLAIN, [("--matrix", _REQUIRED)]),
     "flags phi": (
         "all matrices lowering a flag",
-        {"max_elems": True},
+        _CAPPED,
         [("--flag", _NONE), ("--sig", {"default": None, "help": "take the coordinate flag of this signature"})],
     ),
     "flags psi": (
         "power-image flag of a closed nilpotent set",
-        {},
+        _PLAIN,
         [("--elements", {"required": True, "help": "space-separated matrix texts"})],
     ),
-    "flags maximal": ("is a closed nilpotent set maximal for its degree", {}, [("--elements", _REQUIRED)]),
+    "flags maximal": ("is a closed nilpotent set maximal for its degree", _PLAIN, [("--elements", _REQUIRED)]),
     "flags consolidation": (
         "flag refinement vs semigroup containment",
-        {"max_elems": True},
+        _CAPPED,
         [("--flag", _REQUIRED), ("--flag2", _REQUIRED)],
     ),
-    "nil fingerprint": ("isomorphism-invariant fingerprint", {"max_elems": True}, [("--flag", _NONE), ("--sig", _NONE)]),
+    "nil fingerprint": ("isomorphism-invariant fingerprint", _CAPPED, [("--flag", _NONE), ("--sig", _NONE)]),
     "nil iso-decide": (
         "classify two signatures up to isomorphism",
-        {"field": False},
+        _FIELDLESS,
         [
             ("--q", {"type": int, "default": None, "help": "field size (omit with --infinite)"}),
             ("--infinite", {"action": "store_true", "help": "decide over an infinite field"}),
@@ -133,59 +135,42 @@ _OPTIONS = {
     ),
     "nil iso-construct": (
         "conjugating isomorphism for equal signatures",
-        {"max_elems": True},
+        _CAPPED,
         [("--flag1", _NONE), ("--sig1", _NONE), ("--flag2", _NONE), ("--sig2", _NONE)],
     ),
     "isolated enum": (
         "classified list of isolated subsemigroups",
-        {},
+        _PLAIN,
         [("--mode", {"choices": ("exhaustive", "theorem_list"), "default": "exhaustive"})],
     ),
     "isolated check": (
         "absorption hypotheses force the singular ideal",
-        {},
+        _PLAIN,
         [("--elements", {"default": None, "help": "test this closed set instead"})],
     ),
-    "ideal gen": ("closure of a rank stratum against the ideal", {}, [("--k", {"required": True, "type": int})]),
+    "ideal gen": ("closure of a rank stratum against the ideal", _PLAIN, [("--k", {"required": True, "type": int})]),
     "verify all": (
         "all numbered criteria",
-        {"field": False},
+        _FIELDLESS,
         [("--profile", {"choices": ("quick", "full"), "default": "quick"})],
     ),
 }
 
 
-class _UsageError(Exception):
-    pass
+def _options(path: str):
+    """(flag, add_argument keywords) of every option of the command path,
+    in the order of its help listing."""
+    _, common, own = _OPTIONS[path]
+    return [option for option in _COMMON if option[0] in common] + own
 
 
-class _BranchParser(argparse.ArgumentParser):
-    """A parser holding one branch of the tree.  It prints no usage error,
-    since its usage lists only that branch; _parse asks the whole tree."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _branch(argv) -> str:
-    """The command path that argv starts with, or "" when its first tokens
-    name none (top-level or group-level help, a mistyped name)."""
-    for n in (1, 2):
-        if " ".join(argv[:n]) in _OPTIONS:
-            return " ".join(argv[:n])
-    return ""
-
-
-def _parser(path: str = "") -> argparse.ArgumentParser:
-    """The parser of the command path `path` alone, or of the whole tree
-    when path is empty."""
-    cls = _BranchParser if path else argparse.ArgumentParser
-    ap = cls(prog="matsemi", description="exact matrix-semigroup structure over small finite fields")
+def _parser() -> argparse.ArgumentParser:
+    """The whole argparse tree: it parses what _read declines, and it
+    prints help and usage errors."""
+    ap = argparse.ArgumentParser(prog="matsemi", description="exact matrix-semigroup structure over small finite fields")
     sub = ap.add_subparsers(dest="cmd", required=True)
     groups = {}
-    for cmd, (text, common, options) in _OPTIONS.items():
-        if path and cmd != path:
-            continue
+    for cmd, (text, _, _) in _OPTIONS.items():
         group, _, leaf = cmd.partition(" ")
         if leaf:
             if group not in groups:
@@ -193,20 +178,58 @@ def _parser(path: str = "") -> argparse.ArgumentParser:
             p = groups[group].add_parser(leaf, help=text)
         else:
             p = sub.add_parser(cmd, help=text)
-        _common(p, **common)
-        for flag, keywords in options:
+        for flag, keywords in _options(cmd):
             p.add_argument(flag, **keywords)
     return ap
 
 
+def _read(argv) -> argparse.Namespace | None:
+    """The namespace the whole tree parses argv to, read straight off the
+    option table, or None unless argparse's reading is plain: a command
+    path, then each of its options once and in full, store_true flags bare
+    and every other one as `--opt value` with a value that does not start
+    with "-" and passes the option's type and choices, and every required
+    option given.  Building no parser spares gettext its `locale` import."""
+    path = next((path for path in _OPTIONS if path.split() == argv[: path.count(" ") + 1]), None)
+    if path is None:
+        return None
+    options = dict(_options(path))
+    given = {}
+    rest = iter(argv[path.count(" ") + 1 :])
+    for flag in rest:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    group, _, leaf = path.partition(" ")
+    args = argparse.Namespace(cmd=group, **({"sub": leaf} if leaf else {}))
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def _parse(argv):
-    """Parse argv with the parser of the branch it names; a usage error is
-    parsed again by the whole tree, which prints it as argparse does."""
+    """Read argv off the option table when it is well formed; anything
+    else, help and usage errors included, goes to the whole tree."""
     argv = list(argv)
-    try:
-        return _parser(_branch(argv)).parse_args(argv)
-    except _UsageError:
-        return _parser().parse_args(argv)
+    args = _read(argv)
+    return args if args is not None else _parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ measured cost, so only pathological regressions trip it).
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
-from matsemi import all_flags, ambient, closure_ids, field_make, flag_semigroup, unit_matrix, verify
+from matsemi import all_flags, ambient, closure_ids, conjugacy, field_make, flag_semigroup, unit_matrix, verify
+from matsemi.gf import Matrix
 
 BOUNDS_S = {
     "01": 120,
@@ -167,3 +169,19 @@ def test_criterion_13_report_determinism():
     rep = json.loads(cp.stdout)
     assert rep["result"]["passed"] is True
     assert [c["id"] for c in rep["result"]["criteria"]] == [r[0] for r in verify._REGISTRY]
+
+
+def test_criterion_15_rejects_a_chain_that_misses_the_core(monkeypatch):
+    # a chain ending in a conjugate of the core, not the core: it lands in the
+    # right class, so only the core's defining property can reject it
+    true_core = conjugacy.core
+    swap = Matrix(field_make(2), 4, 4, (0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0))
+
+    def conjugate_core(a):
+        return swap * true_core(a) * swap
+
+    monkeypatch.setattr(verify, "core_chain", lambda a: SimpleNamespace(steps=(a, conjugate_core(a))))
+    monkeypatch.setattr(verify, "core", conjugate_core, raising=False)
+    res = verify.extra_large_ambient(sample_pairs=0)
+    assert not res.passed
+    assert res.witness.startswith("chain from") and dict(res.details)["chains_replayed"] < 512

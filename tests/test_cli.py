@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, determinism, report round-trips."""
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
 import resource
@@ -14,6 +17,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matsemi
 from matsemi import cli, engine, flags, nilclass, verify
@@ -530,15 +535,9 @@ class TestBranchParser:
         assert run_command(argv) == ("", want[2])
 
     @pytest.mark.parametrize("path", list(cli._COMMANDS), ids=lambda path: path.replace(" ", "_"))
-    def test_builds_only_the_named_branch(self, path):
+    def test_builds_only_the_named_branch(self, path, monkeypatch):
+        # so little that it builds none: a full line is read off the table
         argv = path.split()
-        parser = cli._parser(cli._branch(argv))
-        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(action.choices) == argv[:1]
-        if len(argv) == 2:
-            (group,) = [a for a in action.choices[argv[0]]._actions if isinstance(a, argparse._SubParsersAction)]
-            assert list(group.choices) == argv[1:]
-        # a full command line parses to the same namespace on both
         leaf = cli._parser()
         for name in argv:
             (sub,) = [a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)]
@@ -546,7 +545,108 @@ class TestBranchParser:
         for action in leaf._actions:
             if action.required:
                 argv += [action.option_strings[0], "1" if action.type is int else "x"]
-        assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv))
+        want = vars(cli._parser().parse_args(argv))
+
+        def no_parser():
+            raise AssertionError("a well-formed line built an argparse parser")
+
+        monkeypatch.setattr(cli, "_parser", no_parser)
+        assert vars(cli._parse(argv)) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_tree():
+    return cli._parser()
+
+
+def _tree_reading(argv):
+    """The whole tree's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _whole_tree().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _option_value(keywords):
+    if keywords.get("action") == "store_true":
+        return st.just(None)
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
+        return st.integers(0, 9).map(str)
+    return st.text("x1,| ", min_size=1, max_size=4)
+
+
+@st.composite
+def _command_lines(draw, path):
+    """A well-formed line of the command path, as its (flag, value) groups."""
+    options = cli._options(path)
+    taken = [o for o in options if o[1].get("required") or draw(st.booleans())]
+    lines = []
+    for flag, keywords in draw(st.permutations(taken)):
+        value = draw(_option_value(keywords))
+        lines.append([flag] if value is None else [flag, value])
+    return lines
+
+
+_PERTURBATIONS = (
+    "abbreviate", "equals", "repeat", "dash_value", "drop_required",
+    "non_int_n", "bad_format", "help", "unknown", "trailing",
+)
+
+
+def _perturb(draw, kind, lines, required):
+    """Apply one perturbation to the (flag, value) groups of a line; returns
+    the new groups, or the old ones where the perturbation does not apply."""
+    lines = [list(group) for group in lines]
+    pairs = [i for i, group in enumerate(lines) if len(group) == 2]
+    if kind == "abbreviate" and lines:
+        group = lines[draw(st.integers(0, len(lines) - 1))]
+        group[0] = group[0][: draw(st.integers(3, len(group[0]) - 1))] if len(group[0]) > 3 else "--"
+    elif kind == "equals" and pairs:
+        i = draw(st.sampled_from(pairs))
+        lines[i] = ["=".join(lines[i])]
+    elif kind == "repeat" and lines:
+        group = draw(st.sampled_from(lines))
+        lines.insert(draw(st.integers(0, len(lines))), list(group))
+    elif kind == "dash_value" and pairs:
+        lines[draw(st.sampled_from(pairs))][1] = draw(st.sampled_from(("-1", "-x", "-", "--", "--out")))
+    elif kind == "drop_required" and required:
+        flag = draw(st.sampled_from(required))
+        lines = [group for group in lines if group[0] != flag]
+    elif kind == "non_int_n":
+        lines = [[g[0], draw(st.sampled_from(("x", "1.5", "")))] if g[0] == "--n" else g for g in lines]
+    elif kind == "bad_format":
+        lines.append(["--format", draw(st.sampled_from(("xml", "JSON", "")))])
+    elif kind == "help":
+        lines.insert(draw(st.integers(0, len(lines))), [draw(st.sampled_from(("-h", "--help", "--he")))])
+    elif kind == "unknown":
+        lines.insert(draw(st.integers(0, len(lines))), ["--no-such-option", "1"])
+    elif kind == "trailing":
+        lines.append([draw(st.sampled_from(("x", "1", "phi")))])
+    return lines
+
+
+class TestReadOffTheTable:
+    @pytest.mark.parametrize("path", list(cli._OPTIONS), ids=lambda path: path.replace(" ", "_"))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reads_what_the_whole_tree_reads(self, path, data):
+        required = [flag for flag, keywords in cli._options(path) if keywords.get("required")]
+        lines = data.draw(_command_lines(path))
+        argv = path.split() + [token for group in lines for token in group]
+        got = cli._read(argv)  # a well-formed line is read off the table
+        assert got is not None and vars(got) == vars(_tree_reading(argv))
+        for kind in data.draw(st.lists(st.sampled_from(_PERTURBATIONS), min_size=1, max_size=2)):
+            lines = _perturb(data.draw, kind, lines, required)
+        argv = path.split() + [token for group in lines for token in group]
+        got = cli._read(argv)
+        want = _tree_reading(argv)
+        if want is None:
+            assert got is None
+        elif got is not None:
+            assert vars(got) == vars(want)
 
 
 class TestRendering:
