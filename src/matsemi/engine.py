@@ -3,12 +3,12 @@
 A MatSet holds its matrices as one read-only code array in canonical
 order (rank, then entry codes); Matrix objects are built only where a
 caller reads elements.  A SemigroupTable is a closed MatSet with its
-multiplication grid and the arrays derived from it (ranks, powers and
-their roots, the power ladder S, S^2, ... as member masks, image and
-kernel subspace ids).  build_table makes one
-from any closed MatSet, and ambient() caches the table of the full
-M(n, F_q).  The remaining utilities (closures, least-id label partitions,
-subsemigroup scans, table isomorphism, preorder depths) operate on grids.
+multiplication grid and the arrays derived from it (ranks, powers, the
+power ladder S, S^2, ... as member masks, image and kernel subspace
+ids).  build_table makes one from any closed MatSet, and ambient()
+caches the table of the full M(n, F_q).  The remaining utilities
+(closures, least-id label partitions, subsemigroup scans, table
+isomorphism, preorder depths) operate on grids.
 
 Product grids and closures multiply the code arrays with gf.batch_mul,
 one kernel for every GF(q).  Both multiply only the elements' distinct
@@ -314,21 +314,6 @@ class SemigroupTable:
         return tuple((self.powers == 0).any(axis=0).tolist())
 
     @cached_property
-    def roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR index (ptr, xs) of the powers: xs[ptr[y] : ptr[y + 1]] are
-        the ids x, ascending, with y among the powers of x.
-
-        Built from powers by one np.unique of the codes y*m + x, so it
-        holds at most L*m ids.  (return_index keeps np.unique off the path
-        that imports numpy.ma.)
-        """
-        m = self.m
-        pairs = np.unique(self.powers.astype(np.int64) * m + np.arange(m), return_index=True)[0]
-        ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pairs // m, minlength=m), out=ptr[1:])
-        return _read_only(ptr), _read_only((pairs % m).astype(np.int32))
-
-    @cached_property
     def _subspaces(self) -> tuple:
         """(subspace -> id, image id per matrix, kernel id per matrix).
 
@@ -509,9 +494,9 @@ def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:
 # closures
 
 
-def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
+def closure(seed: MatSet) -> MatSet:
     """Multiplicative closure of seed, canonical order; CapExceeded as soon
-    as more than cap elements are found.
+    as more than CLOSURE_CAP elements are found.
 
     The closure grows in rounds: each round multiplies the elements found
     in the round before (the seed, at first) on the right by every element
@@ -537,8 +522,8 @@ def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
     rows = keys[:0, 0]  # the distinct row keys of the table, sorted
     table = np.empty((0, 0), dtype=keys.dtype)
     lo, count = 0, len(found)
-    if count > cap:
-        raise CapExceeded(f"closure exceeds cap {cap}")
+    if count > CLOSURE_CAP:
+        raise CapExceeded(f"closure exceeds cap {CLOSURE_CAP}")
     while lo < count:
         # the table gains the rows and the columns of found[lo:count]
         grown, first, row_ids = np.unique(keys[:count].ravel(), return_index=True, return_inverse=True)
@@ -560,8 +545,8 @@ def closure(seed: MatSet, cap: int = CLOSURE_CAP) -> MatSet:
             new_keys, first = np.unique(pkeys[fresh], return_index=True)
             a, b = np.divmod(fresh[first], count)
             start, total = total, total + len(new_keys)
-            if total > cap:
-                raise CapExceeded(f"closure exceeds cap {cap}")
+            if total > CLOSURE_CAP:
+                raise CapExceeded(f"closure exceeds cap {CLOSURE_CAP}")
             if total > len(found):
                 found = np.resize(found, (2 * total, n, n))
                 keys = np.resize(keys, (2 * total, n))

@@ -14,11 +14,15 @@ plain Python for one matrix (lowers_flag) and as one 2-D product for a
 batch (lowering_mask).  Enumeration (flag_semigroup) takes the other
 route, conjugating the block strictly upper triangular matrices by the
 adapted basis of flag_basis, so each checks the other.
+
+Flags are built, not searched for: _flag_levels lifts the flags of F^D
+through every D-subspace of F^n (gf.subspace_codes), as code arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import (
     BadSignature,
+    CapExceeded,
     DimMismatch,
     FieldMismatch,
     InternalError,
@@ -44,7 +49,6 @@ from .gf import (
     batch_rref,
     capped_power,
     codes_array,
-    enumerate_subspaces,
     extend_echelon,
     format_subspace,
     full_space,
@@ -53,6 +57,7 @@ from .gf import (
     parse_subspace,
     row_keys,
     subspace,
+    subspace_codes,
     zero_subspace,
 )
 
@@ -403,10 +408,6 @@ def consolidates(f: Flag, f2: Flag) -> bool:
 # flag inventories (small ambients)
 
 
-def _flag_key(fl: Flag):
-    return (fl.length, tuple(s.basis for s in fl.interior))
-
-
 def all_flags(field: FieldSpec, n: int) -> list[Flag]:
     """Every flag of F^n (all lengths, including the length-1 flag)."""
     flags: list[Flag] = []
@@ -415,34 +416,59 @@ def all_flags(field: FieldSpec, n: int) -> list[Flag]:
         ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [n]
         sig = [hi - lo for lo, hi in zip([0] + ends, ends) if hi > lo]
         flags.extend(flags_with_signature(field, n, sig))
-    flags.sort(key=_flag_key)
+    flags.sort(key=lambda fl: (fl.length, tuple(s.basis for s in fl.interior)))
     return flags
+
+
+def _flag_levels(field: FieldSpec, n: int, sig: tuple[int, ...]) -> list[np.ndarray]:
+    """The chains of every flag of F^n with signature sig: one (N, dim V_i,
+    n) int64 array of RREF bases per level V_0, ..., V_k, row t of each
+    level from flag t.
+
+    Lemma: if B is an RREF basis and C an RREF matrix with len(B) columns,
+    C B is the RREF basis of the subspace whose coordinates in B are C's
+    rows.  Row j of C B is row c_j of B (c_j the leading column of row j of
+    C) plus later rows, so its leading 1 is at B's pivot p_(c_j); in pivot
+    column p_c it reads column c of C, 0 outside the row led at c.  So with
+    D = n - d_k, the flags of F^n are the flags of F^D lifted through the
+    basis B of each D-subspace V_(k-1), each (flag, B) pair giving one.
+    From the flag of F^0, each jump of sig is one batch_mul per level, and
+    the new top level is the identity.  subspace_codes refuses first, then
+    more than ENUM_CAP flags are refused before any lift.
+    """
+    dims = [0, *itertools.accumulate(sig)]
+    tops = [subspace_codes(field, hi, lo) for lo, hi in zip(dims, dims[1:])]
+    total = math.prod(len(top) for top in tops)
+    if total > ENUM_CAP:
+        raise CapExceeded(f"{total} flags exceed cap {ENUM_CAP}")
+    levels = [np.zeros((1, 0, 0), dtype=np.int64)]  # the flag of F^0
+    for top, hi in zip(tops, dims[1:]):
+        count = len(top) * len(levels[0])
+        levels = [batch_mul(field, lvl, top[:, None]).reshape(count, lvl.shape[1], hi) for lvl in levels]
+        levels.append(np.broadcast_to(np.eye(hi, dtype=np.int64), (count, hi, hi)))
+    return levels
 
 
 def flags_with_signature(field: FieldSpec, n: int, sig) -> list[Flag]:
     """Every flag of F^n with the given signature, sorted like all_flags.
 
-    Only the prescribed partial dimensions d_1, d_1 + d_2, ... are walked:
-    each level keeps the subspaces of its dimension containing the one
-    chosen at the level below.
+    The chains are the rows of _flag_levels, so no chain is checked again.
+    Each distinct row of a level (found by its row key) is one Subspace,
+    shared by every flag through it.  The distinct rows are ranked in
+    basis order, so the flags sort by their ranks, level by level.
     """
     sig = tuple(sig)
     if sum(sig) != n or any(d < 1 for d in sig):
         raise SignatureMismatch(f"signature {sig} does not fit ambient {n}")
-    levels = [enumerate_subspaces(field, n, d) for d in itertools.accumulate(sig[:-1])]
-    flags: list[Flag] = []
-
-    def extend(chain: tuple[Subspace, ...]):
-        if len(chain) == len(levels):
-            flags.append(flag_make(field, n, chain))
-            return
-        for s in levels[len(chain)]:
-            if not chain or s.contains(chain[-1]):
-                extend(chain + (s,))
-
-    extend(())
-    flags.sort(key=_flag_key)
-    return flags
+    spaces, ranks = [], []
+    for lvl in _flag_levels(field, n, sig):
+        flat = lvl.reshape(len(lvl), -1)
+        _, first, inverse = np.unique(row_keys(field, flat), return_index=True, return_inverse=True)
+        rows, rank = np.unique(flat[first], axis=0, return_inverse=True)
+        spaces.append([Subspace(field, n, tuple(map(tuple, b))) for b in rows.reshape(len(rows), lvl.shape[1], n).tolist()])
+        ranks.append(rank[inverse])
+    ids = np.stack(ranks, axis=1)[np.lexsort(ranks[::-1])].tolist()
+    return [Flag(field, n, tuple(level[i] for level, i in zip(spaces, row))) for row in ids]
 
 
 def standard_flag(field: FieldSpec, sig) -> Flag:
@@ -452,9 +478,4 @@ def standard_flag(field: FieldSpec, sig) -> Flag:
         raise BadSignature(f"signature entries must be positive, got {sig}")
     n = sum(sig)
     rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    interiors = []
-    acc = 0
-    for d in sig[:-1]:
-        acc += d
-        interiors.append(subspace(field, n, rows[:acc]))
-    return flag_make(field, n, interiors)
+    return flag_make(field, n, [subspace(field, n, rows[:acc]) for acc in itertools.accumulate(sig[:-1])])

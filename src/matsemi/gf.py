@@ -30,7 +30,6 @@ from .errors import (
     DimMismatch,
     DivisionByZero,
     FieldMismatch,
-    InternalError,
     InvariantViolation,
     NotInvertible,
     NotPrime,
@@ -727,10 +726,6 @@ def full_space(field: FieldSpec, ambient: int) -> Subspace:
     return subspace(field, ambient, [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)])
 
 
-def subspace_sort_key(s: Subspace):
-    return (s.dim, tuple(c for r in s.basis for c in r))
-
-
 def format_subspace(s: Subspace) -> str:
     if s.dim == 0:
         return "-"
@@ -824,40 +819,37 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(field: FieldSpec, ambient: int, d: int):
-    """All d-dimensional subspaces of F^ambient, sorted by basis encoding.
+def subspace_codes(field: FieldSpec, ambient: int, d: int) -> np.ndarray:
+    """The RREF bases of all d-dimensional subspaces of F^ambient, as one
+    (N, d, ambient) int64 array sorted by basis encoding (the codes of
+    the rows, read row after row).
 
-    Enumeration walks RREF shapes: choose pivot columns, then fill the free
-    cells (entries right of each pivot, outside other pivot columns).
+    One block per pivot set: its pivot cells are 1, and its free cells
+    (right of each row's pivot, outside the other pivot columns) take
+    every digit array of base q.  One lexsort orders the blocks.
     """
     if ambient > AMBIENT_CAP:
         raise CapExceeded(f"ambient dimension {ambient} exceeds cap {AMBIENT_CAP}")
-    if d == 0:
-        return [zero_subspace(field, ambient)]
     q = field.q
     total = gaussian_binomial(ambient, d, q)
     if total > ENUM_CAP:
         raise CapExceeded(f"{total} subspaces exceed cap {ENUM_CAP}")
-    out = []
+    out = np.zeros((total, d, ambient), dtype=np.int64)
+    at = 0
     for pivots in itertools.combinations(range(ambient), d):
-        pivset = set(pivots)
-        free_cells = [
-            (r, c)
-            for r, pc in enumerate(pivots)
-            for c in range(pc + 1, ambient)
-            if c not in pivset
-        ]
-        for vals in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [[0] * ambient for _ in range(d)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free_cells, vals):
-                rows[r][c] = v
-            out.append(Subspace(field, ambient, tuple(tuple(r) for r in rows)))
-    out.sort(key=subspace_sort_key)
-    if len(out) != total:  # pragma: no cover
-        raise InternalError("subspace enumeration count mismatch")
-    return out
+        free = [(r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, ambient) if c not in pivots]
+        block = out[at : at + q ** len(free)]
+        block[:, range(d), pivots] = 1
+        digits = np.arange(len(block))[:, None] // q ** np.arange(len(free)) % q
+        block[:, [r for r, _ in free], [c for _, c in free]] = digits
+        at += len(block)
+    return out[np.lexsort(out.reshape(total, d * ambient).T[::-1])] if d else out  # d = 0: the one zero space
+
+
+def enumerate_subspaces(field: FieldSpec, ambient: int, d: int) -> list[Subspace]:
+    """All d-dimensional subspaces of F^ambient, sorted by basis encoding:
+    the Subspace view of subspace_codes."""
+    return [Subspace(field, ambient, tuple(map(tuple, basis))) for basis in subspace_codes(field, ambient, d).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ theorem list is a union of H-classes (one image and one kernel), so one
 pass over the grid marks which H-classes every product and every power
 joins, and bitsets over the sets answer closedness, isolation and complete
 isolation for the whole list at once.  Any other set is a boolean member
-mask: closedness is read off the grid, isolation off the roots index
-(which ids have a given power), and complete isolation off a scan of the
+mask: closedness is read off the grid, isolation off one gather of the
+mask over the powers array, and complete isolation off a scan of the
 grid rows outside it.  The exhaustive subset scan runs on the same table,
 so no mode builds a second product grid.
 """
@@ -100,13 +100,9 @@ def _member_mask(s: MatSet) -> tuple[SemigroupTable, np.ndarray]:
 
 
 def _isolated(amb: SemigroupTable, mask: np.ndarray) -> bool:
-    """No id outside the mask has a power inside it: every root of a
-    member is a member.  Reads only the members' runs of amb.roots."""
-    ptr, xs = amb.roots
-    members = np.flatnonzero(mask)
-    lo, counts = ptr[members], ptr[members + 1] - ptr[members]
-    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    return bool(mask[xs[at]].all())
+    """No id outside the mask has a power inside it: one gather of the
+    mask over amb.powers."""
+    return not (mask[amb.powers].any(axis=0) & ~mask).any()
 
 
 def _outside_product(amb: SemigroupTable, mask: np.ndarray):
@@ -157,10 +153,10 @@ def _all_pair_families(field: FieldSpec, n: int):
     Hyperplanes and lines come sorted, and each family keeps that order and
     only lines outside all of its hyperplanes, so every family is valid and
     sorted as built.  Sorting the families by their position tuples is
-    sorting them by their subspace sort keys.
+    sorting them by their members' basis encodings.
     """
-    hyper = list(enumerate_subspaces(field, n, n - 1))
-    lines = list(enumerate_subspaces(field, n, 1))
+    hyper = enumerate_subspaces(field, n, n - 1)
+    lines = enumerate_subspaces(field, n, 1)
     inside = [[a.contains(ln) for ln in lines] for a in hyper]
     picks = []
     for abits in range(1, 1 << len(hyper)):

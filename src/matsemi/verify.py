@@ -56,6 +56,10 @@ from .nilclass import (
 CLASS_PAIRS_QUICK = ((2, 2), (2, 3), (3, 2))
 CLASS_PAIRS = CLASS_PAIRS_QUICK + ((2, 4),)
 
+# criterion 15's seeded samples of M(4, F_2): product pairs, replayed chains
+SAMPLE_PAIRS = 50_000
+CHAIN_SAMPLE = 512
+
 # frozen fingerprint entries for the three standard width-4 contexts
 TRIO_EXPECT = {
     (1, 1, 2): {"size": 32, "power_2": 4, "right_ann": 8, "left_ann": 16, "u_2": 1},
@@ -489,7 +493,7 @@ def _is_core(c: Matrix, a: Matrix) -> bool:
     return c * image == a * image and not any((c * kernel).codes)
 
 
-def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> CriterionResult:
+def extra_large_ambient() -> CriterionResult:
     """Spot checks in M(4, F_2) without a product grid (65536 elements).
 
     Exhaustive pair verification is out of reach (4.3e9 product pairs), so
@@ -503,7 +507,7 @@ def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> 
     keys = {class_key(a) for a in mats}
     witness = None
     rng = random.Random(20260814)
-    for _ in range(sample_pairs):
+    for _ in range(SAMPLE_PAIRS):
         x = mats[rng.randrange(len(mats))]
         y = mats[rng.randrange(len(mats))]
         if class_key(x * y) != class_key(y * x):
@@ -511,7 +515,7 @@ def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> 
             break
     chains = 0
     if witness is None:
-        for _ in range(chain_sample):
+        for _ in range(CHAIN_SAMPLE):
             a = mats[rng.randrange(len(mats))]
             ch = core_chain(a)  # replays every step witness on construction
             if not _is_core(ch.steps[-1], a) or invariant_factors(ch.steps[-1]) != class_key(a):
@@ -521,7 +525,7 @@ def extra_large_ambient(sample_pairs: int = 50_000, chain_sample: int = 512) -> 
     details = [
         ("elements", len(mats)),
         ("class_count", len(keys)),
-        ("sampled_pairs", sample_pairs),
+        ("sampled_pairs", SAMPLE_PAIRS),
         ("commute_law", witness is None),
         ("chains_replayed", chains),
     ]

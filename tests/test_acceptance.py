@@ -30,6 +30,8 @@ BOUNDS_S = {
     "11": 1200,
     "12": 1200,
     "13": 600,
+    "14": 300,
+    "15": 600,
 }
 
 
@@ -171,6 +173,17 @@ def test_criterion_13_report_determinism():
     assert [c["id"] for c in rep["result"]["criteria"]] == [r[0] for r in verify._REGISTRY]
 
 
+def test_full_profile_extras_on_their_real_path():
+    d = _gate(verify.extra_classes_q5())
+    assert d == {"classes_n2_q5": 29, "agree": True}
+    d = _gate(verify.extra_large_ambient())
+    assert d["elements"] == 65_536
+    assert d["class_count"] == 25
+    assert d["sampled_pairs"] == 50_000
+    assert d["commute_law"] is True
+    assert d["chains_replayed"] == 512
+
+
 def test_criterion_15_rejects_a_chain_that_misses_the_core(monkeypatch):
     # a chain ending in a conjugate of the core, not the core: it lands in the
     # right class, so only the core's defining property can reject it
@@ -182,6 +195,7 @@ def test_criterion_15_rejects_a_chain_that_misses_the_core(monkeypatch):
 
     monkeypatch.setattr(verify, "core_chain", lambda a: SimpleNamespace(steps=(a, conjugate_core(a))))
     monkeypatch.setattr(verify, "core", conjugate_core, raising=False)
-    res = verify.extra_large_ambient(sample_pairs=0)
+    monkeypatch.setattr(verify, "SAMPLE_PAIRS", 0)
+    res = verify.extra_large_ambient()
     assert not res.passed
     assert res.witness.startswith("chain from") and dict(res.details)["chains_replayed"] < 512

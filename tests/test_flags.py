@@ -274,6 +274,26 @@ def _q_multinomial(sig, q):
     return out
 
 
+def _oracle_flags_with_signature(field, n, sig):
+    """The containment search: each level keeps the subspaces of its
+    dimension containing the one chosen at the level below, and flag_make
+    checks every finished chain."""
+    levels = [enumerate_subspaces(field, n, d) for d in itertools.accumulate(sig[:-1])]
+    flags = []
+
+    def extend(chain):
+        if len(chain) == len(levels):
+            flags.append(flag_make(field, n, chain))
+            return
+        for s in levels[len(chain)]:
+            if not chain or s.contains(chain[-1]):
+                extend(chain + (s,))
+
+    extend(())
+    flags.sort(key=lambda fl: tuple(s.basis for s in fl.interior))
+    return flags
+
+
 class TestFlagOracle:
     @pytest.mark.parametrize(
         "field, n",
@@ -294,6 +314,32 @@ class TestFlagOracle:
         for sig in ((1, 3), (2, 2), (3, 1)):
             assert len(flags_with_signature(F3, 4, sig)) == _q_multinomial(sig, 3)
         assert [_q_multinomial(s, 3) for s in ((1, 3), (2, 2), (3, 1))] == [40, 130, 40]
+
+    @pytest.mark.parametrize(
+        "field, sig",
+        [(F2, (1, 1, 2)), (F2, (2, 1, 2)), (F3, (1, 2, 1)), (field_make(2, 2), (1, 1, 1)), (field_make(5), (1, 1, 1))],
+        ids=["2-112", "2-212", "3-121", "4-111", "5-111"],
+    )
+    def test_lift_matches_the_containment_search(self, field, sig):
+        n = sum(sig)
+        assert flags_with_signature(field, n, sig) == _oracle_flags_with_signature(field, n, sig)
+
+    @pytest.mark.parametrize("sig, count", [((2, 2, 2), 22_785), ((1, 1, 1, 1, 1), 9_765)])
+    def test_lifted_counts_are_q_multinomials(self, sig, count):
+        group = flags_with_signature(F2, sum(sig), sig)
+        assert len(group) == len(set(group)) == _q_multinomial(sig, 2) == count
+        assert all(fl.signature == sig for fl in group)
+
+    def test_too_many_flags_are_refused_before_any_lift(self, monkeypatch):
+        # (1, 1, 1) over F_2 lifts 1 * 3 * 7 = 21 flags; each level's
+        # subspace count is below the cap
+        def no_lift(*args):
+            raise AssertionError("batch_mul ran")
+
+        monkeypatch.setattr(flags, "ENUM_CAP", 20)
+        monkeypatch.setattr(flags, "batch_mul", no_lift)
+        with pytest.raises(CapExceeded, match=r"^21 flags exceed cap 20$"):
+            flags_with_signature(F2, 3, (1, 1, 1))
 
 
 def _oracle_lowers_flag(a, f):

@@ -63,6 +63,7 @@ from matsemi.gf import (
     code_keys,
     codes_array,
     prime_power,
+    subspace_codes,
 )
 from oracles import complement_by_rref, intersect, is_zero, span_sum
 
@@ -794,6 +795,18 @@ class TestSubspace:
         assert s.dim + i.dim == u.dim + w.dim
         assert s.contains(u) and s.contains(w)
         assert u.contains(i) and w.contains(i)
+
+    @pytest.mark.parametrize("f,n", [(field_make(2), 4), (field_make(3), 3), (field_make(2, 2), 2)], ids=["F2^4", "F3^3", "F4^2"])
+    def test_enumeration_is_every_row_space_sorted(self, f, n):
+        # the row spaces of every d x n matrix, kept at rank d: no pivot blocks
+        for d in range(n + 1):
+            spaces = {subspace(f, n, [a.row_codes(i) for i in range(d)]) for a in enumerate_matrices(f, d, n)}
+            expect = sorted((s for s in spaces if s.dim == d), key=lambda s: s.basis)
+            assert enumerate_subspaces(f, n, d) == expect
+            codes = subspace_codes(f, n, d)
+            assert codes.shape == (len(expect), d, n) and codes.dtype == np.int64
+            assert codes.tolist() == [[list(row) for row in s.basis] for s in expect]
+        assert enumerate_subspaces(f, n, n + 1) == []
 
     def test_enumeration_matches_gaussian_binomial(self):
         for f in (field_make(2), field_make(3)):

@@ -17,7 +17,6 @@ from matsemi.gf import (
     matrix,
     parse_subspace,
     projection_idempotent,
-    subspace_sort_key,
     unit_matrix,
 )
 from matsemi.isolated import (
@@ -249,6 +248,12 @@ def _random_sets(field, n, seed, count, max_gens):
         yield mat_set(field, n, gens)
 
 
+def _basis_codes(s):
+    """Basis-encoding order of subspaces: dimension, then the basis codes
+    read row after row."""
+    return (s.dim, tuple(c for r in s.basis for c in r))
+
+
 class TestPredicateOracles:
     @pytest.mark.parametrize("p,k", [(3, 1), (2, 2)], ids=["F3", "F4"])
     def test_every_pair_family_of_m2(self, p, k):
@@ -260,8 +265,8 @@ class TestPredicateOracles:
             assert a_fam and all(a.dim == 1 for a in a_fam)  # hyperplanes of F^2
             assert b_fam and all(b.dim == 1 for b in b_fam)
             assert not any(a.contains(b) for a in a_fam for b in b_fam)
-            assert list(a_fam) == sorted(set(a_fam), key=subspace_sort_key)
-            assert list(b_fam) == sorted(set(b_fam), key=subspace_sort_key)
+            assert list(a_fam) == sorted(set(a_fam), key=_basis_codes)
+            assert list(b_fam) == sorted(set(b_fam), key=_basis_codes)
             s = _s_ab(fam)
             assert s == _oracle_s_ab(fam)
             assert is_isolated(s) is _oracle_is_isolated(s) is True
@@ -428,12 +433,6 @@ class TestBlockRoute:
         with pytest.raises(NotClosed) as got:
             isolated._block_records(amb, of_id, [("other", None, None)], row[None])
         assert got.value.witness == want.value.witness
-
-    def test_theorem_list_builds_no_roots_index(self, monkeypatch):
-        monkeypatch.setattr(engine, "_AMBIENT_CACHE", {})
-        f3 = field_make(3)
-        enumerate_isolated(f3, 2, "theorem_list")
-        assert "roots" not in vars(ambient(f3, 2))
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_n1_lists_each_set_once(self, q):
