@@ -113,7 +113,6 @@ from .gf import (
 )
 from .isolated import (
     IsolatedRecord,
-    SubspacePairFamily,
     enumerate_isolated,
     ideal,
     ideal_absorption_check,

@@ -4,11 +4,10 @@ A MatSet holds its matrices as one read-only code array in canonical
 order (rank, then entry codes); Matrix objects are built only where a
 caller reads elements.  A SemigroupTable is a closed MatSet with its
 multiplication grid and the arrays derived from it (ranks, powers, the
-power ladder S, S^2, ... as member masks, image and kernel subspace
-ids).  build_table makes one from any closed MatSet, and ambient()
-caches the table of the full M(n, F_q).  The remaining utilities
-(closures, least-id label partitions, subsemigroup scans, table
-isomorphism, preorder depths) operate on grids.
+power ladder S, S^2, ... as member masks).  build_table makes one from
+any closed MatSet, and ambient() caches the table of the full M(n, F_q).
+The remaining utilities (closures, least-id label partitions,
+subsemigroup scans, table isomorphism, preorder depths) operate on grids.
 
 Product grids and closures multiply the code arrays with gf.batch_mul,
 one kernel for every GF(q).  Both multiply only the elements' distinct
@@ -32,7 +31,6 @@ from .errors import CapExceeded, DimMismatch, FieldMismatch, InternalError, NotC
 from .gf import (
     FieldSpec,
     Matrix,
-    Subspace,
     all_codes,
     batch_mul,
     batch_rref,
@@ -40,9 +38,7 @@ from .gf import (
     code_keys,
     codes_array,
     join_row_keys,
-    kernel_basis,
     row_keys,
-    subspace,
 )
 
 CLOSURE_CAP = 1 << 20
@@ -146,8 +142,8 @@ class KeyIndex:
     def __init__(self, f: FieldSpec, arr: np.ndarray):
         self.field = f
         keys = code_keys(f, arr)
-        self.order = np.argsort(keys, kind="stable").astype(np.int32)
-        self.keys = keys[self.order]
+        self.order = _read_only(np.argsort(keys, kind="stable").astype(np.int32))
+        self.keys = _read_only(keys[self.order])
         self.dense = keys.dtype.kind == "i" and np.array_equal(self.keys, np.arange(len(keys)))
 
     def find(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,50 +308,6 @@ class SemigroupTable:
         if not self.m or self.codes[0].any():
             return (False,) * self.m
         return tuple((self.powers == 0).any(axis=0).tolist())
-
-    @cached_property
-    def _subspaces(self) -> tuple:
-        """(subspace -> id, image id per matrix, kernel id per matrix).
-
-        Ids follow first appearance in id order, images before kernels.
-        One batch_rref of the transposed codes gives every image's reduced
-        rows, and one of the codes every row space, whose reduced rows and
-        pivots give the kernel; a Subspace is built once per distinct
-        reduced form.
-        """
-        f, n = self.s.field, self.s.dim
-        index: dict = {}
-
-        def space_ids(reduced, ranks, space):
-            _, first, inverse = np.unique(code_keys(f, reduced), return_index=True, return_inverse=True)
-            ids = np.empty(len(first), dtype=np.int32)
-            for k in np.argsort(first, kind="stable").tolist():  # distinct forms by first appearance
-                i = int(first[k])
-                ids[k] = index.setdefault(space(i, reduced[i, : ranks[i]].tolist()), len(index))
-            return _read_only(ids[inverse.ravel()])
-
-        red, ranks, _ = batch_rref(f, self.codes.transpose(0, 2, 1))
-        image = space_ids(red, ranks, lambda i, rows: Subspace(f, n, tuple(map(tuple, rows))))
-        red, ranks, pivots = batch_rref(f, self.codes)
-        kernel = space_ids(
-            red, ranks, lambda i, rows: subspace(f, n, kernel_basis(f, n, rows, np.flatnonzero(pivots[i]).tolist()))
-        )
-        return index, image, kernel
-
-    @property
-    def subspace_index(self) -> dict:
-        """Subspace -> integer id, for every image and kernel of an element."""
-        return self._subspaces[0]
-
-    @property
-    def image_ids(self) -> np.ndarray:
-        """Per-id subspace id of each matrix's image."""
-        return self._subspaces[1]
-
-    @property
-    def kernel_ids(self) -> np.ndarray:
-        """Per-id subspace id of each matrix's kernel."""
-        return self._subspaces[2]
 
 
 def _detect_zero_identity(grid: np.ndarray):

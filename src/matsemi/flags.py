@@ -251,9 +251,11 @@ def flag_size(f: Flag, cap: int = PHI_CAP) -> int:
     return capped_power(f.field.q, exp, cap, lambda size: f"flag semigroup has {size} elements, cap {cap}")
 
 
+# Each entry holds n*n codes per element; flags of one signature share it.
+@lru_cache(maxsize=16)
 def _blocks(field: FieldSpec, sig: tuple[int, ...]) -> np.ndarray:
-    """(q^e, n, n) code array of every block strictly upper triangular
-    matrix of the signature, e the number of free positions.
+    """Read-only (q^e, n, n) code array of every block strictly upper
+    triangular matrix of the signature, e the number of free positions.
 
     Row t holds the base-q digits of t in the free positions (row stratum
     below column stratum), the last free position fastest.
@@ -271,6 +273,7 @@ def _blocks(field: FieldSpec, sig: tuple[int, ...]) -> np.ndarray:
     blocks = np.zeros((total, n * n), dtype=np.int64)
     weights = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
     blocks[:, free] = np.arange(total, dtype=np.int64)[:, None] // weights % q
+    blocks.flags.writeable = False
     return blocks.reshape(total, n, n)
 
 

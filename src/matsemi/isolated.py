@@ -7,7 +7,12 @@ semigroup, its group of units, the ideal of singular matrices, and the
 image/kernel-constrained families S(A-family, B-family) — can be checked
 both by construction and by brute subset scans.
 
-Everything runs on ids of the cached ambient table.  Each set of the
+Every subspace of F^n has one id: its position in gf.subspace_codes order,
+by dimension and then by basis encoding.  _subspace_table caches the
+subspaces of each F^n with an index of their reduced bases, and an
+element's image and kernel ids are lookups of batch_rref forms in it.
+
+Everything else runs on ids of the cached ambient table.  Each set of the
 theorem list is a union of H-classes (one image and one kernel), so one
 pass over the grid marks which H-classes every product and every power
 joins, and bitsets over the sets answer closedness, isolation and complete
@@ -20,13 +25,16 @@ so no mode builds a second product grid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .engine import GRID_BLOCK, MatSet, SemigroupTable, ambient, check_scan_size, closure, enumerate_subsemigroups
+from .engine import AMBIENT_CACHE_SIZE, GRID_BLOCK, KeyIndex, MatSet, SemigroupTable, ambient, check_scan_size
+from .engine import closure, enumerate_subsemigroups
 from .errors import BadK, InternalError, NotClosed, VerificationFailed
-from .gf import FieldSpec, Subspace, enumerate_subspaces
+from .gf import FieldSpec, Subspace, batch_rref, subspace_codes
 
 PAIR_SCAN_BLOCK = 16  # grid rows per step of the completely-isolated scan
 
@@ -62,15 +70,43 @@ def ideal_generated_by_stratum(field: FieldSpec, n: int, k: int) -> MatSet:
 
 
 # ---------------------------------------------------------------------------
-# image/kernel families
+# subspace ids
 
 
-@dataclass(frozen=True)
-class SubspacePairFamily:
-    """Candidate image hyperplanes and kernel lines, no line inside a hyperplane."""
+@lru_cache(maxsize=AMBIENT_CACHE_SIZE)  # one per cached ambient
+def _subspace_table(field: FieldSpec, n: int) -> tuple[tuple[Subspace, ...], tuple[int, ...], KeyIndex]:
+    """(subspace per id, first id of each dimension, index of the ids).
 
-    a_family: tuple[Subspace, ...]
-    b_family: tuple[Subspace, ...]
+    Ids run over subspace_codes(field, n, d) for d = 0..n, so starts[d] is
+    the first id of dimension d and starts[n + 1] the number of subspaces.
+    The index holds each reduced basis padded with zero rows to n x n,
+    which is the reduced form batch_rref gives every n x n matrix with that
+    row space.
+    """
+    codes = [subspace_codes(field, n, d) for d in range(n + 1)]
+    starts = (0, *itertools.accumulate(map(len, codes)))
+    padded = np.concatenate([np.pad(bases, ((0, 0), (0, n - d), (0, 0))) for d, bases in enumerate(codes)])
+    spaces = tuple(Subspace(field, n, tuple(map(tuple, basis))) for bases in codes for basis in bases.tolist())
+    return spaces, starts, KeyIndex(field, padded)
+
+
+def _subspace_ids(field: FieldSpec, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(image id, kernel id) of every matrix of an (m, n, n) code array.
+
+    The image is the row space of the transpose.  The kernel is spanned by
+    one row per free column j of the reduced codes: e_j minus column j's
+    entries at the pivots, each placed in its pivot's column.  Both are
+    reduced by batch_rref and looked up in _subspace_table's index.
+    """
+    n = codes.shape[-1]
+    index = _subspace_table(field, n)[2]
+    image = batch_rref(field, codes.transpose(0, 2, 1))[0]
+    red, _, pivots = batch_rref(field, codes)
+    # row c of by_pivot: the reduced row whose pivot is column c; zero where c is free
+    by_pivot = np.take_along_axis(red, np.cumsum(pivots, axis=1)[:, :, None] - 1, axis=1) * pivots[:, :, None]
+    kernel = np.array(field.neg)[by_pivot.transpose(0, 2, 1)] * ~pivots[:, :, None]
+    kernel[:, range(n), range(n)] = ~pivots
+    return index.find(image)[0], index.find(batch_rref(field, kernel)[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +183,33 @@ class IsolatedRecord:
     completely_isolated: bool
 
 
-def _all_pair_families(field: FieldSpec, n: int):
-    """Every valid (A-family, B-family) pair, canonically ordered.
+def _all_pair_families(field: FieldSpec, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every valid (A-family, B-family) pair as (hyperplane ids, line ids),
+    canonically ordered.
 
-    Hyperplanes and lines come sorted, and each family keeps that order and
-    only lines outside all of its hyperplanes, so every family is valid and
-    sorted as built.  Sorting the families by their position tuples is
-    sorting them by their members' basis encodings.
+    Each family keeps id order and only lines outside all of its
+    hyperplanes, so every family is valid and sorted as built.  Ids of one
+    dimension follow basis encoding, so sorting the pairs of id tuples is
+    sorting the families by their members' basis encodings.
     """
-    hyper = enumerate_subspaces(field, n, n - 1)
-    lines = enumerate_subspaces(field, n, 1)
-    inside = [[a.contains(ln) for ln in lines] for a in hyper]
+    spaces, starts, _ = _subspace_table(field, n)
+    hyper, lines = range(starts[n - 1], starts[n]), range(starts[1], starts[2])
+    inside = [[spaces[a].contains(spaces[b]) for b in lines] for a in hyper]
     picks = []
     for abits in range(1, 1 << len(hyper)):
-        chosen = tuple(i for i in range(len(hyper)) if abits >> i & 1)
-        ok = [j for j in range(len(lines)) if not any(inside[i][j] for i in chosen)]
+        chosen = [i for i in range(len(hyper)) if abits >> i & 1]
+        ok = [lines[j] for j in range(len(lines)) if not any(inside[i][j] for i in chosen)]
         for bbits in range(1, 1 << len(ok)):
-            picks.append((chosen, tuple(ok[i] for i in range(len(ok)) if bbits >> i & 1)))
-    picks.sort()
-    return [SubspacePairFamily(tuple(hyper[i] for i in a), tuple(lines[j] for j in b)) for a, b in picks]
+            picks.append((tuple(hyper[i] for i in chosen), tuple(ok[j] for j in range(len(ok)) if bbits >> j & 1)))
+    return sorted(picks)
 
 
 def _h_classes(amb: SemigroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(block per ambient id, image id per block, kernel id per block): the
     blocks are the H-classes, the matrices with one image and one kernel."""
-    k = len(amb.subspace_index)
-    keys, of_id = np.unique(amb.image_ids.astype(np.int64) * k + amb.kernel_ids, return_inverse=True)
+    k = _subspace_table(amb.s.field, amb.s.dim)[1][-1]
+    image, kernel = _subspace_ids(amb.s.field, amb.codes)
+    keys, of_id = np.unique(image.astype(np.int64) * k + kernel, return_inverse=True)
     return of_id.ravel(), keys // k, keys % k
 
 
@@ -240,21 +277,25 @@ def _theorem_records(amb: SemigroupTable) -> list[IsolatedRecord]:
     completely isolated exactly when no realised triple has its first two
     blocks outside and the third in.  _block_predicates marks the triple of
     every product of the grid and the pair of every power, so the answers
-    are brute force and exact.  For n = 1 the one family gives
-    S({0}, {F}) = {0} = I, which is listed once, as I.
+    are brute force and exact.
+
+    Blocks are labelled by subspace ids, so the rank of a block is the
+    dimension its image id falls in, and the S(A, B) rows of the membership
+    matrix come from two scatters of the families' ids.  For n = 1 the one
+    family gives S({0}, {F}) = {0} = I, which is listed once, as I.
     """
-    n, index = amb.s.dim, amb.subspace_index
+    field, n = amb.s.field, amb.s.dim
+    spaces, starts, _ = _subspace_table(field, n)
     of_id, image, kernel = _h_classes(amb)
-    rank = np.empty(len(image), dtype=amb.ranks.dtype)
-    rank[of_id] = amb.ranks
-    fams = _all_pair_families(amb.s.field, n) if n > 1 else []
-    in_a, in_b = np.zeros((2, len(fams), len(index)), dtype=bool)
-    for r, fam in enumerate(fams):
-        in_a[r, [index[a] for a in fam.a_family]] = True
-        in_b[r, [index[b] for b in fam.b_family]] = True
+    rank = np.searchsorted(starts, image, side="right") - 1  # the image's dimension
+    fams = _all_pair_families(field, n) if n > 1 else []
+    in_a, in_b = np.zeros((2, len(fams), len(spaces)), dtype=bool)
+    for fill, side in ((in_a, 0), (in_b, 1)):  # every (family, member id) at once
+        fill[np.repeat(np.arange(len(fams)), [len(f[side]) for f in fams]), [i for f in fams for i in f[side]]] = True
     members = np.concatenate(([rank <= n], [rank == n], [rank < n], in_a[:, image] & in_b[:, kernel]))
     labels = [("M", None, None), ("GL", None, None), ("I", None, None)]
-    return _block_records(amb, of_id, labels + [("SAB", f.a_family, f.b_family) for f in fams], members)
+    labels += [("SAB", tuple(spaces[i] for i in a), tuple(spaces[j] for j in b)) for a, b in fams]
+    return _block_records(amb, of_id, labels, members)
 
 
 def _sort_records(records: list[IsolatedRecord]) -> tuple[IsolatedRecord, ...]:
@@ -309,7 +350,8 @@ def ideal_absorption_check(field: FieldSpec, n: int):
     records = enumerate_isolated(field, n, mode="exhaustive")
     amb = ambient(field, n)
     singular = ideal(field, n, n - 1)
-    spaces = list(amb.subspace_index)  # subspace id -> Subspace
+    spaces = _subspace_table(field, n)[0]
+    image, kernel = _subspace_ids(field, amb.codes)
     rows = []
     all_ok = True
     for rec in records:
@@ -318,8 +360,8 @@ def ideal_absorption_check(field: FieldSpec, n: int):
         high = idems[amb.ranks[idems] == n - 1]
         contains_zero = bool((ids == amb.zero_id).any())
         low_idem = bool((amb.ranks[idems] <= n - 2).any())
-        kernels = [spaces[i] for i in amb.kernel_ids[high]]
-        chained = any(spaces[i].contains(v) for i in amb.image_ids[high] for v in kernels)
+        kernels = [spaces[i] for i in kernel[high]]
+        chained = any(spaces[i].contains(v) for i in image[high] for v in kernels)
         hypothesis = contains_zero or chained or low_idem
         contained = singular.issubset(rec.s)
         ok = (not hypothesis) or contained

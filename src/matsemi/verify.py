@@ -324,9 +324,9 @@ def criterion_09() -> CriterionResult:
     t0 = perf_counter()
     f2 = field_make(2)
     witness = None
+    ctxs = {sig: nil_context(standard_flag(f2, sig)) for sig in ((1, 1, 2), (1, 2, 1), (2, 1, 1))}
     trio = {}
-    for sig in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
-        ctx = nil_context(standard_flag(f2, sig))
+    for sig, ctx in ctxs.items():
         trio[sig] = dict(fingerprint(ctx).items())
         for key, want in TRIO_EXPECT[sig].items():
             got = trio[sig][key]
@@ -340,9 +340,9 @@ def criterion_09() -> CriterionResult:
     verified = 0
     if witness is None:
         by_sig: dict = {}
-        for ctx in _battery():
-            if ctx.t.dim == 3:
-                by_sig.setdefault(ctx.sig, []).append(ctx)
+        for fl in all_flags(f2, 3):
+            if fl.length >= 2:
+                by_sig.setdefault(fl.signature, []).append(nil_context(fl))
         for group in by_sig.values():
             batch_transport(group, group)  # raises if a transport breaks
             verified += len(group) ** 2
@@ -350,9 +350,7 @@ def criterion_09() -> CriterionResult:
     # one cross-signature pair of equal size: the table search must refuse
     refusal = None
     if witness is None:
-        t1 = nil_context(standard_flag(f2, (1, 1, 2))).table
-        t2 = nil_context(standard_flag(f2, (1, 2, 1))).table
-        refusal = table_iso(t1, t2) is None
+        refusal = table_iso(ctxs[1, 1, 2].table, ctxs[1, 2, 1].table) is None
         if not refusal:
             witness = "32-element tables of signatures (1,1,2) and (1,2,1) reported isomorphic"
     details = [

@@ -1,11 +1,13 @@
 """Oracle helpers shared by the test files: brute-force forms of questions
 the library no longer asks itself."""
 
+import itertools
+
 import numpy as np
 
 from matsemi.errors import DimMismatch, FieldMismatch, InternalError, SignatureMismatch
 from matsemi.flags import flag_basis, flag_basis_inverse
-from matsemi.gf import Matrix, _rref, batch_mul, codes_array, subspace
+from matsemi.gf import Matrix, _rref, batch_mul, codes_array, enumerate_subspaces, subspace
 
 
 def is_zero(m) -> bool:
@@ -203,3 +205,22 @@ def super_ranks(ctx, cells):
     two = frozenset().union(*cells.values()) - one
     indec = {x: 1 if x in one else 2 if x in two else None for x in range(ctx.m) if x not in decomposable}
     return {**indec, **word_ranks(ctx.table.grid, ctx.table.zero_id, indec)}
+
+
+def pair_families(field, n):
+    """Every valid (A-family, B-family) pair of the families S(A, B), as
+    tuples of Subspaces: nonempty sets of hyperplanes and of lines, no line
+    inside a hyperplane of its pair.  Each family is in enumerate_subspaces
+    order, and the pairs are sorted by their members' positions there."""
+    hyper, lines = enumerate_subspaces(field, n, n - 1), enumerate_subspaces(field, n, 1)
+
+    def subsets(k):
+        return [c for size in range(1, k + 1) for c in itertools.combinations(range(k), size)]
+
+    picks = sorted(
+        (a, b)
+        for a in subsets(len(hyper))
+        for b in subsets(len(lines))
+        if not any(hyper[i].contains(lines[j]) for i in a for j in b)
+    )
+    return [(tuple(hyper[i] for i in a), tuple(lines[j] for j in b)) for a, b in picks]

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from matsemi import all_flags, ambient, closure_ids, conjugacy, field_make, flag_semigroup, unit_matrix, verify
+from matsemi import all_flags, ambient, closure_ids, conjugacy, field_make, flag_semigroup, standard_flag, unit_matrix, verify
 from matsemi.gf import Matrix
 
 BOUNDS_S = {
@@ -130,6 +130,24 @@ def test_criterion_09_fingerprints():
     assert d["trio_distinct"] is True
     assert d["iso_pairs_verified"] == 539
     assert d["cross_sig_refusal"] is True
+
+
+def test_criterion_09_builds_only_the_contexts_it_reads(monkeypatch):
+    # the 35 flags of F_2^3 of length >= 2 and the trio; the battery's
+    # (2,1,2) and (1,1,1,1) contexts are never read by this criterion
+    real, seen = verify.nil_context, []
+
+    def recording(flag, *args, **kwargs):
+        seen.append(flag)
+        return real(flag, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "nil_context", recording)
+    verify._battery.cache_clear()  # a cached battery would hide what it builds
+    assert dict(verify.criterion_09().details) == {"trio_distinct": True, "iso_pairs_verified": 539, "cross_sig_refusal": True}
+    f2 = field_make(2)
+    cube = [fl for fl in all_flags(f2, 3) if fl.length >= 2]
+    trio = [standard_flag(f2, sig) for sig in ((1, 1, 2), (1, 2, 1), (2, 1, 1))]
+    assert len(cube) == 35 and sorted(seen, key=str) == sorted(trio + cube, key=str)
 
 
 def test_criterion_10_annihilator_census():

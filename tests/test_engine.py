@@ -22,8 +22,6 @@ from matsemi import (
     flag_semigroup,
     flags_with_signature,
     identity_matrix,
-    mat_image,
-    mat_kernel,
     mask_nd,
     mat_pow,
     mat_rank,
@@ -541,20 +539,9 @@ class TestAmbient:
 
     def test_cached_id_arrays_are_read_only(self):
         amb = ambient(F2, 2)
-        for arr in (amb.powers, amb.image_ids, amb.kernel_ids):
+        for arr in (amb.powers, amb.s.key_index.order, amb.s.key_index.keys):
             with pytest.raises(ValueError):
                 arr[0] = 1
-
-    @pytest.mark.parametrize("q,n", [(2, 3), (5, 2), (8, 2)], ids=["M3F2", "M2F5", "M2F8"])
-    def test_subspace_ids_match_the_per_matrix_routes(self, q, n):
-        # the former route: mat_image, then mat_kernel, of every element,
-        # ids by first appearance
-        amb = ambient(BY_Q[q], n)
-        index: dict = {}
-        image = [index.setdefault(mat_image(a), len(index)) for a in amb.s.elements]
-        kernel = [index.setdefault(mat_kernel(a), len(index)) for a in amb.s.elements]
-        assert amb.image_ids.tolist() == image and amb.kernel_ids.tolist() == kernel
-        assert list(amb.subspace_index.items()) == list(index.items())
 
     @pytest.mark.parametrize("p,n", [(5, 2), (2, 3)], ids=["M2F5", "M3F2"])
     def test_powers_match_the_per_id_loops(self, p, n):
@@ -570,14 +557,6 @@ class TestAmbient:
                 cur = int(amb.grid[cur, x])
             assert amb.nilpotent[x] == (cur == amb.zero_id)
 
-    def test_subspace_ids(self):
-        amb = ambient(F3, 2)
-        spaces = {i: s for s, i in amb.subspace_index.items()}
-        assert len(spaces) == 1 + 4 + 1  # every subspace of F_3^2
-        for x, a in enumerate(amb.s.elements):
-            assert spaces[int(amb.image_ids[x])] == mat_image(a)
-            assert spaces[int(amb.kernel_ids[x])] == mat_kernel(a)
-
     def test_cap(self):
         with pytest.raises(CapExceeded):
             ambient(F3, 3)
@@ -592,9 +571,9 @@ class TestAmbient:
         assert amb.s.elements == t.s.elements
         assert np.array_equal(amb.grid, t.grid)
         assert (amb.zero_id, amb.identity_id) == (t.zero_id, t.identity_id)
-        for name in ("ranks", "powers", "image_ids", "kernel_ids"):
+        for name in ("ranks", "powers"):
             assert np.array_equal(getattr(amb, name), getattr(t, name)), name
-        assert amb.nilpotent == t.nilpotent and amb.subspace_index == t.subspace_index
+        assert amb.nilpotent == t.nilpotent
 
     def test_subset_equals_mat_set(self):
         rng = random.Random("subset")

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from matsemi import engine, isolated
-from matsemi.engine import ambient, closure, mat_set, product_grid
+from matsemi.engine import ambient, build_table, closure, mat_set, product_grid
 from matsemi.errors import BadK, InvariantViolation, NotClosed
 from matsemi.gf import (
+    enumerate_matrices,
+    enumerate_subspaces,
     field_make,
     gaussian_binomial,
     mat_image,
@@ -20,7 +22,6 @@ from matsemi.gf import (
     unit_matrix,
 )
 from matsemi.isolated import (
-    SubspacePairFamily,
     _all_pair_families,
     enumerate_isolated,
     ideal,
@@ -30,6 +31,7 @@ from matsemi.isolated import (
     is_isolated,
     rank_stratum,
 )
+from oracles import pair_families
 
 
 class TestStrataAndIdeals:
@@ -103,26 +105,24 @@ class TestIdempotents:
             projection_idempotent(e1, e1)
 
 
-def _oracle_s_ab_ids(amb, fam):
+def _oracle_s_ab_ids(amb, a_fam, b_fam):
     """Ambient ids, ascending, of S(A, B): image in the A-family and kernel
     in the B-family, read off the per-id subspace ids."""
-    index = amb.subspace_index
-    in_a = np.zeros(len(index), dtype=bool)
-    in_a[[index[a] for a in fam.a_family]] = True
-    in_b = np.zeros(len(index), dtype=bool)
-    in_b[[index[b] for b in fam.b_family]] = True
-    return np.flatnonzero(in_a[amb.image_ids] & in_b[amb.kernel_ids])
+    spaces = isolated._subspace_table(amb.s.field, amb.s.dim)[0]
+    image, kernel = isolated._subspace_ids(amb.s.field, amb.codes)
+    in_a, in_b = (np.array([s in fam for s in spaces]) for fam in (a_fam, b_fam))
+    return np.flatnonzero(in_a[image] & in_b[kernel])
 
 
-def _s_ab(fam):
-    """S(A, B) by the library route of the theorem list: the family's
+def _s_ab(a_fam, b_fam):
+    """S(A, B) by the library route of the theorem list: the families'
     H-classes through _block_records, which raises NotClosed if the set
     escapes."""
-    amb = ambient(fam.a_family[0].field, fam.a_family[0].ambient)
+    amb = ambient(a_fam[0].field, a_fam[0].ambient)
     of_id = isolated._h_classes(amb)[0]
     row = np.zeros(of_id.max() + 1, dtype=bool)
-    row[of_id[_oracle_s_ab_ids(amb, fam)]] = True
-    return isolated._block_records(amb, of_id, [("SAB", fam.a_family, fam.b_family)], row[None])[0].s
+    row[of_id[_oracle_s_ab_ids(amb, a_fam, b_fam)]] = True
+    return isolated._block_records(amb, of_id, [("SAB", a_fam, b_fam)], row[None])[0].s
 
 
 def _product_kernel_image_law(s):
@@ -138,7 +138,7 @@ class TestPairFamilies:
     def test_singleton_family_gives_one_idempotent(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
-        s = _s_ab(SubspacePairFamily((e1,), (e2,)))
+        s = _s_ab((e1,), (e2,))
         assert frozenset(s) == {matrix(f2, [[1, 0], [0, 0]])}
 
     def test_family_requires_image_outside_kernel(self, f2):
@@ -146,12 +146,12 @@ class TestPairFamilies:
         # has neither: S(A, B) would not be closed
         e1 = parse_subspace(f2, 2, "1,0")
         with pytest.raises(NotClosed):
-            _s_ab(SubspacePairFamily((e1,), (e1,)))
+            _s_ab((e1,), (e1,))
 
     def test_plane_line_family_in_dim3(self, f2):
         plane = parse_subspace(f2, 3, "1,0,0;0,1,0")
         line = parse_subspace(f2, 3, "0,0,1")
-        s = _s_ab(SubspacePairFamily((plane,), (line,)))
+        s = _s_ab((plane,), (line,))
         assert len(s) == 6
         assert _product_kernel_image_law(s)
         # every member maps onto the plane with the line as kernel
@@ -182,7 +182,7 @@ class TestIsolationPredicates:
     def test_singleton_sab_is_isolated_not_completely(self, f2):
         e1 = parse_subspace(f2, 2, "1,0")
         e2 = parse_subspace(f2, 2, "0,1")
-        s = _s_ab(SubspacePairFamily((e1,), (e2,)))
+        s = _s_ab((e1,), (e2,))
         assert is_isolated(s)
         assert not is_completely_isolated(s)
 
@@ -191,10 +191,10 @@ class TestIsolationPredicates:
 # oracles: the element-by-element routes the ambient-id predicates replaced
 
 
-def _oracle_s_ab(fam):
+def _oracle_s_ab(a_fam, b_fam):
     """Rescan every ambient matrix through its image and kernel."""
-    field, n = fam.a_family[0].field, fam.a_family[0].ambient
-    a_set, b_set = set(fam.a_family), set(fam.b_family)
+    field, n = a_fam[0].field, a_fam[0].ambient
+    a_set, b_set = set(a_fam), set(b_fam)
     members = [
         m for m in ambient(field, n).s.elements if mat_image(m) in a_set and mat_kernel(m) in b_set
     ]
@@ -240,10 +240,10 @@ def _random_sets(field, n, seed, count, max_gens):
     """Seeded generator sets; every other one is drawn from one S(A, B)
     family rather than from the whole ambient."""
     mats = ambient(field, n).s.elements
-    fams = _all_pair_families(field, n)
+    fams = pair_families(field, n)
     rng = random.Random(f"{seed}:{field.q}:{n}")
     for i in range(count):
-        pool = mats if i % 2 == 0 else _oracle_s_ab(rng.choice(fams)).elements
+        pool = mats if i % 2 == 0 else _oracle_s_ab(*rng.choice(fams)).elements
         gens = rng.sample(pool, min(len(pool), rng.randint(1, max_gens)))
         yield mat_set(field, n, gens)
 
@@ -254,21 +254,71 @@ def _basis_codes(s):
     return (s.dim, tuple(c for r in s.basis for c in r))
 
 
+def _family_spaces(field, n):
+    """_all_pair_families with each id replaced by its Subspace."""
+    spaces = isolated._subspace_table(field, n)[0]
+    return [(tuple(spaces[i] for i in a), tuple(spaces[j] for j in b)) for a, b in _all_pair_families(field, n)]
+
+
+BY_Q = {2: field_make(2), 3: field_make(3), 4: field_make(2, 2), 5: field_make(5), 8: field_make(2, 3)}
+
+
+class TestSubspaceIds:
+    @pytest.mark.parametrize("q,n", [(2, 3), (5, 2), (8, 2)], ids=["M3F2", "M2F5", "M2F8"])
+    def test_subspace_ids_match_the_per_matrix_routes(self, q, n):
+        # each id names the subspace mat_image or mat_kernel gives, and the
+        # ids are positions in subspace_codes order: dimension, then basis
+        f = BY_Q[q]
+        amb = ambient(f, n)
+        spaces = isolated._subspace_table(f, n)[0]
+        assert list(spaces) == [s for d in range(n + 1) for s in enumerate_subspaces(f, n, d)]
+        image, kernel = isolated._subspace_ids(f, amb.codes)
+        assert [spaces[i] for i in image.tolist()] == [mat_image(a) for a in amb.s.elements]
+        assert [spaces[i] for i in kernel.tolist()] == [mat_kernel(a) for a in amb.s.elements]
+
+    def test_subspace_ids(self, f3):
+        amb = ambient(f3, 2)
+        spaces, starts, _ = isolated._subspace_table(f3, 2)
+        assert len(spaces) == 1 + 4 + 1 and starts == (0, 1, 5, 6)  # every subspace of F_3^2
+        image, kernel = isolated._subspace_ids(f3, amb.codes)
+        for x, a in enumerate(amb.s.elements):
+            assert spaces[image[x]] == mat_image(a)
+            assert spaces[kernel[x]] == mat_kernel(a)
+
+    def test_cached_id_arrays_are_read_only(self, f2):
+        index = isolated._subspace_table(f2, 2)[2]
+        for arr in (index.order, index.keys):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)], ids=["M2F2", "M2F3", "M2F4", "M3F2"])
+    def test_equals_the_checked_table(self, q, n):
+        # the H-classes of the ambient are those of build_table's checked table
+        f = BY_Q[q]
+        t = build_table(mat_set(f, n, enumerate_matrices(f, n, n)))
+        for got, want in zip(isolated._h_classes(ambient(f, n)), isolated._h_classes(t)):
+            assert np.array_equal(got, want)
+
+
 class TestPredicateOracles:
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)], ids=["M2F2", "M2F3", "M2F4", "M2F5", "M3F2"])
+    def test_id_families_match_the_subspace_families(self, p, k, n):
+        field = field_make(p, k)
+        assert _family_spaces(field, n) == pair_families(field, n)
+
     @pytest.mark.parametrize("p,k", [(3, 1), (2, 2)], ids=["F3", "F4"])
     def test_every_pair_family_of_m2(self, p, k):
         field = field_make(p, k)
-        fams = _all_pair_families(field, 2)
+        fams = _family_spaces(field, 2)
         assert len(fams) == 3 ** (field.q + 1) - 2 ** (field.q + 2) + 1
-        for fam in fams:
-            a_fam, b_fam = fam.a_family, fam.b_family  # built valid and sorted
+        for a_fam, b_fam in fams:  # built valid and sorted
             assert a_fam and all(a.dim == 1 for a in a_fam)  # hyperplanes of F^2
             assert b_fam and all(b.dim == 1 for b in b_fam)
             assert not any(a.contains(b) for a in a_fam for b in b_fam)
             assert list(a_fam) == sorted(set(a_fam), key=_basis_codes)
             assert list(b_fam) == sorted(set(b_fam), key=_basis_codes)
-            s = _s_ab(fam)
-            assert s == _oracle_s_ab(fam)
+            s = _s_ab(a_fam, b_fam)
+            assert s == _oracle_s_ab(a_fam, b_fam)
             assert is_isolated(s) is _oracle_is_isolated(s) is True
             assert is_completely_isolated(s) is _oracle_is_completely_isolated(s) is False
 
@@ -392,15 +442,20 @@ class TestBlockRoute:
         amb = ambient(field_make(p, k), n)
         of_id, image, kernel = isolated._h_classes(amb)
         assert len(image) == len(kernel) == blocks
-        assert np.array_equal(image[of_id], amb.image_ids) and np.array_equal(kernel[of_id], amb.kernel_ids)
+        want_image, want_kernel = isolated._subspace_ids(amb.s.field, amb.codes)
+        assert np.array_equal(image[of_id], want_image) and np.array_equal(kernel[of_id], want_kernel)
 
     @THEOREM_AMBIENTS
     def test_seeded_block_unions(self, p, k, n):
         # unions of H-classes in general, most of them not closed
         amb = ambient(field_make(p, k), n)
         of_id = isolated._h_classes(amb)[0]
+        # one draw per block, in the order of the blocks' first elements, so
+        # the draws do not depend on how the subspaces are numbered
+        first = np.unique(of_id, return_index=True)[1]
         rng = np.random.default_rng(p * 100 + k * 10 + n)
-        members = np.concatenate([rng.random((60, of_id.max() + 1)) < d for d in (0.05, 0.3, 0.7, 0.95)])
+        drawn = np.concatenate([rng.random((60, len(first))) < d for d in (0.05, 0.3, 0.7, 0.95)])
+        members = drawn[:, np.argsort(np.argsort(first))]
         answers = np.column_stack(isolated._block_predicates(amb, of_id, members))
         outcomes = set()
         for row, got in zip(members, answers.tolist()):
@@ -417,7 +472,7 @@ class TestBlockRoute:
         sab = [r for r in enumerate_isolated(amb.s.field, n, "theorem_list") if r.kind == "SAB"]
         assert len(sab) == len(_all_pair_families(amb.s.field, n))
         for r in sab:
-            ids = _oracle_s_ab_ids(amb, SubspacePairFamily(r.a_family, r.b_family))
+            ids = _oracle_s_ab_ids(amb, r.a_family, r.b_family)
             assert r.s == amb.subset(ids)
 
     def test_unclosed_union_raises_the_grid_witness(self, f3):
@@ -482,7 +537,7 @@ class TestEnumeration:
         for r in recs:
             if r.kind == "SAB":
                 assert r.a_family and r.b_family
-                assert r.s == _oracle_s_ab(SubspacePairFamily(r.a_family, r.b_family))
+                assert r.s == _oracle_s_ab(r.a_family, r.b_family)
             else:
                 assert r.a_family is None and r.b_family is None
 

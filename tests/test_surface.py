@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import matsemi
+import matsemi.cli
 from oracles import is_zero
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,10 +115,26 @@ def test_worker_names_resolve():
             obj = getattr(obj, part)
 
 
+WORKLOADS = _load(PERFBENCH / "workloads.py")
+REPLAYED = [job for jobs in WORKLOADS.WORKLOADS.values() for job in jobs if job["kind"] in ("cli", "criterion")]
+
+
 def test_criterion_jobs_resolve():
     verify = importlib.import_module("matsemi.verify")
-    workloads = _load(PERFBENCH / "workloads.py")
-    names = [job["name"] for jobs in workloads.WORKLOADS.values() for job in jobs if job["kind"] == "criterion"]
+    names = [job["name"] for job in REPLAYED if job["kind"] == "criterion"]
     assert names
     for name in names:
         assert callable(getattr(verify, name, None)), name
+
+
+@pytest.mark.parametrize("job", REPLAYED, ids=[job["name"] for job in REPLAYED])
+def test_benchmark_job_gives_its_frozen_output(job):
+    # in process, as perfbench/worker.py runs the job in a forked child:
+    # exit code and report sha256, frozen result fields, criterion details
+    if job["kind"] == "cli":
+        text, code = matsemi.cli.run_command([*job["argv"], "--format", "json"])
+        out = {"exit": code, "text": text}
+    else:
+        res = getattr(matsemi.verify, job["name"])()
+        out = {"passed": res.passed, "details": [list(d) for d in res.details]}
+    assert WORKLOADS.gate(job, out) == []
