@@ -456,7 +456,7 @@ def _do_isolated_enum(args, field):
                 "kind": r.kind,
                 "A_family": _fam(r.a_family, fmt),
                 "B_family": _fam(r.b_family, fmt),
-                "size": len(r.s),
+                "size": r.size,
                 "isolated": r.isolated,
                 "completely_isolated": r.completely_isolated,
             }

@@ -16,11 +16,12 @@ Everything else runs on ids of the cached ambient table.  Each set of the
 theorem list is a union of H-classes (one image and one kernel), so one
 pass over the grid marks which H-classes every product and every power
 joins, and bitsets over the sets answer closedness, isolation and complete
-isolation for the whole list at once.  Any other set is a boolean member
-mask: closedness is read off the grid, isolation off one gather of the
-mask over the powers array, and complete isolation off a scan of the
-grid rows outside it.  The exhaustive subset scan runs on the same table,
-so no mode builds a second product grid.
+isolation for the whole list at once; the same (sets, blocks) matrix gives
+each record its size and report order, so no record builds its members.
+Any other set is a boolean member mask: closedness is read off the grid,
+isolation off one gather of the mask over the powers array, and complete
+isolation off a scan of the grid rows outside it.  The exhaustive subset
+scan, a check of the theorem list, runs on the same table.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def is_completely_isolated(s: MatSet) -> bool:
 
 @dataclass(frozen=True)
 class IsolatedRecord:
-    kind: str  # M | GL | I | SAB | other
-    s: MatSet
+    """A set of the theorem list: kind, size, families (S(A, B) only), predicates."""
+    kind: str  # M | GL | I | SAB
+    size: int
     a_family: tuple[Subspace, ...] | None
     b_family: tuple[Subspace, ...] | None
     isolated: bool
@@ -247,27 +249,40 @@ def _block_predicates(amb: SemigroupTable, of_id: np.ndarray, members: np.ndarra
     return tuple(np.unpackbits(v)[: len(members)] == 0 for v in (escape, rooted, split))
 
 
-def _block_records(amb: SemigroupTable, of_id, labels, members) -> list[IsolatedRecord]:
-    """One record per row of members, a (sets, blocks) membership matrix,
-    labelled (kind, A-family, B-family) by labels.  A set that is not closed
-    raises NotClosed with the element witness of _closed_mask, and one that
-    is not isolated raises VerificationFailed."""
-    records = []
-    predicates = zip(*_block_predicates(amb, of_id, members))
-    for (kind, a_fam, b_fam), row, (closed, iso, ci) in zip(labels, members, predicates):
-        ids = np.flatnonzero(row[of_id])
-        if not closed:
-            _closed_mask(amb, ids)  # raises NotClosed with the first escaping pair
+def _block_records(amb: SemigroupTable, of_id, labels, members) -> tuple[tuple[IsolatedRecord, ...], np.ndarray]:
+    """(records, rows) of members, a (sets, blocks) membership matrix
+    labelled (kind, A-family, B-family) by labels, both in report order.
+    The first row not closed raises NotClosed with the witness of
+    _closed_mask, or, if it is closed but not isolated, VerificationFailed.
+
+    Report order is by size, then by the members' codes in canonical order:
+    one lexsort by size and then by the row, its blocks ordered by least
+    ambient id, members first.  Sets of one size first differ at the least
+    id d of their symmetric difference, and the one holding d sorts first;
+    d is the least id of the first block in that order that one set holds
+    and the other lacks.  Ids follow codes within one rank, and every
+    S(A, B) lies in rank n - 1.  Sets of different kinds differ in size
+    except I = {0} and GL = {1} in M(1, F_2): S(A, B) lies in I - {0}, and
+    |S(A, B)| = |A| |B| |GL_(n-1)| < (q^n - 1) q^(n-1) |GL_(n-1)| = |GL_n|,
+    as |A| <= (q^n - 1)/(q - 1) and |B| <= q^(n-1) are not both reached.
+    """
+    closed, iso, ci = _block_predicates(amb, of_id, members)
+    sizes = members @ np.bincount(of_id)
+    for i in np.flatnonzero(~(closed & iso))[:1]:  # the first failing row
+        if not closed[i]:
+            _closed_mask(amb, np.flatnonzero(members[i][of_id]))  # raises NotClosed with the first escaping pair
             raise InternalError("H-classes and grid disagree on closedness")  # pragma: no cover
-        if not iso:
-            msg = f"predicted isolated subsemigroup of kind {kind} fails the power scan"
-            raise VerificationFailed(msg, evidence={"kind": kind, "size": len(ids)})
-        records.append(IsolatedRecord(kind, amb.subset(ids), a_fam, b_fam, True, bool(ci)))
-    return records
+        msg = f"predicted isolated subsemigroup of kind {labels[i][0]} fails the power scan"
+        raise VerificationFailed(msg, evidence={"kind": labels[i][0], "size": int(sizes[i])})
+    first = np.unique(of_id, return_index=True)[1]  # the least ambient id of each block
+    order = np.lexsort((*~members[:, np.argsort(first)].T[::-1], sizes)).tolist()  # the last key sorts first
+    records = tuple(IsolatedRecord(labels[i][0], int(sizes[i]), *labels[i][1:], True, bool(ci[i])) for i in order)
+    return records, members[order]
 
 
-def _theorem_records(amb: SemigroupTable) -> list[IsolatedRecord]:
-    """M, GL, I and every S(A, B), checked and classified on H-classes.
+def _theorem_records(amb: SemigroupTable) -> tuple[np.ndarray, tuple[IsolatedRecord, ...], np.ndarray]:
+    """(block per ambient id, records, their membership rows): M, GL, I and
+    every S(A, B), checked and classified on H-classes, in report order.
 
     Each set is a union of blocks: whether x is a member depends only on
     its rank, image and kernel, and its rank is the dimension of its image.
@@ -295,49 +310,33 @@ def _theorem_records(amb: SemigroupTable) -> list[IsolatedRecord]:
     members = np.concatenate(([rank <= n], [rank == n], [rank < n], in_a[:, image] & in_b[:, kernel]))
     labels = [("M", None, None), ("GL", None, None), ("I", None, None)]
     labels += [("SAB", tuple(spaces[i] for i in a), tuple(spaces[j] for j in b)) for a, b in fams]
-    return _block_records(amb, of_id, labels, members)
+    return of_id, *_block_records(amb, of_id, labels, members)
 
 
-def _sort_records(records: list[IsolatedRecord]) -> tuple[IsolatedRecord, ...]:
-    """By size, then by the members' codes in canonical order; as unsigned
-    big-endian bytes, sets of one size compare as their code lists do."""
-    return tuple(sorted(records, key=lambda r: (len(r.s), r.s.codes.astype(">u8").tobytes())))
-
-
-def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive"):
-    """Classify the isolated subsemigroups of M(n, F_q).
-
-    exhaustive mode (q^(n*n) <= 16) scans every subsemigroup with the power
-    predicate and cross-checks the classified list against the constructed
-    one; theorem_list mode only verifies soundness of the constructed list
-    (every emitted subsemigroup is isolated), not completeness.
-    """
+def _checked_list(field: FieldSpec, n: int, mode: str):
+    """(ambient, block per id, records, rows) of the theorem list, checked against the subset scan in exhaustive mode."""
     if mode not in ("exhaustive", "theorem_list"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
         check_scan_size(field.q, n * n)  # before the theorem list and the ambient
     amb = ambient(field, n)
-    predicted = _theorem_records(amb)
-    if mode == "theorem_list":
-        return _sort_records(predicted)
-    by_set = {r.s: r for r in predicted}
-    found: list[IsolatedRecord] = []
-    for ids in enumerate_subsemigroups(amb):
-        mask = np.zeros(amb.m, dtype=bool)
-        mask[list(ids)] = True
-        if not _isolated(amb, mask):
-            continue
-        s = amb.subset(np.flatnonzero(mask))
-        hit = by_set.get(s)
-        if hit is None:
-            hit = IsolatedRecord("other", s, None, None, True, _outside_product(amb, mask) is None)
-        found.append(hit)
-    found_sets, predicted_sets = {r.s for r in found}, set(by_set)
-    if found_sets != predicted_sets:
-        only_found, only_predicted = len(found_sets - predicted_sets), len(predicted_sets - found_sets)
-        evidence = {"only_found": only_found, "only_predicted": only_predicted}
-        raise VerificationFailed("exhaustive isolated scan disagrees with the constructed list", evidence=evidence)
-    return _sort_records(found)
+    of_id, records, rows = _theorem_records(amb)
+    if mode == "exhaustive":
+        found = {ids for ids in enumerate_subsemigroups(amb) if _isolated(amb, np.isin(np.arange(amb.m), list(ids)))}
+        predicted = {frozenset(np.flatnonzero(row[of_id]).tolist()) for row in rows}
+        if found != predicted:
+            evidence = {"only_found": len(found - predicted), "only_predicted": len(predicted - found)}
+            raise VerificationFailed("exhaustive isolated scan disagrees with the constructed list", evidence=evidence)
+    return amb, of_id, records, rows
+
+
+def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive") -> tuple[IsolatedRecord, ...]:
+    """The theorem list of isolated subsemigroups of M(n, F_q), every set
+    checked closed and isolated on H-classes, in report order.  exhaustive
+    mode (q^(n*n) <= 16) also checks completeness: VerificationFailed unless
+    the isolated sets of the subsemigroup scan are exactly the listed ones.
+    """
+    return _checked_list(field, n, mode)[2]
 
 
 def ideal_absorption_check(field: FieldSpec, n: int):
@@ -347,29 +346,29 @@ def ideal_absorption_check(field: FieldSpec, n: int):
     e(V1,V2), e(V1',V2') with V2 inside V1', or S contains an idempotent of
     rank at most n-2.  Returns (all_ok, per-subsemigroup rows).
     """
-    records = enumerate_isolated(field, n, mode="exhaustive")
-    amb = ambient(field, n)
-    singular = ideal(field, n, n - 1)
+    amb, of_id, records, members = _checked_list(field, n, "exhaustive")
+    singular = amb.ranks < n
     spaces = _subspace_table(field, n)[0]
     image, kernel = _subspace_ids(field, amb.codes)
     rows = []
     all_ok = True
-    for rec in records:
-        ids = amb.s.key_index.find(rec.s.codes)[0]
+    for rec, member in zip(records, members):
+        mask = member[of_id]
+        ids = np.flatnonzero(mask)
         idems = ids[amb.grid[ids, ids] == ids]
         high = idems[amb.ranks[idems] == n - 1]
-        contains_zero = bool((ids == amb.zero_id).any())
+        contains_zero = bool(mask[amb.zero_id])
         low_idem = bool((amb.ranks[idems] <= n - 2).any())
         kernels = [spaces[i] for i in kernel[high]]
         chained = any(spaces[i].contains(v) for i in image[high] for v in kernels)
         hypothesis = contains_zero or chained or low_idem
-        contained = singular.issubset(rec.s)
+        contained = bool(mask[singular].all())
         ok = (not hypothesis) or contained
         all_ok = all_ok and ok
         rows.append(
             (
                 ("kind", rec.kind),
-                ("size", len(rec.s)),
+                ("size", rec.size),
                 ("contains_zero", contains_zero),
                 ("chained_idempotents", chained),
                 ("low_rank_idempotent", low_idem),

@@ -224,3 +224,11 @@ def pair_families(field, n):
         if not any(hyper[i].contains(lines[j]) for i in a for j in b)
     )
     return [(tuple(hyper[i] for i in a), tuple(lines[j] for j in b)) for a, b in picks]
+
+
+def isolated_report_key(codes):
+    """The report order of isolated subsemigroups as it was computed from
+    member sets: size, then the members' codes (canonical order) as
+    unsigned big-endian bytes, so sets of one size compare as their code
+    lists do."""
+    return len(codes), codes.astype(">u8").tobytes()

@@ -391,6 +391,44 @@ class TestIsolatedReports:
         assert code == 0, text
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
+    # (json, csv) report sha256s recorded while every record still held its member set
+    @pytest.mark.parametrize(
+        "argv,json_sha256,csv_sha256",
+        [
+            (
+                "enum --field 2 --n 2 --mode theorem_list",
+                "60dac380d5209538bac8c3fe494c94f1c3796bc9e548acf74b287e1808c16ac6",
+                "e0955cccad25e3ef53f0f68ab2eb892a39183c1d6a999ccd3a198254b92bc936",
+            ),
+            (
+                "enum --field 3 --n 2 --mode theorem_list",
+                "9f5936ee4278a50293d994e7547834a47612ad041ab320b0c60c9171142aa639",
+                "498213517056133923b0a332b16424f4491022e2cb45bbc453060b3541f8ac4f",
+            ),
+            (
+                "enum --field 2^2 --n 2 --mode theorem_list",
+                "5c0e1764b45939fd1b765661492db705ab88a78a0694e034aa684124f8c504c8",
+                "70e2479e126cbea955217e9724cad6da44aba8422a10d7f080feff9f0ad4a6bd",
+            ),
+            (
+                "enum --field 2 --n 3 --mode theorem_list",
+                "7112a23325aecb09af57bbb5201883053559f96bcc03177b18eb0a5fbf6378aa",
+                "7ab14e6d5f9c05c29e576ccb5f4f655d039ab3570c5c63a91747e902830a40b6",
+            ),
+            (
+                "check --field 2 --n 2",
+                "98f2512b1c1a070edfb683b497c04dd6fa801086b561be62d2faf8df43469dc2",
+                "46c262129066915092d5827932b4228beb5ef6780c128b58715ba8a2ef05fafb",
+            ),
+        ],
+        ids=["M2F2", "M2F3", "M2F4", "M3F2", "check-M2F2"],
+    )
+    def test_json_and_csv_reports_are_pinned(self, argv, json_sha256, csv_sha256):
+        for fmt, sha256 in (("json", json_sha256), ("csv", csv_sha256)):
+            text, code = run_command(["isolated", *argv.split(), "--format", fmt])
+            assert code == 0, text
+            assert hashlib.sha256(text.encode()).hexdigest() == sha256, fmt
+
 
 class TestNilReports:
     # json report sha256s of the flag-invariants benchmark jobs, recorded

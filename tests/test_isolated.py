@@ -8,7 +8,8 @@ import pytest
 
 from matsemi import engine, isolated
 from matsemi.engine import ambient, build_table, closure, mat_set, product_grid
-from matsemi.errors import BadK, InvariantViolation, NotClosed
+from matsemi.cli import run_command
+from matsemi.errors import BadK, InvariantViolation, NotClosed, VerificationFailed
 from matsemi.gf import (
     enumerate_matrices,
     enumerate_subspaces,
@@ -31,7 +32,7 @@ from matsemi.isolated import (
     is_isolated,
     rank_stratum,
 )
-from oracles import pair_families
+from oracles import isolated_report_key, pair_families
 
 
 class TestStrataAndIdeals:
@@ -114,15 +115,23 @@ def _oracle_s_ab_ids(amb, a_fam, b_fam):
     return np.flatnonzero(in_a[image] & in_b[kernel])
 
 
+def _row_members(amb, of_id, row):
+    """The members of a membership row, as a set of ambient elements."""
+    return amb.subset(np.flatnonzero(row[of_id]))
+
+
 def _s_ab(a_fam, b_fam):
     """S(A, B) by the library route of the theorem list: the families'
     H-classes through _block_records, which raises NotClosed if the set
-    escapes."""
+    escapes; the members are read off the returned row."""
     amb = ambient(a_fam[0].field, a_fam[0].ambient)
     of_id = isolated._h_classes(amb)[0]
     row = np.zeros(of_id.max() + 1, dtype=bool)
     row[of_id[_oracle_s_ab_ids(amb, a_fam, b_fam)]] = True
-    return isolated._block_records(amb, of_id, [("SAB", a_fam, b_fam)], row[None])[0].s
+    (rec,), rows = isolated._block_records(amb, of_id, [("SAB", a_fam, b_fam)], row[None])
+    s = _row_members(amb, of_id, rows[0])
+    assert rec.size == len(s)
+    return s
 
 
 def _product_kernel_image_law(s):
@@ -415,9 +424,11 @@ class TestMemberDrivenPredicates:
     def test_every_theorem_record(self, p, k, n):
         field = field_make(p, k)
         amb = ambient(field, n)
-        recs = enumerate_isolated(field, n, "theorem_list")
-        masks = [_mask(amb, amb.s.key_index.find(r.s.codes)[0]) for r in recs]
+        of_id, recs, rows = isolated._theorem_records(amb)
+        assert recs == enumerate_isolated(field, n, "theorem_list")
+        masks = [row[of_id] for row in rows]
         for r, mask in zip(recs, masks):
+            assert r.size == mask.sum()
             assert _oracle_closed_mask(amb, mask)
             assert r.isolated is _oracle_isolated_mask(amb, mask) is True
             assert r.completely_isolated is _oracle_completely_isolated_mask(amb, mask)
@@ -469,11 +480,12 @@ class TestBlockRoute:
     @THEOREM_AMBIENTS
     def test_sab_ids_follow_image_and_kernel(self, p, k, n):
         amb = ambient(field_make(p, k), n)
-        sab = [r for r in enumerate_isolated(amb.s.field, n, "theorem_list") if r.kind == "SAB"]
+        of_id, recs, rows = isolated._theorem_records(amb)
+        sab = [(r, row) for r, row in zip(recs, rows) if r.kind == "SAB"]
         assert len(sab) == len(_all_pair_families(amb.s.field, n))
-        for r in sab:
+        for r, row in sab:
             ids = _oracle_s_ab_ids(amb, r.a_family, r.b_family)
-            assert r.s == amb.subset(ids)
+            assert np.array_equal(np.flatnonzero(row[of_id]), ids) and r.size == len(ids)
 
     def test_unclosed_union_raises_the_grid_witness(self, f3):
         # the nilpotent H-class (image = kernel = <e1>) with the identity's:
@@ -486,7 +498,7 @@ class TestBlockRoute:
         with pytest.raises(NotClosed) as want:
             product_grid(s)
         with pytest.raises(NotClosed) as got:
-            isolated._block_records(amb, of_id, [("other", None, None)], row[None])
+            isolated._block_records(amb, of_id, [("union", None, None)], row[None])
         assert got.value.witness == want.value.witness
 
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -495,7 +507,7 @@ class TestBlockRoute:
         field = field_make(q)
         for mode in ("theorem_list", "exhaustive"):
             recs = enumerate_isolated(field, 1, mode)
-            assert [(r.kind, len(r.s)) for r in recs] == [("I", 1), ("GL", q - 1), ("M", q)]
+            assert [(r.kind, r.size) for r in recs] == [("I", 1), ("GL", q - 1), ("M", q)]
             assert all(r.isolated and r.completely_isolated for r in recs)
 
 
@@ -521,9 +533,14 @@ class TestEnumeration:
         assert sorted(r.kind for r in ci) == ["GL", "I", "M"]
 
     def test_theorem_list_matches_exhaustive(self, f2):
+        # the rows of the theorem list are the isolated subsemigroups that
+        # the subset scan and the former power scan find
+        amb = ambient(f2, 2)
         ex = enumerate_isolated(f2, 2, "exhaustive")
-        tl = enumerate_isolated(f2, 2, "theorem_list")
-        assert {frozenset(r.s) for r in tl} == {frozenset(r.s) for r in ex}
+        of_id, tl, rows = isolated._theorem_records(amb)
+        assert ex == tl == enumerate_isolated(f2, 2, "theorem_list")
+        scanned = {ids for ids in engine.enumerate_subsemigroups(amb) if _oracle_isolated_mask(amb, _mask(amb, ids))}
+        assert {frozenset(np.flatnonzero(row[of_id]).tolist()) for row in rows} == scanned
 
     def test_theorem_list_f3(self, f3):
         tl = enumerate_isolated(f3, 2, "theorem_list")
@@ -533,13 +550,51 @@ class TestEnumeration:
         assert all(r.isolated for r in tl)
 
     def test_sab_records_carry_families(self, f2):
-        recs = enumerate_isolated(f2, 2, "theorem_list")
-        for r in recs:
+        amb = ambient(f2, 2)
+        of_id, recs, rows = isolated._theorem_records(amb)
+        for r, row in zip(recs, rows):
             if r.kind == "SAB":
                 assert r.a_family and r.b_family
-                assert r.s == _oracle_s_ab(r.a_family, r.b_family)
+                assert _row_members(amb, of_id, row) == _oracle_s_ab(r.a_family, r.b_family)
             else:
                 assert r.a_family is None and r.b_family is None
+
+
+class TestRecordsFromRows:
+    @pytest.mark.parametrize(
+        "q,n", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3)], ids=["M1F2", "M1F3", "M2F2", "M2F3", "M2F4", "M2F5", "M3F2"]
+    )
+    def test_order_is_the_member_code_order(self, q, n):
+        # the one lexsort over sizes and block rows gives the order that
+        # sorting by the members' code bytes gave
+        amb = ambient(BY_Q[q], n)
+        of_id, recs, rows = isolated._theorem_records(amb)
+        keys = [isolated_report_key(amb.codes[row[of_id]]) for row in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no two sets alike
+        assert [r.size for r in recs] == [k[0] for k in keys]
+
+    def test_exhaustive_disagreement_raises(self, f2, monkeypatch):
+        # a subset scan that misses M, a predicted set, fails the check
+        real = isolated.enumerate_subsemigroups
+        everything = frozenset(range(ambient(f2, 2).m))
+        monkeypatch.setattr(isolated, "enumerate_subsemigroups", lambda t: [s for s in real(t) if s != everything])
+        with pytest.raises(VerificationFailed) as exc:
+            enumerate_isolated(f2, 2)
+        assert exc.value.evidence == {"only_found": 0, "only_predicted": 1}
+        text, code = run_command(["isolated", "enum", "--field", "2", "--n", "2"])
+        assert code == 1 and text.startswith("error VerificationFailed")
+        assert "only_found = 0" in text and "only_predicted = 1" in text
+
+    def test_theorem_list_builds_no_member_set(self, monkeypatch):
+        f5 = field_make(5)
+        amb = ambient(f5, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("theorem_list built a member set")
+
+        monkeypatch.setattr(engine.SemigroupTable, "subset", refuse)
+        recs = enumerate_isolated(f5, 2, "theorem_list")
+        assert len(recs) == 605 and ambient(f5, 2) is amb
 
 
 class TestAbsorption:
