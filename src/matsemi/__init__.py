@@ -30,7 +30,6 @@ from .engine import (
     closure_ids,
     enumerate_subsemigroups,
     equiv_closure,
-    mask_nd,
     mat_set,
     power_sets,
     preorder_depths,

@@ -190,9 +190,8 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
     method "theorem" groups elements by the similarity key of their cores,
     labelling each id by the first id with its key; method "brute" takes
     the transitive closure of the primary relation {(x y, y x)} over the
-    multiplication grid, marking the unordered id pairs in an m*m bitmap 64
-    grid rows at a time.  Both return the same Partition over ambient
-    element ids.
+    multiplication grid (_primary_pair_keys).  Both return the same
+    Partition over ambient element ids.
     """
     from .engine import Partition, ambient, equiv_closure
 
@@ -202,15 +201,29 @@ def sg_classes(field: FieldSpec, n: int, method: str = "theorem"):
         first: dict = {}
         return Partition([first.setdefault(class_key(a), x) for x, a in enumerate(amb.s.elements)])
     if method == "brute":
-        grid = amb.grid
-        seen = np.zeros(m * m, dtype=bool)
-        for lo in range(0, m, 64):
-            xy = grid[lo : lo + 64].astype(np.int64)  # rows x, columns y
-            yx = grid[:, lo : lo + 64].T.astype(np.int64)
-            seen[np.minimum(xy, yx) * m + np.maximum(xy, yx)] = True
-        keys = np.flatnonzero(seen)
+        keys = _primary_pair_keys(amb.grid)
         return equiv_closure(m, np.stack([keys // m, keys % m], axis=1))
     raise InvariantViolation(f"unknown method {method!r}")
+
+
+def _primary_pair_keys(grid: np.ndarray) -> np.ndarray:
+    """The unordered pairs {x y, y x} of an m x m product grid, as sorted
+    keys min * m + max.
+
+    The pair does not change when x and y swap, so the grid is read on one
+    triangle: each block of 64 rows x takes only the columns y >= its first
+    row, its products x y against the transposed y x.  The keys stay in
+    int32, as m^2 <= 4096^2 < 2^31, and mark an m*m bitmap.
+    """
+    m = len(grid)
+    seen = np.zeros(m * m, dtype=bool)
+    for lo in range(0, m, 64):
+        xy, yx = grid[lo : lo + 64, lo:], grid[lo:, lo : lo + 64].T
+        keys = np.minimum(xy, yx)
+        keys *= m
+        keys += np.maximum(xy, yx)
+        seen[keys] = True
+    return np.flatnonzero(seen)
 
 
 def class_key(a: Matrix):

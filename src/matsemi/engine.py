@@ -425,11 +425,6 @@ def _ladder_nd(ladder: np.ndarray, zero_id: int | None) -> int | None:
     return len(ladder) if _is_zero_set(ladder[-1], zero_id) else None
 
 
-def mask_nd(grid: np.ndarray, base: np.ndarray, zero_id: int) -> int | None:
-    """Nilpotency degree of the closed id set `base` (a member mask), or None."""
-    return _ladder_nd(_power_ladder(grid, base, zero_id), zero_id)
-
-
 def table_nd(table: SemigroupTable) -> int | None:
     """Nilpotency degree of the table's semigroup, or None when not nilpotent."""
     return _ladder_nd(table.power_ladder, table.zero_id)

@@ -280,9 +280,11 @@ def _block_records(amb: SemigroupTable, of_id, labels, members) -> tuple[tuple[I
     return records, members[order]
 
 
-def _theorem_records(amb: SemigroupTable) -> tuple[np.ndarray, tuple[IsolatedRecord, ...], np.ndarray]:
-    """(block per ambient id, records, their membership rows): M, GL, I and
-    every S(A, B), checked and classified on H-classes, in report order.
+def _theorem_records(amb: SemigroupTable):
+    """(H-classes, records, their membership rows): M, GL, I and every
+    S(A, B), checked and classified on H-classes, in report order.  The
+    H-classes are _h_classes(amb): the block per ambient id and the image
+    and kernel id per block.
 
     Each set is a union of blocks: whether x is a member depends only on
     its rank, image and kernel, and its rank is the dimension of its image.
@@ -310,24 +312,25 @@ def _theorem_records(amb: SemigroupTable) -> tuple[np.ndarray, tuple[IsolatedRec
     members = np.concatenate(([rank <= n], [rank == n], [rank < n], in_a[:, image] & in_b[:, kernel]))
     labels = [("M", None, None), ("GL", None, None), ("I", None, None)]
     labels += [("SAB", tuple(spaces[i] for i in a), tuple(spaces[j] for j in b)) for a, b in fams]
-    return of_id, *_block_records(amb, of_id, labels, members)
+    return (of_id, image, kernel), *_block_records(amb, of_id, labels, members)
 
 
 def _checked_list(field: FieldSpec, n: int, mode: str):
-    """(ambient, block per id, records, rows) of the theorem list, checked against the subset scan in exhaustive mode."""
+    """(ambient, H-classes, records, rows) of the theorem list, checked against the subset scan in exhaustive mode."""
     if mode not in ("exhaustive", "theorem_list"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
         check_scan_size(field.q, n * n)  # before the theorem list and the ambient
     amb = ambient(field, n)
-    of_id, records, rows = _theorem_records(amb)
+    blocks, records, rows = _theorem_records(amb)
     if mode == "exhaustive":
+        of_id = blocks[0]
         found = {ids for ids in enumerate_subsemigroups(amb) if _isolated(amb, np.isin(np.arange(amb.m), list(ids)))}
         predicted = {frozenset(np.flatnonzero(row[of_id]).tolist()) for row in rows}
         if found != predicted:
             evidence = {"only_found": len(found - predicted), "only_predicted": len(predicted - found)}
             raise VerificationFailed("exhaustive isolated scan disagrees with the constructed list", evidence=evidence)
-    return amb, of_id, records, rows
+    return amb, blocks, records, rows
 
 
 def enumerate_isolated(field: FieldSpec, n: int, mode: str = "exhaustive") -> tuple[IsolatedRecord, ...]:
@@ -346,10 +349,9 @@ def ideal_absorption_check(field: FieldSpec, n: int):
     e(V1,V2), e(V1',V2') with V2 inside V1', or S contains an idempotent of
     rank at most n-2.  Returns (all_ok, per-subsemigroup rows).
     """
-    amb, of_id, records, members = _checked_list(field, n, "exhaustive")
+    amb, (of_id, image, kernel), records, members = _checked_list(field, n, "exhaustive")
     singular = amb.ranks < n
     spaces = _subspace_table(field, n)[0]
-    image, kernel = _subspace_ids(field, amb.codes)
     rows = []
     all_ok = True
     for rec, member in zip(records, members):
@@ -359,8 +361,8 @@ def ideal_absorption_check(field: FieldSpec, n: int):
         high = idems[amb.ranks[idems] == n - 1]
         contains_zero = bool(mask[amb.zero_id])
         low_idem = bool((amb.ranks[idems] <= n - 2).any())
-        kernels = [spaces[i] for i in kernel[high]]
-        chained = any(spaces[i].contains(v) for i in image[high] for v in kernels)
+        kernels = [spaces[i] for i in kernel[of_id[high]]]
+        chained = any(spaces[i].contains(v) for i in image[of_id[high]] for v in kernels)
         hypothesis = contains_zero or chained or low_idem
         contained = bool(mask[singular].all())
         ok = (not hypothesis) or contained

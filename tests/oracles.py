@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 
+from matsemi.engine import _ladder_nd, _power_ladder
 from matsemi.errors import DimMismatch, FieldMismatch, InternalError, SignatureMismatch
 from matsemi.flags import flag_basis, flag_basis_inverse
 from matsemi.gf import Matrix, _rref, batch_mul, codes_array, enumerate_subspaces, subspace
@@ -232,3 +233,21 @@ def isolated_report_key(codes):
     unsigned big-endian bytes, so sets of one size compare as their code
     lists do."""
     return len(codes), codes.astype(">u8").tobytes()
+
+
+def mask_nd(grid, base, zero_id):
+    """Nilpotency degree of the closed id set `base` (a member mask), or
+    None: the length of its power ladder when that ends at {0}."""
+    return _ladder_nd(_power_ladder(grid, base, zero_id), zero_id)
+
+
+def primary_pair_keys_full(grid):
+    """conjugacy._primary_pair_keys on the whole grid: each block of 64 rows
+    x against every column y, the keys built in int64."""
+    m = len(grid)
+    seen = np.zeros(m * m, dtype=bool)
+    for lo in range(0, m, 64):
+        xy = grid[lo : lo + 64].astype(np.int64)  # rows x, columns y
+        yx = grid[:, lo : lo + 64].T.astype(np.int64)
+        seen[np.minimum(xy, yx) * m + np.maximum(xy, yx)] = True
+    return np.flatnonzero(seen)

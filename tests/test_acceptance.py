@@ -13,8 +13,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from matsemi import all_flags, ambient, closure_ids, conjugacy, field_make, flag_semigroup, standard_flag, unit_matrix, verify
+from matsemi import all_flags, ambient, closure_ids, conjugacy, engine, field_make, flag_semigroup, standard_flag, unit_matrix, verify
 from matsemi.gf import Matrix
+import oracles
+from oracles import mask_nd
 
 BOUNDS_S = {
     "01": 120,
@@ -97,6 +99,60 @@ def test_criterion_04_round_one_refutes_only_aborting_escapes():
     seed = np.array([amb.index[unit_matrix(f2, 3, 0, 1)], amb.index[unit_matrix(f2, 3, 1, 0)]])
     xs = np.setdiff1d(np.flatnonzero(nil), seed)
     assert verify.round_one_refuted(amb.grid, nil, seed, xs).all()
+
+
+def _closure_witnesses(amb, member, xs, r):
+    """words_vanish by closure: true where closure_ids(member | {x}) stays
+    nilpotent and its power ladder reaches {0} within r steps."""
+    non_nil = frozenset(np.flatnonzero(~np.array(amb.nilpotent)).tolist())
+    out = []
+    for x in xs.tolist():
+        ids, aborted = closure_ids(amb.grid, set(member.tolist()) | {x}, abort_ids=non_nil)
+        mask = np.zeros(amb.m, dtype=bool)
+        mask[list(ids)] = True
+        nd = None if aborted else mask_nd(amb.grid, mask, amb.zero_id)
+        out.append(nd is not None and nd <= r)
+    return np.array(out, dtype=bool)
+
+
+def test_criterion_04_words_decide_as_the_closures_do():
+    # every nilpotent escape of every F_2^3 flag, refuted in round one or not
+    f2 = field_make(2)
+    amb = ambient(f2, 3)
+    nil = np.array(amb.nilpotent)
+    escapes = 0
+    for fl in all_flags(f2, 3):
+        member = np.array(sorted(amb.index[a] for a in flag_semigroup(fl)))
+        xs = np.setdiff1d(np.flatnonzero(nil), member)
+        got = verify.words_vanish(amb.grid, member, xs, fl.length, amb.zero_id)
+        assert np.array_equal(got, _closure_witnesses(amb, member, xs, fl.length))
+        assert not got.any()
+        escapes += len(xs)
+    assert escapes == 1848 + 231  # refuted in round one, and the survivors
+
+
+def test_criterion_04_words_find_the_escapes_of_a_non_maximal_set():
+    # {0, e13} is nilpotent of degree 2 and far from maximal
+    f2 = field_make(2)
+    amb = ambient(f2, 3)
+    member = np.array(sorted([amb.zero_id, amb.index[unit_matrix(f2, 3, 0, 2)]]))
+    xs = np.setdiff1d(np.flatnonzero(np.array(amb.nilpotent)), member)
+    for r, count in ((2, 4), (3, 22)):
+        got = verify.words_vanish(amb.grid, member, xs, r, amb.zero_id)
+        assert int(got.sum()) == count
+        assert np.array_equal(got, _closure_witnesses(amb, member, xs, r))
+
+
+def test_criterion_04_takes_no_closure(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("criterion 04 took a closure")
+
+    monkeypatch.setattr(engine, "closure_ids", boom)
+    monkeypatch.setattr(engine, "_power_ladder", boom)  # what mask_nd walks
+    monkeypatch.setattr(oracles, "mask_nd", boom)
+    assert not hasattr(verify, "closure_ids") and not hasattr(verify, "mask_nd")
+    res = verify.criterion_04()
+    assert res.passed and dict(res.details)["escapes_checked"] == 18207
 
 
 def test_criterion_05_consolidation():

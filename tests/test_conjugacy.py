@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from matsemi import (
 from matsemi import conjugacy, gf
 from matsemi.cli import run_command
 from matsemi.gf import _krylov_key, _krylov_relations, _relation_matrix, _smith_factors
-from oracles import is_zero
+from oracles import is_zero, primary_pair_keys_full
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -395,6 +396,15 @@ class TestClasses:
     @pytest.mark.parametrize("f,n", [(F2, 2), (F3, 2)])
     def test_theorem_equals_brute(self, f, n):
         assert sg_classes(f, n, "theorem").classes() == sg_classes(f, n, "brute").classes()
+
+    @pytest.mark.parametrize(
+        "p,k,n",
+        [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2), (2, 3, 2), (2, 1, 3)],
+        ids=["M2F2", "M2F3", "M2F4", "M2F5", "M2F7", "M2F8", "M3F2"],
+    )
+    def test_one_triangle_marks_the_pairs_of_the_whole_grid(self, p, k, n):
+        grid = ambient(field_make(p, k), n).grid
+        assert np.array_equal(conjugacy._primary_pair_keys(grid), primary_pair_keys_full(grid))
 
     def test_classes_are_key_level_sets(self):
         amb = ambient(F2, 2)

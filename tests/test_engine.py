@@ -22,7 +22,6 @@ from matsemi import (
     flag_semigroup,
     flags_with_signature,
     identity_matrix,
-    mask_nd,
     mat_pow,
     mat_rank,
     mat_set,
@@ -39,7 +38,7 @@ from matsemi.engine import GRID_BLOCK, TABLE_ELEMS_CAP, KeyIndex, _check_grid, _
 from matsemi.errors import InternalError
 from matsemi.gf import batch_mul, code_keys, codes_array, row_keys
 from matsemi.isolated import rank_stratum
-from oracles import is_zero
+from oracles import is_zero, mask_nd
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -277,7 +276,7 @@ def _oracle_nd(grid, ids, zero_id):
 
 
 class TestPowerMasks:
-    """table_nd, power_sets and mask_nd against frozenset power sets."""
+    """table_nd, power_sets and oracles.mask_nd against frozenset power sets."""
 
     @pytest.mark.parametrize("adjoin", [False, True], ids=["plain", "adjoined"])
     def test_match_frozenset_definitions(self, adjoin):

@@ -424,7 +424,7 @@ class TestMemberDrivenPredicates:
     def test_every_theorem_record(self, p, k, n):
         field = field_make(p, k)
         amb = ambient(field, n)
-        of_id, recs, rows = isolated._theorem_records(amb)
+        (of_id, *_), recs, rows = isolated._theorem_records(amb)
         assert recs == enumerate_isolated(field, n, "theorem_list")
         masks = [row[of_id] for row in rows]
         for r, mask in zip(recs, masks):
@@ -480,7 +480,7 @@ class TestBlockRoute:
     @THEOREM_AMBIENTS
     def test_sab_ids_follow_image_and_kernel(self, p, k, n):
         amb = ambient(field_make(p, k), n)
-        of_id, recs, rows = isolated._theorem_records(amb)
+        (of_id, *_), recs, rows = isolated._theorem_records(amb)
         sab = [(r, row) for r, row in zip(recs, rows) if r.kind == "SAB"]
         assert len(sab) == len(_all_pair_families(amb.s.field, n))
         for r, row in sab:
@@ -537,7 +537,7 @@ class TestEnumeration:
         # the subset scan and the former power scan find
         amb = ambient(f2, 2)
         ex = enumerate_isolated(f2, 2, "exhaustive")
-        of_id, tl, rows = isolated._theorem_records(amb)
+        (of_id, *_), tl, rows = isolated._theorem_records(amb)
         assert ex == tl == enumerate_isolated(f2, 2, "theorem_list")
         scanned = {ids for ids in engine.enumerate_subsemigroups(amb) if _oracle_isolated_mask(amb, _mask(amb, ids))}
         assert {frozenset(np.flatnonzero(row[of_id]).tolist()) for row in rows} == scanned
@@ -551,7 +551,7 @@ class TestEnumeration:
 
     def test_sab_records_carry_families(self, f2):
         amb = ambient(f2, 2)
-        of_id, recs, rows = isolated._theorem_records(amb)
+        (of_id, *_), recs, rows = isolated._theorem_records(amb)
         for r, row in zip(recs, rows):
             if r.kind == "SAB":
                 assert r.a_family and r.b_family
@@ -568,7 +568,7 @@ class TestRecordsFromRows:
         # the one lexsort over sizes and block rows gives the order that
         # sorting by the members' code bytes gave
         amb = ambient(BY_Q[q], n)
-        of_id, recs, rows = isolated._theorem_records(amb)
+        (of_id, *_), recs, rows = isolated._theorem_records(amb)
         keys = [isolated_report_key(amb.codes[row[of_id]]) for row in rows]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no two sets alike
         assert [r.size for r in recs] == [k[0] for k in keys]
