@@ -74,7 +74,7 @@ ELEMENT_LISTING_LIMIT = 512
 
 
 # the options commands share, in the order of the help listings; each entry
-# of _OPTIONS names the ones its command takes
+# of _COMMANDS names the ones its command takes
 _COMMON = (
     ("--field", {"required": True, "help": "field size p or p^k"}),
     ("--n", {"required": True, "type": int, "help": "ambient matrix dimension"}),
@@ -95,72 +95,11 @@ _GROUPS = {
     "verify": "run the verification battery",
 }
 
-_REQUIRED = {"required": True}
-_NONE = {"default": None}
-
-# command path -> (help, the _COMMON options it takes, its own options as
-# (flag, add_argument keywords)); dict order is the order of the help listings
-_OPTIONS = {
-    "classes": ("conjugacy classes of the full semigroup", _PLAIN, [("--check", {"choices": ("brute",), "default": None})]),
-    "core": ("stable-image decomposition of one matrix", _PLAIN, [("--matrix", _REQUIRED)]),
-    "chain": ("witnessed conjugation path to the core", _PLAIN, [("--matrix", _REQUIRED)]),
-    "flags phi": (
-        "all matrices lowering a flag",
-        _CAPPED,
-        [("--flag", _NONE), ("--sig", {"default": None, "help": "take the coordinate flag of this signature"})],
-    ),
-    "flags psi": (
-        "power-image flag of a closed nilpotent set",
-        _PLAIN,
-        [("--elements", {"required": True, "help": "space-separated matrix texts"})],
-    ),
-    "flags maximal": ("is a closed nilpotent set maximal for its degree", _PLAIN, [("--elements", _REQUIRED)]),
-    "flags consolidation": (
-        "flag refinement vs semigroup containment",
-        _CAPPED,
-        [("--flag", _REQUIRED), ("--flag2", _REQUIRED)],
-    ),
-    "nil fingerprint": ("isomorphism-invariant fingerprint", _CAPPED, [("--flag", _NONE), ("--sig", _NONE)]),
-    "nil iso-decide": (
-        "classify two signatures up to isomorphism",
-        _FIELDLESS,
-        [
-            ("--q", {"type": int, "default": None, "help": "field size (omit with --infinite)"}),
-            ("--infinite", {"action": "store_true", "help": "decide over an infinite field"}),
-            ("--n1", {"required": True, "type": int}),
-            ("--sig1", _REQUIRED),
-            ("--n2", {"required": True, "type": int}),
-            ("--sig2", _REQUIRED),
-        ],
-    ),
-    "nil iso-construct": (
-        "conjugating isomorphism for equal signatures",
-        _CAPPED,
-        [("--flag1", _NONE), ("--sig1", _NONE), ("--flag2", _NONE), ("--sig2", _NONE)],
-    ),
-    "isolated enum": (
-        "classified list of isolated subsemigroups",
-        _PLAIN,
-        [("--mode", {"choices": ("exhaustive", "theorem_list"), "default": "exhaustive"})],
-    ),
-    "isolated check": (
-        "absorption hypotheses force the singular ideal",
-        _PLAIN,
-        [("--elements", {"default": None, "help": "test this closed set instead"})],
-    ),
-    "ideal gen": ("closure of a rank stratum against the ideal", _PLAIN, [("--k", {"required": True, "type": int})]),
-    "verify all": (
-        "all numbered criteria",
-        _FIELDLESS,
-        [("--profile", {"choices": ("quick", "full"), "default": "quick"})],
-    ),
-}
-
 
 def _options(path: str):
     """(flag, add_argument keywords) of every option of the command path,
     in the order of its help listing."""
-    _, common, own = _OPTIONS[path]
+    _, _, common, own = _COMMANDS[path]
     return [option for option in _COMMON if option[0] in common] + own
 
 
@@ -170,7 +109,7 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="matsemi", description="exact matrix-semigroup structure over small finite fields")
     sub = ap.add_subparsers(dest="cmd", required=True)
     groups = {}
-    for cmd, (text, _, _) in _OPTIONS.items():
+    for cmd, (text, *_) in _COMMANDS.items():
         group, _, leaf = cmd.partition(" ")
         if leaf:
             if group not in groups:
@@ -180,6 +119,7 @@ def _parser() -> argparse.ArgumentParser:
             p = sub.add_parser(cmd, help=text)
         for flag, keywords in _options(cmd):
             p.add_argument(flag, **keywords)
+        p.set_defaults(path=cmd)
     return ap
 
 
@@ -190,7 +130,7 @@ def _read(argv) -> argparse.Namespace | None:
     and every other one as `--opt value` with a value that does not start
     with "-" and passes the option's type and choices, and every required
     option given.  Building no parser spares gettext its `locale` import."""
-    path = next((path for path in _OPTIONS if path.split() == argv[: path.count(" ") + 1]), None)
+    path = next((path for path in _COMMANDS if path.split() == argv[: path.count(" ") + 1]), None)
     if path is None:
         return None
     options = dict(_options(path))
@@ -215,7 +155,7 @@ def _read(argv) -> argparse.Namespace | None:
             return None
         given[flag] = value
     group, _, leaf = path.partition(" ")
-    args = argparse.Namespace(cmd=group, **({"sub": leaf} if leaf else {}))
+    args = argparse.Namespace(cmd=group, **({"sub": leaf} if leaf else {}), path=path)
     for flag, keywords in options.items():
         if flag not in given and keywords.get("required"):
             return None
@@ -508,23 +448,75 @@ def _do_verify(args, field):
     }
 
 
-# command path -> (payload builder, the options its report's params echo
-# after field and n); every builder takes (args, field)
+_REQUIRED = {"required": True}
+_NONE = {"default": None}
+
+# command path -> (help, payload builder, the _COMMON options it takes, its
+# own options as (flag, add_argument keywords)).  Dict order is the order of
+# the help listings; own options are listed in the order the report's params
+# echo them after field and n.  Every builder takes (args, field).
 _COMMANDS = {
-    "classes": (_do_classes, ("check",)),
-    "core": (_do_core, ("matrix",)),
-    "chain": (_do_chain, ("matrix",)),
-    "flags phi": (_do_flags_phi, ("flag", "sig")),
-    "flags psi": (_do_flags_psi, ("elements",)),
-    "flags maximal": (_do_flags_maximal, ("elements",)),
-    "flags consolidation": (_do_flags_consolidation, ("flag", "flag2")),
-    "nil fingerprint": (_do_nil_fingerprint, ("flag", "sig")),
-    "nil iso-decide": (_do_nil_iso_decide, ("sig1", "sig2", "q", "infinite", "n1", "n2")),
-    "nil iso-construct": (_do_nil_iso_construct, ("flag2", "flag1", "sig1", "sig2")),
-    "isolated enum": (_do_isolated_enum, ("mode",)),
-    "isolated check": (_do_isolated_check, ("elements",)),
-    "ideal gen": (_do_ideal_gen, ("k",)),
-    "verify all": (_do_verify, ("profile",)),
+    "classes": (
+        "conjugacy classes of the full semigroup",
+        _do_classes, _PLAIN, [("--check", {"choices": ("brute",), "default": None})],
+    ),
+    "core": ("stable-image decomposition of one matrix", _do_core, _PLAIN, [("--matrix", _REQUIRED)]),
+    "chain": ("witnessed conjugation path to the core", _do_chain, _PLAIN, [("--matrix", _REQUIRED)]),
+    "flags phi": (
+        "all matrices lowering a flag",
+        _do_flags_phi,
+        _CAPPED,
+        [("--flag", _NONE), ("--sig", {"default": None, "help": "take the coordinate flag of this signature"})],
+    ),
+    "flags psi": (
+        "power-image flag of a closed nilpotent set",
+        _do_flags_psi, _PLAIN, [("--elements", {"required": True, "help": "space-separated matrix texts"})],
+    ),
+    "flags maximal": (
+        "is a closed nilpotent set maximal for its degree",
+        _do_flags_maximal, _PLAIN, [("--elements", _REQUIRED)],
+    ),
+    "flags consolidation": (
+        "flag refinement vs semigroup containment",
+        _do_flags_consolidation, _CAPPED, [("--flag", _REQUIRED), ("--flag2", _REQUIRED)],
+    ),
+    "nil fingerprint": (
+        "isomorphism-invariant fingerprint",
+        _do_nil_fingerprint, _CAPPED, [("--flag", _NONE), ("--sig", _NONE)],
+    ),
+    "nil iso-decide": (
+        "classify two signatures up to isomorphism",
+        _do_nil_iso_decide,
+        _FIELDLESS,
+        [
+            ("--sig1", _REQUIRED),
+            ("--sig2", _REQUIRED),
+            ("--q", {"type": int, "default": None, "help": "field size (omit with --infinite)"}),
+            ("--infinite", {"action": "store_true", "help": "decide over an infinite field"}),
+            ("--n1", {"required": True, "type": int}),
+            ("--n2", {"required": True, "type": int}),
+        ],
+    ),
+    "nil iso-construct": (
+        "conjugating isomorphism for equal signatures",
+        _do_nil_iso_construct, _CAPPED, [("--flag2", _NONE), ("--flag1", _NONE), ("--sig1", _NONE), ("--sig2", _NONE)],
+    ),
+    "isolated enum": (
+        "classified list of isolated subsemigroups",
+        _do_isolated_enum, _PLAIN, [("--mode", {"choices": ("exhaustive", "theorem_list"), "default": "exhaustive"})],
+    ),
+    "isolated check": (
+        "absorption hypotheses force the singular ideal",
+        _do_isolated_check, _PLAIN, [("--elements", {"default": None, "help": "test this closed set instead"})],
+    ),
+    "ideal gen": (
+        "closure of a rank stratum against the ideal",
+        _do_ideal_gen, _PLAIN, [("--k", {"required": True, "type": int})],
+    ),
+    "verify all": (
+        "all numbered criteria",
+        _do_verify, _FIELDLESS, [("--profile", {"choices": ("quick", "full"), "default": "quick"})],
+    ),
 }
 
 
@@ -532,17 +524,13 @@ _COMMANDS = {
 # report assembly and rendering
 
 
-def _command_name(args) -> str:
-    sub = getattr(args, "sub", None)
-    return f"{args.cmd} {sub}" if sub else args.cmd
-
-
-def _params(args, field, keys) -> dict:
+def _params(args, field, own) -> dict:
     p = {}
     if field is not None:
         p["field"] = format_field(field)
         p["n"] = args.n
-    for key in keys:
+    for flag, _ in own:
+        key = flag[2:].replace("-", "_")
         p[key] = getattr(args, key)
     return p
 
@@ -592,8 +580,7 @@ def run_command(argv) -> tuple[str, int]:
     t0 = perf_counter()
     try:
         field = _field_of(args)
-        cmd = _command_name(args)
-        build, keys = _COMMANDS[cmd]
+        _, build, _, own = _COMMANDS[args.path]
         result = build(args, field)
     except (VerificationFailed, InternalError) as exc:
         return _error_text(exc), 1
@@ -604,8 +591,8 @@ def run_command(argv) -> tuple[str, int]:
     report = {
         "tool": "matsemi",
         "version": __version__,
-        "command": cmd,
-        "params": _params(args, field, keys),
+        "command": args.path,
+        "params": _params(args, field, own),
         "result": result,
         "caps": {"max_elems": getattr(args, "max_elems", None)},
         "timing_ms": None,

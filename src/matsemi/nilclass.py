@@ -287,8 +287,10 @@ def _contained(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~_meets(a, ~b)
 
 
-# A context holds its table and grid.  All flag-invariants jobs in one process
-# build 43 distinct contexts and verify all --profile full 41: 64 keeps every hit.
+# A context holds its table and grid.  verify all --profile full builds 41
+# distinct contexts, so 64 keeps every hit there and leaves room for the ones
+# the test suite shares in one process.  perfbench forks a cold child per job,
+# where this cache only misses.
 @lru_cache(maxsize=64)
 def nil_context(flag: Flag, cap: int = PHI_CAP) -> NilContext:
     """Build and validate the context for a flag of length >= 2."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from time import perf_counter
 
 import numpy as np
@@ -40,7 +40,6 @@ from .gf import (
     mat_image,
     mat_kernel,
     mat_pow,
-    mat_rank,
     prime_power,
 )
 from .isolated import enumerate_isolated, ideal_generated_by_stratum
@@ -78,15 +77,28 @@ class CriterionResult:
     elapsed_ms: float
 
 
-def _result(key, t0, details, witness=None) -> CriterionResult:
-    return CriterionResult(
-        key=key,
-        title=_TITLES[key],
-        passed=witness is None,
-        details=tuple(details),
-        witness=witness,
-        elapsed_ms=(perf_counter() - t0) * 1000.0,
-    )
+# key -> (title, full-profile only, criterion), filled by _criterion at each
+# definition; run takes the entries in key order
+_REGISTRY: dict = {}
+
+
+def _criterion(key: str, title: str, full: bool = False):
+    """Register a check as battery criterion `key`.  The check returns
+    (details, witness), witness None when it passes; the registered
+    criterion returns them as a timed CriterionResult."""
+
+    def register(check):
+        @wraps(check)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            t0 = perf_counter()
+            details, witness = check(*args, **kwargs)
+            elapsed_ms = (perf_counter() - t0) * 1000.0
+            return CriterionResult(key, title, witness is None, tuple(details), witness, elapsed_ms)
+
+        _REGISTRY[key] = (title, full, criterion)
+        return criterion
+
+    return register
 
 
 @lru_cache(maxsize=1)
@@ -105,8 +117,8 @@ def _battery():
 # criteria
 
 
-def criterion_01(pairs=CLASS_PAIRS) -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("01", "conjugacy classes: structural method matches brute closure")
+def criterion_01(pairs=CLASS_PAIRS):
     details, witness = [], None
     for n, q in pairs:
         f = field_make(*prime_power(q))
@@ -120,11 +132,11 @@ def criterion_01(pairs=CLASS_PAIRS) -> CriterionResult:
                 f"first structural class off: {sorted(bad)[:6]}"
             )
     details.append(("agree", witness is None))
-    return _result("01", t0, details, witness)
+    return details, witness
 
 
-def criterion_02() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("02", "M(2,F2) class census")
+def criterion_02():
     f2 = field_make(2)
     amb = ambient(f2, 2)
     witness = None
@@ -145,11 +157,11 @@ def criterion_02() -> CriterionResult:
         ("nilpotent_count", 4),
         ("nilpotents_with_zero", witness is None),
     ]
-    return _result("02", t0, details, witness)
+    return details, witness
 
 
-def criterion_03() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("03", "flag semigroup size law")
+def criterion_03():
     witness = None
     checked = 0
     for n, q in itertools.product((2, 3, 4), (2, 3)):
@@ -171,21 +183,20 @@ def criterion_03() -> CriterionResult:
         if witness:
             break
     details = [("flags_checked", checked), ("size_law", witness is None)]
-    return _result("03", t0, details, witness)
+    return details, witness
 
 
 def round_one_refuted(grid: np.ndarray, nil: np.ndarray, member: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Mask over the nilpotent escapes xs of a set of nilpotent ids
-    `member`: true where closure_ids(member | {x}, abort_ids=the
-    non-nilpotent ids) aborts in its first round, which multiplies every
-    pair of the seed.
+    `member`: true where some product of two elements of member ∪ {x} is
+    not nilpotent (nil is the per-id nilpotent flag).
 
-    That happens exactly when some product among member and x is not
-    nilpotent (nil is the per-id nilpotent flag).  A product inside
-    member * member refutes every x.  Of the products with x, member * x
-    decides alone: x * x is nilpotent with x, and x t is nilpotent exactly
-    when t x is, as (x t)^(k+1) = x (t x)^k t.  So one gather tests every
-    escape.
+    It drops only escapes that words_vanish would reject for any length r:
+    if a product t x is not nilpotent, then (t x)^r != 0, so its first r
+    letters already form a nonzero word.  A product inside member * member
+    refutes every x.  Of the products with x, member * x decides alone:
+    x * x is nilpotent with x, and x t is nilpotent exactly when t x is, as
+    (x t)^(k+1) = x (t x)^k t.  So one gather tests every escape.
     """
     if not nil[grid[np.ix_(member, member)]].all():
         return np.ones(len(xs), dtype=bool)
@@ -214,13 +225,13 @@ def words_vanish(grid: np.ndarray, member: np.ndarray, xs: np.ndarray, r: int, z
     return (words == zero_id).all(axis=1)
 
 
-def criterion_04() -> CriterionResult:
+@_criterion("04", "flag semigroups are maximal nilpotent")
+def criterion_04():
     """Every flag semigroup T of F_2^3 is maximal among the nilpotent
     subsemigroups of degree at most its length r: no nilpotent x outside T
     has <T ∪ {x}> nilpotent of degree <= r.  A non-nilpotent x breaks
     nilpotency itself; round_one_refuted drops the escapes whose products
     with T already leave the nilpotents, and words_vanish decides the rest."""
-    t0 = perf_counter()
     f2 = field_make(2)
     amb = ambient(f2, 3)
     nil = np.array(amb.nilpotent)
@@ -242,16 +253,16 @@ def criterion_04() -> CriterionResult:
             )
             break
     details = [("flags", len(flags)), ("escapes_checked", escapes), ("all_blocked", witness is None)]
-    return _result("04", t0, details, witness)
+    return details, witness
 
 
-def criterion_05() -> CriterionResult:
+@_criterion("05", "consolidation matches containment")
+def criterion_05():
     """consolidates against element-set containment for every ordered pair
     of F_2^3 flags.  The containments come from one 0/1 incidence matrix
     of the sets over the ambient's code keys: entry (j, i) of
     inc (1 - inc)^T counts the elements of S(F_j) outside S(F_i), so
     S(F_j) ⊆ S(F_i) exactly when it is zero."""
-    t0 = perf_counter()
     f2, n = field_make(2), 3
     flags = all_flags(f2, n)
     inc = np.zeros((len(flags), f2.q ** (n * n)), dtype=np.int64)
@@ -269,14 +280,14 @@ def criterion_05() -> CriterionResult:
         if witness:
             break
     details = [("ordered_pairs", pairs), ("biconditional", witness is None)]
-    return _result("05", t0, details, witness)
+    return details, witness
 
 
-def criterion_06() -> CriterionResult:
+@_criterion("06", "divisibility preorders: product and subspace routes agree")
+def criterion_06():
     """Each context's product-route preorder matrices against its subspace
     ones; a split names the first differing pair in row-major order, prec
     before ll at that pair."""
-    t0 = perf_counter()
     witness = None
     pairs = 0
     battery = _battery()
@@ -295,33 +306,34 @@ def criterion_06() -> CriterionResult:
         depth_sets(ctx, "prec", 0)
         depth_sets(ctx, "ll", 0)
     details = [("contexts", len(battery)), ("pairs", pairs), ("routes_agree", witness is None)]
-    return _result("06", t0, details, witness)
+    return details, witness
 
 
-def criterion_07() -> CriterionResult:
+@_criterion("07", "super rank equals rank on decomposables")
+def criterion_07():
     """Super rank equals rank on every nonzero decomposable of the battery,
-    read off each context's super-rank array."""
-    t0 = perf_counter()
+    read off each context's super-rank array and its table's ranks; a
+    super rank of 0 is undefined and breaks the law."""
     witness = None
     checked = 0
     for ctx in _battery():
         nonzero = ctx.decomposable.copy()
         nonzero[ctx.table.zero_id] = False
-        for x in np.flatnonzero(nonzero).tolist():
-            checked += 1
-            a = ctx.t.elements[x]
+        ids = np.flatnonzero(nonzero)
+        broken = np.flatnonzero(ctx.super_ranks[ids] != ctx.table.ranks[ids])
+        if len(broken):
+            x = int(ids[broken[0]])
+            checked += int(broken[0]) + 1
             sr = int(ctx.super_ranks[x]) or None
-            if sr != mat_rank(a):
-                witness = f"sig {ctx.sig}, {format_matrix(a)}: super rank {sr} != rank {mat_rank(a)}"
-                break
-        if witness:
+            witness = f"sig {ctx.sig}, {format_matrix(ctx.t.elements[x])}: super rank {sr} != rank {ctx.table.ranks[x]}"
             break
+        checked += len(ids)
     details = [("contexts", len(_battery())), ("decomposables_checked", checked), ("law_holds", witness is None)]
-    return _result("07", t0, details, witness)
+    return details, witness
 
 
-def criterion_08() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("08", "covering statistic recovers the signature")
+def criterion_08():
     witness = None
     checked = 0
     for ctx in _battery():
@@ -334,11 +346,11 @@ def criterion_08() -> CriterionResult:
         if witness:
             break
     details = [("positions_checked", checked), ("all_equal", witness is None)]
-    return _result("08", t0, details, witness)
+    return details, witness
 
 
-def criterion_09() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("09", "fingerprints separate; equal signatures transport")
+def criterion_09():
     f2 = field_make(2)
     witness = None
     ctxs = {sig: nil_context(standard_flag(f2, sig)) for sig in ((1, 1, 2), (1, 2, 1), (2, 1, 1))}
@@ -375,11 +387,11 @@ def criterion_09() -> CriterionResult:
         ("iso_pairs_verified", verified),
         ("cross_sig_refusal", bool(refusal)),
     ]
-    return _result("09", t0, details, witness)
+    return details, witness
 
 
-def criterion_10() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("10", "annihilator census of the width-one middle context")
+def criterion_10():
     ctx = nil_context(standard_flag(field_make(2), (2, 1, 2)))
     census = dict(annihilator_census(ctx))
     expect = {
@@ -398,11 +410,11 @@ def criterion_10() -> CriterionResult:
             witness = f"census {key} = {census[key]}, expected {want}"
             break
     details = [(k, v if not isinstance(v, tuple) else list(v)) for k, v in census.items()]
-    return _result("10", t0, details, witness)
+    return details, witness
 
 
-def criterion_11() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("11", "rank strata generate the ideals")
+def criterion_11():
     witness = None
     details = []
     for n, q in ((2, 2), (2, 3), (3, 2)):
@@ -420,11 +432,11 @@ def criterion_11() -> CriterionResult:
         if witness:
             break
     details.append(("all_match", witness is None))
-    return _result("11", t0, details, witness)
+    return details, witness
 
 
-def criterion_12() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("12", "isolated subsemigroup classification")
+def criterion_12():
     f2, f3 = field_make(2), field_make(3)
     witness = None
     recs2 = enumerate_isolated(f2, 2, mode="exhaustive")
@@ -445,7 +457,7 @@ def criterion_12() -> CriterionResult:
         ("f3_isolated", len(recs3)),
         ("sound", witness is None),
     ]
-    return _result("12", t0, details, witness)
+    return details, witness
 
 
 DETERMINISM_COMMANDS = (
@@ -457,12 +469,12 @@ DETERMINISM_COMMANDS = (
 )
 
 
-def criterion_13() -> CriterionResult:
+@_criterion("13", "reports are byte-reproducible")
+def criterion_13():
     """Each command renders twice in json and csv; the second run sees warm
     caches, and its bytes must equal the first's."""
     from .cli import run_command
 
-    t0 = perf_counter()
     witness = None
     compared = 0
     for argv in DETERMINISM_COMMANDS:
@@ -478,21 +490,21 @@ def criterion_13() -> CriterionResult:
             break
         compared += 1
     details = [("commands", compared), ("byte_identical", witness is None)]
-    return _result("13", t0, details, witness)
+    return details, witness
 
 
 # ---------------------------------------------------------------------------
 # full-profile extras
 
 
-def extra_classes_q5() -> CriterionResult:
-    t0 = perf_counter()
+@_criterion("14", "conjugacy oracle at q=5", full=True)
+def extra_classes_q5():
     f5 = field_make(5)
     left = sg_classes(f5, 2, method="theorem").classes()
     right = sg_classes(f5, 2, method="brute").classes()
     witness = None if left == right else "structural and brute partitions differ on M(2,F5)"
     details = [("classes_n2_q5", len(left)), ("agree", witness is None)]
-    return _result("14", t0, details, witness)
+    return details, witness
 
 
 def _is_core(c: Matrix, a: Matrix) -> bool:
@@ -508,7 +520,8 @@ def _is_core(c: Matrix, a: Matrix) -> bool:
     return c * image == a * image and not any((c * kernel).codes)
 
 
-def extra_large_ambient() -> CriterionResult:
+@_criterion("15", "large ambient spot checks (n=4, q=2)", full=True)
+def extra_large_ambient():
     """Spot checks in M(4, F_2) without a product grid (65536 elements).
 
     Exhaustive pair verification is out of reach (4.3e9 product pairs), so
@@ -516,7 +529,6 @@ def extra_large_ambient() -> CriterionResult:
     key(xy) = key(yx) on a seeded random pair sample, and (c) replayed
     conjugation chains down to the core on a seeded element sample.
     """
-    t0 = perf_counter()
     f2 = field_make(2)
     mats = list(enumerate_matrices(f2, 4, 4))
     keys = {class_key(a) for a in mats}
@@ -544,7 +556,7 @@ def extra_large_ambient() -> CriterionResult:
         ("commute_law", witness is None),
         ("chains_replayed", chains),
     ]
-    return _result("15", t0, details, witness)
+    return details, witness
 
 
 # ---------------------------------------------------------------------------
@@ -561,38 +573,13 @@ class VerifyReport:
         return all(r.passed for r in self.results)
 
 
-_REGISTRY = (
-    ("01", "conjugacy classes: structural method matches brute closure", criterion_01),
-    ("02", "M(2,F2) class census", criterion_02),
-    ("03", "flag semigroup size law", criterion_03),
-    ("04", "flag semigroups are maximal nilpotent", criterion_04),
-    ("05", "consolidation matches containment", criterion_05),
-    ("06", "divisibility preorders: product and subspace routes agree", criterion_06),
-    ("07", "super rank equals rank on decomposables", criterion_07),
-    ("08", "covering statistic recovers the signature", criterion_08),
-    ("09", "fingerprints separate; equal signatures transport", criterion_09),
-    ("10", "annihilator census of the width-one middle context", criterion_10),
-    ("11", "rank strata generate the ideals", criterion_11),
-    ("12", "isolated subsemigroup classification", criterion_12),
-    ("13", "reports are byte-reproducible", criterion_13),
-)
-
-_EXTRAS = (
-    ("14", "conjugacy oracle at q=5", extra_classes_q5),
-    ("15", "large ambient spot checks (n=4, q=2)", extra_large_ambient),
-)
-
-_TITLES = {key: title for key, title, _ in _REGISTRY + _EXTRAS}
-
-
 def run(profile: str = "quick") -> VerifyReport:
     if profile not in ("quick", "full"):
         raise PreconditionViolated(f"unknown profile {profile!r}")
-    plan = list(_REGISTRY)
-    if profile == "full":
-        plan += list(_EXTRAS)
     results = []
-    for key, title, fn in plan:
+    for key, (title, full, fn) in sorted(_REGISTRY.items()):
+        if full and profile != "full":
+            continue
         kwargs = {}
         if key == "01":
             kwargs["pairs"] = CLASS_PAIRS if profile == "full" else CLASS_PAIRS_QUICK

@@ -24,7 +24,7 @@ import matsemi
 from matsemi import cli, engine, flags, nilclass, verify
 from matsemi.cli import run_command
 from matsemi.engine import ambient
-from matsemi.errors import VerificationFailed
+from matsemi.errors import CapExceeded, VerificationFailed
 from matsemi.flags import parse_flag
 from matsemi.gf import parse_matrix, parse_subspace, unit_matrix
 
@@ -454,6 +454,30 @@ class TestNilReports:
         assert code == 0, text
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
+    # (json, csv) report sha256s recorded while the order of each command's
+    # params echo was a tuple of its own, apart from its option list
+    @pytest.mark.parametrize(
+        "argv,json_sha256,csv_sha256",
+        [
+            (
+                "iso-decide --q 2 --n1 3 --sig1 1,1,1 --n2 4 --sig2 1,2,1",
+                "9414d17efad29a37bc98c6a55db77a8e3e2f1482232d8d9c268ccd0a7ae2a794",
+                "12898a43380d17fdf720c94afadad0b9a48e12bbfc3d739d22c283454a141ebb",
+            ),
+            (
+                "iso-construct --field 2 --n 3 --sig1 1,1,1 --sig2 1,1,1",
+                "cdffea847b87ef8a01105865201eef38bfeb6e639570f2860d3c274fae56ab5f",
+                "bfb7e72fb9e9a53fdad670d83aba37807531c6262dcc373f979e456e99cc0734",
+            ),
+        ],
+        ids=["iso-decide", "iso-construct"],
+    )
+    def test_json_and_csv_reports_are_pinned(self, argv, json_sha256, csv_sha256):
+        for fmt, sha256 in (("json", json_sha256), ("csv", csv_sha256)):
+            text, code = run_command(["nil", *argv.split(), "--format", fmt])
+            assert code == 0, text
+            assert hashlib.sha256(text.encode()).hexdigest() == sha256, fmt
+
     def test_fingerprint_takes_each_u_stat_once(self, monkeypatch):
         calls = []
         u_stat = nilclass.u_stat
@@ -516,7 +540,8 @@ class TestDispatch:
 
     def test_params_echo_each_commands_own_options(self):
         # the options a report's params echo, after field and n, are the
-        # command's own: all but the ones every command or cap shares
+        # command's own, in the order of its help listing: all but the ones
+        # every command or cap shares
         shared = {"help", "field", "n", "format", "out", "max_elems"}
 
         def commands(parser, prefix=()):
@@ -528,18 +553,73 @@ class TestDispatch:
             yield " ".join(prefix), parser
 
         for path, parser in commands(cli._parser()):
-            own = {action.dest for action in parser._actions} - shared
-            assert sorted(cli._COMMANDS[path][1]) == sorted(own), path
+            own = [action.dest for action in parser._actions if action.dest not in shared]
+            args = argparse.Namespace(**{dest: None for dest in own})
+            assert list(cli._params(args, None, cli._COMMANDS[path][3])) == own, path
 
     def test_a_failing_battery_exits_one_with_its_report(self, monkeypatch):
-        def forced():
-            return verify._result("02", perf_counter(), [("forced", True)], "forced failure")
-
-        monkeypatch.setattr(verify, "_REGISTRY", (("02", "M(2,F2) class census", forced),))
+        monkeypatch.setattr(verify, "_REGISTRY", {})
+        verify._criterion("02", "M(2,F2) class census")(lambda: ([("forced", True)], "forced failure"))
         text, code = run_command(["verify", "all", "--format", "json"])
         assert code == 1
         (crit,) = json.loads(text)["result"]["criteria"]
         assert crit["title"] == "M(2,F2) class census" and crit["witness"] == "forced failure"
+
+
+def _stub_battery(monkeypatch):
+    """Swap the battery for fifteen passing stubs, registered out of key
+    order; returns the (key, keyword arguments) of every stub call."""
+    monkeypatch.setattr(verify, "_REGISTRY", {})
+    calls = []
+    for i in range(15, 0, -1):
+        key = f"{i:02d}"
+
+        def stub(key=key, **kwargs):
+            calls.append((key, kwargs))
+            return [("stub", True)], None
+
+        verify._criterion(key, f"stub {key}", full=i > 13)(stub)
+    return calls
+
+
+class TestBatteryRun:
+    @pytest.mark.parametrize("profile,last", [("quick", 13), ("full", 15)])
+    def test_the_profile_plans_its_criteria_in_key_order(self, monkeypatch, profile, last):
+        calls = _stub_battery(monkeypatch)
+        rep = verify.run(profile)
+        keys = [f"{i:02d}" for i in range(1, last + 1)]
+        assert [key for key, _ in calls] == [r.key for r in rep.results] == keys
+        assert [r.title for r in rep.results] == [f"stub {key}" for key in keys]
+        assert rep.passed
+
+    @pytest.mark.parametrize(
+        "profile,pairs", [("quick", verify.CLASS_PAIRS_QUICK), ("full", verify.CLASS_PAIRS)]
+    )
+    def test_criterion_01_takes_the_class_pairs_of_the_profile(self, monkeypatch, profile, pairs):
+        calls = _stub_battery(monkeypatch)
+        verify.run(profile)
+        assert calls[0] == ("01", {"pairs": pairs})
+        assert all(kwargs == {} for _, kwargs in calls[1:])
+
+    def test_a_criterion_that_raises_fails_with_the_error_as_witness(self, monkeypatch):
+        _stub_battery(monkeypatch)
+
+        def capped():
+            raise CapExceeded("table of 70000 elements exceeds the cap")
+
+        verify._criterion("05", "consolidation matches containment")(capped)
+        text, code = run_command(["verify", "all", "--format", "json"])
+        assert code == 1
+        criteria = json.loads(text)["result"]["criteria"]
+        assert [c["id"] for c in criteria] == [f"{i:02d}" for i in range(1, 14)]
+        assert criteria[4] == {
+            "id": "05",
+            "title": "consolidation matches containment",
+            "passed": False,
+            "details": {},
+            "witness": "CapExceeded: table of 70000 elements exceeds the cap",
+        }
+        assert all(c["passed"] for c in criteria if c["id"] != "05")
 
 
 def _parser_output(parse, argv, capsys):
@@ -667,7 +747,7 @@ def _perturb(draw, kind, lines, required):
 
 
 class TestReadOffTheTable:
-    @pytest.mark.parametrize("path", list(cli._OPTIONS), ids=lambda path: path.replace(" ", "_"))
+    @pytest.mark.parametrize("path", list(cli._COMMANDS), ids=lambda path: path.replace(" ", "_"))
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_reads_what_the_whole_tree_reads(self, path, data):
