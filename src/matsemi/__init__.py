@@ -67,6 +67,7 @@ from .flags import (
     flag_basis,
     flag_make,
     flag_semigroup,
+    flag_semigroups,
     flags_with_signature,
     format_flag,
     is_k_maximal,
@@ -132,6 +133,7 @@ from .nilclass import (
     iso_decide,
     ll,
     nil_context,
+    nil_contexts,
     prec,
     super_rank,
     u_stat,

@@ -68,6 +68,7 @@ from .nilclass import (
     iso_construct,
     iso_decide,
     nil_context,
+    nil_contexts,
 )
 
 ELEMENT_LISTING_LIMIT = 512
@@ -366,8 +367,8 @@ def _do_nil_iso_decide(args, field):
 
 
 def _do_nil_iso_construct(args, field):
-    c1 = _ctx(args, field, args.flag1, args.sig1)
-    c2 = _ctx(args, field, args.flag2, args.sig2)
+    f1, f2 = _flag_of(args, field, args.flag1, args.sig1), _flag_of(args, field, args.flag2, args.sig2)
+    c1, c2 = nil_contexts((f1, f2), cap=_cap(args))
     iso = iso_construct(c1, c2)
     return {
         "flag1": format_flag(c1.flag),

@@ -187,9 +187,10 @@ def row_table(f: FieldSpec, vecs: np.ndarray, arr: np.ndarray, dtype) -> np.ndar
     return table
 
 
-def product_grid(s: MatSet) -> np.ndarray:
+def product_grid(s: MatSet, out: np.ndarray | None = None) -> np.ndarray:
     """id x id -> id multiplication grid of a MatSet; NotClosed with
-    witness otherwise.
+    witness otherwise.  out, an (m, m) int32 array, receives the grid when
+    given.
 
     Row i of a*b is (row i of a)*b, so batch_mul of the elements' distinct
     rows with every element gives a (rows, m) table of row keys.  The code
@@ -206,7 +207,7 @@ def product_grid(s: MatSet) -> np.ndarray:
     row_ids = row_ids.reshape(m, n)  # row_ids[a, i]: which distinct row is row i of a
     table = row_table(f, arr.reshape(m * n, n)[first], arr, rows.dtype)  # table[r, b]: key of (row r)*b
     step = max(1, GRID_BLOCK // m)
-    grid = np.empty((m, m), dtype=np.int32)
+    grid = np.empty((m, m), dtype=np.int32) if out is None else out
     for lo in range(0, m, step):
         keys = join_row_keys(f, [table[row_ids[lo : lo + step, i]] for i in range(n)])
         ids, ok = s.key_index.find_keys(keys)
@@ -320,39 +321,62 @@ def _detect_zero_identity(grid: np.ndarray):
     return (int(zero[0]) if len(zero) else None, int(ident[0]) if len(ident) else None)
 
 
-def _wrong_entries(s: MatSet, grid: np.ndarray):
-    """Yield (lo, bad) for each block of rows of an (m, m) id grid over the
-    MatSet s: bad[i, b] is true when grid[lo + i, b] is not the id of the
-    product of matrices lo + i and b.
+def _wrong_entries(f: FieldSpec, codes: np.ndarray, grids: np.ndarray):
+    """Yield (lo, bad) for each block of rows of a stack of id grids: the
+    (t, m, m) grids over the (t, m, n, n) code arrays codes, with rows
+    counted through the stack, so row lo + i is row (lo + i) % m of grid
+    (lo + i) // m.  bad[i, b] is true when that entry b is not the id of
+    the product of the row's element and element b of the same grid.
 
     Column j of ab is a*(column j of b), a route apart from product_grid's
     table of rows.  A block of about GRID_BLOCK entries at a time, the
     distinct rows of the block's left factors are multiplied with the
-    distinct columns of all elements (w <= q^n of them), which gives the
-    key of a*c for each left factor a and distinct column c.  An entry is
-    right when the column keys of the element it names equal the keys of a
-    times the columns of b; keys are injective, so n equal columns mean
-    equal matrices.  Each entry is judged on its own value, so a single
-    wrong entry flags only itself.
+    distinct columns of all elements of the stack (w <= q^n of them),
+    which gives the key of a*c for each left factor a and distinct column
+    c.  An entry is right when the column keys of the element it names
+    in its own grid equal the keys of a times the columns of b; keys are
+    injective, so n equal columns mean equal matrices.  Each entry is
+    judged on its own value, so a single wrong entry flags only itself.
     """
-    m = len(s)
+    t, m = grids.shape[:2]
     if not m:
         return
-    f, n, arr = s.field, s.dim, s.codes
-    cols = arr.transpose(0, 2, 1)  # cols[b, j]: column j of b
+    n = codes.shape[-1]
+    cols = codes.reshape(t * m, n, n).transpose(0, 2, 1)  # cols[b, j]: column j of b
     keys = row_keys(f, cols)  # keys[b, j]: key of column j of b
     _, first, col_ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    distinct = cols.reshape(m * n, n)[first].T  # (n, w): the distinct columns side by side
-    keys, col_ids = keys.T.copy(), col_ids.reshape(m, n).T.copy()  # [j, b]: column j of b
-    step = max(1, GRID_BLOCK // m)
-    for lo in range(0, m, step):
-        # table[i, c]: key of (element lo + i) * (distinct column c)
-        table = row_keys(f, mul_columns(f, arr[lo : lo + step], distinct).transpose(0, 2, 1))
-        named = grid[lo : lo + step]
-        bad = keys[0].take(named) != table.take(col_ids[0], axis=1)
-        for j in range(1, n):
-            bad |= keys[j].take(named) != table.take(col_ids[j], axis=1)
-        yield lo, bad
+    distinct = cols.reshape(t * m * n, n)[first].T  # (n, w): the distinct columns side by side
+    keys = keys.reshape(t, m, n).transpose(2, 0, 1).copy()  # [j, k, b]: key of column j of element b of grid k
+    col_ids = col_ids.reshape(t, m, n).transpose(2, 0, 1).copy()  # [j, k, b]: which distinct column that is
+    # a block is whole grids when m is small, else rows of one grid
+    rows = min(m, max(1, GRID_BLOCK // m))
+    per_block = max(1, GRID_BLOCK // (m * m))
+    for k0 in range(0, t, per_block):
+        k1 = min(k0 + per_block, t)
+        for a0 in range(0, m, rows):
+            named = grids[k0:k1, a0 : a0 + rows]
+            # table[k, i, c]: key of (element a0 + i of grid k0 + k) * (distinct column c)
+            table = row_keys(f, mul_columns(f, codes[k0:k1, a0 : a0 + rows], distinct).swapaxes(2, 3))
+            for j in range(n):
+                if k1 == k0 + 1:  # one grid: plain takes, several times faster than take_along_axis
+                    wrong = keys[j, k0].take(named[0]) != table[0].take(col_ids[j, k0], axis=1)
+                else:
+                    got = np.take_along_axis(keys[j, k0:k1], named.reshape(k1 - k0, -1), axis=1)
+                    wrong = got.reshape(named.shape) != np.take_along_axis(table, col_ids[j, k0:k1, None, :], axis=2)
+                bad = wrong if j == 0 else bad | wrong
+            yield k0 * m + a0, bad.reshape(-1, m)
+
+
+def _first_wrong_entry(f: FieldSpec, codes: np.ndarray, grids: np.ndarray) -> tuple[int, int, int] | None:
+    """(grid, row, column) of the first entry of a stack of grids, in
+    row-major order through the stack, that is not the product of its row
+    and column elements (_wrong_entries); None when every entry is."""
+    m = grids.shape[1]
+    for lo, bad in _wrong_entries(f, codes, grids):
+        if bad.any():
+            row, b = divmod(lo * m + int(np.argmax(bad)), m)
+            return (*divmod(row, m), b)
+    return None
 
 
 def _check_grid(s: MatSet, grid: np.ndarray) -> None:
@@ -363,11 +387,9 @@ def _check_grid(s: MatSet, grid: np.ndarray) -> None:
     product, grid[grid[a, b], c] and grid[a, grid[b, c]] both name the
     matrix (ab)c = a(bc), and ids are distinct matrices.
     """
-    m = len(s)
-    for lo, bad in _wrong_entries(s, grid):
-        if bad.any():
-            a, b = divmod(lo * m + int(np.argmax(bad)), m)
-            raise InternalError(f"grid entry {(a, b)} is not the product of its elements")
+    wrong = _first_wrong_entry(s.field, s.codes[None], grid[None])
+    if wrong is not None:
+        raise InternalError(f"grid entry {wrong[1:]} is not the product of its elements")
 
 
 def check_table_size(m: int) -> None:
@@ -417,6 +439,25 @@ def _power_ladder(grid: np.ndarray, base: np.ndarray, zero_id: int | None) -> np
             break
         rows.append(nxt)
     return _read_only(np.stack(rows))
+
+
+def stacked_ladders(grids: np.ndarray, length: int) -> np.ndarray:
+    """(t, length, m) read-only bool for a stack of (t, m, m) grids:
+    [k, i] is the member mask of S_k^(i+1), S_k every id of grid k.
+
+    The grids side by side are one (t*m, m) grid whose ids are offset by m
+    per grid, and S_k^(i+1) = S_k^i S_k, so each power is one _product_mask
+    of the whole stack with every column.  A single grid needs no offset,
+    and is not copied: it can hold 64 MiB.
+    """
+    t, m = grids.shape[:2]
+    side = grids if t == 1 else grids + (m * np.arange(t, dtype=grids.dtype))[:, None, None]
+    side = side.reshape(t * m, m)
+    every = np.ones(m, dtype=bool)
+    rows = [np.ones(t * m, dtype=bool)]
+    for _ in range(length - 1):
+        rows.append(_product_mask(side, rows[-1], every))
+    return _read_only(np.stack(rows).reshape(length, t, m).transpose(1, 0, 2))
 
 
 def _ladder_nd(ladder: np.ndarray, zero_id: int | None) -> int | None:

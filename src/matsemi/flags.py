@@ -6,14 +6,21 @@ the maximal nilpotent subsemigroups of nilpotency degree k, and the map is
 inverted by reading the flag of power-image spans off the semigroup.
 
 As a set, the semigroup S(F) of a flag is an F-subspace of M_n(F) of
-dimension sum_{i<j} d_i d_j, the d_i the jumps of the signature.  Lowering
-is tested on one reduced basis of that subspace (_lowering_space), built
-from the chain's own bases: a matrix lowers F exactly when it is the
-combination of the basis rows read off its entries at their pivots, in
-plain Python for one matrix (lowers_flag) and as one 2-D product for a
-batch (lowering_mask).  Enumeration (flag_semigroup) takes the other
-route, conjugating the block strictly upper triangular matrices by the
-adapted basis of flag_basis, so each checks the other.
+dimension sum_{i<j} d_i d_j, the d_i the jumps of the signature.  Both
+routes to it start from the same vectors, _chain_rows: level by level,
+the RREF rows of V_i whose pivot is not a pivot of V_{i-1}.  Lowering
+takes them in ascending pivot order as the columns of Q and tests
+membership in one reduced basis of the subspace Q N Q^-1
+(_lowering_space): a matrix lowers F exactly when it is the combination
+of the basis rows read off its entries at their pivots, in plain Python
+for one matrix (lowers_flag) and as one product for a batch of matrices
+per flag (lowering_masks).  Enumeration (flag_semigroups) takes them in
+descending pivot order within each level as the adapted basis P of
+flag_basis and conjugates the block strictly upper triangular matrices N
+by it.  P and Q are the same vectors in another column order, so only
+the algorithms differ, span membership against conjugation, and each
+checks the other's arithmetic; that the vectors fit the chain is checked
+where the power-image flag of the products is compared with it.
 
 Flags are built, not searched for: _flag_levels lifts the flags of F^D
 through every D-subspace of F^n (gf.subspace_codes), as code arrays.
@@ -49,7 +56,6 @@ from .gf import (
     batch_rref,
     capped_power,
     codes_array,
-    extend_echelon,
     format_subspace,
     full_space,
     in_span,
@@ -144,31 +150,40 @@ class LoweringSpace(NamedTuple):
     codes: np.ndarray
 
 
+def _chain_rows(f: Flag) -> list[list[tuple[int, ...]]]:
+    """Per level i = 1..k, the RREF rows of V_i whose pivot is not a pivot
+    of V_{i-1}, in ascending pivot order.
+
+    The pivots of V_{i-1} are pivots of V_i, and a combination of V_i's
+    RREF rows leads at the pivot of its first row with a nonzero
+    coefficient.  So no nonzero combination of these rows lies in
+    V_{i-1}, whose vectors lead at its own pivots; there are
+    dim V_i - dim V_{i-1} = d_i of them, so they complete V_{i-1} to V_i.
+    """
+    levels, below = [], ()
+    for s in f.chain[1:]:
+        levels.append([row for p, row in zip(s.pivots, s.basis) if p not in below])
+        below = s.pivots
+    return levels
+
+
 @lru_cache(maxsize=1024)
 def _lowering_space(f: Flag) -> LoweringSpace:
     """The RREF basis of S(F) = Q N Q^-1, N the block strictly upper
     triangular matrices of the signature.
 
-    Q takes its columns level by level: the RREF rows of V_i whose pivot
-    is not a pivot of V_{i-1}.  The pivots of V_{i-1} are pivots of V_i,
-    so those d_i rows have pivots apart from V_{i-1}'s rows and complete
-    them to a basis of V_i.  S(F) is then spanned by the rank-one matrices
+    Q takes the rows of _chain_rows as its columns, level by level in
+    ascending pivot order.  S(F) is then spanned by the rank-one matrices
     q_r p_c, q_r column r of Q and p_c row c of Q^-1, for r in a stratum
     below that of c: such a matrix sends q_c to q_r and the other columns
-    of Q to 0.  Q comes from the chain's own bases, never from flag_basis,
-    so lowering checks flag_semigroup's enumeration by another route.
+    of Q to 0.  Q^-1 is inverted here, never read from
+    flag_basis_inverse, and the basis is one subspace() of the span.
     """
     fld, n = f.field, f.ambient
     mul = fld.mul
-    cols: list[tuple[int, ...]] = []
-    level: list[int] = []  # stratum of each column of Q
-    below: set[int] = set()
-    for i, s in enumerate(f.chain[1:]):
-        for p, row in zip(s.pivots, s.basis):
-            if p not in below:
-                cols.append(row)
-                level.append(i)
-        below = set(s.pivots)
+    levels = _chain_rows(f)
+    cols = [row for rows in levels for row in rows]
+    level = [i for i, rows in enumerate(levels) for _ in rows]  # stratum of each column of Q
     q_inv = mat_inverse(Matrix(fld, n, n, tuple(cols[j][i] for i in range(n) for j in range(n))))
     span = [
         [mul[x][y] for x in cols[r] for y in q_inv.row_codes(c)]
@@ -185,20 +200,31 @@ def _lowering_space(f: Flag) -> LoweringSpace:
     return LoweringSpace(rows, space.pivots, codes)
 
 
-def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
-    """Which matrices of the (len, n, n) code array arr lower the flag.
+def lowering_masks(flags, arr: np.ndarray) -> np.ndarray:
+    """(len(flags), m) bool for flags of one field, ambient and signature
+    and a (len(flags), m, n, n) code array: [k, x] is true when arr[k, x]
+    lowers flags[k].
 
-    Each matrix is read off its entries at the pivots of _lowering_space:
-    it lowers F exactly when the rows' combination with those
-    coefficients gives it back, one 2-D product for the whole batch.
+    Each matrix is read off its entries at the pivots of its flag's
+    _lowering_space: it lowers F exactly when the rows' combination with
+    those coefficients gives it back, one product for the whole stack.
     """
-    space = _lowering_space(f)
-    flat = arr.reshape(len(arr), -1)
-    return (batch_mul(f.field, flat[:, space.pivots], space.codes) == flat).all(axis=1)
+    spaces = [_lowering_space(fl) for fl in flags]
+    t, m = arr.shape[:2]
+    flat = arr.reshape(t, m, -1)
+    pivots = np.array([s.pivots for s in spaces], dtype=np.intp)
+    coeffs = flat[np.arange(t)[:, None, None], np.arange(m)[:, None], pivots[:, None, :]]
+    return (batch_mul(flags[0].field, coeffs, np.array([s.codes for s in spaces])) == flat).all(axis=2)
+
+
+def lowering_mask(f: Flag, arr: np.ndarray) -> np.ndarray:
+    """Which matrices of the (len, n, n) code array arr lower the flag:
+    lowering_masks of one flag."""
+    return lowering_masks((f,), arr[None])[0]
 
 
 def lowers_flag(a: Matrix, f: Flag) -> bool:
-    """Does a push every V_i into V_{i-1}?  The test of lowering_mask
+    """Does a push every V_i into V_{i-1}?  The test of lowering_masks
     for one matrix, on the field's tables."""
     if a.field != f.field:
         raise FieldMismatch("matrix over a different field")
@@ -210,26 +236,23 @@ def lowers_flag(a: Matrix, f: Flag) -> bool:
 
 @lru_cache(maxsize=1024)
 def flag_basis(f: Flag) -> Matrix:
-    """Deterministic adapted basis: columns grouped by stratum, each stratum
-    completed greedily in vector enumeration order.
+    """Deterministic adapted basis: level by level, the rows of
+    _chain_rows in descending pivot order.
 
-    Subspace.vectors() runs through the coefficients on V_i's RREF rows
-    lexicographically, the last one fastest, so the first vector outside
-    a span W inside V_i is the last row outside W: every vector before it
-    combines rows that W contains.  Each stratum is therefore completed by
-    scanning V_i's rows from last to first and keeping those that grow the
-    span, whose echelon rows extend_echelon keeps.
+    This is the greedy completion that scans V_i's RREF rows from the last
+    to the first and keeps each one outside the span so far, V_{i-1} plus
+    the rows kept at level i.  (Subspace.vectors() runs through the
+    coefficients on the rows lexicographically, the last one fastest, so
+    the first vector of V_i outside a span is the last row outside it:
+    every vector before it combines later rows.)  A row r whose pivot p is
+    not a pivot of V_{i-1} is kept: were r a vector v of V_{i-1} plus
+    later rows, v would be r minus later rows, a combination leading at
+    p.  A row r' whose pivot p' is a pivot of V_{i-1} is skipped: the RREF
+    row of V_{i-1} at p' is zero before p', so in V_i's rows it is r' plus
+    later rows, and by induction from the last row r' lies in V_{i-1} plus
+    the later rows of the first kind, all kept already.
     """
-    cols: list[tuple[int, ...]] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
-    for s in f.chain[1:]:
-        for vec in reversed(s.basis):
-            if len(cols) == s.dim:
-                break
-            if extend_echelon(f.field, echelon, vec):
-                cols.append(vec)
-        if len(cols) != s.dim:  # pragma: no cover
-            raise InternalError("stratum completion failed")
+    cols = [row for rows in _chain_rows(f) for row in reversed(rows)]
     n = f.ambient
     codes = tuple(cols[j][i] for i in range(n) for j in range(n))
     return Matrix(f.field, n, n, codes)
@@ -287,24 +310,71 @@ def _block_ranks(field: FieldSpec, sig: tuple[int, ...]) -> np.ndarray:
     return ranks
 
 
-def flag_semigroup(f: Flag, cap: int = PHI_CAP):
-    """Enumerate every matrix lowering the flag, in canonical order.
+def signature_groups(flags) -> list[list[int]]:
+    """The positions of flags grouped by field, ambient and signature,
+    each group ascending, the groups in order of their first flag."""
+    groups: dict = {}
+    for i, fl in enumerate(flags):
+        groups.setdefault((fl.field, fl.ambient, fl.signature), []).append(i)
+    return list(groups.values())
 
-    The elements are P B P^-1 for P = flag_basis(f) and every block
-    strictly upper triangular B of the signature, so the rank of each is
-    that of its B, read from _block_ranks: all flags of a signature share
-    one rank computation.
+
+def _enumerate_group(flags) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, blocks) for flags of one field, ambient and signature.
+
+    codes is a read-only (len(flags), T, n, n) array whose row k holds the
+    elements of S(flags[k]) in canonical order, and blocks[k, x] is the row
+    of _blocks(field, sig) that element x of flags[k] conjugates.  The
+    elements are P B P^-1 for P = flag_basis(f) and every block strictly
+    upper triangular B, one pair of batch_mul for all the flags.  The rank
+    of each is that of its B, read from _block_ranks, so all flags of a
+    signature share one rank computation.  One lexsort, keyed by the flag
+    first (when there are several) and then as canonical_order keys, sorts
+    every flag's elements, and one comparison of neighbours shows them
+    distinct.
     """
-    from .engine import MatSet, canonical_order
-
-    total = flag_size(f, cap)
-    n = f.ambient
-    p, p_inv = codes_array([flag_basis(f)]), codes_array([flag_basis_inverse(f)])
-    conj = batch_mul(f.field, batch_mul(f.field, p, _blocks(f.field, f.signature)), p_inv).reshape(total, -1)
-    conj = conj[canonical_order(conj, _block_ranks(f.field, f.signature))]
-    if (conj[1:] == conj[:-1]).all(axis=1).any():  # pragma: no cover - equal matrices sort side by side
+    first = flags[0]
+    field, n, sig = first.field, first.ambient, first.signature
+    blocks, ranks = _blocks(field, sig), _block_ranks(field, sig)
+    t, total = len(flags), len(blocks)
+    p, p_inv = codes_array(map(flag_basis, flags)), codes_array(map(flag_basis_inverse, flags))
+    if t == 1:  # one flag's products and keys, as canonical_order takes them
+        flat = batch_mul(field, batch_mul(field, p, blocks), p_inv).reshape(total, n * n)
+        order = np.lexsort((*flat.T[::-1], ranks))
+    else:
+        flat = batch_mul(field, batch_mul(field, p[:, None], blocks), p_inv[:, None]).reshape(t * total, n * n)
+        order = np.lexsort((*flat.T[::-1], np.tile(ranks, t), np.arange(t * total) // total))
+    codes = flat[order].reshape(t, total, n * n)
+    if (codes[:, 1:] == codes[:, :-1]).all(axis=2).any():  # pragma: no cover - equal matrices sort side by side
         raise InternalError("flag semigroup enumeration produced duplicates")
-    return MatSet(f.field, n, conj.reshape(total, n, n))
+    codes.flags.writeable = False
+    return codes.reshape(t, total, n, n), order.reshape(t, total) % total
+
+
+def flag_semigroups(flags, cap: int = PHI_CAP) -> list:
+    """flag_semigroup of each flag, in input order.  Every flag is refused
+    against cap before any is enumerated; then the flags of each
+    signature are enumerated together (_enumerate_group)."""
+    from .engine import MatSet
+
+    flags = list(flags)
+    for fl in flags:
+        flag_size(fl, cap)
+    out: list = [None] * len(flags)
+    for idx in signature_groups(flags):
+        codes, _ = _enumerate_group([flags[i] for i in idx])
+        for i, c in zip(idx, codes):
+            out[i] = MatSet(flags[i].field, flags[i].ambient, c)
+    return out
+
+
+def flag_semigroup(f: Flag, cap: int = PHI_CAP):
+    """Every matrix lowering the flag, in canonical order: flag_semigroups
+    of one flag, a group of its own.  CapExceeded above cap."""
+    from .engine import MatSet
+
+    flag_size(f, cap)
+    return MatSet(f.field, f.ambient, _enumerate_group((f,))[0][0])
 
 
 def _nil_table(s):

@@ -24,6 +24,7 @@ from .flags import (
     all_flags,
     consolidates,
     flag_semigroup,
+    flag_semigroups,
     flags_with_signature,
     format_flag,
     lowering_mask,
@@ -49,6 +50,7 @@ from .nilclass import (
     depth_sets,
     fingerprint,
     nil_context,
+    nil_contexts,
     u_stat,
 )
 
@@ -102,15 +104,22 @@ def _criterion(key: str, title: str, full: bool = False):
 
 
 @lru_cache(maxsize=1)
+def _trio_and_cube():
+    """The standard contexts of TRIO_EXPECT's signatures, then those of
+    every F_2^3 flag of length >= 2: what criterion 09 reads, built by
+    signature groups and shared with the battery."""
+    f2 = field_make(2)
+    cube = [f for f in all_flags(f2, 3) if f.length >= 2]
+    return tuple(nil_contexts([*(standard_flag(f2, sig) for sig in TRIO_EXPECT), *cube]))
+
+
+@lru_cache(maxsize=1)
 def _battery():
     """The forty standing contexts: every F_2^3 flag of length >= 2, the
     four standard signatures of F_2^4, and the width-one (2,1,2) middle."""
     f2 = field_make(2)
-    ctxs = [nil_context(f) for f in all_flags(f2, 3) if f.length >= 2]
-    for sig in ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1)):
-        ctxs.append(nil_context(standard_flag(f2, sig)))
-    ctxs.append(nil_context(standard_flag(f2, (2, 1, 2))))
-    return tuple(ctxs)
+    shared, k = _trio_and_cube(), len(TRIO_EXPECT)
+    return (*shared[k:], *shared[:k], *nil_contexts([standard_flag(f2, (1, 1, 1, 1)), standard_flag(f2, (2, 1, 2))]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +247,8 @@ def criterion_04():
     witness = None
     escapes = 0
     flags = all_flags(f2, 3)
-    for fl in flags:
-        member = np.sort(amb.s.key_index.find(flag_semigroup(fl).codes)[0])
+    for fl, sg in zip(flags, flag_semigroups(flags)):
+        member = np.sort(amb.s.key_index.find(sg.codes)[0])
         nil_outside = nil.copy()
         nil_outside[member] = False
         escapes += amb.m - len(member)
@@ -266,8 +275,8 @@ def criterion_05():
     f2, n = field_make(2), 3
     flags = all_flags(f2, n)
     inc = np.zeros((len(flags), f2.q ** (n * n)), dtype=np.int64)
-    for i, fl in enumerate(flags):
-        inc[i, code_keys(f2, flag_semigroup(fl).codes)] = 1
+    for i, sg in enumerate(flag_semigroups(flags)):
+        inc[i, code_keys(f2, sg.codes)] = 1
     contained = inc @ (1 - inc).T == 0
     witness = None
     pairs = 0
@@ -351,9 +360,9 @@ def criterion_08():
 
 @_criterion("09", "fingerprints separate; equal signatures transport")
 def criterion_09():
-    f2 = field_make(2)
     witness = None
-    ctxs = {sig: nil_context(standard_flag(f2, sig)) for sig in ((1, 1, 2), (1, 2, 1), (2, 1, 1))}
+    built = _trio_and_cube()
+    ctxs = dict(zip(TRIO_EXPECT, built))
     trio = {}
     for sig, ctx in ctxs.items():
         trio[sig] = dict(fingerprint(ctx).items())
@@ -369,9 +378,8 @@ def criterion_09():
     verified = 0
     if witness is None:
         by_sig: dict = {}
-        for fl in all_flags(f2, 3):
-            if fl.length >= 2:
-                by_sig.setdefault(fl.signature, []).append(nil_context(fl))
+        for ctx in built[len(ctxs) :]:
+            by_sig.setdefault(ctx.sig, []).append(ctx)
         for group in by_sig.values():
             batch_transport(group, group)  # raises if a transport breaks
             verified += len(group) ** 2

@@ -5,10 +5,11 @@ import itertools
 
 import numpy as np
 
-from matsemi.engine import _ladder_nd, _power_ladder
+from matsemi.engine import _ladder_nd, _power_ladder, build_table, canonical_set, table_nd
 from matsemi.errors import DimMismatch, FieldMismatch, InternalError, SignatureMismatch
-from matsemi.flags import flag_basis, flag_basis_inverse
-from matsemi.gf import Matrix, _rref, batch_mul, codes_array, enumerate_subspaces, subspace
+from matsemi.flags import _blocks, _is_k_maximal, flag_basis, flag_basis_inverse
+from matsemi.gf import Matrix, _rref, batch_mul, codes_array, enumerate_subspaces, mat_inverse, subspace
+from matsemi.nilclass import NilContext
 
 
 def is_zero(m) -> bool:
@@ -70,6 +71,28 @@ def enumerated_flag_basis(f):
                 cols.append(vec)
     n = f.ambient
     return Matrix(f.field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+
+
+def flag_semigroup_by_flag(f):
+    """flag_semigroup for one flag on its own: the block strictly upper
+    triangular matrices conjugated by enumerated_flag_basis and its
+    mat_inverse, put in canonical order by canonical_set."""
+    field, n = f.field, f.ambient
+    p = enumerated_flag_basis(f)
+    conj = batch_mul(field, batch_mul(field, codes_array([p]), _blocks(field, f.signature)), codes_array([mat_inverse(p)]))
+    return canonical_set(field, n, conj)
+
+
+def context_by_flag(flag):
+    """nil_context one flag at a time: flag_semigroup_by_flag, build_table's
+    product grid with its entry check, the zero at id 0, table_nd and the
+    maximality test of _is_k_maximal, then the context on the table's
+    own power ladder."""
+    table = build_table(flag_semigroup_by_flag(flag))
+    nd = table_nd(table)
+    if table.zero_id != 0 or nd != flag.length or not _is_k_maximal(table, nd):
+        raise InternalError("the per-flag context build failed its checks")
+    return NilContext(flag, table, table.power_ladder)
 
 
 def flag_transporter(f, f2):

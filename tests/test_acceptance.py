@@ -191,14 +191,16 @@ def test_criterion_09_fingerprints():
 def test_criterion_09_builds_only_the_contexts_it_reads(monkeypatch):
     # the 35 flags of F_2^3 of length >= 2 and the trio; the battery's
     # (2,1,2) and (1,1,1,1) contexts are never read by this criterion
-    real, seen = verify.nil_context, []
+    real, seen = verify.nil_contexts, []
 
-    def recording(flag, *args, **kwargs):
-        seen.append(flag)
-        return real(flag, *args, **kwargs)
+    def recording(flags, *args, **kwargs):
+        flags = list(flags)
+        seen.extend(flags)
+        return real(flags, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "nil_context", recording)
-    verify._battery.cache_clear()  # a cached battery would hide what it builds
+    monkeypatch.setattr(verify, "nil_contexts", recording)
+    verify._battery.cache_clear()  # cached contexts would hide what it builds
+    verify._trio_and_cube.cache_clear()
     assert dict(verify.criterion_09().details) == {"trio_distinct": True, "iso_pairs_verified": 539, "cross_sig_refusal": True}
     f2 = field_make(2)
     cube = [fl for fl in all_flags(f2, 3) if fl.length >= 2]

@@ -852,9 +852,9 @@ class TestGridCheck:
         s = mat_set(F2, 3, enumerate_matrices(F2, 3, 3))
         grid, m = product_grid(s), len(s)
         for k in range(1, m):
-            bad = np.concatenate([b for _, b in _wrong_entries(s, (grid + k) % m)])
+            bad = np.concatenate([b for _, b in _wrong_entries(F2, s.codes[None], ((grid + k) % m)[None])])
             assert bad.shape == (m, m) and bad.all(), k
-        assert not np.concatenate([b for _, b in _wrong_entries(s, grid)]).any()
+        assert not np.concatenate([b for _, b in _wrong_entries(F2, s.codes[None], grid[None])]).any()
         for a, b in ((0, 0), (37, 500), (m - 1, m - 1)):  # one corruption on its own
             bad = grid.copy()
             bad[a, b] = (bad[a, b] + 1) % m

@@ -43,7 +43,7 @@ from matsemi import (
 from matsemi import flags, nilclass
 from matsemi.flags import Flag
 from matsemi.gf import codes_array, full_space
-from oracles import enumerated_flag_basis, flag_transporter, is_zero, span_sum, stratum_of
+from oracles import enumerated_flag_basis, flag_semigroup_by_flag, flag_transporter, is_zero, span_sum, stratum_of
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -292,6 +292,23 @@ def _oracle_flags_with_signature(field, n, sig):
     extend(())
     flags.sort(key=lambda fl: tuple(s.basis for s in fl.interior))
     return flags
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (2, 5)])
+def test_all_flags_sort_by_length_then_interior_bases(q, n):
+    # the order the concatenated signature lists had when sorted again by
+    # this key in Python
+    got = all_flags(field_make(q), n)
+    assert got == sorted(got, key=lambda fl: (fl.length, tuple(s.basis for s in fl.interior)))
+    assert len(set(got)) == len(got)
+
+
+def test_flag_semigroups_match_one_flag_at_a_time():
+    picks = [*all_flags(F2, 3), *all_flags(F3, 3)[::5], standard_flag(F2, (1, 2, 1)), all_flags(F2, 3)[7]]
+    got = flags.flag_semigroups(picks)
+    assert [s.codes.tolist() for s in got] == [flag_semigroup_by_flag(fl).codes.tolist() for fl in picks]
+    with pytest.raises(CapExceeded, match="flag semigroup has 64 elements, cap 32"):
+        flags.flag_semigroups([standard_flag(F2, (1, 2)), standard_flag(F2, (1, 1, 1, 1))], cap=32)
 
 
 class TestFlagOracle:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -30,6 +31,7 @@ from matsemi import (
     mat_kernel,
     mat_rank,
     nil_context,
+    nil_contexts,
     prec,
     standard_flag,
     super_rank,
@@ -38,7 +40,8 @@ from matsemi import (
 )
 from matsemi import engine, flags, nilclass, verify
 from matsemi.cli import run_command
-from matsemi.errors import BadSignature, DimMismatch, FieldMismatch, InternalError, NotPrime
+from matsemi.errors import BadSignature, DimMismatch, FieldMismatch, InternalError, InvariantViolation, NotPrime
+from matsemi.flags import format_flag
 from matsemi.nilclass import K_PAIRS
 import oracles
 from oracles import flag_transporter, intersect, meets_by_rows, span_sum, transport_perm
@@ -535,7 +538,7 @@ def test_context_above_the_table_cap_is_refused_before_its_elements(monkeypatch)
     def no_elements(*args, **kwargs):
         raise AssertionError("flag semigroup enumerated above the table cap")
 
-    monkeypatch.setattr(nilclass, "flag_semigroup", no_elements)
+    monkeypatch.setattr(nilclass, "_enumerate_group", no_elements)
     flag = standard_flag(field_make(2, 3), (1, 1, 2))
     with pytest.raises(CapExceeded) as exc:
         nil_context.__wrapped__(flag)
@@ -601,9 +604,19 @@ class TestOneTablePerContext:
         return calls
 
     @pytest.mark.parametrize("sig", [(1, 2), (2, 1), (1, 1, 1), (1, 1, 2)])
-    def test_nil_context_builds_one_table(self, builds, sig):
+    def test_nil_context_builds_one_table(self, builds, monkeypatch, sig):
+        # one product grid, of the signature's blocks, relabelled into the
+        # context's table, and no build_table beside it
+        grids = []
+        real = nilclass.product_grid
+
+        def counting(s, **kw):
+            grids.append(s)
+            return real(s, **kw)
+
+        monkeypatch.setattr(nilclass, "product_grid", counting)
         ctx = nil_context.__wrapped__(standard_flag(F2, sig))
-        assert builds == [ctx.t]
+        assert builds == [] and [len(s) for s in grids] == [ctx.m]
 
     @pytest.mark.parametrize("sig", [(1, 2), (1, 1, 1), (1, 2, 1)])
     def test_public_flag_tests_build_one_table(self, builds, sig):
@@ -613,6 +626,105 @@ class TestOneTablePerContext:
         builds.clear()
         assert flags.power_image_flag(s) == standard_flag(F2, sig)
         assert builds == [s]
+
+
+def _same_context(got, want):
+    """Two contexts of one flag agree in everything the build fixes."""
+    assert got.flag == want.flag
+    assert np.array_equal(got.codes, want.codes), format_flag(want.flag)
+    assert np.array_equal(got.table.grid, want.table.grid), format_flag(want.flag)
+    assert (got.table.zero_id, got.table.identity_id) == (want.table.zero_id, want.table.identity_id) == (0, None)
+    assert np.array_equal(got.power_masks, want.power_masks), format_flag(want.flag)
+    a, b = fingerprint(got), fingerprint(want)
+    assert a == b and a.u_certificates == b.u_certificates, format_flag(want.flag)
+
+
+class TestContextGroups:
+    @pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3)])
+    def test_every_flag_matches_the_per_flag_oracle(self, q, n):
+        group = [fl for fl in all_flags(field_make(q), n) if fl.length >= 2]
+        for got, fl in zip(nil_contexts(group), group, strict=True):
+            _same_context(got, oracles.context_by_flag(fl))
+
+    def test_mixed_signatures_come_back_in_input_order(self):
+        cube = flags.flags_with_signature(F2, 3, (1, 1, 1))
+        picks = [
+            cube[3],
+            standard_flag(F2, (1, 2)),
+            standard_flag(F3, (1, 1, 1)),
+            cube[3],
+            flags.flags_with_signature(F2, 4, (2, 2))[5],
+            cube[0],
+            standard_flag(F2, (1, 2, 1)),
+        ]
+        got = nil_contexts(picks)
+        assert [c.flag for c in got] == picks and got[0] is got[3]
+        for ctx, fl in zip(got, picks):
+            _same_context(ctx, oracles.context_by_flag(fl))
+
+    def test_a_group_is_built_in_chunks_of_grid_entries(self, monkeypatch):
+        sizes, real = [], nilclass._context_group
+
+        def recording(fls):
+            sizes.append(len(fls))
+            return real(fls)
+
+        monkeypatch.setattr(nilclass, "_context_group", recording)
+        monkeypatch.setattr(nilclass, "GROUP_GRID_ENTRIES", 5 * 8 * 8)  # five grids of 8 x 8
+        group = flags.flags_with_signature(F2, 3, (1, 1, 1))
+        for got, fl in zip(nil_contexts(group), group, strict=True):
+            _same_context(got, oracles.context_by_flag(fl))
+        assert sizes == [5, 5, 5, 5, 1]
+
+    def test_a_wrong_relabelling_names_its_flag(self, monkeypatch):
+        # two elements of one flag's semigroup trade blocks, so its grid is
+        # relabelled wrongly while its codes stay right
+        group = flags.flags_with_signature(F2, 3, (1, 1, 1))
+        real = nilclass._enumerate_group
+
+        def swapped(fls):
+            codes, blocks = real(fls)
+            blocks = blocks.copy()
+            blocks[4, [1, -1]] = blocks[4, [-1, 1]]
+            return codes, blocks
+
+        monkeypatch.setattr(nilclass, "_enumerate_group", swapped)
+        with pytest.raises(InternalError, match=re.escape(f"flag {format_flag(group[4])}: grid entry ")):
+            nil_contexts(group)
+
+    @pytest.mark.parametrize("q, n", [(2, 3), (3, 3)])
+    def test_power_images_span_only_their_own_chain(self, q, n):
+        # each flag's elements and ladder against the chain of the next flag
+        # of its signature: the power images never span it
+        fls = [fl for fl in all_flags(field_make(q), n) if fl.length >= 2]
+        for idx in flags.signature_groups(fls):
+            group = [fls[i] for i in idx]
+            ctxs = nil_contexts(group)
+            codes, ladders = np.stack([c.codes for c in ctxs]), np.stack([c.power_masks for c in ctxs])
+            assert nilclass._power_images_span_chain(group, codes, ladders).all()
+            if len(group) > 1:
+                assert not nilclass._power_images_span_chain(group[1:] + group[:1], codes, ladders).any()
+
+    def test_a_chain_its_powers_miss_names_its_flag(self, monkeypatch):
+        group = flags.flags_with_signature(F2, 3, (1, 1, 1))
+        real = nilclass._power_images_span_chain
+
+        def next_chain(fls, codes, ladders):  # flag 4 is read against flag 5's chain
+            return real([*fls[:4], *fls[5:6], *fls[5:]], codes, ladders)
+
+        monkeypatch.setattr(nilclass, "_power_images_span_chain", next_chain)
+        with pytest.raises(InvariantViolation, match=re.escape(f"flag {format_flag(group[4])}: flag semigroup is not maximal")):
+            nil_contexts(group)
+
+    def test_every_flag_is_refused_before_any_is_built(self, monkeypatch):
+        def no_elements(*args, **kwargs):
+            raise AssertionError("a context was built before the refusals")
+
+        monkeypatch.setattr(nilclass, "_enumerate_group", no_elements)
+        with pytest.raises(PreconditionViolated):
+            nil_contexts([standard_flag(F2, (1, 1, 1)), standard_flag(F2, (3,))])
+        with pytest.raises(CapExceeded, match="flag semigroup has 64 elements, cap 32"):
+            nil_contexts([standard_flag(F2, (1, 2)), standard_flag(F2, (1, 1, 1, 1))], cap=32)
 
 
 @pytest.fixture(scope="module")
