@@ -32,6 +32,7 @@ from .errors import (
     InternalError,
     MatSemiError,
     OutputNotWritable,
+    PreconditionViolated,
     VerificationFailed,
 )
 from .flags import (
@@ -213,7 +214,10 @@ def _square_matrix(field, n, text):
 
 
 def _elements(field, n, text):
-    return mat_set(field, n, [parse_matrix(field, t) for t in text.split()])
+    mats = [parse_matrix(field, t) for t in text.split()]
+    if not mats:
+        raise PreconditionViolated("--elements names no matrix")
+    return mat_set(field, n, mats)
 
 
 def _cap(args) -> int:

@@ -299,8 +299,8 @@ class SemigroupTable:
     def power_ladder(self) -> np.ndarray:
         """(L, m) read-only bool array: row i is the member mask of
         S^(i+1), from S down to {0} or to the last distinct power
-        (_power_ladder)."""
-        return _power_ladder(self.grid, np.ones(self.m, dtype=bool), self.zero_id)
+        (stacked_ladders of the one grid)."""
+        return stacked_ladders(self.grid[None], self.zero_id)[0]
 
     @cached_property
     def nilpotent(self) -> tuple[bool, ...]:
@@ -420,55 +420,38 @@ def _product_mask(grid: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
     return out
 
 
-def _is_zero_set(mask: np.ndarray, zero_id: int | None) -> bool:
-    return zero_id is not None and bool(mask[zero_id]) and mask.sum() == 1
+def stacked_ladders(grids: np.ndarray, zero_id: int | None) -> np.ndarray:
+    """(t, L, m) read-only bool for a stack of (t, m, m) grids that share
+    the zero id zero_id (None when they have none): [k, i] is the member
+    mask of S_k^(i+1), S_k every id of grid k.
 
-
-def _power_ladder(grid: np.ndarray, base: np.ndarray, zero_id: int | None) -> np.ndarray:
-    """[S, S^2, ...] for the closed id set S (the member mask base), as the
-    rows of a read-only bool array.
-
-    S is closed, so S^2 lies inside S, and S^(i+1) = S^i S inside
-    S^(i-1) S = S^i: the powers shrink, and the ladder stops at {0} or
-    before the first power equal to the last.
-    """
-    rows = [base]
-    while not _is_zero_set(rows[-1], zero_id):
-        nxt = _product_mask(grid, rows[-1], base)
-        if np.array_equal(nxt, rows[-1]):
-            break
-        rows.append(nxt)
-    return _read_only(np.stack(rows))
-
-
-def stacked_ladders(grids: np.ndarray, length: int) -> np.ndarray:
-    """(t, length, m) read-only bool for a stack of (t, m, m) grids:
-    [k, i] is the member mask of S_k^(i+1), S_k every id of grid k.
-
-    The grids side by side are one (t*m, m) grid whose ids are offset by m
-    per grid, and S_k^(i+1) = S_k^i S_k, so each power is one _product_mask
-    of the whole stack with every column.  A single grid needs no offset,
-    and is not copied: it can hold 64 MiB.
+    Each S_k is closed, so S_k^2 lies inside S_k, and S_k^(i+1) = S_k^i S_k
+    inside S_k^(i-1) S_k = S_k^i: the powers shrink.  The ladder stops when
+    every grid is at {0}, or before the first power of the stack equal to
+    the last, so no product is taken after {0}.  The grids side by side are
+    one (t*m, m) grid whose ids are offset by m per grid, and each power is
+    one _product_mask of the whole stack with every column.  A single grid
+    needs no offset, and is not copied: it can hold 64 MiB.
     """
     t, m = grids.shape[:2]
     side = grids if t == 1 else grids + (m * np.arange(t, dtype=grids.dtype))[:, None, None]
     side = side.reshape(t * m, m)
     every = np.ones(m, dtype=bool)
     rows = [np.ones(t * m, dtype=bool)]
-    for _ in range(length - 1):
-        rows.append(_product_mask(side, rows[-1], every))
-    return _read_only(np.stack(rows).reshape(length, t, m).transpose(1, 0, 2))
-
-
-def _ladder_nd(ladder: np.ndarray, zero_id: int | None) -> int | None:
-    """The nilpotency degree read off a power ladder: its length when it
-    ends at {0}, None when the powers stopped changing above {0}."""
-    return len(ladder) if _is_zero_set(ladder[-1], zero_id) else None
+    while not (zero_id is not None and rows[-1].sum() == t and rows[-1].reshape(t, m)[:, zero_id].all()):
+        nxt = _product_mask(side, rows[-1], every)
+        if np.array_equal(nxt, rows[-1]):
+            break
+        rows.append(nxt)
+    return _read_only(np.stack(rows).reshape(len(rows), t, m).transpose(1, 0, 2))
 
 
 def table_nd(table: SemigroupTable) -> int | None:
-    """Nilpotency degree of the table's semigroup, or None when not nilpotent."""
-    return _ladder_nd(table.power_ladder, table.zero_id)
+    """Nilpotency degree of the table's semigroup, or None when not
+    nilpotent: the length of its power ladder when the last row is {0}."""
+    last = table.power_ladder[-1]
+    zero = table.zero_id is not None and bool(last[table.zero_id]) and last.sum() == 1
+    return len(table.power_ladder) if zero else None
 
 
 def power_sets(table: SemigroupTable, upto: int) -> list[frozenset[int]]:

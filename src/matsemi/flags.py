@@ -19,8 +19,8 @@ descending pivot order within each level as the adapted basis P of
 flag_basis and conjugates the block strictly upper triangular matrices N
 by it.  P and Q are the same vectors in another column order, so only
 the algorithms differ, span membership against conjugation, and each
-checks the other's arithmetic; that the vectors fit the chain is checked
-where the power-image flag of the products is compared with it.
+checks the other's arithmetic; that the vectors fit the chain is proved
+in _chain_rows, as they are rows of the chain's own RREF bases.
 
 Flags are built, not searched for: _flag_levels lifts the flags of F^D
 through every D-subspace of F^n (gf.subspace_codes), as code arrays.
@@ -328,27 +328,22 @@ def _enumerate_group(flags) -> tuple[np.ndarray, np.ndarray]:
     elements are P B P^-1 for P = flag_basis(f) and every block strictly
     upper triangular B, one pair of batch_mul for all the flags.  The rank
     of each is that of its B, read from _block_ranks, so all flags of a
-    signature share one rank computation.  One lexsort, keyed by the flag
-    first (when there are several) and then as canonical_order keys, sorts
-    every flag's elements, and one comparison of neighbours shows them
-    distinct.
+    signature share one rank computation.  One lexsort along the blocks,
+    keyed as canonical_order keys, sorts each flag's elements on its own,
+    and one comparison of neighbours shows them distinct.
     """
     first = flags[0]
     field, n, sig = first.field, first.ambient, first.signature
     blocks, ranks = _blocks(field, sig), _block_ranks(field, sig)
     t, total = len(flags), len(blocks)
     p, p_inv = codes_array(map(flag_basis, flags)), codes_array(map(flag_basis_inverse, flags))
-    if t == 1:  # one flag's products and keys, as canonical_order takes them
-        flat = batch_mul(field, batch_mul(field, p, blocks), p_inv).reshape(total, n * n)
-        order = np.lexsort((*flat.T[::-1], ranks))
-    else:
-        flat = batch_mul(field, batch_mul(field, p[:, None], blocks), p_inv[:, None]).reshape(t * total, n * n)
-        order = np.lexsort((*flat.T[::-1], np.tile(ranks, t), np.arange(t * total) // total))
-    codes = flat[order].reshape(t, total, n * n)
+    flat = batch_mul(field, batch_mul(field, p[:, None], blocks), p_inv[:, None]).reshape(t, total, n * n)
+    order = np.lexsort((*flat.transpose(2, 0, 1)[::-1], np.broadcast_to(ranks, (t, total))))
+    codes = flat[np.arange(t)[:, None], order]
     if (codes[:, 1:] == codes[:, :-1]).all(axis=2).any():  # pragma: no cover - equal matrices sort side by side
         raise InternalError("flag semigroup enumeration produced duplicates")
     codes.flags.writeable = False
-    return codes.reshape(t, total, n, n), order.reshape(t, total) % total
+    return codes.reshape(t, total, n, n), order
 
 
 def flag_semigroups(flags, cap: int = PHI_CAP) -> list:
@@ -407,30 +402,57 @@ def power_image_flag(s) -> Flag:
     return _power_image_flag(*_nil_table(s))
 
 
-def _power_image_flag(table, k) -> Flag:
-    """power_image_flag on the table and degree the caller already built.
+def _power_image_levels(field: FieldSpec, codes: np.ndarray, ladders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, ranks) for a stack of t nilpotent tables of one field,
+    ambient and degree k: codes (t, m, n, n) are their elements and
+    ladders (t, k, m) their power ladders, each down to {0}.
 
-    The images of the i-fold products span the column space of all their
-    columns side by side, so each level is one subspace() of the distinct
-    columns of that power set (at most q^n of them).  The power sets are
-    the rows of the table's power ladder, which table_nd has built.
+    Level i = 1..k-1 of table j is spanned by the images of T_j^(k-i),
+    that is, by the columns of its members side by side.  The columns are
+    taken once each (at most q^n distinct ones), and every level of every
+    table is one matrix of those it holds, zero rows for the others, so
+    one batch_rref reduces them all: rows[j, i-1] holds the RREF rows of
+    V_i in its first ranks[j, i-1] rows, zero rows after.
     """
+    t, m, n = codes.shape[:3]
+    cols = codes.transpose(0, 1, 3, 2).reshape(t * m * n, n)  # column j of each element
+    _, at, col_ids = np.unique(row_keys(field, cols), return_index=True, return_inverse=True)
+    distinct, col_ids = cols[at], col_ids.reshape(t, m, n)
+    members = np.zeros((t, ladders.shape[1] - 1, len(distinct)), dtype=bool)  # [j, i-1, c]: column c spans into V_i
+    j, i, x = np.nonzero(ladders[:, -2::-1])  # T^(k-1) first: the smallest span
+    members[j[:, None], i[:, None], col_ids[j, x]] = True
+    reduced, ranks, _ = batch_rref(field, np.where(members[..., None], distinct, 0).reshape(-1, len(distinct), n))
+    return reduced.reshape(*members.shape, n), ranks.reshape(members.shape[:2])
+
+
+def _power_image_flag(table, k) -> Flag:
+    """power_image_flag on the table and degree the caller already built:
+    each level is the RREF of its columns, _power_image_levels of the
+    table's power ladder, which table_nd has built."""
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 does not determine a flag")
     f, n = table.s.field, table.s.dim
-    cols = table.codes.transpose(0, 2, 1)  # cols[x, j]: column j of x
-    interior = []
-    for mask in table.power_ladder[: k - 1][::-1]:  # longest products first: smallest span
-        stacked = cols[mask].reshape(-1, n)
-        _, first = np.unique(row_keys(f, stacked), return_index=True)
-        interior.append(subspace(f, n, stacked[first].tolist()))
+    rows, ranks = _power_image_levels(f, table.codes[None], table.power_ladder[None])
+    interior = [Subspace(f, n, tuple(map(tuple, lvl[:rank]))) for lvl, rank in zip(rows[0].tolist(), ranks[0].tolist())]
     chain = [zero_subspace(f, n)] + interior + [full_space(f, n)]
     for lo, hi in zip(chain, chain[1:]):
         if not (hi.contains(lo) and hi.dim > lo.dim):  # pragma: no cover
             raise InvariantViolation("power-image spans failed to increase strictly")
     return Flag(field=f, ambient=n, chain=tuple(chain))
+
+
+def _are_flag_semigroups(flags, codes: np.ndarray) -> np.ndarray:
+    """(len(flags),) bool for flags of one field, ambient and signature
+    and a (len(flags), m, n, n) code array: is row k all of S(flags[k])?
+
+    It is exactly when m == flag_size(F) and every element lowers F: the
+    lowering says the row lies inside S(F), and two finite sets of equal
+    size, one inside the other, are equal.  flag_size refuses first, with
+    CapExceeded above PHI_CAP.
+    """
+    return (codes.shape[1] == flag_size(flags[0])) & lowering_masks(flags, codes).all(axis=1)
 
 
 def is_k_maximal(s) -> bool:
@@ -447,24 +469,19 @@ def is_k_maximal(s) -> bool:
 
 
 def _is_k_maximal(table, k) -> bool:
-    """is_k_maximal on the table and degree the caller already built.
-
-    T = S(F') for the power-image flag F' of T exactly when
-    len(T) == flag_size(F') and lowering_mask(F', T) is all true: the
-    mask says T ⊆ S(F'), and two finite sets of equal size, one inside the
-    other, are equal.  Conversely T = S(F') has that size and lowers F'.
-    The containment holds for every nilpotent T, since A V_{k-i}, the span
-    of A times the images of T^i, lies in the span of the images of
-    T^(i+1), which is V_{k-i-1}; the mask checks it instead of assuming it.
-    Above PHI_CAP, flag_size refuses with CapExceeded, as enumerating
-    S(F') would.
+    """is_k_maximal on the table and degree the caller already built: T is
+    S(F') for the power-image flag F' of T exactly when
+    _are_flag_semigroups says so.  The lowering holds for every nilpotent
+    T, since A V_{k-i}, the span of A times the images of T^i, lies in the
+    span of the images of T^(i+1), which is V_{k-i-1};
+    _are_flag_semigroups checks it instead of assuming it.  Above PHI_CAP,
+    flag_size refuses with CapExceeded, as enumerating S(F') would.
     """
     if k is None:
         raise NotNilpotent("set has no vanishing power")
     if k < 2:
         raise NotNilpotent(f"nilpotency degree {k} < 2 has no flag test")
-    fl = _power_image_flag(table, k)
-    return table.m == flag_size(fl) and bool(lowering_mask(fl, table.codes).all())
+    return bool(_are_flag_semigroups((_power_image_flag(table, k),), table.codes[None])[0])
 
 
 def consolidates(f: Flag, f2: Flag) -> bool:

@@ -380,7 +380,8 @@ def batch_rref(f: FieldSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     nonzero entry in column j (argmax of that mask), swaps it into row
     rank, scales it through inv, and clears column j from every other row
     with one mul and one add gather.  A matrix with no pivot in column j
-    gets scale 1 and factors 0, so its rows pass through unchanged.
+    gets scale 1 and factors 0, so its rows pass through unchanged, and a
+    column where no matrix has one is skipped.
     """
     out = np.array(arr, dtype=np.int64)
     b, r, c = out.shape
@@ -394,6 +395,8 @@ def batch_rref(f: FieldSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     for j in range(c):
         cand = (out[:, :, j] != 0) & (rows >= ranks[:, None])
         has = cand.any(axis=1)
+        if not has.any():
+            continue
         top = np.minimum(ranks, r - 1)
         pr = np.where(has, cand.argmax(axis=1), top)
         prow = out[at, pr]

@@ -53,22 +53,21 @@ from .errors import (
 from .flags import (
     PHI_CAP,
     Flag,
+    _are_flag_semigroups,
     _enumerate_group,
+    _power_image_levels,
     flag_basis,
     flag_basis_inverse,
     flag_size,
     format_flag,
-    lowering_masks,
     signature_groups,
 )
 from .gf import (
     FieldSpec,
     Matrix,
     batch_mul,
-    batch_rref,
     codes_array,
     prime_power,
-    row_keys,
 )
 
 # K cells are indexed by (prec depth, ll depth); only these pairs are defined.
@@ -79,9 +78,10 @@ RANK_ONE_CELLS = [K_PAIRS.index(p) for p in ((1, 0), (0, 1), (1, 1))]
 
 ORDER_DEPTH_CHECK_CAP = 64
 # grid entries of the flags built together: half the grid of the largest
-# table.  A chunk of several flags holds its stack of grids and, while the
-# power ladders are read, the stack's offset copy (stacked_ladders), so no
-# more than that one grid; a flag whose grid is larger is built alone.
+# table.  A chunk of several flags holds its stack of grids and, while
+# stacked_ladders reads their power ladders, the stack's offset copy, so no
+# more than that one grid; _power_image_levels adds at most q^n columns
+# per level, no grid.  A flag whose grid is larger is built alone.
 GROUP_GRID_ENTRIES = TABLE_ELEMS_CAP**2 // 2
 
 
@@ -352,12 +352,14 @@ def _context_group(flags) -> list[NilContext]:
     every grid entry against the column route (_first_wrong_entry on the
     stack), the zero matrix at id 0, the power ladder (stacked_ladders)
     reaching {0} at exactly the flag's length, and maximality.  Every
-    element lowers F (lowering_masks) and |T| = flag_size(F), so
-    T = S(F); and the images of T^(r-i) span V_i for 0 < i < r
-    (_power_images_span_chain), so F is the power-image flag of T, as
-    _is_k_maximal reads it.  A failure names the first failing flag.  A
-    nilpotent T of more than one element has no identity: e = e^r would
-    be 0, and then x = e x = 0 for every x.
+    element lowers F and |T| = flag_size(F), so T = S(F)
+    (_are_flag_semigroups, as _is_k_maximal reads it); and F is the
+    power-image flag of T.  Lemma: as every element lowers F, a product of
+    r - i of them maps F^n = V_r into V_i, so the images of T^(r-i) lie in
+    V_i, and they span it exactly when their rank is dim V_i; so only the
+    ranks of _power_image_levels are compared with the dims.  A failure
+    names the first failing flag.  A nilpotent T of more than one element
+    has no identity: e = e^r would be 0, and then x = e x = 0 for every x.
     """
     first = flags[0]
     field, n, r = first.field, first.ambient, first.length
@@ -381,52 +383,17 @@ def _context_group(flags) -> list[NilContext]:
         k, a, b = wrong
         raise InternalError(f"flag {format_flag(flags[k])}: grid entry {(a, b)} is not the product of its elements")
     _first_failure(flags, (grids[:, 0] == 0).all(axis=1) & (grids[:, :, 0] == 0).all(axis=1), InternalError, "zero element is not id 0")
-    ladders = stacked_ladders(grids, r)  # [k, i]: T^(i+1) of flags[k]
-    nd = ladders[:, r - 1, 0] & ~ladders[:, r - 1, 1:].any(axis=1) & ladders[:, r - 2, 1:].any(axis=1)
+    ladders = stacked_ladders(grids, 0)  # [k, i]: T^(i+1) of flags[k]
+    at_zero = ladders[:, :, 0] & (ladders.sum(axis=2) == 1)  # [k, i]: T^(i+1) = {0}
+    nd = at_zero.any(axis=1) & (at_zero.argmax(axis=1) == r - 1)
     _first_failure(flags, nd, InvariantViolation, f"nilpotency degree is not the flag length {r}")
-    maximal = lowering_masks(flags, codes).all(axis=1) & (m == flag_size(first))
-    maximal &= _power_images_span_chain(flags, codes, ladders)
+    dims = [s.dim for s in first.chain[1:r]]  # dim V_i, i = 1..r-1: one signature
+    maximal = _are_flag_semigroups(flags, codes) & (_power_image_levels(field, codes, ladders)[1] == dims).all(axis=1)
     _first_failure(flags, maximal, InvariantViolation, "flag semigroup is not maximal for its degree")
     return [
         NilContext(fl, SemigroupTable(sets[k], 0, None, grids[k]), ladders[k])
         for k, fl in enumerate(flags)
     ]
-
-
-def _power_images_span_chain(flags, codes: np.ndarray, ladders: np.ndarray) -> np.ndarray:
-    """(len(flags),) bool: for each flag of one signature, do the images of
-    T^(r-i) span V_i for every 0 < i < r?  codes are the flags' elements
-    and ladders their power ladders, as _context_group has them.
-
-    Each member column must be its coordinates (its entries at V_i's
-    pivots) times V_i's RREF rows, and the coordinates must have rank
-    dim V_i.  The columns are taken once each (at most q^n distinct ones),
-    and every level of every flag is one matrix of one batch_mul and one
-    batch_rref, padded to the widest level by zero rows of the basis and
-    zero coordinates.
-    """
-    fl0 = flags[0]
-    field, n, r = fl0.field, fl0.ambient, fl0.length
-    t, m = ladders.shape[0], ladders.shape[2]
-    dims = np.array([s.dim for s in fl0.chain[1:r]])  # dim V_i, i = 1..r-1: one signature
-    width = int(dims[-1])
-    zero_row = (0,) * n
-    basis = np.array(
-        [[[*s.basis, *[zero_row] * (width - s.dim)] for s in fl.chain[1:r]] for fl in flags], dtype=np.int64
-    )  # (t, r-1, width, n)
-    pivots = np.array([[[*s.pivots, *[0] * (width - s.dim)] for s in fl.chain[1:r]] for fl in flags], dtype=np.intp)
-    cols = codes.transpose(0, 1, 3, 2).reshape(t * m * n, n)
-    _, at, col_ids = np.unique(row_keys(field, cols), return_index=True, return_inverse=True)
-    distinct, col_ids = cols[at], col_ids.reshape(t, m, n)  # col_ids[k, x, j]: column j of element x
-    members = np.zeros((t, r - 1, len(distinct)), dtype=bool)  # [k, i-1, c]: column c is an image of T^(r-i)
-    k, i, x = np.nonzero(ladders[:, r - 2 :: -1])
-    members[k[:, None], i[:, None], col_ids[k, x]] = True
-    images = np.where(members[..., None], distinct, 0)  # (t, r-1, w, n)
-    coords = np.where(members[..., None], distinct[:, pivots].transpose(1, 2, 0, 3), 0)  # images at V_i's pivots
-    coords *= (np.arange(width) < dims[:, None])[:, None]  # the padding columns read 0
-    inside = (batch_mul(field, coords, basis) == images).all(axis=(1, 2, 3))
-    ranks = batch_rref(field, coords.reshape(t * (r - 1), -1, width))[1].reshape(t, r - 1)
-    return inside & (ranks == dims).all(axis=1)
 
 
 def _first_failure(flags, ok: np.ndarray, error, message: str) -> None:

@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import matsemi
 from matsemi import field_make, nil_context, standard_flag
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_tree():
+    """Put the directory of the imported matsemi package on PYTHONPATH, so
+    the Python processes that tests start import the same tree."""
+    src = str(Path(matsemi.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,21 @@ import itertools
 
 import numpy as np
 
-from matsemi.engine import _ladder_nd, _power_ladder, build_table, canonical_set, table_nd
+from matsemi.engine import build_table, canonical_set, table_nd
 from matsemi.errors import DimMismatch, FieldMismatch, InternalError, SignatureMismatch
-from matsemi.flags import _blocks, _is_k_maximal, flag_basis, flag_basis_inverse
-from matsemi.gf import Matrix, _rref, batch_mul, codes_array, enumerate_subspaces, mat_inverse, subspace
+from matsemi.flags import Flag, _blocks, flag_basis, flag_basis_inverse
+from matsemi.gf import (
+    Matrix,
+    _rref,
+    batch_mul,
+    codes_array,
+    enumerate_subspaces,
+    full_space,
+    mat_image,
+    mat_inverse,
+    subspace,
+    zero_subspace,
+)
 from matsemi.nilclass import NilContext
 
 
@@ -83,14 +94,44 @@ def flag_semigroup_by_flag(f):
     return canonical_set(field, n, conj)
 
 
+def powers_by_products(s):
+    """[S^1, S^2, ..., S^k = {0}] as frozensets of Matrix, one Matrix
+    product at a time; None when the powers never reach {0}.  k is the
+    nilpotency degree."""
+    zero = Matrix(s.field, s.dim, s.dim, (0,) * (s.dim * s.dim))
+    powers = [frozenset(s)]
+    while powers[-1] != {zero}:
+        nxt = frozenset(x * y for x in powers[-1] for y in s)
+        if nxt == powers[-1]:
+            return None
+        powers.append(nxt)
+    return powers
+
+
+def power_image_flag_by_spans(field, n, powers):
+    """The flag of power-image spans of the power sets [S, ..., S^k = {0}]
+    (collections of Matrix), one mat_image and span_sum per element of
+    each power: V_i sums the images of S^(k-i)."""
+    chain = [zero_subspace(field, n)]
+    for level in powers[-2::-1]:  # S^(k-1) first: the smallest span
+        span = zero_subspace(field, n)
+        for x in level:
+            span = span_sum(span, mat_image(x))
+        chain.append(span)
+    return Flag(field=field, ambient=n, chain=(*chain, full_space(field, n)))
+
+
 def context_by_flag(flag):
     """nil_context one flag at a time: flag_semigroup_by_flag, build_table's
     product grid with its entry check, the zero at id 0, table_nd and the
-    maximality test of _is_k_maximal, then the context on the table's
-    own power ladder."""
+    flag of its power-image spans (power_image_flag_by_spans over the
+    table's power sets), then the context on the table's own power ladder.
+    The set is S(F) by its construction, so F being its power-image flag
+    makes it maximal for its degree."""
     table = build_table(flag_semigroup_by_flag(flag))
-    nd = table_nd(table)
-    if table.zero_id != 0 or nd != flag.length or not _is_k_maximal(table, nd):
+    powers = [table.subset(np.flatnonzero(mask)).elements for mask in table.power_ladder]
+    spans = power_image_flag_by_spans(flag.field, flag.ambient, powers)
+    if table.zero_id != 0 or table_nd(table) != flag.length or spans != flag:
         raise InternalError("the per-flag context build failed its checks")
     return NilContext(flag, table, table.power_ladder)
 
@@ -260,8 +301,18 @@ def isolated_report_key(codes):
 
 def mask_nd(grid, base, zero_id):
     """Nilpotency degree of the closed id set `base` (a member mask), or
-    None: the length of its power ladder when that ends at {0}."""
-    return _ladder_nd(_power_ladder(grid, base, zero_id), zero_id)
+    None: the length of its power ladder [S, S^2, ...] when that ends at
+    {0}.  Each power is the distinct products of the last one's ids with
+    S's, as an id array; the powers shrink, so an unchanged power never
+    reaches {0}."""
+    ids = np.flatnonzero(base)
+    power, k = ids, 1
+    while zero_id is None or power.tolist() != [zero_id]:
+        nxt = np.unique(grid[np.ix_(power, ids)])
+        if np.array_equal(nxt, power):
+            return None
+        power, k = nxt, k + 1
+    return k
 
 
 def primary_pair_keys_full(grid):

@@ -148,7 +148,7 @@ def test_criterion_04_takes_no_closure(monkeypatch):
         raise AssertionError("criterion 04 took a closure")
 
     monkeypatch.setattr(engine, "closure_ids", boom)
-    monkeypatch.setattr(engine, "_power_ladder", boom)  # what mask_nd walks
+    monkeypatch.setattr(engine, "stacked_ladders", boom)  # every library power ladder
     monkeypatch.setattr(oracles, "mask_nd", boom)
     assert not hasattr(verify, "closure_ids") and not hasattr(verify, "mask_nd")
     res = verify.criterion_04()

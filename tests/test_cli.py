@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import matsemi
 from matsemi import cli, engine, flags, nilclass, verify
 from matsemi.cli import run_command
 from matsemi.engine import ambient
@@ -85,6 +84,13 @@ class TestExitCodes:
         text, code = run_command(["flags", "phi", "--field", "2", "--n", "3", "--sig", sig])
         assert code == 2
         assert text.startswith("error BadSignature")
+
+    @pytest.mark.parametrize("command", [["isolated", "check"], ["flags", "psi"], ["flags", "maximal"]], ids=" ".join)
+    def test_elements_must_name_a_matrix(self, command):
+        # the empty set is no subsemigroup: no report, and no degree read off it
+        text, code = run_command([*command, "--field", "2", "--n", "2", "--elements", ""])
+        assert code == 2
+        assert text == "error PreconditionViolated: --elements names no matrix\n"
 
     @pytest.mark.parametrize(
         "argv,option",
@@ -842,10 +848,8 @@ class TestDeterminism:
             f"    sys.exit({func}())\n"
         )
         script.chmod(0o755)
-        src = str(Path(matsemi.__file__).resolve().parents[1])
-        env = dict(os.environ)
+        env = dict(os.environ)  # PYTHONPATH reaches this tree (conftest)
         env["PATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PATH")]))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         _assert_help_runs(["matsemi", "--help"], env)
 
         # Where the package is installed, the installed script must carry

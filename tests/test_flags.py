@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from matsemi import (
     is_k_maximal,
     lowering_mask,
     lowers_flag,
-    mat_image,
     mat_inverse,
     mat_set,
     matrix,
@@ -41,9 +41,18 @@ from matsemi import (
     zero_subspace,
 )
 from matsemi import flags, nilclass
-from matsemi.flags import Flag
-from matsemi.gf import codes_array, full_space
-from oracles import enumerated_flag_basis, flag_semigroup_by_flag, flag_transporter, is_zero, span_sum, stratum_of
+from matsemi.engine import build_table
+from matsemi.gf import Subspace, codes_array
+from oracles import (
+    enumerated_flag_basis,
+    flag_semigroup_by_flag,
+    flag_transporter,
+    is_zero,
+    power_image_flag_by_spans,
+    powers_by_products,
+    span_sum,
+    stratum_of,
+)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -481,31 +490,11 @@ class TestLoweringSpace:
         assert lowering_mask(f, codes_array([unit_matrix(f.field, 4, 0, 0)])).tolist() == [False]
 
 
-def _oracle_powers(s):
-    """[S^1, S^2, ..., S^k = {0}], one Matrix product at a time; None when
-    the powers never reach {0}.  k is the nilpotency degree."""
-    zero = Matrix(s.field, s.dim, s.dim, (0,) * (s.dim * s.dim))
-    powers = [frozenset(s)]
-    while powers[-1] != {zero}:
-        nxt = frozenset(x * y for x in powers[-1] for y in s)
-        if nxt == powers[-1]:
-            return None
-        powers.append(nxt)
-    return powers
-
-
 def _oracle_power_image_flag(s):
-    """The flag of power-image spans, one mat_image and Subspace.sum_ per
-    element of each power set: the per-element route that the stacked
+    """The flag of power-image spans, one mat_image and Subspace sum per
+    element of each power set: the per-element route that the reduced
     columns replace."""
-    f, n = s.field, s.dim
-    chain = [zero_subspace(f, n)]
-    for level in _oracle_powers(s)[-2::-1]:  # S^(k-1) first: the smallest span
-        span = zero_subspace(f, n)
-        for x in level:
-            span = span_sum(span, mat_image(x))
-        chain.append(span)
-    return Flag(field=f, ambient=n, chain=(*chain, full_space(f, n)))
+    return power_image_flag_by_spans(s.field, s.dim, powers_by_products(s))
 
 
 def _oracle_is_k_maximal(s):
@@ -541,7 +530,7 @@ class TestMaximalityOracle:
     def test_against_enumeration_and_image_sums(self, field, per_flag):
         seen = {True: 0, False: 0}
         for s in _nilpotent_sets(field, per_flag):
-            k = len(_oracle_powers(s))
+            k = len(powers_by_products(s))
             assert nilpotency_degree(s) == k
             if k < 2:  # {0}: no flag
                 with pytest.raises(NotNilpotent):
@@ -554,3 +543,31 @@ class TestMaximalityOracle:
         # some closures regenerate a flag semigroup
         assert seen[True] >= sum(1 for fl in all_flags(field, 3) if fl.length >= 2)
         assert seen[False] > 0
+
+
+def _levels(field, n, rows, ranks):
+    """The interior Subspaces of one table's _power_image_levels."""
+    return [Subspace(field, n, tuple(map(tuple, lvl[:rk]))) for lvl, rk in zip(rows.tolist(), ranks.tolist())]
+
+
+class TestPowerImageLevels:
+    """flags._power_image_levels, which flags psi and every nil context
+    read, against the span sums of oracles.power_image_flag_by_spans."""
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["2", "3"])
+    def test_every_signature_group_as_one_stack(self, field):
+        fls = [fl for fl in all_flags(field, 3) if fl.length >= 2]
+        for idx in flags.signature_groups(fls):
+            sets = flags.flag_semigroups([fls[i] for i in idx])
+            ladders = np.stack([build_table(s).power_ladder for s in sets])
+            rows, ranks = flags._power_image_levels(field, np.stack([s.codes for s in sets]), ladders)
+            for s, r, k in zip(sets, rows, ranks, strict=True):
+                assert _levels(field, 3, r, k) == list(_oracle_power_image_flag(s).interior)
+
+    @pytest.mark.parametrize("field, per_flag", [(F2, 3), (F3, 2)], ids=["2", "3"])
+    def test_seeded_closures_one_table_at_a_time(self, field, per_flag):
+        for s in _nilpotent_sets(field, per_flag):
+            if nilpotency_degree(s) < 2:
+                continue
+            rows, ranks = flags._power_image_levels(field, s.codes[None], build_table(s).power_ladder[None])
+            assert _levels(field, 3, rows[0], ranks[0]) == list(_oracle_power_image_flag(s).interior)

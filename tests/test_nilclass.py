@@ -694,25 +694,30 @@ class TestContextGroups:
 
     @pytest.mark.parametrize("q, n", [(2, 3), (3, 3)])
     def test_power_images_span_only_their_own_chain(self, q, n):
-        # each flag's elements and ladder against the chain of the next flag
-        # of its signature: the power images never span it
-        fls = [fl for fl in all_flags(field_make(q), n) if fl.length >= 2]
+        # each flag's elements and ladder, reduced level by level, give the
+        # RREF bases of its own interior subspaces, so those of no other
+        # flag of its signature
+        field = field_make(q)
+        fls = [fl for fl in all_flags(field, n) if fl.length >= 2]
         for idx in flags.signature_groups(fls):
             group = [fls[i] for i in idx]
             ctxs = nil_contexts(group)
             codes, ladders = np.stack([c.codes for c in ctxs]), np.stack([c.power_masks for c in ctxs])
-            assert nilclass._power_images_span_chain(group, codes, ladders).all()
-            if len(group) > 1:
-                assert not nilclass._power_images_span_chain(group[1:] + group[:1], codes, ladders).any()
+            rows, ranks = flags._power_image_levels(field, codes, ladders)
+            got = [[tuple(map(tuple, lvl[:rk])) for lvl, rk in zip(*per)] for per in zip(rows.tolist(), ranks.tolist())]
+            assert got == [[sp.basis for sp in fl.interior] for fl in group]
 
     def test_a_chain_its_powers_miss_names_its_flag(self, monkeypatch):
         group = flags.flags_with_signature(F2, 3, (1, 1, 1))
-        real = nilclass._power_images_span_chain
+        real = nilclass._power_image_levels
 
-        def next_chain(fls, codes, ladders):  # flag 4 is read against flag 5's chain
-            return real([*fls[:4], *fls[5:6], *fls[5:]], codes, ladders)
+        def short(*args):  # the images of flag 4's T^2 lose a rank
+            rows, ranks = real(*args)
+            ranks = ranks.copy()
+            ranks[4, 0] -= 1
+            return rows, ranks
 
-        monkeypatch.setattr(nilclass, "_power_images_span_chain", next_chain)
+        monkeypatch.setattr(nilclass, "_power_image_levels", short)
         with pytest.raises(InvariantViolation, match=re.escape(f"flag {format_flag(group[4])}: flag semigroup is not maximal")):
             nil_contexts(group)
 
